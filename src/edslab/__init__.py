@@ -44,14 +44,12 @@ from .errors import (
     RegularityError,
 )
 from .kkt import (
-    KKTSystem,
     SolveOptions,
     SolveResult,
     StageBlocks,
     assemble_hessian,
     assemble_jacobian,
     assemble_mixed_hessian,
-    build_kkt_system,
     kkt_residual,
     linearize,
     solve_equality_nlp,

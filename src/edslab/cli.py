@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -62,6 +64,8 @@ _KNOWN_KEYS = {
     "threads",
 }
 
+_CASE_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+
 
 def load_config(path: str) -> ExperimentConfig:
     try:
@@ -85,37 +89,47 @@ def load_config(path: str) -> ExperimentConfig:
         solver = SolveOptions(**solver_raw)
     except TypeError as exc:
         raise ConfigurationError(f"bad solver options: {exc}") from exc
-    cases_raw = raw.get("cases") or [{"name": "base", "params": {}}]
-    cases = []
-    for entry in cases_raw:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigurationError("each case needs a name")
-        cases.append((str(entry["name"]), dict(entry.get("params", {}))))
+    if not isinstance(raw.get("stages", []), list):
+        raise ConfigurationError("stages must be a list of stage indices")
+    try:
+        cases = []
+        for entry in raw.get("cases") or [{"name": "base", "params": {}}]:
+            if not isinstance(entry, dict) or "name" not in entry:
+                raise ConfigurationError("each case needs a name")
+            cases.append((str(entry["name"]), dict(entry.get("params", {}))))
+        cfg = ExperimentConfig(
+            model=str(raw["model"]),
+            params=dict(raw.get("params", {})),
+            cases=cases,
+            stages=[int(s) for s in raw.get("stages", [-1])],
+            replicates=int(raw.get("replicates", 1)),
+            magnitude=float(raw.get("magnitude", 0.1)),
+            seed=int(raw.get("seed", 0)),
+            solver=solver,
+            window_ctrl=int(raw.get("window_ctrl", 1)),
+            window_obs=int(raw.get("window_obs", 1)),
+            out_dir=str(raw.get("out_dir", "out")),
+            threads=(int(raw["threads"]) if "threads" in raw else None),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"malformed config value: {exc}") from exc
     names = [name for name, _ in cases]
+    for name in names:
+        # case names become file names and unquoted CSV fields
+        if not _CASE_NAME.fullmatch(name):
+            raise ConfigurationError(f"case name {name!r} must match {_CASE_NAME.pattern}")
     if len(set(names)) != len(names):
         raise ConfigurationError("case names must be unique")
-    cfg = ExperimentConfig(
-        model=str(raw["model"]),
-        params=dict(raw.get("params", {})),
-        cases=cases,
-        stages=[int(s) for s in raw.get("stages", [-1])],
-        replicates=int(raw.get("replicates", 1)),
-        magnitude=float(raw.get("magnitude", 0.1)),
-        seed=int(raw.get("seed", 0)),
-        solver=solver,
-        window_ctrl=int(raw.get("window_ctrl", 1)),
-        window_obs=int(raw.get("window_obs", 1)),
-        out_dir=str(raw.get("out_dir", "out")),
-        threads=(int(raw["threads"]) if "threads" in raw else None),
-    )
     if cfg.replicates < 1:
         raise ConfigurationError("replicates must be >= 1")
-    if cfg.magnitude < 0:
-        raise ConfigurationError("magnitude must be nonnegative")
+    if not math.isfinite(cfg.magnitude) or cfg.magnitude < 0:
+        raise ConfigurationError("magnitude must be finite and nonnegative")
     return cfg
 
 
-def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict):
+def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiments: bool = True):
+    """Build, solve and certify one case; with `experiments` also run the
+    perturbation experiments and fit their decay envelopes."""
     params = dict(cfg.params)
     params.update(overrides)
     bundle = build_model(cfg.model, params)
@@ -127,28 +141,29 @@ def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict):
     cert = build_report(
         p, base.trajectory, bundle.base_data, cfg.window_ctrl, cfg.window_obs
     )
-    profiles = run_experiments(
-        p,
-        bundle.base_data,
-        base.trajectory,
-        cfg.stages,
-        cfg.replicates,
-        cfg.magnitude,
-        cfg.seed,
-        opts=cfg.solver,
-        threads=cfg.threads,
-    )
-    fit_ls = fit_decay(profiles, mode="ls")
-    fit_env = fit_decay(profiles, mode="envelope")
-    return {
-        "name": name,
-        "bundle": bundle,
-        "base": base,
-        "certificate": cert,
-        "profiles": profiles,
-        "fit_ls": fit_ls,
-        "fit_env": fit_env,
-    }
+    result = {"name": name, "base": base, "certificate": cert}
+    if experiments:
+        profiles = run_experiments(
+            p,
+            bundle.base_data,
+            base.trajectory,
+            cfg.stages,
+            cfg.replicates,
+            cfg.magnitude,
+            cfg.seed,
+            opts=cfg.solver,
+            threads=cfg.threads,
+        )
+        result["profiles"] = profiles
+        result["fit_ls"] = fit_decay(profiles, mode="ls")
+        result["fit_env"] = fit_decay(profiles, mode="envelope")
+    return result
+
+
+def _artifact_name(stem: str, ext: str, case: str, n_cases: int) -> str:
+    """`certificate.txt`, `decay.svg`, ... for one case; with several cases
+    the case name is appended (`certificate_<case>.txt`)."""
+    return f"{stem}_{case}.{ext}" if n_cases > 1 else f"{stem}.{ext}"
 
 
 def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -> int:
@@ -159,6 +174,8 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
             cfg.out_dir = out_dir
         if seed is not None:
             cfg.seed = seed
+        if cfg.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
         # validate every case's model parameters before touching the out dir
         results = [_case_pipeline(cfg, name, overrides) for name, overrides in cfg.cases]
     except ConfigurationError as exc:
@@ -199,14 +216,14 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
         prof_rows.extend(report.profile_rows(name, res["profiles"]))
         fit_rows_all.extend(report.fit_rows(name, res["fit_env"], res["fit_ls"]))
         cert_rows.extend((name, key, value) for key, value in res["certificate"].to_csv_rows())
-        cert_path = os.path.join(cfg.out_dir, f"certificate_{name}.txt") if len(results) > 1 else os.path.join(cfg.out_dir, "certificate.txt")
-        with open(cert_path, "w") as fh:
+        cert_name = _artifact_name("certificate", "txt", name, len(results))
+        with open(os.path.join(cfg.out_dir, cert_name), "w") as fh:
             fh.write(res["certificate"].to_text())
-        manifest["files"].append(os.path.basename(cert_path))
-        svg_path = os.path.join(cfg.out_dir, f"decay_{name}.svg") if len(results) > 1 else os.path.join(cfg.out_dir, "decay.svg")
-        with open(svg_path, "w") as fh:
+        manifest["files"].append(cert_name)
+        svg_name = _artifact_name("decay", "svg", name, len(results))
+        with open(os.path.join(cfg.out_dir, svg_name), "w") as fh:
             fh.write(report.plot_decay(res["profiles"], res["fit_env"]))
-        manifest["files"].append(os.path.basename(svg_path))
+        manifest["files"].append(svg_name)
         manifest["cases"][name] = {
             "iterations": res["base"].iterations,
             "residual": res["base"].residual_norm,
@@ -247,16 +264,9 @@ def certify(config_path: str, out_dir: str | None = None) -> int:
         cfg = load_config(config_path)
         if out_dir is not None:
             cfg.out_dir = out_dir
-        reports = []
-        for name, overrides in cfg.cases:
-            params = dict(cfg.params)
-            params.update(overrides)
-            bundle = build_model(cfg.model, params)
-            base = solve_equality_nlp(bundle.problem, bundle.base_data, w0=bundle.warm_start, opts=cfg.solver)
-            cert = build_report(
-                bundle.problem, base.trajectory, bundle.base_data, cfg.window_ctrl, cfg.window_obs
-            )
-            reports.append((name, cert))
+        results = [
+            _case_pipeline(cfg, name, overrides, experiments=False) for name, overrides in cfg.cases
+        ]
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -264,12 +274,12 @@ def certify(config_path: str, out_dir: str | None = None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     os.makedirs(cfg.out_dir, exist_ok=True)
-    for name, cert in reports:
-        text = cert.to_text()
-        if len(reports) > 1:
-            print(f"[{name}]")
+    for res in results:
+        text = res["certificate"].to_text()
+        if len(results) > 1:
+            print(f"[{res['name']}]")
         print(text, end="")
-        fname = f"certificate_{name}.txt" if len(reports) > 1 else "certificate.txt"
+        fname = _artifact_name("certificate", "txt", res["name"], len(results))
         with open(os.path.join(cfg.out_dir, fname), "w") as fh:
             fh.write(text)
     return EXIT_OK

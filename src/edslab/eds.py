@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FitError, NonconvergenceError
+from .errors import ConfigurationError, FitError, NonconvergenceError, RegularityError
 from .kkt import SolveOptions, solve_equality_nlp
 from .problem import (
     Array,
@@ -119,16 +119,16 @@ def run_perturbation_experiment(
     primal_only: bool = False,
 ) -> SensitivityProfile:
     """Solve the problem with the data perturbed at one stage, warm-started
-    from the base solution, and record stage-wise deviations.  A
-    nonconverged solve yields a profile flagged converged=False (computed
-    from the last iterate) which fits exclude."""
+    from the base solution, and record stage-wise deviations.  A solve that
+    does not converge or loses regularity yields a profile flagged
+    converged=False (computed from the last iterate) which fits exclude."""
     delta = _as_vector(spec.delta, p.dims.nd(spec.stage), f"perturbation at stage {spec.stage}")
     d_pert = d_star.perturbed(spec.stage, delta)
     converged = True
     try:
         result = solve_equality_nlp(p, d_pert, w0=w_star, opts=opts)
         w_pert = result.trajectory
-    except NonconvergenceError as exc:
+    except (NonconvergenceError, RegularityError) as exc:
         converged = False
         w_pert = exc.result.trajectory
     s = stage_deviations(w_pert, w_star, primal_only=primal_only)

@@ -14,7 +14,12 @@ class EvaluationError(EdslabError):
 
 
 class RegularityError(EdslabError):
-    """A matrix that must be regular (full rank / correct inertia) is not."""
+    """A matrix that must be regular (full rank / correct inertia) is not.
+    Raised by Newton, it carries the last iterate."""
+
+    def __init__(self, message, result=None):
+        super().__init__(message)
+        self.result = result
 
 
 class NonconvergenceError(EdslabError):

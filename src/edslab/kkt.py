@@ -107,17 +107,6 @@ class StageBlocks:
         )
 
 
-@dataclass
-class KKTSystem:
-    """Dense first-order system at one point: primal Hessian H (block
-    diagonal in (Q_i, R_i) with S_i coupling), constraint Jacobian J (block
-    bidiagonal with leading T rows), and the stacked residual."""
-
-    H: Array
-    J: Array
-    rhs: Array
-
-
 @dataclass(frozen=True)
 class SolveOptions:
     tol_kkt: float = 1e-9
@@ -128,7 +117,7 @@ class SolveOptions:
     ls_sigma: float = 1e-4
 
     def __post_init__(self):
-        if self.tol_kkt <= 0:
+        if not self.tol_kkt > 0:  # NaN included
             raise ConfigurationError("tol_kkt must be positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
@@ -338,12 +327,6 @@ def primal_offsets(dims: Dimensions):
     return x_off, u_off
 
 
-def dual_offsets(dims: Dimensions):
-    """Row offsets of lam(i) for i in [-1, N-1] in the stacked dual
-    ordering; entry 0 is lam(-1)."""
-    return [0] + [dims.n_0 + i * dims.n_x for i in range(dims.N)]
-
-
 def assemble_jacobian(blocks: StageBlocks) -> Array:
     """Constraint Jacobian: leading T row block, then stage rows
     [-A_i, -B_i, I] in the primal column ordering."""
@@ -482,87 +465,78 @@ def kkt_residual(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory)
     return r
 
 
-def build_kkt_system(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> KKTSystem:
-    """Linearize and assemble the dense KKT pieces at one point."""
-    blocks = linearize(p, traj, data)
-    return KKTSystem(
-        H=assemble_hessian(blocks),
-        J=assemble_jacobian(blocks),
-        rhs=kkt_residual(p, traj, data),
-    )
-
-
 # ---------------------------------------------------------------------------
 # symmetric indefinite solve with inertia control
 
 
-def _block_diag_eigs(d: Array):
-    """Eigenvalues of the (1x1 / 2x2)-block-diagonal factor of an LDL^T
-    factorization, in O(n)."""
-    n = d.shape[0]
-    eigs = []
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            a, b, c = d[i, i], d[i + 1, i], d[i + 1, i + 1]
-            # symmetric 2x2: discriminant (a-c)^2 + 4b^2 is exactly nonnegative
-            disc = np.hypot(a - c, 2.0 * b)
-            eigs.append(0.5 * (a + c + disc))
-            eigs.append(0.5 * (a + c - disc))
-            i += 2
+_sytrf, _sytrf_lwork, _sytrs = scipy.linalg.get_lapack_funcs(
+    ("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64
+)
+
+
+def _bunch_kaufman(W: Array):
+    """Lower Bunch-Kaufman factor of the symmetric W as LAPACK ?sytrf packs
+    it: (ldu, ipiv, info).  Called as SciPy's ldl() calls it (optimal
+    workspace), so D is the same bit for bit.  A Fortran-ordered W is
+    overwritten."""
+    lwork = int(_sytrf_lwork(W.shape[0], lower=1)[0])
+    ldu, ipiv, info = _sytrf(W, lwork=lwork, lower=1, overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"?sytrf: illegal value in argument {-info}")
+    return ldu, ipiv, info
+
+
+def _packed_d_eigs(ldu: Array, ipiv: Array) -> Array:
+    """Eigenvalues of the 1x1/2x2-block-diagonal D of a packed lower
+    Bunch-Kaufman factor, in O(n).  Walking ipiv in order, ipiv[k] < 0
+    opens a 2x2 block on rows k, k+1 (LAPACK's lower storage); D's entries
+    are the diagonal and first subdiagonal of ldu."""
+    piv = ipiv.tolist()
+    n = len(piv)
+    starts = []
+    k = 0
+    while k < n:
+        if piv[k] < 0:
+            starts.append(k)
+            k += 2
         else:
-            eigs.append(d[i, i])
-            i += 1
-    return np.asarray(eigs)
+            k += 1
+    two = np.asarray(starts, dtype=int)
+    one = np.ones(n, dtype=bool)
+    one[two] = one[two + 1] = False
+    diag = np.diagonal(ldu)
+    a, b, c = diag[two], ldu[two + 1, two], diag[two + 1]
+    # symmetric 2x2: discriminant (a-c)^2 + 4b^2 is exactly nonnegative
+    disc = np.hypot(a - c, 2.0 * b)
+    return np.concatenate([diag[one], 0.5 * (a + c + disc), 0.5 * (a + c - disc)])
 
 
-def _solve_block_diag(d: Array, y: Array):
-    n = d.shape[0]
-    out = np.empty_like(y)
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i + 1, i] != 0.0:
-            a, b, c = d[i, i], d[i + 1, i], d[i + 1, i + 1]
-            det = a * c - b * b
-            if det == 0.0:
-                return None
-            out[i] = (c * y[i] - b * y[i + 1]) / det
-            out[i + 1] = (-b * y[i] + a * y[i + 1]) / det
-            i += 2
-        else:
-            if d[i, i] == 0.0:
-                return None
-            out[i] = y[i] / d[i, i]
-            i += 1
-    return out
-
-
-def _factor_and_solve(K: Array, rhs: Array, n_pos: int, n_neg: int):
-    """LDL^T factorization with an inertia gate: returns the solution only
-    when K has exactly (n_pos, n_neg, 0) positive/negative/zero eigenvalues,
-    None otherwise."""
-    try:
-        lu, d, perm = scipy.linalg.ldl(K, lower=True)
-    except Exception:
+def _factor_and_solve(K: Array, rhs: Array, n_pos: int, n_neg: int, reg: float = 0.0):
+    """Solve (K + reg * diag(1_{n_pos}, 0_{n_neg})) x = rhs through a
+    Bunch-Kaufman LDL^T factorization with an inertia gate: returns x only
+    when the shifted K has exactly (n_pos, n_neg, 0) positive/negative/zero
+    eigenvalues, None otherwise (non-finite input included).  K itself is
+    left untouched."""
+    if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
         return None
-    eigs = _block_diag_eigs(d)
+    W = np.array(K, order="F")
+    if reg != 0.0:
+        d = np.arange(n_pos)
+        W[d, d] += reg
+    ldu, ipiv, info = _bunch_kaufman(W)
+    if info > 0:  # D has an exact zero pivot
+        return None
+    eigs = _packed_d_eigs(ldu, ipiv)
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     tol = max(scale, 1.0) * K.shape[0] * np.finfo(float).eps
     pos = int(np.sum(eigs > tol))
     neg = int(np.sum(eigs < -tol))
     if pos != n_pos or neg != n_neg:
         return None
-    L = lu[perm]
-    y = scipy.linalg.solve_triangular(L, rhs[perm], lower=True, unit_diagonal=True)
-    z = _solve_block_diag(d, y)
-    if z is None:
+    x, _ = _sytrs(ldu, ipiv, rhs, lower=1)
+    if not np.all(np.isfinite(x)):
         return None
-    v = scipy.linalg.solve_triangular(L.T, z, lower=False, unit_diagonal=True)
-    out = np.empty_like(v)
-    out[perm] = v
-    if not np.all(np.isfinite(out)):
-        return None
-    return out
+    return x
 
 
 def solve_equality_nlp(
@@ -578,8 +552,8 @@ def solve_equality_nlp(
     search direction fails to reduce the residual), eps * I is added to the
     primal Hessian block, starting at opts.reg0 and escalating tenfold up to
     opts.reg_max.  Raises RegularityError when no usable direction exists at
-    maximal regularization and NonconvergenceError (carrying the last
-    iterate) when max_iter is exhausted.
+    maximal regularization and NonconvergenceError when max_iter is
+    exhausted; both carry the last iterate.
     """
     opts = opts or SolveOptions()
     check_dimensions(p, None, data)
@@ -596,7 +570,7 @@ def solve_equality_nlp(
         blocks = linearize(p, w, data)
         H = assemble_hessian(blocks)
         J = assemble_jacobian(blocks)
-        K = np.zeros((n, n))
+        K = np.zeros((n, n), order="F")  # LAPACK order: the working copy is a memcpy
         K[:nz, :nz] = H
         K[:nz, nz:] = -J.T
         K[nz:, :nz] = -J
@@ -604,8 +578,7 @@ def solve_equality_nlp(
         reg = 0.0
         accepted = None
         while True:
-            Kreg = K if reg == 0.0 else K + np.diag(np.r_[np.full(nz, reg), np.zeros(ndual)])
-            step = _factor_and_solve(Kreg, -r, nz, ndual)
+            step = _factor_and_solve(K, -r, nz, ndual, reg)
             if step is not None:
                 alpha = 1.0
                 while alpha >= 1e-12:
@@ -622,7 +595,8 @@ def solve_equality_nlp(
             reg = opts.reg0 if reg == 0.0 else reg * 10.0
             if reg > opts.reg_max:
                 raise RegularityError(
-                    f"KKT system unusable at iteration {it} despite regularization up to {opts.reg_max:g}"
+                    f"KKT system unusable at iteration {it} despite regularization up to {opts.reg_max:g}",
+                    result=SolveResult(w, it, rnorm, False, reg_seen),
                 )
         reg_seen = max(reg_seen, reg)
         w, r = accepted

@@ -29,6 +29,19 @@ def toy_nonlinear_problem(N=3):
     return DOProblem(dims=dims, oracles=oracles, T=np.eye(2))
 
 
+def strongly_indefinite_problem():
+    """One-stage problem whose terminal curvature deficit (-3 cos x) exceeds
+    the regularization cap near the origin, so Newton raises
+    RegularityError."""
+    dims = Dimensions.uniform(1, 1, 1, 0, 1)
+    oracles = StageOracles(
+        stage_cost=lambda i, x, u, d: float(u @ u),
+        dynamics=lambda i, x, u, d: np.atleast_1d(x[0] + u[0]),
+        terminal_cost=lambda x, d: float(3.0 * np.cos(x[0]) + 0.05 * x[0] ** 2),
+    )
+    return DOProblem(dims=dims, oracles=oracles, T=np.eye(1))
+
+
 def random_point(problem, seed=0, scale=0.5):
     rng = np.random.default_rng(seed)
     dims = problem.dims

@@ -132,6 +132,64 @@ class TestRun:
         assert "beta " in printed
         assert (out / "certificate.txt").exists()
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"stages": ["abc"]},
+            {"stages": 5},
+            {"stages": "12"},
+            {"magnitude": float("nan")},
+            {"magnitude": float("inf")},
+            {"magnitude": "big"},
+            {"replicates": "two"},
+            {"seed": None},
+            {"seed": float("inf")},
+            {"window_ctrl": "x"},
+            {"window_obs": [1]},
+            {"solver": {"tol_kkt": float("nan")}},
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_malformed_values_exit_3_no_outputs(self, tmp_path, capsys, command, overrides):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **overrides)
+        assert main([command, "--config", str(cfg)]) == 3
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_3_no_outputs(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out))
+        assert main(["run", "--config", str(cfg), "--seed", "-1"]) == 3
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), seed=-1)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["a/b", "a,b", "../x", "", "a b"])
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_unsafe_case_name_exits_3_no_outputs(self, tmp_path, command, bad):
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            cases=[{"name": "ok", "params": {}}, {"name": bad, "params": {}}],
+            out_dir=str(out),
+        )
+        assert main([command, "--config", str(cfg)]) == 3
+        assert not out.exists()
+
+    def test_certify_matches_run_certificates(self, tmp_path):
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            params={"n_x": 2, "n_u": 1, "N": 12, "seed": 3},
+            stages=[6],
+            replicates=1,
+            cases=[{"name": "c-1", "params": {"stability": 0.5}}, {"name": "c.2", "params": {}}],
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        assert main(["certify", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+        for name in ("certificate_c-1.txt", "certificate_c.2.txt"):
+            assert read(tmp_path / "r" / name) == read(tmp_path / "c" / name)
+
     def test_models_subcommand(self, capsys):
         assert main(["models"]) == 0
         printed = capsys.readouterr().out

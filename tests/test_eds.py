@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from edslab import (
+    DataTrajectory,
     DecayFit,
     FitError,
     PerturbationSpec,
+    PrimalDualTrajectory,
     SensitivityProfile,
     build_model,
     decay_contrast,
@@ -14,6 +16,7 @@ from edslab import (
     solve_equality_nlp,
     verify_eds_bound,
 )
+from conftest import strongly_indefinite_problem
 
 
 def synthetic_profile(N, j, upsilon, rho, magnitude=1.0, replicate=0):
@@ -57,6 +60,17 @@ class TestPerturbationExperiment:
         p2 = run_perturbation_experiment(b.problem, b.base_data, base.trajectory,
                                          PerturbationSpec(10, 2 * delta))
         assert np.abs(p2.s - 2 * p1.s).max() <= 1e-8
+
+    def test_regularity_failure_marks_profile(self):
+        # every solve of this problem exhausts the regularization ladder; the
+        # experiment still returns a profile, flagged like a nonconverged one
+        p = strongly_indefinite_problem()
+        d_star = DataTrajectory(p.dims, [[0.3], [], []])
+        w_star = PrimalDualTrajectory.zeros(p.dims)
+        prof = run_perturbation_experiment(p, d_star, w_star, PerturbationSpec(-1, [0.1]))
+        assert not prof.converged
+        assert prof.s.shape == (p.dims.N + 2,)
+        assert np.all(np.isfinite(prof.s))
 
     def test_primal_only_norms_smaller(self, oracle_solved):
         b, base = oracle_solved

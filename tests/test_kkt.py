@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edslab import (
     DataTrajectory,
@@ -17,9 +20,10 @@ from edslab import (
     linearize,
     solve_equality_nlp,
 )
-from edslab.errors import NonconvergenceError
+from edslab import kkt
+from edslab.errors import NonconvergenceError, RegularityError
 from edslab.models import lq_chain, make_lq_problem
-from conftest import random_point, toy_nonlinear_problem
+from conftest import random_point, strongly_indefinite_problem, toy_nonlinear_problem
 
 
 def dense_lq_oracle(A, B, Q, R, Qf, T, N, x0, refs):
@@ -150,24 +154,11 @@ class TestAssembly:
         R = np.eye(1)
         blocks = StageBlocks.time_invariant(np.eye(2), np.ones((2, 1)), Q, R, 2, T=np.eye(2))
         H = assemble_hessian(blocks)
-        import scipy.linalg
-
         expected = scipy.linalg.block_diag(Q, R, Q, R, Q)
         assert H == pytest.approx(expected)
 
 
 class TestResidual:
-    def test_build_kkt_system_consistent_pieces(self, toy):
-        from edslab import build_kkt_system
-
-        traj, data = random_point(toy, seed=5)
-        sys_ = build_kkt_system(toy, traj, data)
-        blocks = linearize(toy, traj, data)
-        assert sys_.H == pytest.approx(assemble_hessian(blocks))
-        assert sys_.J == pytest.approx(assemble_jacobian(blocks))
-        assert sys_.rhs == pytest.approx(kkt_residual(toy, traj, data))
-        assert np.abs(sys_.H - sys_.H.T).max() == 0.0
-
     def test_zero_at_origin_for_lq(self):
         p = lq_chain(2, 1, 3, seed=1)
         traj = PrimalDualTrajectory.zeros(p.dims)
@@ -285,19 +276,13 @@ class TestSolve:
 
     def test_strong_indefiniteness_beyond_ladder_raises(self):
         # curvature deficits larger than the regularization cap are reported,
-        # not silently mangled
-        from edslab.errors import RegularityError
-
-        dims = Dimensions.uniform(1, 1, 1, 0, 1)
-        oracles = StageOracles(
-            stage_cost=lambda i, x, u, d: float(u @ u),
-            dynamics=lambda i, x, u, d: np.atleast_1d(x[0] + u[0]),
-            terminal_cost=lambda x, d: float(3.0 * np.cos(x[0]) + 0.05 * x[0] ** 2),
-        )
-        p = DOProblem(dims=dims, oracles=oracles, T=np.eye(1))
-        data = DataTrajectory(dims, [[0.3], [], []])
-        with pytest.raises(RegularityError):
+        # not silently mangled, with the last iterate attached
+        p = strongly_indefinite_problem()
+        data = DataTrajectory(p.dims, [[0.3], [], []])
+        with pytest.raises(RegularityError) as err:
             solve_equality_nlp(p, data)
+        assert not err.value.result.converged
+        assert err.value.result.trajectory.dims == p.dims
 
     def test_no_control_problem_solvable(self):
         # n_u = 0: the trajectory is pinned by the constraints alone
@@ -311,3 +296,105 @@ class TestSolve:
         for i in range(6):
             assert res.trajectory.x(i) == pytest.approx(expect, abs=1e-9)
             expect = A @ expect
+
+
+@st.composite
+def kkt_matrices(draw):
+    """(K, n_primal, n_dual): a random symmetric matrix (split at a random
+    index), or a saddle-point matrix [[H, J^T], [J, 0]] with n_dual <=
+    n_primal.  Diagonals are scaled down at random so Bunch-Kaufman takes
+    2x2 pivots."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 40))
+    diag_scale = draw(st.sampled_from([1.0, 1e-3, 0.0]))
+    if draw(st.booleans()):
+        A = rng.standard_normal((n, n))
+        K = A + A.T
+        K[np.diag_indices(n)] *= diag_scale
+        return K, draw(st.integers(0, n)), None
+    m = draw(st.integers(1, n))
+    k = min(n - m, m)
+    H = rng.standard_normal((m, m))
+    H = H + H.T
+    H[np.diag_indices(m)] *= diag_scale
+    J = rng.standard_normal((k, m))
+    K = np.block([[H, J.T], [J, np.zeros((k, k))]])
+    return K, m, k
+
+
+def inertia(K):
+    ev = np.linalg.eigvalsh(K)
+    return int(np.sum(ev > 0)), int(np.sum(ev < 0)), np.abs(ev).min(), np.abs(ev).max()
+
+
+class TestPackedFactor:
+    @settings(max_examples=150, deadline=None)
+    @given(kkt_matrices())
+    def test_packed_d_eigs_match_scipy_ldl(self, case):
+        K = case[0]
+        ldu, ipiv, info = kkt._bunch_kaufman(np.array(K, order="F"))
+        eigs = np.sort(kkt._packed_d_eigs(ldu, ipiv))
+        ref = np.linalg.eigvalsh(scipy.linalg.ldl(K, lower=True)[1])
+        assert eigs.shape == ref.shape
+        assert np.abs(eigs - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kkt_matrices(), st.integers(0, 2**32 - 1))
+    def test_inertia_gate_and_step(self, case, seed):
+        K, n_primal, n_dual = case
+        n = K.shape[0]
+        b = np.random.default_rng(seed).standard_normal(n)
+        pos, neg, ev_min, ev_max = inertia(K)
+        if ev_min <= 1e-6 * max(ev_max, 1.0):
+            return  # no spectral gap: the sign counts are not decidable
+        x = kkt._factor_and_solve(K, b, pos, neg)
+        assert x is not None
+        norm_K = np.linalg.norm(K, 2)
+        assert np.linalg.norm(K @ x - b) <= 1e-10 * norm_K * np.linalg.norm(x)
+        if neg > 0:
+            assert kkt._factor_and_solve(K, b, pos + 1, neg - 1) is None
+        if pos > 0:
+            assert kkt._factor_and_solve(K, b, pos - 1, neg + 1) is None
+        if n_dual is not None:
+            # the shift lands on the primal diagonal only; the gate then
+            # asks for the nominal saddle-point inertia (n_primal, n_dual)
+            reg = 0.5
+            shifted = K + np.diag(np.r_[np.full(n_primal, reg), np.zeros(n_dual)])
+            xs = kkt._factor_and_solve(K, b, n_primal, n_dual, reg=reg)
+            pos_s, neg_s, ev_min_s, ev_max_s = inertia(shifted)
+            if ev_min_s > 1e-6 * max(ev_max_s, 1.0):
+                if (pos_s, neg_s) != (n_primal, n_dual):
+                    assert xs is None
+                else:
+                    assert xs is not None
+                    resid = np.linalg.norm(shifted @ xs - b)
+                    assert resid <= 1e-10 * np.linalg.norm(shifted, 2) * np.linalg.norm(xs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kkt_matrices(), st.integers(0, 2**32 - 1))
+    def test_singular_and_nonfinite_rejected(self, case, seed):
+        K, n_primal, n_dual = case
+        n = K.shape[0]
+        rng = np.random.default_rng(seed)
+        b = rng.standard_normal(n)
+        # an exactly zero row and column: one zero eigenvalue whatever the rest
+        i = int(rng.integers(n))
+        Z = K.copy()
+        Z[i, :] = Z[:, i] = 0.0
+        for p in range(n + 1):
+            assert kkt._factor_and_solve(Z, b, p, n - p) is None
+        pos, neg, _, _ = inertia(K)
+        bad = K.copy()
+        bad[i, i] = np.nan
+        assert kkt._factor_and_solve(bad, b, pos, neg) is None
+        b_bad = b.copy()
+        b_bad[i] = np.inf
+        assert kkt._factor_and_solve(K, b_bad, pos, neg) is None
+        if n_dual is not None and n_dual >= 2:
+            # rank-deficient J: a repeated constraint row
+            J = K[n_primal:, :n_primal].copy()
+            J[-1] = J[0]
+            D = K.copy()
+            D[n_primal:, :n_primal] = J
+            D[:n_primal, n_primal:] = J.T
+            assert kkt._factor_and_solve(D, b, n_primal, n_dual) is None
