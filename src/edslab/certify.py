@@ -1,11 +1,19 @@
 """Regularity and system-theoretic certificates.
 
-Every modulus is a measured eigenvalue or singular value on a densely
-assembled matrix: the constraint-qualification modulus is the smallest
-eigenvalue of J J^T, the second-order modulus is the smallest eigenvalue of
-the reduced Hessian Z^T H Z, and the coupling modulus is the spectral norm
-of the Lagrangian's full mixed second derivative in (primal-dual, data)
-variables.  Windowed controllability/observability Gramians supply the
+Every modulus is a measured eigenvalue or singular value at one point:
+
+- the constraint-qualification modulus beta is the smallest eigenvalue of
+  J J^T, and the coupling modulus L_observed is the spectral norm of the
+  Lagrangian's full mixed second derivative M in (primal-dual, data)
+  variables, i.e. the square root of the largest eigenvalue of M M^T.  Both
+  Gram matrices are banded in the stage-interleaved ordering, so each
+  eigenvalue is found by bisection on banded Cholesky factorizations, in
+  O(N b^2) time and O(N b) memory for half-bandwidth b;
+- the second-order modulus gamma is the smallest eigenvalue of the reduced
+  Hessian Z^T H Z, computed from a dense null-space SVD of J, in O(N^3)
+  time and O(N^2) memory.
+
+Windowed controllability/observability Gramians supply the
 system-theoretic side; the point of the window scans is that their minima
 stay bounded away from zero independently of the horizon length exactly
 when the underlying property is uniform.
@@ -16,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse
 
 from .errors import ConfigurationError, RegularityError
 from .kkt import StageBlocks, assemble_hessian, assemble_jacobian, assemble_mixed_hessian, linearize
@@ -157,15 +167,59 @@ def duality_check(blocks: StageBlocks, window: int, rel_tol: float = 1e-9):
 # NLP regularity moduli
 
 
-def licq_modulus(J: Array) -> float:
-    """Smallest eigenvalue of J J^T, via the singular values of J."""
-    J = np.atleast_2d(np.asarray(J, dtype=float))
+_pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", dtype=np.float64)
+
+# Cap on bisection steps.  A bracket that starts at zero (a singular Gram
+# matrix) never shrinks to one ulp; after 64 halvings it is far narrower
+# than the eps * ||G|| to which a Cholesky test can resolve an eigenvalue.
+_BISECTION_STEPS = 64
+
+
+def _gram_eigenvalue(A, largest: bool) -> float:
+    """Largest or smallest eigenvalue of the Gram matrix G = A A^T of a
+    sparse A, by bisection on sigma.  G's lower band goes into LAPACK's
+    band storage; sigma I - G (largest) or G - sigma I (smallest) is
+    positive definite exactly when the banded Cholesky ?pbtrf succeeds.
+    The brackets are [max diag G, ||A||_1 ||A||_inf] and [0, min diag G].
+    Each step costs O(n b^2) for half-bandwidth b, and the result is
+    deterministic."""
+    G = (A @ A.T).tocoo()
+    lower = G.row >= G.col
+    r, c = G.row[lower], G.col[lower]
+    band = np.zeros((int((r - c).max(initial=0)) + 1, G.shape[0]))
+    band[r - c, c] = G.data[lower]
+    if largest:
+        absA = abs(A)
+        lo, hi = float(band[0].max()), float(absA.sum(axis=0).max() * absA.sum(axis=1).max())
+        band = -band
+    else:
+        lo, hi = 0.0, float(band[0].min())
+    eps = np.finfo(float).eps
+    for _ in range(_BISECTION_STEPS):
+        if hi - lo <= eps * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        W = band.copy()
+        W[0] += mid if largest else -mid
+        _, info = _pbtrf(W, lower=1, overwrite_ab=1)
+        if info < 0:
+            raise ValueError(f"?pbtrf: illegal value in argument {-info}")
+        if (info == 0) == largest:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def licq_modulus(J) -> float:
+    """Smallest eigenvalue of J J^T for a dense or sparse J; see
+    `_gram_eigenvalue`."""
+    J = scipy.sparse.csr_array(J if scipy.sparse.issparse(J) else np.atleast_2d(J), dtype=float)
     if J.shape[0] == 0:
         return math.inf
     if J.shape[0] > J.shape[1]:
         return 0.0
-    s = np.linalg.svd(J, compute_uv=False)
-    return float(s[-1] ** 2)
+    return _gram_eigenvalue(J, largest=False)
 
 
 def sosc_modulus(H: Array, J: Array) -> float:
@@ -192,12 +246,13 @@ def sosc_modulus(H: Array, J: Array) -> float:
 
 
 def mixed_hessian_norm(blocks: StageBlocks) -> float:
-    """Spectral norm of the assembled mixed second derivative of the
-    Lagrangian in (primal-dual, data) variables."""
+    """Spectral norm of the sparse mixed second derivative M of the
+    Lagrangian in (primal-dual, data) variables: the square root of the
+    largest eigenvalue of M M^T, see `_gram_eigenvalue`."""
     M = assemble_mixed_hessian(blocks)
     if min(M.shape) == 0:
         return 0.0
-    return float(np.linalg.norm(M, 2))
+    return math.sqrt(_gram_eigenvalue(M, largest=True))
 
 
 def blh_modulus(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> float:

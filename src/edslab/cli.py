@@ -231,6 +231,11 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
             "r2_ls": res["fit_ls"].r2,
             "upsilon_env": res["fit_env"].upsilon,
             "profile_seeds": [list(p.seed) for p in res["profiles"]],
+            "unconverged": [
+                {"stage": p.stage, "replicate": p.replicate, "error": p.error}
+                for p in res["profiles"]
+                if not p.converged
+            ],
         }
     for fname, rows in (
         ("base_solution.csv", base_rows),

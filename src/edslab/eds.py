@@ -51,7 +51,8 @@ class PerturbationSpec:
 @dataclass
 class SensitivityProfile:
     """Stage-wise deviation norms for one perturbation experiment; `s` holds
-    stages -1..N, read through `deviation(i)`."""
+    stages -1..N, read through `deviation(i)`.  `error` names the exception
+    class and message of a solve that failed (`converged` is then False)."""
 
     stage: int
     s: Array
@@ -59,6 +60,7 @@ class SensitivityProfile:
     converged: bool
     replicate: int = 0
     seed: tuple | None = None
+    error: str | None = None
 
     def deviation(self, i: int) -> float:
         return float(self.s[i + 1])
@@ -121,22 +123,24 @@ def run_perturbation_experiment(
     """Solve the problem with the data perturbed at one stage, warm-started
     from the base solution, and record stage-wise deviations.  A solve that
     does not converge or loses regularity yields a profile flagged
-    converged=False (computed from the last iterate) which fits exclude."""
+    converged=False (computed from the last iterate), carrying the error,
+    which fits exclude."""
     delta = _as_vector(spec.delta, p.dims.nd(spec.stage), f"perturbation at stage {spec.stage}")
     d_pert = d_star.perturbed(spec.stage, delta)
-    converged = True
+    error = None
     try:
         result = solve_equality_nlp(p, d_pert, w0=w_star, opts=opts)
         w_pert = result.trajectory
     except (NonconvergenceError, RegularityError) as exc:
-        converged = False
+        error = f"{type(exc).__name__}: {exc}"
         w_pert = exc.result.trajectory
     s = stage_deviations(w_pert, w_star, primal_only=primal_only)
     return SensitivityProfile(
         stage=spec.stage,
         s=s,
         magnitude=float(np.linalg.norm(delta)),
-        converged=converged,
+        converged=error is None,
+        error=error,
     )
 
 

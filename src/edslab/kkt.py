@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from . import diff
 from .errors import ConfigurationError, NonconvergenceError, RegularityError
@@ -316,7 +317,7 @@ def linearize(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) ->
 
 
 # ---------------------------------------------------------------------------
-# dense assembly
+# assembly: dense H and J, sparse mixed Hessian
 
 
 def primal_offsets(dims: Dimensions):
@@ -396,21 +397,25 @@ def _xi_offsets(dims: Dimensions):
     return off, base + dims.n_x + dims.nd(dims.N)
 
 
-def assemble_mixed_hessian(blocks: StageBlocks) -> Array:
-    """Full second derivative of the Lagrangian: rows over the stacked
-    primal-dual variables, columns over the stacked (primal-dual, data)
-    variables, both interleaved by stage.  Contains the stage Hessian
-    blocks, the constraint-Jacobian couplings, and the data couplings
-    E_i, F_i, G_i plus the identity pairing lam(-1) with d_{-1}."""
+def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
+    """Full second derivative of the Lagrangian as a sparse CSR matrix: rows
+    over the stacked primal-dual variables, columns over the stacked
+    (primal-dual, data) variables, both interleaved by stage.  Contains the
+    stage Hessian blocks, the constraint-Jacobian couplings, and the data
+    couplings E_i, F_i, G_i plus the identity pairing lam(-1) with d_{-1}.
+    Zero entries inside a block are stored too."""
     dims = blocks.dims
     row, n_w = _w_offsets(dims)
     col, n_xi = _xi_offsets(dims)
-    M = np.zeros((n_w, n_xi))
     I_x = np.eye(dims.n_x)
+    rows, cols, vals = [], [], []
 
     def put(r, c, block):
         if block.size:
-            M[r : r + block.shape[0], c : c + block.shape[1]] = block
+            k = np.arange(block.size)
+            rows.append(r + k // block.shape[1])
+            cols.append(c + k % block.shape[1])
+            vals.append(block.ravel())
 
     # initial constraint couplings
     put(row[(-1, "lam")], col[(0, "x")], -blocks.T)
@@ -435,7 +440,9 @@ def assemble_mixed_hessian(blocks: StageBlocks) -> Array:
         put(row[(i, "lam")], col[(i, "d")], blocks.G[i])
     put(row[(dims.N, "x")], col[(dims.N, "x")], blocks.Q[dims.N])
     put(row[(dims.N, "x")], col[(dims.N, "d")], blocks.E[dims.N])
-    return M
+    return scipy.sparse.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_w, n_xi)
+    ).tocsr()
 
 
 def kkt_residual(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> Array:

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edslab import (
     RegularityError,
@@ -32,6 +36,8 @@ from edslab.certify import (
     smallest_eigenvalue,
 )
 from edslab.errors import ConfigurationError
+from edslab.kkt import _w_offsets, _xi_offsets
+from edslab.problem import Dimensions
 
 
 def ti_blocks(A, B, Q=None, R=None, N=6, T=None):
@@ -225,7 +231,6 @@ class TestMixedHessian:
         res = solve_equality_nlp(p, b.base_data, w0=b.warm_start)
         w, d = res.trajectory, b.base_data
         dims = p.dims
-        from edslab.kkt import _w_offsets, _xi_offsets
         from edslab.problem import DataTrajectory as DT
 
         row, n_w = _w_offsets(dims)
@@ -267,7 +272,7 @@ class TestMixedHessian:
                     - lag_at(-h, a, h, bidx)
                     + lag_at(-h, a, -h, bidx)
                 ) / (4 * h * h)
-        M_an = assemble_mixed_hessian(linearize(p, w, d))
+        M_an = assemble_mixed_hessian(linearize(p, w, d)).toarray()
         assert np.abs(M_an - M_fd).max() <= 1e-4
         assert blh_modulus(p, w, d) == pytest.approx(np.linalg.norm(M_fd, 2), abs=1e-4)
 
@@ -348,3 +353,134 @@ class TestReport:
         assert rep.ctrl.minimum == pytest.approx(0.0)
         assert rep.r == math.inf
         assert not rep.corollary_ok
+
+
+# ---------------------------------------------------------------------------
+# banded moduli against the dense oracle
+
+
+@st.composite
+def stage_blocks(draw):
+    """Random time-varying StageBlocks (N <= 10, n_x <= 4, n_u <= 3,
+    n_0 <= n_x with a full-row-rank T, n_d <= 3); any block family may be
+    all zero."""
+    N = draw(st.integers(1, 10))
+    n_x = draw(st.integers(1, 4))
+    n_u = draw(st.integers(0, 3))
+    n_0 = draw(st.integers(0, n_x))
+    n_d = draw(st.integers(0, 3))
+    zero = draw(st.sets(st.sampled_from("QRSEFABG")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def family(name, shape, count, sym=False):
+        out = []
+        for _ in range(count):
+            M = np.zeros(shape) if name in zero else rng.standard_normal(shape)
+            out.append(0.5 * (M + M.T) if sym else M)
+        return out
+
+    # orthonormal rows scaled by a random factor: full row rank
+    T = rng.uniform(0.5, 2.0) * np.linalg.qr(rng.standard_normal((n_x, n_x)))[0][:n_0]
+    return StageBlocks(
+        dims=Dimensions.uniform(N, n_x, n_u, n_d, n_0),
+        T=T,
+        Q=family("Q", (n_x, n_x), N + 1, sym=True),
+        R=family("R", (n_u, n_u), N, sym=True),
+        S=family("S", (n_x, n_u), N),
+        E=family("E", (n_x, n_d), N + 1),
+        F=family("F", (n_u, n_d), N),
+        A=family("A", (n_x, n_x), N),
+        B=family("B", (n_x, n_u), N),
+        G=family("G", (n_x, n_d), N),
+    )
+
+
+def assert_licq_matches_svd(J):
+    """beta against the squared smallest singular value, dense and sparse."""
+    s = np.linalg.svd(J, compute_uv=False)
+    ref = s[-1] ** 2
+    tol = 1e-10 * ref + 100 * max(J.shape) * np.finfo(float).eps * s[0] ** 2
+    assert abs(licq_modulus(J) - ref) <= tol
+    assert abs(licq_modulus(scipy.sparse.csr_array(J)) - ref) <= tol
+
+
+def sparse_jacobian(blocks):
+    """J as the negated (multiplier rows, primal columns) block of the
+    sparse mixed Hessian, without a dense intermediate."""
+    dims = blocks.dims
+    row, _ = _w_offsets(dims)
+    col, _ = _xi_offsets(dims)
+    lam_rows = [np.arange(dims.n_0)] + [
+        np.arange(row[(i, "lam")], row[(i, "lam")] + dims.n_x) for i in range(dims.N)
+    ]
+    primal_cols = [
+        np.arange(col[(i, "x")], col[(i, "x")] + dims.n_z) for i in range(dims.N)
+    ] + [np.arange(col[(dims.N, "x")], col[(dims.N, "x")] + dims.n_x)]
+    M = assemble_mixed_hessian(blocks)
+    return -(M[np.concatenate(lam_rows)][:, np.concatenate(primal_cols)])
+
+
+class TestBandedModuli:
+    @settings(max_examples=150, deadline=None)
+    @given(stage_blocks())
+    def test_mixed_norm_matches_dense_svd(self, blocks):
+        M = assemble_mixed_hessian(blocks)
+        assert scipy.sparse.issparse(M)
+        ref = np.linalg.norm(M.toarray(), 2)
+        assert mixed_hessian_norm(blocks) == pytest.approx(ref, rel=1e-10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stage_blocks())
+    def test_licq_matches_svd_on_banded_jacobian(self, blocks):
+        J = assemble_jacobian(blocks)
+        assert np.array_equal(sparse_jacobian(blocks).toarray(), J)
+        assert_licq_matches_svd(J)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
+    def test_licq_matches_svd_on_dense_jacobian(self, m, extra, seed):
+        rng = np.random.default_rng(seed)
+        J = rng.standard_normal((m, m + extra))
+        assert_licq_matches_svd(J)
+        if m >= 2:
+            # rank deficient: a repeated row gives beta = 0
+            J[-1] = J[0]
+            assert_licq_matches_svd(J)
+
+    def test_licq_edge_cases(self):
+        assert licq_modulus(np.zeros((0, 3))) == math.inf
+        assert licq_modulus(scipy.sparse.csr_array((0, 3))) == math.inf
+        assert licq_modulus(np.ones((3, 2))) == 0.0
+        assert licq_modulus(scipy.sparse.csr_array(np.ones((3, 2)))) == 0.0
+
+    def test_no_dense_path_at_long_horizon(self):
+        # lq_chain-sized blocks (n_x = 6, n_u = 3, n_d = 6) over N = 1000: a
+        # dense mixed Hessian would take 18006 x 25012 doubles, about 3.6 GB
+        rng = np.random.default_rng(0)
+        blocks = StageBlocks.time_invariant(
+            0.9 * np.linalg.qr(rng.standard_normal((6, 6)))[0],
+            rng.standard_normal((6, 3)),
+            2.0 * np.eye(6),
+            2.0 * np.eye(3),
+            1000,
+            T=np.eye(6),
+            E=-2.0 * np.eye(6),
+        )
+        J = sparse_jacobian(blocks)
+        tracemalloc.start()
+        try:
+            L = mixed_hessian_norm(blocks)
+            beta = licq_modulus(J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # both moduli are uniform in the horizon here: the N = 1000 values
+        # stay within 1e-3 of the dense ones at N = 40
+        short = StageBlocks.time_invariant(
+            blocks.A[0], blocks.B[0], blocks.Q[0], blocks.R[0], 40, T=blocks.T, E=blocks.E[0]
+        )
+        L_short = np.linalg.norm(assemble_mixed_hessian(short).toarray(), 2)
+        beta_short = np.linalg.svd(assemble_jacobian(short), compute_uv=False)[-1] ** 2
+        assert L == pytest.approx(L_short, rel=1e-3)
+        assert beta == pytest.approx(beta_short, rel=1e-3)

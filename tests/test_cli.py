@@ -86,6 +86,29 @@ class TestRun:
         manifest = json.loads(read(out / "manifest.json"))
         assert manifest["status"] == "ok"
         assert manifest["seed"] == 7
+        assert manifest["cases"]["base"]["unconverged"] == []
+
+    def test_failed_profiles_listed_in_manifest(self, tmp_path):
+        # a large quadrotor perturbation: three of the four perturbed solves
+        # exhaust the regularization ladder, the fourth converges
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model="quadrotor",
+            params={"dt": 0.5, "N": 20},
+            stages=[10],
+            replicates=4,
+            magnitude=50.0,
+            seed=1,
+            window_ctrl=3,
+            window_obs=3,
+        )
+        assert run(str(cfg), out_dir=str(out)) == 0
+        failed = json.loads(read(out / "manifest.json"))["cases"]["base"]["unconverged"]
+        assert [(f["stage"], f["replicate"]) for f in failed] == [(10, 0), (10, 1), (10, 2)]
+        for f in failed:
+            assert f["error"].startswith("RegularityError: KKT system unusable")
+        assert read(out / "profiles.csv").decode().splitlines()[0] == SCHEMAS["profiles.csv"]
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")

@@ -50,6 +50,7 @@ class TestPerturbationExperiment:
         assert prof.deviation(-1) == pytest.approx(0.3, abs=1e-8)
         assert prof.deviation(0) == pytest.approx(0.1 * np.linalg.norm([1.0, -0.5, 1.0]), abs=1e-8)
         assert prof.deviation(1) == pytest.approx(0.05, abs=1e-8)
+        assert prof.converged and prof.error is None
 
     def test_lq_linearity_in_magnitude(self):
         b = build_model("lq_chain", {"n_x": 3, "n_u": 2, "N": 20, "stability": 0.7, "seed": 5})
@@ -69,6 +70,7 @@ class TestPerturbationExperiment:
         w_star = PrimalDualTrajectory.zeros(p.dims)
         prof = run_perturbation_experiment(p, d_star, w_star, PerturbationSpec(-1, [0.1]))
         assert not prof.converged
+        assert prof.error.startswith("RegularityError: KKT system unusable")
         assert prof.s.shape == (p.dims.N + 2,)
         assert np.all(np.isfinite(prof.s))
 
