@@ -8,8 +8,8 @@ or more cases it also prints a decay-rate contrast line.  Exit codes:
 0 success, 2 solver failure, 3 configuration error.
 
 `edslab certify --config cfg.json` emits only the certificate report;
-`edslab models` lists the available presets.  EDSLAB_THREADS caps the
-worker pool for replicate solves.
+`edslab models` lists the available presets.  Perturbation experiments
+run one after another in this process.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ class ExperimentConfig:
     window_ctrl: int = 1
     window_obs: int = 1
     out_dir: str = "out"
-    threads: int | None = None
 
 
 _KNOWN_KEYS = {
@@ -61,7 +60,6 @@ _KNOWN_KEYS = {
     "window_ctrl",
     "window_obs",
     "out_dir",
-    "threads",
 }
 
 _CASE_NAME = re.compile(r"[A-Za-z0-9_.-]+")
@@ -109,7 +107,6 @@ def load_config(path: str) -> ExperimentConfig:
             window_ctrl=int(raw.get("window_ctrl", 1)),
             window_obs=int(raw.get("window_obs", 1)),
             out_dir=str(raw.get("out_dir", "out")),
-            threads=(int(raw["threads"]) if "threads" in raw else None),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed config value: {exc}") from exc
@@ -152,7 +149,6 @@ def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiment
             cfg.magnitude,
             cfg.seed,
             opts=cfg.solver,
-            threads=cfg.threads,
         )
         result["profiles"] = profiles
         result["fit_ls"] = fit_decay(profiles, mode="ls")

@@ -11,8 +11,6 @@ least-squares decay rate.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,13 +151,13 @@ def run_experiments(
     magnitude: float,
     seed: int,
     opts: SolveOptions | None = None,
-    threads: int | None = None,
     primal_only: bool = False,
 ):
-    """Batch of seeded experiments over (stage, replicate) pairs.  Each pair
-    draws its direction from an independently derived generator, so results
-    are identical whatever the worker-pool size; profiles come back sorted
-    by (stage, replicate) with their derivation seeds recorded."""
+    """Batch of seeded experiments over (stage, replicate) pairs, solved one
+    after another.  Each pair draws its direction from an independently
+    derived generator, so one pair's result does not depend on the others;
+    profiles come back sorted by (stage, replicate) with their derivation
+    seeds recorded."""
     if replicates < 1:
         raise ConfigurationError("replicates must be >= 1")
     tasks = []
@@ -171,8 +169,8 @@ def run_experiments(
         for rep in range(replicates):
             tasks.append((j, rep))
 
-    def one(task):
-        j, rep = task
+    profiles = []
+    for j, rep in tasks:
         rng = np.random.default_rng([seed, j + 1, rep])
         delta = random_perturbation(p.dims.nd(j), magnitude, rng)
         profile = run_perturbation_experiment(
@@ -180,15 +178,7 @@ def run_experiments(
         )
         profile.replicate = rep
         profile.seed = (seed, j, rep)
-        return profile
-
-    if threads is None:
-        threads = int(os.environ.get("EDSLAB_THREADS", "1"))
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            profiles = list(pool.map(one, tasks))
-    else:
-        profiles = [one(t) for t in tasks]
+        profiles.append(profile)
     profiles.sort(key=lambda pr: (pr.stage, pr.replicate))
     return profiles
 

@@ -6,6 +6,13 @@ bidiagonal with a leading T row block; stage row block i is [-A_i, -B_i, I].
 The primal Hessian is block diagonal in (Q_i, R_i) with S_i coupling x_i to
 u_i inside each stage.
 
+The Newton step never forms the KKT matrix.  Grouped by stage as
+[lam_{k-1}; x_k; u_k], the matrix is block tridiagonal, so a block LDL^T
+(one small Bunch-Kaufman factor per stage) solves it and, by Haynsworth
+additivity, reads its inertia in O(N (2 n_x + n_u)^3) time and
+O(N (2 n_x + n_u)^2) memory per Newton iteration.  Dense H and J are
+assembled only for the certificates that still need them.
+
 The KKT residual returned here is exactly the gradient of
 `problem.evaluate_lagrangian` in the primal-dual variables (the dual block
 is the negated constraint residual, per the `objective - lam @ c` pairing),
@@ -264,18 +271,20 @@ def _dynamics_curvature(p: DOProblem, i: int, x, u, d_i, lam_i):
         )
     t = np.concatenate([x, u, d_i])
     if orc.dynamics_jac is not None:
-        # FD of the analytic gradient map d(lam @ f)/d(x, u) = [A; B]^T lam
-        def grad_z(tt):
+        # FD of the analytic gradient map d(lam @ f)/d(x, u, d) = [A; B;
+        # G]^T lam in (x, u) only: its d rows hold the mixed (x, u)-d
+        # blocks, as second derivatives are symmetric
+        def grad(tt):
             xx, uu, dd = _split_point(dims, nd_i, tt)
-            A, B, _ = _dynamics_jacobians(p, i, xx, uu, dd)
-            return np.concatenate([A.T @ lam_i, B.T @ lam_i])
+            A, B, G = _dynamics_jacobians(p, i, xx, uu, dd)
+            return np.concatenate([A.T @ lam_i, B.T @ lam_i, G.T @ lam_i])
 
-        Jg = diff.hessian_via_gradient(grad_z, np.arange(t.size), t)
+        Jg = diff.hessian_via_gradient(grad, np.arange(dims.n_z), t)
         Hxx = _sym(Jg[: dims.n_x, : dims.n_x])
-        Huu = _sym(Jg[dims.n_x : dims.n_z, dims.n_x : dims.n_z])
-        Hxu = 0.5 * (Jg[: dims.n_x, dims.n_x : dims.n_z] + Jg[dims.n_x : dims.n_z, : dims.n_x].T)
-        Hxd = Jg[: dims.n_x, dims.n_z :]
-        Hud = Jg[dims.n_x : dims.n_z, dims.n_z :]
+        Huu = _sym(Jg[dims.n_x : dims.n_z, dims.n_x :])
+        Hxu = 0.5 * (Jg[: dims.n_x, dims.n_x :] + Jg[dims.n_x : dims.n_z, : dims.n_x].T)
+        Hxd = Jg[dims.n_z :, : dims.n_x].T
+        Hud = Jg[dims.n_z :, dims.n_x :].T
         return Hxx, Hxu, Huu, Hxd, Hud
     fun = lambda tt: float(lam_i @ np.asarray(orc.dynamics(i, *_split_point(dims, nd_i, tt))))
     ix = np.arange(dims.n_x)
@@ -317,7 +326,7 @@ def linearize(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) ->
 
 
 # ---------------------------------------------------------------------------
-# assembly: dense H and J, sparse mixed Hessian
+# assembly: dense H and J (for certificates), sparse mixed Hessian
 
 
 def primal_offsets(dims: Dimensions):
@@ -493,57 +502,127 @@ def _bunch_kaufman(W: Array):
     return ldu, ipiv, info
 
 
-def _packed_d_eigs(ldu: Array, ipiv: Array) -> Array:
-    """Eigenvalues of the 1x1/2x2-block-diagonal D of a packed lower
-    Bunch-Kaufman factor, in O(n).  Walking ipiv in order, ipiv[k] < 0
-    opens a 2x2 block on rows k, k+1 (LAPACK's lower storage); D's entries
-    are the diagonal and first subdiagonal of ldu."""
-    piv = ipiv.tolist()
-    n = len(piv)
-    starts = []
-    k = 0
-    while k < n:
-        if piv[k] < 0:
-            starts.append(k)
-            k += 2
-        else:
-            k += 1
-    two = np.asarray(starts, dtype=int)
-    one = np.ones(n, dtype=bool)
+def _d_eigs(diag: Array, sub: Array, ipiv: Array) -> Array:
+    """Eigenvalues of the 1x1/2x2-block-diagonal D of a lower Bunch-Kaufman
+    factor from its diagonal, its first subdiagonal (sub[k] = D[k+1, k])
+    and LAPACK's ipiv, in O(n).  A 2x2 block on rows k, k+1 is marked by
+    ipiv[k] = ipiv[k+1] < 0, so the negative entries come in adjacent pairs
+    and every other one opens a block."""
+    two = np.flatnonzero(ipiv < 0)[::2]
+    one = np.ones(ipiv.size, dtype=bool)
     one[two] = one[two + 1] = False
-    diag = np.diagonal(ldu)
-    a, b, c = diag[two], ldu[two + 1, two], diag[two + 1]
+    a, b, c = diag[two], sub[two], diag[two + 1]
     # symmetric 2x2: discriminant (a-c)^2 + 4b^2 is exactly nonnegative
     disc = np.hypot(a - c, 2.0 * b)
     return np.concatenate([diag[one], 0.5 * (a + c + disc), 0.5 * (a + c - disc)])
 
 
-def _factor_and_solve(K: Array, rhs: Array, n_pos: int, n_neg: int, reg: float = 0.0):
-    """Solve (K + reg * diag(1_{n_pos}, 0_{n_neg})) x = rhs through a
-    Bunch-Kaufman LDL^T factorization with an inertia gate: returns x only
-    when the shifted K has exactly (n_pos, n_neg, 0) positive/negative/zero
-    eigenvalues, None otherwise (non-finite input included).  K itself is
-    left untouched."""
-    if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
+def _stage_order(dims: Dimensions) -> Array:
+    """Positions in the stacked [primal; dual] vector of the entries of the
+    stage-interleaved ordering [lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1};
+    x_N] that the block factor works in."""
+    nz, n_x, n_z = dims.n_primal, dims.n_x, dims.n_z
+    k = np.arange(dims.N)[:, None]
+    stages = np.hstack([k * n_z + np.arange(n_z), nz + dims.n_0 + k * n_x + np.arange(n_x)])
+    return np.concatenate([nz + np.arange(dims.n_0), stages.ravel(), dims.N * n_z + np.arange(n_x)])
+
+
+def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, reg: float = 0.0):
+    """Solve (K + reg * diag(1_{n_primal}, 0_{n_dual})) x = rhs for the KKT
+    matrix K = [[H, -J^T], [-J, 0]] of `blocks` with an inertia gate,
+    without forming K: returns x, in the stacked [primal; dual] ordering of
+    rhs, only when the shifted K has exactly (n_pos, n_neg, 0)
+    positive/negative/zero eigenvalues, None otherwise (non-finite input
+    included).
+
+    Block LDL^T in stage order.  Block k holds [lam_{k-1}; x_k; u_k]: block
+    0 opens with lam_{-1} and its coupling -T to x_0, block N is
+    [lam_{N-1}; x_N].  Block k+1 couples to block k only through the rows
+    lam_k, by C = [0, A_k, B_k].  The Schur complements D_0 = K_00 and
+    D_{k+1} = K_{k+1,k+1} - C D_k^{-1} C^T (which changes only the lam_k
+    corner) each get one Bunch-Kaufman factor.  By Haynsworth additivity
+    the inertia of K is the sum of the inertias of the blocks' D.  Costs
+    O(N (2 n_x + n_u)^3) time and O(N (2 n_x + n_u)^2) memory.
+
+    The elimination runs forward in time.  Backward (Riccati) order lets
+    uncontrollable modes inflate the blocks: on the quadrotor with q = b =
+    0 their eigenvalues spread over 1e-8..5e8 while K's lie in 2e-10..7,
+    and the gate's tolerance then rejects K at every regularization.  The
+    price of forward order: a stage whose control has no curvature of its
+    own (R_k = S_k = 0) gives an exactly singular block, so K is rejected
+    at reg = 0 even when it is regular.
+    """
+    if not np.isfinite(rhs).all():
         return None
-    W = np.array(K, order="F")
-    if reg != 0.0:
-        d = np.arange(n_pos)
-        W[d, d] += reg
-    ldu, ipiv, info = _bunch_kaufman(W)
-    if info > 0:  # D has an exact zero pivot
-        return None
-    eigs = _packed_d_eigs(ldu, ipiv)
+    dims = blocks.dims
+    n_x, N = dims.n_x, dims.N
+    minus_I = -np.eye(n_x)
+    order = _stage_order(dims)
+    y = rhs[order]
+    diags, subs, ipivs, starts, Ys = [], [], [], [], []
+    corner = None  # C D_k^{-1} C^T of the previous block
+    a = 0
+    for k in range(N + 1):
+        n_lam = dims.n_0 if k == 0 else n_x
+        n_u = dims.n_u if k < N else 0
+        m = n_lam + n_x + n_u
+        x, u = slice(n_lam, n_lam + n_x), slice(n_lam + n_x, m)
+        D = np.zeros((m, m), order="F")
+        D[x, :n_lam] = -blocks.T.T if k == 0 else minus_I
+        D[:n_lam, x] = D[x, :n_lam].T
+        D[x, x] = blocks.Q[k]
+        if n_u:
+            D[x, u] = blocks.S[k]
+            D[u, x] = blocks.S[k].T
+            D[u, u] = blocks.R[k]
+        if corner is not None:
+            D[:n_lam, :n_lam] = -corner
+        if reg != 0.0:
+            d = np.arange(n_lam, m)
+            D[d, d] += reg
+        if not np.isfinite(D).all():
+            return None
+        ldu, ipiv, info = _bunch_kaufman(D)
+        if info > 0:  # D has an exact zero pivot
+            return None
+        diags.append(ldu.diagonal())
+        subs += [ldu.diagonal(-1), np.zeros(1)]  # padded to the block size
+        ipivs.append(ipiv)
+        starts.append(a)
+        b = a + m
+        # forward substitution: z_k = D_k^{-1} y_k, y_{k+1}[lam_k] -= C z_k;
+        # one ?sytrs gives z_k and Y = D_k^{-1} C^T for the backward pass
+        if k < N:
+            CT_y = np.zeros((m, n_x + 1), order="F")
+            CT_y[x, :n_x] = blocks.A[k].T
+            CT_y[u, :n_x] = blocks.B[k].T
+            CT_y[:, n_x] = y[a:b]
+            sol, _ = _sytrs(ldu, ipiv, CT_y, lower=1)
+            C_sol = CT_y[:, :n_x].T @ sol
+            Ys.append(sol[:, :n_x])
+            y[a:b] = sol[:, n_x]
+            corner = C_sol[:, :n_x]
+            y[b : b + n_x] -= C_sol[:, n_x]
+        else:
+            y[a:b], _ = _sytrs(ldu, ipiv, y[a:b], lower=1)
+        a = b
+    # a 2x2 pivot never straddles two blocks, so one pass reads them all
+    eigs = _d_eigs(np.concatenate(diags), np.concatenate(subs), np.concatenate(ipivs))
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    tol = max(scale, 1.0) * K.shape[0] * np.finfo(float).eps
+    tol = max(scale, 1.0) * rhs.size * np.finfo(float).eps
     pos = int(np.sum(eigs > tol))
     neg = int(np.sum(eigs < -tol))
     if pos != n_pos or neg != n_neg:
         return None
-    x, _ = _sytrs(ldu, ipiv, rhs, lower=1)
-    if not np.all(np.isfinite(x)):
+    # backward substitution: x_N = z_N, x_k = z_k - Y x_{k+1}[lam_k]
+    for k in range(N - 1, -1, -1):
+        b = starts[k + 1]
+        y[starts[k] : b] -= Ys[k] @ y[b : b + n_x]
+    if not np.all(np.isfinite(y)):
         return None
-    return x
+    out = np.empty_like(y)
+    out[order] = y
+    return out
 
 
 def solve_equality_nlp(
@@ -567,7 +646,6 @@ def solve_equality_nlp(
     w = w0.copy() if w0 is not None else PrimalDualTrajectory.zeros(p.dims)
     check_dimensions(p, w, None)
     nz, ndual = p.dims.n_primal, p.dims.n_dual
-    n = nz + ndual
     reg_seen = 0.0
     r = kkt_residual(p, w, data)
     rnorm = float(np.abs(r).max()) if r.size else 0.0
@@ -575,17 +653,11 @@ def solve_equality_nlp(
         if rnorm <= opts.tol_kkt:
             return SolveResult(w, it, rnorm, True, reg_seen)
         blocks = linearize(p, w, data)
-        H = assemble_hessian(blocks)
-        J = assemble_jacobian(blocks)
-        K = np.zeros((n, n), order="F")  # LAPACK order: the working copy is a memcpy
-        K[:nz, :nz] = H
-        K[:nz, nz:] = -J.T
-        K[nz:, :nz] = -J
         phi0 = 0.5 * float(r @ r)
         reg = 0.0
         accepted = None
         while True:
-            step = _factor_and_solve(K, -r, nz, ndual, reg)
+            step = _factor_and_solve(blocks, -r, nz, ndual, reg)
             if step is not None:
                 alpha = 1.0
                 while alpha >= 1e-12:

@@ -37,7 +37,7 @@ from edslab.certify import (
 )
 from edslab.errors import ConfigurationError
 from edslab.kkt import _w_offsets, _xi_offsets
-from edslab.problem import Dimensions
+from conftest import data_coupled_jac_problem, random_point, stage_blocks
 
 
 def ti_blocks(A, B, Q=None, R=None, N=6, T=None):
@@ -224,57 +224,66 @@ class TestMixedHessian:
         assert mixed_hessian_norm(blocks) >= base
 
     def test_oracle_matches_fd_assembly(self):
-        from edslab.problem import PrimalDualTrajectory
-
         b = build_model("scalar_oracle")
-        p = b.problem
-        res = solve_equality_nlp(p, b.base_data, w0=b.warm_start)
-        w, d = res.trajectory, b.base_data
-        dims = p.dims
-        from edslab.problem import DataTrajectory as DT
+        res = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
+        # G depends on x and u: E and F carry the differenced mixed (x, u)-d
+        # curvature of the dynamics
+        q = data_coupled_jac_problem()
+        w_q, d_q = random_point(q, seed=4)
+        for p, w, d in ((b.problem, res.trajectory, b.base_data), (q, w_q, d_q)):
+            M_fd = mixed_hessian_by_fd(p, w, d)
+            M_an = assemble_mixed_hessian(linearize(p, w, d)).toarray()
+            assert np.abs(M_an - M_fd).max() <= 1e-4
+            assert blh_modulus(p, w, d) == pytest.approx(np.linalg.norm(M_fd, 2), abs=1e-4)
 
-        row, n_w = _w_offsets(dims)
-        col, n_xi = _xi_offsets(dims)
 
-        def traj_from(vec, off):
-            xs = [vec[off[(i, "x")] : off[(i, "x")] + dims.n_x] for i in range(dims.N + 1)]
-            us = [vec[off[(i, "u")] : off[(i, "u")] + dims.n_u] for i in range(dims.N)]
-            lams = [vec[off[(-1, "lam")] : off[(-1, "lam")] + dims.n_0]] + [
-                vec[off[(i, "lam")] : off[(i, "lam")] + dims.n_x] for i in range(dims.N)
-            ]
-            return xs, us, lams
+def mixed_hessian_by_fd(p, w, d):
+    """Second derivative of the Lagrangian at (w, d) in the stage-interleaved
+    (primal-dual, data) layout, by central differences of
+    `evaluate_lagrangian` alone."""
+    from edslab import evaluate_lagrangian
+    from edslab.problem import DataTrajectory as DT
+    from edslab.problem import PrimalDualTrajectory
 
-        def lag_at(dw, a, dxi, bidx):
-            wv = np.zeros(n_w)
-            wv[a] = dw
-            xv = np.zeros(n_xi)
-            xv[bidx] = dxi
-            xs_w, us_w, lams_w = traj_from(wv, row)
-            xs_x, us_x, lams_x = traj_from(xv, col)
-            ds = [
-                xv[col[(i, "d")] : col[(i, "d")] + dims.nd(i)] + d[i]
-                for i in range(-1, dims.N + 1)
-            ]
-            xs = [w.x(i) + xs_w[i] + xs_x[i] for i in range(dims.N + 1)]
-            us = [w.u(i) + us_w[i] + us_x[i] for i in range(dims.N)]
-            lams = [w.lam(i) + lams_w[i + 1] + lams_x[i + 1] for i in range(-1, dims.N)]
-            from edslab import evaluate_lagrangian
+    dims = p.dims
+    row, n_w = _w_offsets(dims)
+    col, n_xi = _xi_offsets(dims)
 
-            return evaluate_lagrangian(p, PrimalDualTrajectory(dims, xs, us, lams), DT(dims, ds))
+    def traj_from(vec, off):
+        xs = [vec[off[(i, "x")] : off[(i, "x")] + dims.n_x] for i in range(dims.N + 1)]
+        us = [vec[off[(i, "u")] : off[(i, "u")] + dims.n_u] for i in range(dims.N)]
+        lams = [vec[off[(-1, "lam")] : off[(-1, "lam")] + dims.n_0]] + [
+            vec[off[(i, "lam")] : off[(i, "lam")] + dims.n_x] for i in range(dims.N)
+        ]
+        return xs, us, lams
 
-        M_fd = np.zeros((n_w, n_xi))
-        h = 1e-4
-        for a in range(n_w):
-            for bidx in range(n_xi):
-                M_fd[a, bidx] = (
-                    lag_at(h, a, h, bidx)
-                    - lag_at(h, a, -h, bidx)
-                    - lag_at(-h, a, h, bidx)
-                    + lag_at(-h, a, -h, bidx)
-                ) / (4 * h * h)
-        M_an = assemble_mixed_hessian(linearize(p, w, d)).toarray()
-        assert np.abs(M_an - M_fd).max() <= 1e-4
-        assert blh_modulus(p, w, d) == pytest.approx(np.linalg.norm(M_fd, 2), abs=1e-4)
+    def lag_at(dw, a, dxi, bidx):
+        wv = np.zeros(n_w)
+        wv[a] = dw
+        xv = np.zeros(n_xi)
+        xv[bidx] = dxi
+        xs_w, us_w, lams_w = traj_from(wv, row)
+        xs_x, us_x, lams_x = traj_from(xv, col)
+        ds = [
+            xv[col[(i, "d")] : col[(i, "d")] + dims.nd(i)] + d[i]
+            for i in range(-1, dims.N + 1)
+        ]
+        xs = [w.x(i) + xs_w[i] + xs_x[i] for i in range(dims.N + 1)]
+        us = [w.u(i) + us_w[i] + us_x[i] for i in range(dims.N)]
+        lams = [w.lam(i) + lams_w[i + 1] + lams_x[i + 1] for i in range(-1, dims.N)]
+        return evaluate_lagrangian(p, PrimalDualTrajectory(dims, xs, us, lams), DT(dims, ds))
+
+    M_fd = np.zeros((n_w, n_xi))
+    h = 1e-4
+    for a in range(n_w):
+        for bidx in range(n_xi):
+            M_fd[a, bidx] = (
+                lag_at(h, a, h, bidx)
+                - lag_at(h, a, -h, bidx)
+                - lag_at(-h, a, h, bidx)
+                + lag_at(-h, a, -h, bidx)
+            ) / (4 * h * h)
+    return M_fd
 
 
 class TestNUniformitySignatures:
@@ -357,42 +366,6 @@ class TestReport:
 
 # ---------------------------------------------------------------------------
 # banded moduli against the dense oracle
-
-
-@st.composite
-def stage_blocks(draw):
-    """Random time-varying StageBlocks (N <= 10, n_x <= 4, n_u <= 3,
-    n_0 <= n_x with a full-row-rank T, n_d <= 3); any block family may be
-    all zero."""
-    N = draw(st.integers(1, 10))
-    n_x = draw(st.integers(1, 4))
-    n_u = draw(st.integers(0, 3))
-    n_0 = draw(st.integers(0, n_x))
-    n_d = draw(st.integers(0, 3))
-    zero = draw(st.sets(st.sampled_from("QRSEFABG")))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def family(name, shape, count, sym=False):
-        out = []
-        for _ in range(count):
-            M = np.zeros(shape) if name in zero else rng.standard_normal(shape)
-            out.append(0.5 * (M + M.T) if sym else M)
-        return out
-
-    # orthonormal rows scaled by a random factor: full row rank
-    T = rng.uniform(0.5, 2.0) * np.linalg.qr(rng.standard_normal((n_x, n_x)))[0][:n_0]
-    return StageBlocks(
-        dims=Dimensions.uniform(N, n_x, n_u, n_d, n_0),
-        T=T,
-        Q=family("Q", (n_x, n_x), N + 1, sym=True),
-        R=family("R", (n_u, n_u), N, sym=True),
-        S=family("S", (n_x, n_u), N),
-        E=family("E", (n_x, n_d), N + 1),
-        F=family("F", (n_u, n_d), N),
-        A=family("A", (n_x, n_x), N),
-        B=family("B", (n_x, n_u), N),
-        G=family("G", (n_x, n_d), N),
-    )
 
 
 def assert_licq_matches_svd(J):

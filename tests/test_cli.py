@@ -180,6 +180,14 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_threads_key_is_unknown(self, tmp_path, capsys):
+        # experiments run serially; a worker-pool size is no longer a setting
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), threads=2)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert "unknown config keys: ['threads']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_exits_3_no_outputs(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(out))

@@ -89,8 +89,7 @@ class TestPerturbationExperiment:
         b = build_model("lq_chain", {"n_x": 2, "n_u": 1, "N": 12, "seed": 3})
         base = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
         a = run_experiments(b.problem, b.base_data, base.trajectory, [4, 8], 2, 0.1, seed=11)
-        c = run_experiments(b.problem, b.base_data, base.trajectory, [4, 8], 2, 0.1, seed=11,
-                            threads=4)
+        c = run_experiments(b.problem, b.base_data, base.trajectory, [4, 8], 2, 0.1, seed=11)
         assert len(a) == 4
         for pa, pc in zip(a, c):
             assert pa.seed == pc.seed

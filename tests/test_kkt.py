@@ -1,3 +1,6 @@
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,7 +26,14 @@ from edslab import (
 from edslab import kkt
 from edslab.errors import NonconvergenceError, RegularityError
 from edslab.models import lq_chain, make_lq_problem
-from conftest import random_point, strongly_indefinite_problem, toy_nonlinear_problem
+from conftest import (
+    dense_factor_and_solve,
+    dense_kkt,
+    random_point,
+    stage_blocks,
+    strongly_indefinite_problem,
+    toy_nonlinear_problem,
+)
 
 
 def dense_lq_oracle(A, B, Q, R, Qf, T, N, x0, refs):
@@ -333,7 +343,7 @@ class TestPackedFactor:
     def test_packed_d_eigs_match_scipy_ldl(self, case):
         K = case[0]
         ldu, ipiv, info = kkt._bunch_kaufman(np.array(K, order="F"))
-        eigs = np.sort(kkt._packed_d_eigs(ldu, ipiv))
+        eigs = np.sort(kkt._d_eigs(np.diagonal(ldu), np.diagonal(ldu, -1), ipiv))
         ref = np.linalg.eigvalsh(scipy.linalg.ldl(K, lower=True)[1])
         assert eigs.shape == ref.shape
         assert np.abs(eigs - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
@@ -347,20 +357,20 @@ class TestPackedFactor:
         pos, neg, ev_min, ev_max = inertia(K)
         if ev_min <= 1e-6 * max(ev_max, 1.0):
             return  # no spectral gap: the sign counts are not decidable
-        x = kkt._factor_and_solve(K, b, pos, neg)
+        x = dense_factor_and_solve(K, b, pos, neg)
         assert x is not None
         norm_K = np.linalg.norm(K, 2)
         assert np.linalg.norm(K @ x - b) <= 1e-10 * norm_K * np.linalg.norm(x)
         if neg > 0:
-            assert kkt._factor_and_solve(K, b, pos + 1, neg - 1) is None
+            assert dense_factor_and_solve(K, b, pos + 1, neg - 1) is None
         if pos > 0:
-            assert kkt._factor_and_solve(K, b, pos - 1, neg + 1) is None
+            assert dense_factor_and_solve(K, b, pos - 1, neg + 1) is None
         if n_dual is not None:
             # the shift lands on the primal diagonal only; the gate then
             # asks for the nominal saddle-point inertia (n_primal, n_dual)
             reg = 0.5
             shifted = K + np.diag(np.r_[np.full(n_primal, reg), np.zeros(n_dual)])
-            xs = kkt._factor_and_solve(K, b, n_primal, n_dual, reg=reg)
+            xs = dense_factor_and_solve(K, b, n_primal, n_dual, reg=reg)
             pos_s, neg_s, ev_min_s, ev_max_s = inertia(shifted)
             if ev_min_s > 1e-6 * max(ev_max_s, 1.0):
                 if (pos_s, neg_s) != (n_primal, n_dual):
@@ -382,14 +392,14 @@ class TestPackedFactor:
         Z = K.copy()
         Z[i, :] = Z[:, i] = 0.0
         for p in range(n + 1):
-            assert kkt._factor_and_solve(Z, b, p, n - p) is None
+            assert dense_factor_and_solve(Z, b, p, n - p) is None
         pos, neg, _, _ = inertia(K)
         bad = K.copy()
         bad[i, i] = np.nan
-        assert kkt._factor_and_solve(bad, b, pos, neg) is None
+        assert dense_factor_and_solve(bad, b, pos, neg) is None
         b_bad = b.copy()
         b_bad[i] = np.inf
-        assert kkt._factor_and_solve(K, b_bad, pos, neg) is None
+        assert dense_factor_and_solve(K, b_bad, pos, neg) is None
         if n_dual is not None and n_dual >= 2:
             # rank-deficient J: a repeated constraint row
             J = K[n_primal:, :n_primal].copy()
@@ -397,4 +407,108 @@ class TestPackedFactor:
             D = K.copy()
             D[n_primal:, :n_primal] = J
             D[:n_primal, n_primal:] = J.T
-            assert kkt._factor_and_solve(D, b, n_primal, n_dual) is None
+            assert dense_factor_and_solve(D, b, n_primal, n_dual) is None
+
+
+def shifted_inertia(K, n_primal, reg):
+    """(pos, neg) of K + reg * diag(1_{n_primal}, 0), or None when its
+    smallest |eigenvalue| is below 1e-6 * max(|eigenvalue|, 1): no spectral
+    gap, so the sign counts are not decidable."""
+    shifted = K + np.diag(np.r_[np.full(n_primal, reg), np.zeros(K.shape[0] - n_primal)])
+    pos, neg, ev_min, ev_max = inertia(shifted)
+    return (pos, neg) if ev_min > 1e-6 * max(ev_max, 1.0) else None
+
+
+class TestBlockFactor:
+    """The stage-block LDL^T of the Newton step against one dense
+    Bunch-Kaufman factorization of the assembled KKT matrix.  The random
+    blocks keep R and S nonzero: with R_k = S_k = 0 a stage block is
+    singular although K may be regular (see `kkt._factor_and_solve`)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stage_blocks(zero_families="ABEFG"),
+        st.sampled_from([0.0, 1e-8, 1e-4]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_dense_oracle(self, blocks, reg, seed):
+        dims = blocks.dims
+        n_p, n_d = dims.n_primal, dims.n_dual
+        K = dense_kkt(blocks)
+        rhs = np.random.default_rng(seed).standard_normal(K.shape[0])
+        truth = shifted_inertia(K, n_p, reg)
+        if truth is None:
+            return
+        x = kkt._factor_and_solve(blocks, rhs, n_p, n_d, reg)
+        ref = dense_factor_and_solve(K, rhs, n_p, n_d, reg)
+        assert (x is not None) == (ref is not None) == (truth == (n_p, n_d))
+        if x is not None:
+            assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
+
+    @settings(max_examples=100, deadline=None)
+    @given(stage_blocks(zero_families="ABEFG"), st.integers(0, 2**32 - 1))
+    def test_gate_takes_exact_inertia(self, blocks, seed):
+        K = dense_kkt(blocks)
+        rhs = np.random.default_rng(seed).standard_normal(K.shape[0])
+        truth = shifted_inertia(K, blocks.dims.n_primal, 0.0)
+        if truth is None:
+            return
+        pos, neg = truth
+        x = kkt._factor_and_solve(blocks, rhs, pos, neg)
+        ref = dense_factor_and_solve(K, rhs, pos, neg)
+        assert x is not None
+        assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
+        assert np.linalg.norm(K @ x - rhs) <= 1e-8 * np.linalg.norm(K, 2) * np.linalg.norm(x)
+        if pos != neg:
+            assert kkt._factor_and_solve(blocks, rhs, neg, pos) is None
+        if neg > 0:
+            assert kkt._factor_and_solve(blocks, rhs, pos + 1, neg - 1) is None
+        if pos > 0:
+            assert kkt._factor_and_solve(blocks, rhs, pos - 1, neg + 1) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(stage_blocks(), st.sampled_from([0.0, 1e-4]), st.integers(0, 2**32 - 1))
+    def test_nonfinite_and_singular_rejected(self, blocks, reg, seed):
+        dims = blocks.dims
+        n_p, n_d = dims.n_primal, dims.n_dual
+        rng = np.random.default_rng(seed)
+        rhs = rng.standard_normal(n_p + n_d)
+        bad_rhs = rhs.copy()
+        bad_rhs[rng.integers(rhs.size)] = np.inf
+        assert kkt._factor_and_solve(blocks, bad_rhs, n_p, n_d, reg) is None
+        # NaN in one entry of one block of K
+        families = [f for f in "QRSAB" if getattr(blocks, f)[0].size] + (["T"] if dims.n_0 else [])
+        name = families[rng.integers(len(families))]
+        bad = copy.deepcopy(blocks)
+        if name == "T":
+            M = bad.T
+        else:
+            M = getattr(bad, name)[rng.integers(len(getattr(bad, name)))]
+        M[tuple(rng.integers(s) for s in M.shape)] = np.nan
+        assert kkt._factor_and_solve(bad, rhs, n_p, n_d, reg) is None
+        if dims.n_u and reg == 0.0:
+            # a control with no curvature and no dynamics coupling: a zero
+            # row of its stage block and of K, so both are exactly singular
+            k, j = rng.integers(dims.N), rng.integers(dims.n_u)
+            sing = copy.deepcopy(blocks)
+            sing.R[k][j, :] = sing.R[k][:, j] = 0.0
+            sing.S[k][:, j] = 0.0
+            sing.B[k][:, j] = 0.0
+            for p in range(n_p + n_d + 1):
+                assert kkt._factor_and_solve(sing, rhs, p, n_p + n_d - p) is None
+            assert dense_factor_and_solve(dense_kkt(sing), rhs, n_p, n_d) is None
+
+    def test_no_dense_matrix_at_long_horizon(self):
+        # lq_chain-sized stages (n_x = 6, n_u = 3) over N = 1000: a dense KKT
+        # matrix of order 15006 would take about 1.8 GB
+        p = lq_chain(6, 3, 1000, stability=0.9, seed=5)
+        rng = np.random.default_rng(0)
+        data = DataTrajectory(p.dims, [rng.standard_normal(p.dims.nd(i)) for i in range(-1, 1001)])
+        tracemalloc.start()
+        try:
+            res = solve_equality_nlp(p, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations == 1
+        assert peak < 64 * 2**20
