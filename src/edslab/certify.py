@@ -33,6 +33,10 @@ from .problem import Array, DataTrajectory, DOProblem, PrimalDualTrajectory
 
 # Measured moduli at or below this are reported as certificate failures.
 POSITIVITY_TOL = 1e-9
+# Largest |S_i| entry and most negative Q_i eigenvalue that still pass the
+# s_zero and q_psd flags.
+S_ZERO_TOL = 1e-8
+Q_PSD_TOL = 1e-8
 
 
 def smallest_eigenvalue(M: Array) -> float:
@@ -307,15 +311,14 @@ class CertificateReport:
     ctrl: WindowScan
     obs: WindowScan
     flags: dict
-    pos_tol: float = POSITIVITY_TOL
 
     @property
     def licq_ok(self) -> bool:
-        return self.beta > self.pos_tol
+        return self.beta > POSITIVITY_TOL
 
     @property
     def sosc_ok(self) -> bool:
-        return self.gamma is not None and (self.sosc_vacuous or self.gamma > self.pos_tol)
+        return self.gamma is not None and (self.sosc_vacuous or self.gamma > POSITIVITY_TOL)
 
     @property
     def corollary_ok(self) -> bool:
@@ -368,10 +371,6 @@ def build_report(
     data: DataTrajectory,
     window_ctrl: int,
     window_obs: int,
-    *,
-    pos_tol: float = POSITIVITY_TOL,
-    s_zero_tol: float = 1e-8,
-    q_psd_tol: float = 1e-8,
 ) -> CertificateReport:
     """Populate every certificate at a converged primal-dual point."""
     blocks = linearize(p, traj, data)
@@ -397,12 +396,12 @@ def build_report(
     q_min = min(smallest_eigenvalue(Q) for Q in blocks.Q)
     flags = {
         "k_bounded": bool(np.isfinite(K)),
-        "delta_positive": True if delta is None else delta > pos_tol,
-        "ctrl_uniform": ctrl.minimum > pos_tol,
-        "q_psd": q_min >= -q_psd_tol,
-        "s_zero": s_max <= s_zero_tol,
-        "r_positive": (r > pos_tol) if math.isfinite(r) else True,
-        "obs_uniform": obs.minimum > pos_tol,
+        "delta_positive": True if delta is None else delta > POSITIVITY_TOL,
+        "ctrl_uniform": ctrl.minimum > POSITIVITY_TOL,
+        "q_psd": q_min >= -Q_PSD_TOL,
+        "s_zero": s_max <= S_ZERO_TOL,
+        "r_positive": (r > POSITIVITY_TOL) if math.isfinite(r) else True,
+        "obs_uniform": obs.minimum > POSITIVITY_TOL,
     }
     return CertificateReport(
         beta=beta,
@@ -416,5 +415,4 @@ def build_report(
         ctrl=ctrl,
         obs=obs,
         flags=flags,
-        pos_tol=pos_tol,
     )

@@ -70,9 +70,26 @@ class SensitivityProfile:
     def stage_range(self):
         return range(-1, self.s.size - 1)
 
+    @property
+    def usable(self) -> bool:
+        """Converged with a nonzero perturbation: fits, bound checks and
+        plots read only such profiles."""
+        return self.converged and self.magnitude > 0.0
+
     def floor(self) -> float:
         peak = float(self.s.max()) if self.s.size else 0.0
         return max(FLOOR_ABS, FLOOR_REL * peak)
+
+    def above_floor(self):
+        """(i, s_i) for every stage whose deviation exceeds the noise floor;
+        nothing when the profile is not usable."""
+        if not self.usable:
+            return
+        floor = self.floor()
+        for i in self.stage_range():
+            si = self.deviation(i)
+            if si > floor:
+                yield i, si
 
 
 def stage_deviations(
@@ -83,18 +100,14 @@ def stage_deviations(
     state/control trajectories)."""
     if a.dims != b.dims:
         raise ConfigurationError("trajectories have mismatched dimensions")
-    N = a.dims.N
-    out = np.zeros(N + 2)
-    for i in range(-1, N + 1):
-        diff_parts = []
-        if 0 <= i <= N:
-            diff_parts.append(a.x(i) - b.x(i))
-        if 0 <= i < N:
-            diff_parts.append(a.u(i) - b.u(i))
-        if not primal_only and -1 <= i < N:
-            diff_parts.append(a.lam(i) - b.lam(i))
-        stacked = np.concatenate(diff_parts) if diff_parts else np.zeros(0)
-        out[i + 1] = float(np.linalg.norm(stacked))
+    dims = a.dims
+    diff = PrimalDualTrajectory.from_vector(dims, a.vector - b.vector)
+    out = np.zeros(dims.N + 2)
+    for i in range(-1, dims.N + 1):
+        w_i = diff.w(i)
+        if primal_only:
+            w_i = w_i[: dims.n_z] if i >= 0 else w_i[:0]
+        out[i + 1] = float(np.linalg.norm(w_i))
     return out
 
 
@@ -211,19 +224,12 @@ class DecayFit:
 
 
 def _pooled_points(profiles):
-    dists, logs, floors = [], [], []
+    dists, logs = [], []
     for prof in profiles:
-        if not prof.converged:
-            continue
-        if prof.magnitude <= 0.0:
-            continue
-        floor = prof.floor()
-        floors.append(floor)
-        for i in prof.stage_range():
-            si = prof.deviation(i)
-            if si > floor:
-                dists.append(abs(i - prof.stage))
-                logs.append(math.log(si / prof.magnitude))
+        for i, si in prof.above_floor():
+            dists.append(abs(i - prof.stage))
+            logs.append(math.log(si / prof.magnitude))
+    floors = [prof.floor() for prof in profiles if prof.usable]
     return np.asarray(dists, dtype=float), np.asarray(logs), (max(floors) if floors else FLOOR_ABS)
 
 
@@ -281,13 +287,7 @@ def verify_eds_bound(profiles, fit: DecayFit, slack: float = 1.0) -> BoundCheck:
     violations = 0
     worst = 0.0
     for prof in profiles:
-        if not prof.converged or prof.magnitude <= 0.0:
-            continue
-        floor = prof.floor()
-        for i in prof.stage_range():
-            si = prof.deviation(i)
-            if si <= floor:
-                continue
+        for i, si in prof.above_floor():
             bound = slack * fit.upsilon * fit.rho ** abs(i - prof.stage) * prof.magnitude
             ratio = si / bound
             n_checked += 1

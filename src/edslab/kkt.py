@@ -1,22 +1,27 @@
 """Linearization, KKT assembly, and an equality-constrained Newton solver.
 
-Primal variables are ordered [x_0; u_0; x_1; u_1; ...; x_N]; multipliers
+The KKT residual, the Newton step and the rows of the mixed Hessian use the
+stage-ordered primal-dual vector of `problem.PrimalDualTrajectory`,
+[lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1}; x_N].  The dense H and J,
+assembled only for the certificates that still need them, use the stacked
+orderings: primal variables [x_0; u_0; x_1; u_1; ...; x_N], multipliers
 [lam_{-1}; lam_0; ...; lam_{N-1}].  The constraint Jacobian is block
 bidiagonal with a leading T row block; stage row block i is [-A_i, -B_i, I].
 The primal Hessian is block diagonal in (Q_i, R_i) with S_i coupling x_i to
 u_i inside each stage.
 
-The Newton step never forms the KKT matrix.  Grouped by stage as
-[lam_{k-1}; x_k; u_k], the matrix is block tridiagonal, so a block LDL^T
-(one small Bunch-Kaufman factor per stage) solves it and, by Haynsworth
-additivity, reads its inertia in O(N (2 n_x + n_u)^3) time and
-O(N (2 n_x + n_u)^2) memory per Newton iteration.  Dense H and J are
-assembled only for the certificates that still need them.
+The Newton step never forms the KKT matrix.  Cut into the blocks
+[lam_{k-1}; x_k; u_k] of the stage-ordered vector, the matrix is block
+tridiagonal, so a block LDL^T (one small Bunch-Kaufman factor per stage)
+solves it and, by Haynsworth additivity, reads its inertia in
+O(N (2 n_x + n_u)^3) time and O(N (2 n_x + n_u)^2) memory per Newton
+iteration.
 
 The KKT residual returned here is exactly the gradient of
-`problem.evaluate_lagrangian` in the primal-dual variables (the dual block
-is the negated constraint residual, per the `objective - lam @ c` pairing),
-so finite-differencing the Lagrangian reproduces it.
+`problem.evaluate_lagrangian` in the entries of the trajectory's vector
+(the multiplier entries are the negated constraint residuals, per the
+`objective - lam @ c` pairing), so finite-differencing the Lagrangian
+reproduces it.
 """
 from __future__ import annotations
 
@@ -35,7 +40,7 @@ from .problem import (
     DOProblem,
     PrimalDualTrajectory,
     check_dimensions,
-    evaluate_constraints,
+    stage_constraint,
 )
 
 
@@ -374,18 +379,15 @@ def assemble_hessian(blocks: StageBlocks) -> Array:
 
 
 def _w_offsets(dims: Dimensions):
-    """Row offsets of the stage-interleaved primal-dual stacking
-    [lam_{-1}; x_0; u_0; lam_0; ...; x_N]."""
-    off = {}
-    off[(-1, "lam")] = 0
-    base = dims.n_0
-    for i in range(dims.N):
+    """Row offsets of lam_i, x_i and u_i in the stage-ordered primal-dual
+    vector [lam_{-1}; x_0; u_0; lam_0; ...; x_N], and its length."""
+    off = {(-1, "lam"): 0}
+    for i in range(dims.N + 1):
+        base = dims.w_offsets[i + 1]
         off[(i, "x")] = base
         off[(i, "u")] = base + dims.n_x
         off[(i, "lam")] = base + dims.n_z
-        base += 2 * dims.n_x + dims.n_u
-    off[(dims.N, "x")] = base
-    return off, base + dims.n_x
+    return off, dims.n_w
 
 
 def _xi_offsets(dims: Dimensions):
@@ -455,30 +457,25 @@ def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
 
 
 def kkt_residual(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> Array:
-    """Stacked first-order conditions [grad_z Lagrangian; grad_lam
-    Lagrangian]; zero exactly at stationary points.  The dual block equals
-    the negated constraint residual."""
+    """Gradient of the Lagrangian in `traj.vector`, so in the same stage
+    order; zero exactly at stationary points.  The multiplier entries are
+    the negated constraint residuals."""
     check_dimensions(p, traj, data)
     dims = p.dims
-    r = np.zeros(dims.n_primal + dims.n_dual)
-    x_off, _ = primal_offsets(dims)
+    r = PrimalDualTrajectory.zeros(dims)
+    r.lam(-1)[:] = -stage_constraint(p, traj, data, -1)
+    lam_prev = p.T.T @ traj.lam(-1)
     for i in range(dims.N):
         x, u, d_i, lam_i = traj.x(i), traj.u(i), data[i], traj.lam(i)
         A, B, _ = _dynamics_jacobians(p, i, x, u, d_i)
         gx, gu = _stage_cost_gradients(p, i, x, u, d_i)
-        rx = gx + A.T @ lam_i
-        if i == 0:
-            rx = rx - p.T.T @ traj.lam(-1)
-        else:
-            rx = rx - traj.lam(i - 1)
-        base = i * dims.n_z
-        r[base : base + dims.n_x] = rx
-        if dims.n_u > 0:
-            r[base + dims.n_x : base + dims.n_z] = gu + B.T @ lam_i
+        r.x(i)[:] = gx + A.T @ lam_i - lam_prev
+        r.u(i)[:] = gu + B.T @ lam_i
+        r.lam(i)[:] = -stage_constraint(p, traj, data, i)
+        lam_prev = lam_i
     gN = _terminal_cost_gradient(p, traj.x(dims.N), data[dims.N])
-    r[x_off[dims.N] : x_off[dims.N] + dims.n_x] = gN - traj.lam(dims.N - 1)
-    r[dims.n_primal :] = -evaluate_constraints(p, traj, data)
-    return r
+    r.x(dims.N)[:] = gN - lam_prev
+    return r.vector
 
 
 # ---------------------------------------------------------------------------
@@ -517,27 +514,17 @@ def _d_eigs(diag: Array, sub: Array, ipiv: Array) -> Array:
     return np.concatenate([diag[one], 0.5 * (a + c + disc), 0.5 * (a + c - disc)])
 
 
-def _stage_order(dims: Dimensions) -> Array:
-    """Positions in the stacked [primal; dual] vector of the entries of the
-    stage-interleaved ordering [lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1};
-    x_N] that the block factor works in."""
-    nz, n_x, n_z = dims.n_primal, dims.n_x, dims.n_z
-    k = np.arange(dims.N)[:, None]
-    stages = np.hstack([k * n_z + np.arange(n_z), nz + dims.n_0 + k * n_x + np.arange(n_x)])
-    return np.concatenate([nz + np.arange(dims.n_0), stages.ravel(), dims.N * n_z + np.arange(n_x)])
-
-
 def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, reg: float = 0.0):
-    """Solve (K + reg * diag(1_{n_primal}, 0_{n_dual})) x = rhs for the KKT
-    matrix K = [[H, -J^T], [-J, 0]] of `blocks` with an inertia gate,
-    without forming K: returns x, in the stacked [primal; dual] ordering of
-    rhs, only when the shifted K has exactly (n_pos, n_neg, 0)
-    positive/negative/zero eigenvalues, None otherwise (non-finite input
-    included).
+    """Solve (K + reg * I_primal) x = rhs for the KKT matrix K of `blocks`,
+    the Hessian of the Lagrangian in the stage-ordered primal-dual vector,
+    with an inertia gate and without forming K; I_primal is one on the x
+    and u entries.  rhs and x are stage-ordered.  Returns x only when the
+    shifted K has exactly (n_pos, n_neg, 0) positive/negative/zero
+    eigenvalues, None otherwise (non-finite input included).
 
-    Block LDL^T in stage order.  Block k holds [lam_{k-1}; x_k; u_k]: block
-    0 opens with lam_{-1} and its coupling -T to x_0, block N is
-    [lam_{N-1}; x_N].  Block k+1 couples to block k only through the rows
+    Block LDL^T on consecutive slices of the stage-ordered vector.  Block k
+    holds [lam_{k-1}; x_k; u_k]: block 0 opens with lam_{-1} and its
+    coupling -T to x_0, block N is [lam_{N-1}; x_N].  Block k+1 couples to block k only through the rows
     lam_k, by C = [0, A_k, B_k].  The Schur complements D_0 = K_00 and
     D_{k+1} = K_{k+1,k+1} - C D_k^{-1} C^T (which changes only the lam_k
     corner) each get one Bunch-Kaufman factor.  By Haynsworth additivity
@@ -557,8 +544,7 @@ def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, r
     dims = blocks.dims
     n_x, N = dims.n_x, dims.N
     minus_I = -np.eye(n_x)
-    order = _stage_order(dims)
-    y = rhs[order]
+    y = np.array(rhs, dtype=float)
     diags, subs, ipivs, starts, Ys = [], [], [], [], []
     corner = None  # C D_k^{-1} C^T of the previous block
     a = 0
@@ -620,9 +606,7 @@ def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, r
         y[starts[k] : b] -= Ys[k] @ y[b : b + n_x]
     if not np.all(np.isfinite(y)):
         return None
-    out = np.empty_like(y)
-    out[order] = y
-    return out
+    return y
 
 
 def solve_equality_nlp(
@@ -661,9 +645,7 @@ def solve_equality_nlp(
             if step is not None:
                 alpha = 1.0
                 while alpha >= 1e-12:
-                    z_try = w.stacked_primal() + alpha * step[:nz]
-                    lam_try = w.stacked_dual() + alpha * step[nz:]
-                    w_try = PrimalDualTrajectory.from_stacked(p.dims, z_try, lam_try)
+                    w_try = PrimalDualTrajectory.from_vector(p.dims, w.vector + alpha * step)
                     r_try = kkt_residual(p, w_try, data)
                     if 0.5 * float(r_try @ r_try) <= (1.0 - 2.0 * opts.ls_sigma * alpha) * phi0:
                         accepted = (w_try, r_try)

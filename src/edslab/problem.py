@@ -13,6 +13,12 @@ multiplies x_{i+1} = f_i.  x_{-1}, u_{-1}, u_N, lam(N) are empty vectors by
 convention, so the per-stage primal-dual block w(i) = [x_i; u_i; lam_i]
 degenerates to lam(-1) at the front of the horizon and to x_N at the back.
 
+Layout: a primal-dual point is one stage-ordered vector [w(-1); ...; w(N)]
+= [lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1}; x_N], placed by
+`Dimensions.w_offsets` and read by the KKT residual, the Newton step, the
+mixed-Hessian rows and the stage deviations.  Only the dense H and J use
+the stacked orders [x_0; u_0; ...; x_N] and [lam_{-1}; lam_0; ...].
+
 Sign convention: the Lagrangian is `objective - lam @ c` where c stacks the
 constraint residuals [T x_0 - d_{-1}; x_1 - f_0; ...; x_N - f_{N-1}].  Its
 gradient in the primal-dual variables is exactly the KKT residual assembled
@@ -22,6 +28,7 @@ this choice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,6 +98,18 @@ class Dimensions:
     @property
     def n_dual(self) -> int:
         return self.n_0 + self.N * self.n_x
+
+    @property
+    def n_w(self) -> int:
+        return self.n_primal + self.n_dual
+
+    @cached_property
+    def w_offsets(self) -> tuple:
+        """Where w(i) = [x_i; u_i; lam_i] starts, for i = -1..N, and n_w: w(i)
+        spans [w_offsets[i + 1], w_offsets[i + 2]) of the stage-ordered
+        vector [lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1}; x_N]."""
+        stride = 2 * self.n_x + self.n_u
+        return (0, *(self.n_0 + i * stride for i in range(self.N + 1)), self.n_w)
 
 
 @dataclass(frozen=True)
@@ -194,34 +213,49 @@ class DataTrajectory:
         return np.concatenate(self._d) if self._d else np.zeros(0)
 
 
-class PrimalDualTrajectory:
-    """Primal states/controls and constraint multipliers along the horizon.
+def _stage_order(dims: Dimensions) -> Array:
+    """Position in the stacked [primal; dual] vector of each entry of the
+    stage-ordered vector."""
+    nz, n_x, n_z = dims.n_primal, dims.n_x, dims.n_z
+    k = np.arange(dims.N)[:, None]
+    stages = np.hstack([k * n_z + np.arange(n_z), nz + dims.n_0 + k * n_x + np.arange(n_x)])
+    return np.concatenate([nz + np.arange(dims.n_0), stages.ravel(), dims.N * n_z + np.arange(n_x)])
 
-    Accessors use stage numbers: `x(i)` for i in [0, N], `u(i)` for i in
-    [0, N-1], `lam(i)` for i in [-1, N-1].  `w(i)` stacks [x_i; u_i; lam_i]
-    with the empty-vector convention at the ends, so w(-1) = lam(-1) and
-    w(N) = x(N).
+
+class PrimalDualTrajectory:
+    """Primal states/controls and constraint multipliers along the horizon,
+    held as one stage-ordered vector `vector` = [w(-1); w(0); ...; w(N)].
+
+    Accessors use stage numbers and return views into `vector`: `w(i)` for
+    i in [-1, N] is [x_i; u_i; lam_i], so w(-1) = lam(-1) and w(N) = x(N);
+    `x(i)` (i in [0, N]), `u(i)` (i in [0, N-1]) and `lam(i)` (i in [-1,
+    N-1]) are slices of w(i).  `stacked_*` and `from_stacked` convert to and
+    from the stacked orders of the dense H and J.
     """
 
     def __init__(self, dims: Dimensions, xs: Sequence, us: Sequence, lams: Sequence):
         if len(xs) != dims.N + 1 or len(us) != dims.N or len(lams) != dims.N + 1:
             raise ConfigurationError("trajectory stage counts do not match the horizon")
         self.dims = dims
-        self.xs = [_as_vector(v, dims.n_x, f"x[{i}]") for i, v in enumerate(xs)]
-        self.us = [_as_vector(v, dims.n_u, f"u[{i}]") for i, v in enumerate(us)]
-        self.lams = [
-            _as_vector(v, dims.n_0 if i == 0 else dims.n_x, f"lam[{i - 1}]")
-            for i, v in enumerate(lams)
-        ]
+        self.vector = np.zeros(dims.n_w)
+        for i, v in enumerate(xs):
+            self.x(i)[:] = _as_vector(v, dims.n_x, f"x[{i}]")
+        for i, v in enumerate(us):
+            self.u(i)[:] = _as_vector(v, dims.n_u, f"u[{i}]")
+        for i, v in enumerate(lams):
+            self.lam(i - 1)[:] = _as_vector(v, self.lam(i - 1).size, f"lam[{i - 1}]")
+
+    @classmethod
+    def from_vector(cls, dims: Dimensions, w: Array) -> "PrimalDualTrajectory":
+        """Wrap a stage-ordered vector, without copying a float array."""
+        out = cls.__new__(cls)
+        out.dims = dims
+        out.vector = _as_vector(w, dims.n_w, "stage-ordered vector")
+        return out
 
     @classmethod
     def zeros(cls, dims: Dimensions) -> "PrimalDualTrajectory":
-        return cls(
-            dims,
-            [np.zeros(dims.n_x) for _ in range(dims.N + 1)],
-            [np.zeros(dims.n_u) for _ in range(dims.N)],
-            [np.zeros(dims.n_0)] + [np.zeros(dims.n_x) for _ in range(dims.N)],
-        )
+        return cls.from_vector(dims, np.zeros(dims.n_w))
 
     @classmethod
     def from_stacked(cls, dims: Dimensions, z: Array, lam: Array) -> "PrimalDualTrajectory":
@@ -229,56 +263,40 @@ class PrimalDualTrajectory:
         dual [lam_{-1}; lam_0; ...; lam_{N-1}] vectors."""
         z = _as_vector(z, dims.n_primal, "stacked primal")
         lam = _as_vector(lam, dims.n_dual, "stacked dual")
-        xs, us, lams = [], [], [lam[: dims.n_0]]
-        for i in range(dims.N):
-            base = i * dims.n_z
-            xs.append(z[base : base + dims.n_x])
-            us.append(z[base + dims.n_x : base + dims.n_z])
-            lams.append(lam[dims.n_0 + i * dims.n_x : dims.n_0 + (i + 1) * dims.n_x])
-        xs.append(z[dims.N * dims.n_z :])
-        return cls(dims, xs, us, lams)
+        return cls.from_vector(dims, np.concatenate([z, lam])[_stage_order(dims)])
+
+    def w(self, i: int) -> Array:
+        if not -1 <= i <= self.dims.N:
+            raise ConfigurationError(f"stage {i} outside [-1, {self.dims.N}]")
+        off = self.dims.w_offsets
+        return self.vector[off[i + 1] : off[i + 2]]
 
     def x(self, i: int) -> Array:
-        return self.xs[i]
+        if not 0 <= i <= self.dims.N:
+            raise ConfigurationError(f"state stage {i} outside [0, {self.dims.N}]")
+        a = self.dims.w_offsets[i + 1]
+        return self.vector[a : a + self.dims.n_x]
 
     def u(self, i: int) -> Array:
-        return self.us[i]
+        if not 0 <= i <= self.dims.N - 1:
+            raise ConfigurationError(f"control stage {i} outside [0, {self.dims.N - 1}]")
+        a = self.dims.w_offsets[i + 1] + self.dims.n_x
+        return self.vector[a : a + self.dims.n_u]
 
     def lam(self, i: int) -> Array:
         if not -1 <= i <= self.dims.N - 1:
             raise ConfigurationError(f"multiplier stage {i} outside [-1, {self.dims.N - 1}]")
-        return self.lams[i + 1]
-
-    def w(self, i: int) -> Array:
-        parts = []
-        if 0 <= i <= self.dims.N:
-            parts.append(self.xs[i])
-        if 0 <= i < self.dims.N:
-            parts.append(self.us[i])
-        if -1 <= i < self.dims.N:
-            parts.append(self.lam(i))
-        if not parts:
-            raise ConfigurationError(f"stage {i} outside [-1, {self.dims.N}]")
-        return np.concatenate(parts)
+        a = self.dims.w_offsets[i + 1] + (self.dims.n_z if i >= 0 else 0)
+        return self.vector[a : self.dims.w_offsets[i + 2]]
 
     def stacked_primal(self) -> Array:
-        parts = []
-        for i in range(self.dims.N):
-            parts.append(self.xs[i])
-            parts.append(self.us[i])
-        parts.append(self.xs[self.dims.N])
-        return np.concatenate(parts)
+        return self.vector[np.argsort(_stage_order(self.dims))[: self.dims.n_primal]]
 
     def stacked_dual(self) -> Array:
-        return np.concatenate(self.lams)
+        return self.vector[np.argsort(_stage_order(self.dims))[self.dims.n_primal :]]
 
     def copy(self) -> "PrimalDualTrajectory":
-        return PrimalDualTrajectory(
-            self.dims,
-            [v.copy() for v in self.xs],
-            [v.copy() for v in self.us],
-            [v.copy() for v in self.lams],
-        )
+        return PrimalDualTrajectory.from_vector(self.dims, self.vector.copy())
 
 
 def check_dimensions(p: DOProblem, traj=None, data=None):
@@ -299,6 +317,15 @@ def evaluate_objective(p: DOProblem, traj: PrimalDualTrajectory, data: DataTraje
     return total
 
 
+def stage_constraint(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory, i: int) -> Array:
+    """Residual of the constraint that lam(i) multiplies: T x_0 - d_{-1} for
+    i = -1 (empty when n_0 = 0), x_{i+1} - f_i otherwise."""
+    if i == -1:
+        return p.T @ traj.x(0) - data[-1]
+    fi = _as_vector(p.oracles.dynamics(i, traj.x(i), traj.u(i), data[i]), p.dims.n_x, f"f[{i}]")
+    return traj.x(i + 1) - fi
+
+
 def evaluate_constraints(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> Array:
     """Stacked residual [T x_0 - d_{-1}; x_1 - f_0; ...; x_N - f_{N-1}].
 
@@ -306,15 +333,7 @@ def evaluate_constraints(p: DOProblem, traj: PrimalDualTrajectory, data: DataTra
     leading block is absent when n_0 = 0.
     """
     check_dimensions(p, traj, data)
-    parts = []
-    if p.dims.n_0 > 0:
-        parts.append(p.T @ traj.x(0) - data[-1])
-    for i in range(p.dims.N):
-        fi = _as_vector(
-            p.oracles.dynamics(i, traj.x(i), traj.u(i), data[i]), p.dims.n_x, f"f[{i}]"
-        )
-        parts.append(traj.x(i + 1) - fi)
-    return np.concatenate(parts)
+    return np.concatenate([stage_constraint(p, traj, data, i) for i in range(-1, p.dims.N)])
 
 
 def evaluate_lagrangian(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> float:

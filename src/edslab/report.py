@@ -97,11 +97,8 @@ def plot_decay(profiles, fit) -> str:
     xs_lo, xs_hi = -1.0, float(N)
     pts = []
     for prof in profiles:
-        floor = prof.floor()
-        for i in prof.stage_range():
-            si = prof.deviation(i)
-            if si > floor and prof.magnitude > 0:
-                pts.append((float(i), math.log10(si / prof.magnitude)))
+        for i, si in prof.above_floor():
+            pts.append((float(i), math.log10(si / prof.magnitude)))
     if not pts:
         raise ConfigurationError("profiles contain no entries above the noise floor")
     y_vals = [y for _, y in pts]
@@ -171,12 +168,9 @@ def plot_decay(profiles, fit) -> str:
         )
     # data points
     for prof in profiles:
-        floor = prof.floor()
-        for i in prof.stage_range():
-            si = prof.deviation(i)
-            if si > floor and prof.magnitude > 0:
-                px = _xmap(i, xs_lo, xs_hi)
-                py = _ymap(math.log10(si / prof.magnitude), y_lo, y_hi)
-                out.append(f'<circle cx="{_f3(px)}" cy="{_f3(py)}" r="3" fill="#1f77b4"/>')
+        for i, si in prof.above_floor():
+            px = _xmap(i, xs_lo, xs_hi)
+            py = _ymap(math.log10(si / prof.magnitude), y_lo, y_hi)
+            out.append(f'<circle cx="{_f3(px)}" cy="{_f3(py)}" r="3" fill="#1f77b4"/>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

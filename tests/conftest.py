@@ -141,6 +141,18 @@ def stage_blocks(draw, zero_families="QRSEFABG"):
     )
 
 
+def to_stage_order(dims, v):
+    """A stacked [primal; dual] vector in the stage order of
+    `PrimalDualTrajectory.vector`."""
+    return PrimalDualTrajectory.from_stacked(dims, v[: dims.n_primal], v[dims.n_primal :]).vector
+
+
+def to_stacked_order(dims, v):
+    """A stage-ordered vector in the stacked [primal; dual] order."""
+    t = PrimalDualTrajectory.from_vector(dims, v)
+    return np.concatenate([t.stacked_primal(), t.stacked_dual()])
+
+
 def dense_kkt(blocks):
     """The KKT matrix [[H, -J^T], [-J, 0]] of `blocks` as one dense array,
     in the stacked [primal; dual] ordering."""

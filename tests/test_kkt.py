@@ -32,6 +32,8 @@ from conftest import (
     random_point,
     stage_blocks,
     strongly_indefinite_problem,
+    to_stacked_order,
+    to_stage_order,
     toy_nonlinear_problem,
 )
 
@@ -181,20 +183,20 @@ class TestResidual:
         r0 = kkt_residual(p, traj, data)
         eps = 0.25
         shifted = traj.copy()
-        shifted.xs[1][0] += eps
+        shifted.x(1)[0] += eps
         r1 = kkt_residual(p, shifted, data)
         blocks = linearize(p, traj, data)
         H = assemble_hessian(blocks)
         J = assemble_jacobian(blocks)
-        col = 1 * p.dims.n_z  # x_1 first coordinate
-        predicted = np.concatenate([H[:, col], -J[:, col]]) * eps
+        col = 1 * p.dims.n_z  # x_1 first coordinate in the stacked primal order
+        predicted = to_stage_order(p.dims, np.concatenate([H[:, col], -J[:, col]])) * eps
         assert r1 - r0 == pytest.approx(predicted, abs=1e-10)
 
     def test_dual_block_is_negated_constraints(self, toy):
         traj, data = random_point(toy, seed=7)
-        r = kkt_residual(toy, traj, data)
+        r = PrimalDualTrajectory.from_vector(toy.dims, kkt_residual(toy, traj, data))
         c = evaluate_constraints(toy, traj, data)
-        assert r[toy.dims.n_primal :] == pytest.approx(-c)
+        assert r.stacked_dual() == pytest.approx(-c)
 
 
 class TestSolve:
@@ -439,11 +441,11 @@ class TestBlockFactor:
         truth = shifted_inertia(K, n_p, reg)
         if truth is None:
             return
-        x = kkt._factor_and_solve(blocks, rhs, n_p, n_d, reg)
+        x = kkt._factor_and_solve(blocks, to_stage_order(dims, rhs), n_p, n_d, reg)
         ref = dense_factor_and_solve(K, rhs, n_p, n_d, reg)
         assert (x is not None) == (ref is not None) == (truth == (n_p, n_d))
         if x is not None:
-            assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
+            assert np.abs(x - to_stage_order(dims, ref)).max() <= 1e-8 * np.abs(ref).max()
 
     @settings(max_examples=100, deadline=None)
     @given(stage_blocks(zero_families="ABEFG"), st.integers(0, 2**32 - 1))
@@ -454,9 +456,10 @@ class TestBlockFactor:
         if truth is None:
             return
         pos, neg = truth
-        x = kkt._factor_and_solve(blocks, rhs, pos, neg)
+        x = kkt._factor_and_solve(blocks, to_stage_order(blocks.dims, rhs), pos, neg)
         ref = dense_factor_and_solve(K, rhs, pos, neg)
         assert x is not None
+        x = to_stacked_order(blocks.dims, x)
         assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
         assert np.linalg.norm(K @ x - rhs) <= 1e-8 * np.linalg.norm(K, 2) * np.linalg.norm(x)
         if pos != neg:
