@@ -50,7 +50,9 @@ class PerturbationSpec:
 class SensitivityProfile:
     """Stage-wise deviation norms for one perturbation experiment; `s` holds
     stages -1..N, read through `deviation(i)`.  `error` names the exception
-    class and message of a solve that failed (`converged` is then False)."""
+    class and message of a solve that failed (`converged` is then False).
+    `iterations` counts the solve's Newton iterations, up to the failure
+    for a failed one."""
 
     stage: int
     s: Array
@@ -59,6 +61,7 @@ class SensitivityProfile:
     replicate: int = 0
     seed: tuple | None = None
     error: str | None = None
+    iterations: int = 0
 
     def deviation(self, i: int) -> float:
         return float(self.s[i + 1])
@@ -141,17 +144,17 @@ def run_perturbation_experiment(
     error = None
     try:
         result = solve_equality_nlp(p, d_pert, w0=w_star, opts=opts)
-        w_pert = result.trajectory
     except (NonconvergenceError, RegularityError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-        w_pert = exc.result.trajectory
-    s = stage_deviations(w_pert, w_star, primal_only=primal_only)
+        result = exc.result
+    s = stage_deviations(result.trajectory, w_star, primal_only=primal_only)
     return SensitivityProfile(
         stage=spec.stage,
         s=s,
         magnitude=float(np.linalg.norm(delta)),
         converged=error is None,
         error=error,
+        iterations=result.iterations,
     )
 
 

@@ -304,16 +304,21 @@ def _dynamics_curvature(p: DOProblem, i: int, x, u, d_i, lam_i):
     )
 
 
-def linearize(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> StageBlocks:
+def linearize(
+    p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory, *, jacobians: list | None = None
+) -> StageBlocks:
     """All per-stage derivative blocks at (traj, data).  The Q/S/R/E/F blocks
     differentiate the stage Lagrangians, so they include the
-    multiplier-weighted dynamics curvature."""
+    multiplier-weighted dynamics curvature.  `jacobians`, when given, holds
+    the per-stage (A, B, G) that `kkt_residual` evaluated at this same
+    (traj, data); they are used instead of evaluating the dynamics Jacobian
+    again."""
     check_dimensions(p, traj, data)
     dims = p.dims
     blocks = StageBlocks(dims=dims, T=p.T.copy())
     for i in range(dims.N):
         x, u, d_i, lam_i = traj.x(i), traj.u(i), data[i], traj.lam(i)
-        A, B, G = _dynamics_jacobians(p, i, x, u, d_i)
+        A, B, G = _dynamics_jacobians(p, i, x, u, d_i) if jacobians is None else jacobians[i]
         Qc, Sc, Rc, Ec, Fc = _stage_cost_hessians(p, i, x, u, d_i)
         Hxx, Hxu, Huu, Hxd, Hud = _dynamics_curvature(p, i, x, u, d_i, lam_i)
         blocks.A.append(A)
@@ -456,10 +461,14 @@ def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
     ).tocsr()
 
 
-def kkt_residual(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> Array:
+def kkt_residual(
+    p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory, *, jacobians: list | None = None
+) -> Array:
     """Gradient of the Lagrangian in `traj.vector`, so in the same stage
     order; zero exactly at stationary points.  The multiplier entries are
-    the negated constraint residuals."""
+    the negated constraint residuals.  Each stage's dynamics Jacobians
+    (A, B, G) are appended to `jacobians` when it is given, for `linearize`
+    at the same point."""
     check_dimensions(p, traj, data)
     dims = p.dims
     r = PrimalDualTrajectory.zeros(dims)
@@ -467,7 +476,9 @@ def kkt_residual(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory)
     lam_prev = p.T.T @ traj.lam(-1)
     for i in range(dims.N):
         x, u, d_i, lam_i = traj.x(i), traj.u(i), data[i], traj.lam(i)
-        A, B, _ = _dynamics_jacobians(p, i, x, u, d_i)
+        A, B, G = _dynamics_jacobians(p, i, x, u, d_i)
+        if jacobians is not None:
+            jacobians.append((A, B, G))
         gx, gu = _stage_cost_gradients(p, i, x, u, d_i)
         r.x(i)[:] = gx + A.T @ lam_i - lam_prev
         r.u(i)[:] = gu + B.T @ lam_i
@@ -631,12 +642,14 @@ def solve_equality_nlp(
     check_dimensions(p, w, None)
     nz, ndual = p.dims.n_primal, p.dims.n_dual
     reg_seen = 0.0
-    r = kkt_residual(p, w, data)
+    # the dynamics Jacobians are evaluated once per point, in kkt_residual
+    jac = []
+    r = kkt_residual(p, w, data, jacobians=jac)
     rnorm = float(np.abs(r).max()) if r.size else 0.0
     for it in range(opts.max_iter):
         if rnorm <= opts.tol_kkt:
             return SolveResult(w, it, rnorm, True, reg_seen)
-        blocks = linearize(p, w, data)
+        blocks = linearize(p, w, data, jacobians=jac)
         phi0 = 0.5 * float(r @ r)
         reg = 0.0
         accepted = None
@@ -646,9 +659,10 @@ def solve_equality_nlp(
                 alpha = 1.0
                 while alpha >= 1e-12:
                     w_try = PrimalDualTrajectory.from_vector(p.dims, w.vector + alpha * step)
-                    r_try = kkt_residual(p, w_try, data)
+                    jac_try = []
+                    r_try = kkt_residual(p, w_try, data, jacobians=jac_try)
                     if 0.5 * float(r_try @ r_try) <= (1.0 - 2.0 * opts.ls_sigma * alpha) * phi0:
-                        accepted = (w_try, r_try)
+                        accepted = (w_try, r_try, jac_try)
                         break
                     alpha *= opts.ls_beta
             if accepted is not None:
@@ -660,7 +674,7 @@ def solve_equality_nlp(
                     result=SolveResult(w, it, rnorm, False, reg_seen),
                 )
         reg_seen = max(reg_seen, reg)
-        w, r = accepted
+        w, r, jac = accepted
         rnorm = float(np.abs(r).max())
     if rnorm <= opts.tol_kkt:
         return SolveResult(w, opts.max_iter, rnorm, True, reg_seen)

@@ -5,12 +5,19 @@ Every preset is addressable by name through `build_model`; builders return a
 ModelBundle carrying the problem, its base data, and a warm start inside the
 convergence basin.  Constructors are pure and the generated problems
 immutable, so bundles are safe to share.
+
+Every preset registers exact derivatives.  The quadrotor's dynamics
+Jacobians come from the forward chain rule through its RK4 step, and its
+multiplier-contracted dynamics Hessians from a second-order adjoint through
+the same stages.  Finite differences serve only oracles that register
+neither, such as the time-invariant problems built here from plain cost and
+dynamics callables.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,30 +54,72 @@ def rk4_step(rhs: Callable, x: Array, u: Array, dt: float) -> Array:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+class _RK4Stage(NamedTuple):
+    """Stage j of an RK4 step from (x_0, u), differentiated forward: its
+    state x = x_j, A = d rhs/dx at (x_j, u), the input Jacobians
+    Xx = dx_j/dx_0 and Xu = dx_j/du, and the slope Jacobians
+    Kx = dk_j/dx_0 and Ku = dk_j/du."""
+
+    x: Array
+    A: Array
+    Xx: Array
+    Xu: Array
+    Kx: Array
+    Ku: Array
+
+
+def _rk4_stages(rhs: Callable, rhs_jac: Callable, x: Array, u: Array, dt: float):
+    """The four stages of one RK4 step with their forward chain rule;
+    x_{j+1} = x + c_j dt k_j with c = (1/2, 1/2, 1).  Complex input passes
+    through, so complex-step differentiation can check it."""
+    n = x.size
+    eye = np.eye(n)
+    stages = []
+    xj, Xx, Xu = x, eye, np.zeros((n, u.size))
+    for c in (0.5, 0.5, 1.0, None):
+        A, B = rhs_jac(xj, u)
+        Kx, Ku = A @ Xx, A @ Xu + B
+        stages.append(_RK4Stage(xj, A, Xx, Xu, Kx, Ku))
+        if c is not None:
+            xj = x + c * dt * rhs(xj, u)
+            Xx = eye + c * dt * Kx
+            Xu = c * dt * Ku
+    return stages
+
+
 def rk4_step_jacobians(rhs: Callable, rhs_jac: Callable, x: Array, u: Array, dt: float):
     """Exact Jacobians of one RK4 step by the chain rule; `rhs_jac` returns
     (d rhs / dx, d rhs / du) at a point."""
-    n = x.size
-    k1 = rhs(x, u)
-    x2 = x + 0.5 * dt * k1
-    k2 = rhs(x2, u)
-    x3 = x + 0.5 * dt * k2
-    k3 = rhs(x3, u)
-    x4 = x + dt * k3
-    A1, B1 = rhs_jac(x, u)
-    A2, B2 = rhs_jac(x2, u)
-    A3, B3 = rhs_jac(x3, u)
-    A4, B4 = rhs_jac(x4, u)
-    K1x, K1u = A1, B1
-    K2x = A2 @ (np.eye(n) + 0.5 * dt * K1x)
-    K2u = A2 @ (0.5 * dt * K1u) + B2
-    K3x = A3 @ (np.eye(n) + 0.5 * dt * K2x)
-    K3u = A3 @ (0.5 * dt * K2u) + B3
-    K4x = A4 @ (np.eye(n) + dt * K3x)
-    K4u = A4 @ (dt * K3u) + B4
-    Ad = np.eye(n) + (dt / 6.0) * (K1x + 2.0 * K2x + 2.0 * K3x + K4x)
-    Bd = (dt / 6.0) * (K1u + 2.0 * K2u + 2.0 * K3u + K4u)
+    s1, s2, s3, s4 = _rk4_stages(rhs, rhs_jac, x, u, dt)
+    Ad = np.eye(x.size) + (dt / 6.0) * (s1.Kx + 2.0 * s2.Kx + 2.0 * s3.Kx + s4.Kx)
+    Bd = (dt / 6.0) * (s1.Ku + 2.0 * s2.Ku + 2.0 * s3.Ku + s4.Ku)
     return Ad, Bd
+
+
+def rk4_step_hess_vec(
+    rhs: Callable, rhs_jac: Callable, rhs_hess_vec: Callable, x: Array, u: Array, dt: float, lam: Array
+) -> Array:
+    """Exact Hessian of lam @ (one RK4 step) in (x, u), by a second-order
+    adjoint (Griewank & Walther, Evaluating Derivatives, 2008);
+    `rhs_hess_vec(x, u, mu)` returns the Hessian of mu @ rhs in (x, u).
+
+    The step is linear in the slopes k_j = rhs(x_j, u), so with the slope
+    adjoints mu_4 = dt/6 lam, mu_3 = dt/3 lam + dt A_4^T mu_4,
+    mu_2 = dt/3 lam + dt/2 A_3^T mu_3, mu_1 = dt/6 lam + dt/2 A_2^T mu_2
+    the Hessian is sum_j Z_j^T (Hessian of mu_j @ rhs at stage j) Z_j,
+    where Z_j = d(x_j, u)/d(x, u)."""
+    n, m = x.size, u.size
+    stages = _rk4_stages(rhs, rhs_jac, x, u, dt)
+    weight = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
+    step = (0.5 * dt, 0.5 * dt, dt)  # x_{j+1} = x + step[j] k_j
+    H = np.zeros((n + m, n + m))
+    Z = np.eye(n + m)
+    for j in range(3, -1, -1):
+        s = stages[j]
+        mu = weight[j] * lam if j == 3 else weight[j] * lam + step[j] * (stages[j + 1].A.T @ mu)
+        Z[:n, :n], Z[:n, n:] = s.Xx, s.Xu
+        H += Z.T @ rhs_hess_vec(s.x, u, mu) @ Z
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +238,62 @@ def quadrotor_rhs_jacobians(x: Array, u: Array, params: QuadrotorParams):
     return A, B
 
 
+def quadrotor_rhs_hess_vec(x: Array, u: Array, mu: Array, params: QuadrotorParams) -> Array:
+    """Analytic Hessian of mu @ (continuous dynamics) in (state, raw
+    controls): a symmetric 13 x 13 matrix.  Only gamma, beta, alpha and a,
+    wX, wY enter nonlinearly, so it has 13 distinct nonzero entries, all in
+    rows and columns 6..11."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    a, wx, wy, _ = u
+    gam, bet, alp = x[6], x[7], x[8]
+    cg, sg = math.cos(gam), math.sin(gam)
+    cb, sb = math.cos(bet), math.sin(bet)
+    ca, sa = math.cos(alp), math.sin(alp)
+    if abs(cb) < 1e-9:
+        raise EvaluationError("attitude singularity: cos(beta) vanished")
+    sec, tb = 1.0 / cb, sb / cb
+    b = params.b
+    m1, m3, m5, m6, m7, m8 = mu[1], mu[3], mu[5], mu[6], mu[7], mu[8]
+    # thrust: (Xddot, Yddot, Zddot + g) = a (P1, P3, P5), Phi = m1 P1 + m3 P3
+    # + m5 P5; subscripts g, b, a are d/dgamma, d/dbeta, d/dalpha
+    P1 = cg * sb * ca + sg * sa
+    P3 = cg * sb * sa - sg * ca
+    Phi_g = m1 * (-sg * sb * ca + cg * sa) + m3 * (-sg * sb * sa - cg * ca) - m5 * sg * cb
+    Phi_b = (m1 * ca + m3 * sa) * cg * cb - m5 * cg * sb
+    Phi_a = m1 * (-cg * sb * sa + sg * ca) + m3 * P1
+    Phi_gg = -m1 * P1 - m3 * P3 - m5 * cg * cb
+    Phi_gb = -(m1 * ca + m3 * sa) * sg * cb + m5 * sg * sb
+    Phi_ga = m1 * (sg * sb * sa + cg * ca) + m3 * (-sg * sb * ca + cg * sa)
+    Phi_bb = -(m1 * ca + m3 * sa) * cg * sb - m5 * cg * cb
+    Phi_ba = (-m1 * sa + m3 * ca) * cg * cb
+    Phi_aa = -m1 * P1 - m3 * P3
+    # attitude: with K = b wX cg + wY sg, gammadot = sec K, betadot = dK/dgamma
+    # = Kg and alphadot = tb K + wZ, so Psi = c0 K + m7 Kg, c0 = m6 sec + m8 tb
+    K = b * wx * cg + wy * sg
+    Kg = -b * wx * sg + wy * cg
+    c0 = m6 * sec + m8 * tb
+    c0_b = m6 * sec * tb + m8 * sec**2
+    c0_bb = m6 * (sec * tb**2 + sec**3) + 2.0 * m8 * sec**2 * tb
+    gg = a * Phi_gg - c0 * K - m7 * Kg
+    gb = a * Phi_gb + c0_b * Kg
+    bb = a * Phi_bb + c0_bb * K
+    ga, ba, aa = a * Phi_ga, a * Phi_ba, a * Phi_aa
+    g_wx, g_wy = -b * (c0 * sg + m7 * cg), c0 * cg - m7 * sg
+    b_wx, b_wy = b * c0_b * cg, c0_b * sg
+    H = np.zeros((N_X_QUAD + N_U_QUAD, N_X_QUAD + N_U_QUAD))
+    # rows and columns (gamma, beta, alpha, a, wX, wY)
+    H[6:12, 6:12] = [
+        [gg, gb, ga, Phi_g, g_wx, g_wy],
+        [gb, bb, ba, Phi_b, b_wx, b_wy],
+        [ga, ba, aa, Phi_a, 0.0, 0.0],
+        [Phi_g, Phi_b, Phi_a, 0.0, 0.0, 0.0],
+        [g_wx, b_wx, 0.0, 0.0, 0.0, 0.0],
+        [g_wy, b_wy, 0.0, 0.0, 0.0, 0.0],
+    ]
+    return H
+
+
 def quadrotor_hover_state(params: QuadrotorParams) -> Array:
     x = np.zeros(N_X_QUAD)
     x[4] = params.altitude
@@ -230,9 +335,18 @@ def quadrotor_problem(params: QuadrotorParams):
     def dynamics(i, x, u, d):
         return rk4_step(rhs, x, u + trim, dt)
 
+    def rhs_hess_vec(x, u_raw, mu):
+        return quadrotor_rhs_hess_vec(x, u_raw, mu, params)
+
     def dynamics_jac(i, x, u, d):
         A, B = rk4_step_jacobians(rhs, rhs_jac, x, u + trim, dt)
         return A, B, np.zeros((N_X_QUAD, d.size))
+
+    def dynamics_hess_vec(i, x, u, d, lam):
+        # data enter only through the cost, so the (x, u)-d blocks vanish
+        H = rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, x, u + trim, dt, lam)
+        n = N_X_QUAD
+        return H[:n, :n], H[:n, n:], H[n:, n:], np.zeros((n, d.size)), np.zeros((N_U_QUAD, d.size))
 
     def stage_cost(i, x, u, d):
         e = x - d
@@ -264,6 +378,7 @@ def quadrotor_problem(params: QuadrotorParams):
         terminal_cost_grad=terminal_cost_grad,
         terminal_cost_hess=terminal_cost_hess,
         dynamics_jac=dynamics_jac,
+        dynamics_hess_vec=dynamics_hess_vec,
     )
     problem = DOProblem(dims=dims, oracles=oracles, T=np.eye(N_X_QUAD))
     hover = quadrotor_hover_state(params)

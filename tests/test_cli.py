@@ -110,6 +110,33 @@ class TestRun:
             assert f["error"].startswith("RegularityError: KKT system unusable")
         assert read(out / "profiles.csv").decode().splitlines()[0] == SCHEMAS["profiles.csv"]
 
+    def test_profile_iterations_in_manifest(self, tmp_path):
+        # the benchmark's quadrotor contrast pair at a short horizon
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            model="quadrotor",
+            params={"dt": 0.5, "N": 8},
+            cases=[
+                {"name": "case1", "params": {"q": 1.0, "b": 1.0}},
+                {"name": "case2", "params": {"q": 0.0, "b": 0.0}},
+            ],
+            stages=[4],
+            replicates=3,
+            magnitude=0.1,
+            seed=42,
+            window_ctrl=3,
+            window_obs=3,
+        )
+        assert run(str(cfg), out_dir=str(out)) == 0
+        cases = json.loads(read(out / "manifest.json"))["cases"]
+        for name in ("case1", "case2"):
+            entries = cases[name]["profile_iterations"]
+            assert [e[:2] for e in entries] == [[4, 0], [4, 1], [4, 2]]
+            assert all(isinstance(e[2], int) and e[2] >= 1 for e in entries)
+        lines = read(out / "profiles.csv").decode().splitlines()
+        assert lines[0] == SCHEMAS["profiles.csv"] and len(lines) == 1 + 2 * 3 * 10
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -8,6 +8,7 @@ from edslab import (
     PerturbationSpec,
     PrimalDualTrajectory,
     SensitivityProfile,
+    SolveOptions,
     build_model,
     decay_contrast,
     fit_decay,
@@ -16,7 +17,7 @@ from edslab import (
     solve_equality_nlp,
     verify_eds_bound,
 )
-from conftest import strongly_indefinite_problem
+from conftest import strongly_indefinite_problem, toy_nonlinear_problem
 
 
 def synthetic_profile(N, j, upsilon, rho, magnitude=1.0, replicate=0):
@@ -73,6 +74,19 @@ class TestPerturbationExperiment:
         assert prof.error.startswith("RegularityError: KKT system unusable")
         assert prof.s.shape == (p.dims.N + 2,)
         assert np.all(np.isfinite(prof.s))
+
+    def test_iterations_recorded_for_converged_and_failed_solves(self):
+        p = toy_nonlinear_problem(N=3)
+        d_star = DataTrajectory(p.dims, [0.1 * np.ones(p.dims.nd(i)) for i in range(-1, 4)])
+        w_star = solve_equality_nlp(p, d_star).trajectory
+        spec = PerturbationSpec(1, [0.2, -0.1])
+        solved = solve_equality_nlp(p, d_star.perturbed(1, spec.delta), w0=w_star)
+        prof = run_perturbation_experiment(p, d_star, w_star, spec)
+        assert prof.converged and prof.iterations == solved.iterations >= 1
+        # a failed solve reports the iterations its error carries
+        opts = SolveOptions(max_iter=2, tol_kkt=1e-300)
+        prof = run_perturbation_experiment(p, d_star, w_star, spec, opts=opts)
+        assert not prof.converged and prof.iterations == 2
 
     def test_primal_only_norms_smaller(self, oracle_solved):
         b, base = oracle_solved

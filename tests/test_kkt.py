@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,7 @@ from edslab import kkt
 from edslab.errors import NonconvergenceError, RegularityError
 from edslab.models import lq_chain, make_lq_problem
 from conftest import (
+    data_coupled_jac_problem,
     dense_factor_and_solve,
     dense_kkt,
     random_point,
@@ -216,6 +218,39 @@ class TestSolve:
         res = solve_equality_nlp(b.problem, data)
         assert np.abs(res.trajectory.stacked_primal()).max() <= 1e-12
         assert np.abs(res.trajectory.stacked_dual()).max() <= 1e-12
+
+    def test_linearize_reuses_residual_jacobians(self):
+        p = data_coupled_jac_problem(N=3)
+        traj, data = random_point(p, seed=4)
+        jac = []
+        kkt_residual(p, traj, data, jacobians=jac)
+        assert len(jac) == p.dims.N
+        fresh, reused = linearize(p, traj, data), linearize(p, traj, data, jacobians=jac)
+        for name in "QRSEFABG":
+            for a, b in zip(getattr(fresh, name), getattr(reused, name), strict=True):
+                assert np.array_equal(a, b), name
+
+    def test_one_dynamics_jacobian_per_point(self, monkeypatch):
+        # Newton's linearize takes the Jacobians its residual evaluated at the
+        # accepted point: every dynamics_jac call belongs to a residual
+        bundle = build_model("quadrotor", {"N": 6, "dt": 0.5})
+        orc = bundle.problem.oracles
+        jac_calls, residual_calls = [0], [0]
+
+        def counted_jac(*args):
+            jac_calls[0] += 1
+            return orc.dynamics_jac(*args)
+
+        def counted_residual(*args, **kwargs):
+            residual_calls[0] += 1
+            return kkt_residual(*args, **kwargs)
+
+        p = dataclasses.replace(bundle.problem, oracles=dataclasses.replace(orc, dynamics_jac=counted_jac))
+        monkeypatch.setattr(kkt, "kkt_residual", counted_residual)
+        data = bundle.base_data.perturbed(-1, 0.2 * np.ones(9))
+        res = solve_equality_nlp(p, data, w0=bundle.warm_start)
+        assert res.converged and res.iterations >= 2
+        assert jac_calls[0] == p.dims.N * residual_calls[0]
 
     def test_one_newton_step_on_lq(self):
         p = lq_chain(3, 2, 6, seed=3)

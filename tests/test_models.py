@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edslab import (
     DataTrajectory,
@@ -10,7 +14,9 @@ from edslab import (
     kkt_residual,
     solve_equality_nlp,
 )
+from edslab import diff, kkt
 from edslab.certify import scan_uniform_controllability, smallest_eigenvalue
+from edslab.eds import run_experiments
 from edslab.kkt import linearize
 from edslab.models import (
     DOUBLE_INTEGRATOR_A,
@@ -22,8 +28,10 @@ from edslab.models import (
     lq_chain,
     quadrotor_continuous_rhs,
     quadrotor_hover_state,
+    quadrotor_rhs_hess_vec,
     quadrotor_rhs_jacobians,
     quadrotor_trim,
+    rk4_step_hess_vec,
     rk4_step_jacobians,
     solve_steady_state,
     time_invariant_problem,
@@ -55,6 +63,139 @@ class TestQuadrotorRHS:
         x[7] = np.pi / 2
         with pytest.raises(EvaluationError):
             quadrotor_continuous_rhs(x, quadrotor_trim(qp), qp)
+
+
+def quad_point(b, beta, seed):
+    """A random quadrotor evaluation point: params with roll authority b,
+    a state with pitch beta, raw controls (a, wX, wY, wZ) and a multiplier."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(9)
+    x[7] = beta
+    u = np.concatenate([[rng.uniform(0.0, 20.0)], 2.0 * rng.standard_normal(3)])
+    return QuadrotorParams(b=b), x, u, rng.standard_normal(9)
+
+
+def central_jacobian(fun, z, h):
+    return np.column_stack([(fun(z + h * e) - fun(z - h * e)) / (2.0 * h) for e in np.eye(z.size)])
+
+
+def relative_error(approx, exact):
+    return float(np.abs(approx - exact).max() / np.abs(exact).max())
+
+
+quad_draws = given(st.floats(0.0, 2.0), st.floats(-1.2, 1.2), st.integers(0, 2**32 - 1))
+
+
+class TestQuadrotorDerivatives:
+    @settings(max_examples=100, deadline=None)
+    @quad_draws
+    def test_rhs_jacobians_match_central_differences(self, b, beta, seed):
+        qp, x, u, _ = quad_point(b, beta, seed)
+        A, B = quadrotor_rhs_jacobians(x, u, qp)
+        fun = lambda z: quadrotor_continuous_rhs(z[:9], z[9:], qp)
+        J = central_jacobian(fun, np.concatenate([x, u]), 1e-6)
+        assert relative_error(J, np.hstack([A, B])) <= 1e-7
+
+    @settings(max_examples=100, deadline=None)
+    @quad_draws
+    def test_rhs_hess_vec_matches_richardson_differences(self, b, beta, seed):
+        # Richardson extrapolation of central differences of the analytic
+        # gradient map mu^T [A, B] cancels the O(h^2) term
+        qp, x, u, mu = quad_point(b, beta, seed)
+        H = quadrotor_rhs_hess_vec(x, u, mu, qp)
+        assert np.array_equal(H, H.T)
+        outside = np.ones(13, dtype=bool)
+        outside[6:12] = False
+        assert not H[outside].any() and not H[:, outside].any()
+
+        def grad(z):
+            A, B = quadrotor_rhs_jacobians(z[:9], z[9:], qp)
+            return np.concatenate([A.T @ mu, B.T @ mu])
+
+        z, h = np.concatenate([x, u]), 1e-3
+        R = (4.0 * central_jacobian(grad, z, h / 2) - central_jacobian(grad, z, h)) / 3.0
+        assert relative_error(R, H) <= 1e-8
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+    def test_rk4_adjoint_matches_complex_step(self, dt, seed):
+        # r(x, u) = A0 x + B0 u + C sin(V z), z = (x, u), takes complex z, so
+        # the complex step differentiates rk4_step_jacobians to round-off
+        rng = np.random.default_rng(seed)
+        n, m, k = 4, 2, 5
+        A0, B0 = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+        C, V = rng.standard_normal((n, k)), rng.standard_normal((k, n + m))
+        rhs = lambda x, u: A0 @ x + B0 @ u + C @ np.sin(V @ np.concatenate([x, u]))
+
+        def rhs_jac(x, u):
+            J = np.hstack([A0, B0]) + C @ (np.cos(V @ np.concatenate([x, u]))[:, None] * V)
+            return J[:, :n], J[:, n:]
+
+        def rhs_hess_vec(x, u, mu):
+            s = np.sin(V @ np.concatenate([x, u]))
+            return -V.T @ (((C.T @ mu) * s)[:, None] * V)
+
+        x, u, lam = rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(n)
+        H = rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, x, u, dt, lam)
+        z, h = np.concatenate([x, u]), 1e-30
+        cols = []
+        for e in np.eye(n + m):
+            zc = z + 1j * h * e
+            Ad, Bd = rk4_step_jacobians(rhs, rhs_jac, zc[:n], zc[n:], dt)
+            cols.append(np.concatenate([Ad.T @ lam, Bd.T @ lam]).imag / h)
+        assert relative_error(np.column_stack(cols), H) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @quad_draws
+    def test_dynamics_hess_vec_matches_fd_path(self, b, beta, seed):
+        # the finite-difference curvature that serves oracles without a
+        # dynamics_hess_vec agrees to its own error; a short step keeps the
+        # RK4 stage points of these rough draws off the pitch singularity,
+        # near which the FD error grows without bound
+        qp, x, u, lam = quad_point(b, beta, seed)
+        bundle = build_model("quadrotor", {"b": b, "N": 2, "dt": 0.05})
+        p = bundle.problem
+        p_fd = dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, dynamics_hess_vec=None))
+        u = u - quadrotor_trim(qp)
+        d = np.zeros(9)
+        exact = kkt._dynamics_curvature(p, 0, x, u, d, lam)
+        approx = kkt._dynamics_curvature(p_fd, 0, x, u, d, lam)
+        for blk in exact[3:]:
+            assert blk.shape[1] == 9 and not blk.any()
+        H = np.block([[exact[0], exact[1]], [exact[1].T, exact[2]]])
+        H_fd = np.block([[approx[0], approx[1]], [approx[1].T, approx[2]]])
+        assert relative_error(H_fd, H) <= 1e-5
+
+    def test_hess_vec_singularity_guarded(self):
+        qp = QuadrotorParams()
+        x = np.zeros(9)
+        x[7] = np.pi / 2
+        with pytest.raises(EvaluationError):
+            quadrotor_rhs_hess_vec(x, quadrotor_trim(qp), np.ones(9), qp)
+        p = build_model("quadrotor", {"N": 2}).problem
+        with pytest.raises(EvaluationError):
+            p.oracles.dynamics_hess_vec(0, x, np.zeros(4), np.zeros(9), np.ones(9))
+
+    def test_no_finite_differences_anywhere(self, monkeypatch):
+        # every finite difference in the package goes through these two
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrotor derivative fell back to finite differences")
+
+        monkeypatch.setattr(diff, "partial_jacobian", refuse)
+        monkeypatch.setattr(diff, "hessian_block", refuse)
+        with pytest.raises(AssertionError):
+            diff.gradient(lambda t: float(t @ t), np.ones(2))
+        bundle = build_model("quadrotor", {"N": 8, "dt": 0.5})
+        p = bundle.problem
+        # start away from hover, so Newton iterates with nonzero multipliers
+        data = bundle.base_data.perturbed(-1, 0.1 * np.ones(9))
+        base = solve_equality_nlp(p, data, w0=bundle.warm_start)
+        assert base.converged and base.iterations > 0
+        assert np.abs(base.trajectory.lam(0)).max() > 0.0
+        profiles = run_experiments(p, data, base.trajectory, [4], 1, 0.1, seed=0)
+        assert profiles[0].converged and profiles[0].iterations > 0
+        report = build_report(p, base.trajectory, data, 3, 3)
+        assert report.beta > 0.0
 
 
 class TestQuadrotorProblem:
