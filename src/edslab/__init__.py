@@ -9,6 +9,7 @@ from .certify import (
     blh_bound_from_K,
     blh_modulus,
     build_report,
+    condensed_sosc_modulus,
     controllability_matrix,
     duality_check,
     licq_modulus,

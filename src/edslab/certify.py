@@ -10,8 +10,13 @@ Every modulus is a measured eigenvalue or singular value at one point:
   eigenvalue is found by bisection on banded Cholesky factorizations, in
   O(N b^2) time and O(N b) memory for half-bandwidth b;
 - the second-order modulus gamma is the smallest eigenvalue of the reduced
-  Hessian Z^T H Z, computed from a dense null-space SVD of J, in O(N^3)
-  time and O(N^2) memory.
+  Hessian Z^T H Z.  A basis of null(J) is condensed through the dynamics
+  (the free x_0 directions and the controls, run forward through
+  x_{k+1} = A_k x_k + B_k u_k), orthonormalized by one economic QR, and
+  the smallest eigenvalue of Z^T H Z is taken by one partial symmetric
+  eigensolve: O(N^3 n_u^2 (n_x + n_u)) time and O(N^2 n_u (n_x + n_u))
+  memory, with neither H nor J assembled.  The dense `sosc_modulus`, from
+  an SVD of J, is the reference the tests compare against.
 
 Windowed controllability/observability Gramians supply the
 system-theoretic side; the point of the window scans is that their minima
@@ -28,7 +33,12 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigurationError, RegularityError
-from .kkt import StageBlocks, assemble_hessian, assemble_jacobian, assemble_mixed_hessian, linearize
+from .kkt import StageBlocks, assemble_jacobian, assemble_mixed_hessian, linearize
+
+# No longer called here.  The benchmark under `perfbench/` still wraps
+# `assemble_hessian` and the dense `sosc_modulus` as attributes of this
+# module, and `tests/test_perfbench_hooks.py` checks that they resolve.
+from .kkt import assemble_hessian  # noqa: F401
 from .problem import Array, DataTrajectory, DOProblem, PrimalDualTrajectory
 
 # Measured moduli at or below this are reported as certificate failures.
@@ -227,10 +237,12 @@ def licq_modulus(J) -> float:
 
 
 def sosc_modulus(H: Array, J: Array) -> float:
-    """Smallest eigenvalue of Z^T H Z for an orthonormal null-space basis Z
-    of J (basis-independent).  Returns +inf when the null space is trivial
-    (second-order condition vacuous); raises RegularityError when J is rank
-    deficient, in which case `licq_modulus` is the meaningful diagnostic."""
+    """Dense reference for `condensed_sosc_modulus`: the smallest eigenvalue
+    of Z^T H Z for an orthonormal null-space basis Z of J (basis-independent)
+    from a full SVD of J, O(n^3) for n primal variables.  Returns +inf when
+    the null space is trivial (second-order condition vacuous); raises
+    RegularityError when J is rank deficient, in which case `licq_modulus`
+    is the meaningful diagnostic."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     J = np.atleast_2d(np.asarray(J, dtype=float))
     if J.shape[0] == 0:
@@ -247,6 +259,65 @@ def sosc_modulus(H: Array, J: Array) -> float:
     if Z.shape[1] == 0:
         return math.inf
     return smallest_eigenvalue(Z.T @ H @ Z)
+
+
+def condensed_sosc_modulus(blocks: StageBlocks) -> float:
+    """Smallest eigenvalue of the reduced Hessian Z^T H Z, with the null
+    space of J condensed through the dynamics instead of taken from an SVD.
+
+    J w = 0 leaves free x_0 in null(T) and u_0, ..., u_{N-1}.  Running an
+    orthonormal basis of null(T) and unit controls forward through
+    x_{k+1} = A_k x_k + B_k u_k gives a basis Y of null(J) with
+    (n_x - n_0) + N n_u columns; its rows hold those free coordinates
+    orthonormally, so sigma_min(Y) >= 1.  One economic QR of Y gives an
+    orthonormal basis Z, H Z is applied one stage block at a time, and a
+    partial symmetric eigensolve of Z^T H Z returns gamma.
+
+    Same contract as the dense `sosc_modulus`: +inf when the null space is
+    trivial; RegularityError when J is rank deficient.  Every dynamics row
+    block of J has an identity on x_{k+1}, so that happens exactly when T is
+    rank deficient, judged by the dense path's max(shape) eps sigma_max
+    rank rule on T's singular values."""
+    dims = blocks.dims
+    N, n_x, n_u, n_z = dims.N, dims.n_x, dims.n_u, dims.n_z
+    if dims.n_0 > 0:
+        _, s, Vt = np.linalg.svd(blocks.T)
+        rank = int(np.sum(s > max(blocks.T.shape) * np.finfo(float).eps * s[0]))
+        if rank < dims.n_0:
+            raise RegularityError("initial-state map T is rank deficient, so J is too")
+        Z0 = Vt[rank:].T
+    else:
+        Z0 = np.eye(n_x)
+    cols = Z0.shape[1]
+    if cols + N * n_u == 0:
+        return math.inf
+    # stacked primal rows [x_0; u_0; x_1; ...; x_N]; x_k depends only on the
+    # first `cols` columns: x_0's free directions and u_0, ..., u_{k-1}
+    Y = np.zeros((dims.n_primal, cols + N * n_u), order="F")
+    Y[:n_x, :cols] = Z0
+    for k in range(N):
+        r = k * n_z
+        Y[r + n_x : r + n_z, cols : cols + n_u] = np.eye(n_u)
+        Y[r + n_z : r + n_z + n_x, :cols] = blocks.A[k] @ Y[r : r + n_x, :cols]
+        Y[r + n_z : r + n_z + n_x, cols : cols + n_u] = blocks.B[k]
+        cols += n_u
+    # Householder QR in Y's own storage; only the orthonormal factor is kept
+    Z = scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
+    del Y
+    HZ = np.empty_like(Z)
+    for k in range(N):
+        xs, us = slice(k * n_z, k * n_z + n_x), slice(k * n_z + n_x, (k + 1) * n_z)
+        HZ[xs] = blocks.Q[k] @ Z[xs] + blocks.S[k] @ Z[us]
+        HZ[us] = blocks.S[k].T @ Z[xs] + blocks.R[k] @ Z[us]
+    HZ[N * n_z :] = blocks.Q[N] @ Z[N * n_z :]
+    reduced = Z.T @ HZ
+    del Z, HZ
+    # eigh reads one triangle of the (rounding-level asymmetric) product
+    return float(
+        scipy.linalg.eigh(
+            reduced, eigvals_only=True, subset_by_index=[0, 0], overwrite_a=True, check_finite=False
+        )[0]
+    )
 
 
 def mixed_hessian_norm(blocks: StageBlocks) -> float:
@@ -297,7 +368,10 @@ class CertificateReport:
 
     `gamma` is +inf (with `sosc_vacuous`) when the constraint null space is
     trivial and None when the Jacobian is rank deficient; failures are
-    report entries, never exceptions.
+    report entries, never exceptions.  `failures` names, for each failed
+    flag among ctrl_uniform, obs_uniform, r_positive, q_psd and s_zero, the
+    window start or stage that set it; it is kept out of the text and CSV
+    forms.
     """
 
     beta: float
@@ -311,6 +385,7 @@ class CertificateReport:
     ctrl: WindowScan
     obs: WindowScan
     flags: dict
+    failures: dict = field(default_factory=dict)
 
     @property
     def licq_ok(self) -> bool:
@@ -375,25 +450,27 @@ def build_report(
     """Populate every certificate at a converged primal-dual point."""
     blocks = linearize(p, traj, data)
     J = assemble_jacobian(blocks)
-    H = assemble_hessian(blocks)
     beta = licq_modulus(J)
+    del J  # O(N^2); gamma and the rest work on the stage blocks
     try:
-        gamma = sosc_modulus(H, J)
+        gamma = condensed_sosc_modulus(blocks)
     except RegularityError:
         gamma = None
     vacuous = gamma is not None and math.isinf(gamma)
     L_observed = mixed_hessian_norm(blocks)
     K = max_block_norm(blocks)
-    r = math.inf
-    if p.dims.n_u > 0:
-        r = min(smallest_eigenvalue(R) for R in blocks.R)
+    # per stage; an empty R (n_u = 0) has smallest eigenvalue +inf
+    r_stages = [smallest_eigenvalue(R) for R in blocks.R]
+    q_stages = [smallest_eigenvalue(Q) for Q in blocks.Q]
+    s_stages = [float(np.abs(S).max()) if S.size else 0.0 for S in blocks.S]
+    r = min(r_stages, default=math.inf)
     delta = None
     if p.dims.n_0 > 0:
         delta = smallest_eigenvalue(blocks.T @ blocks.T.T)
     ctrl = scan_uniform_controllability(blocks, window_ctrl)
     obs = scan_uniform_observability(blocks, window_obs)
-    s_max = max((float(np.abs(S).max()) if S.size else 0.0) for S in blocks.S) if blocks.S else 0.0
-    q_min = min(smallest_eigenvalue(Q) for Q in blocks.Q)
+    s_max = max(s_stages, default=0.0)
+    q_min = min(q_stages)
     flags = {
         "k_bounded": bool(np.isfinite(K)),
         "delta_positive": True if delta is None else delta > POSITIVITY_TOL,
@@ -402,6 +479,19 @@ def build_report(
         "s_zero": s_max <= S_ZERO_TOL,
         "r_positive": (r > POSITIVITY_TOL) if math.isfinite(r) else True,
         "obs_uniform": obs.minimum > POSITIVITY_TOL,
+    }
+    # the window start or stage of each flag's worst value
+    worst = {
+        "ctrl_uniform": ("window_start", ctrl.values),
+        "obs_uniform": ("window_start", obs.values),
+        "r_positive": ("stage", r_stages),
+        "q_psd": ("stage", q_stages),
+        "s_zero": ("stage", [-s for s in s_stages]),
+    }
+    failures = {
+        name: {key: int(np.argmin(values))}
+        for name, (key, values) in worst.items()
+        if not flags[name]
     }
     return CertificateReport(
         beta=beta,
@@ -415,4 +505,5 @@ def build_report(
         ctrl=ctrl,
         obs=obs,
         flags=flags,
+        failures=failures,
     )

@@ -19,6 +19,8 @@ import math
 import os
 import re
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from . import report
@@ -119,40 +121,58 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigurationError("case names must be unique")
     if cfg.replicates < 1:
         raise ConfigurationError("replicates must be >= 1")
-    if not math.isfinite(cfg.magnitude) or cfg.magnitude < 0:
-        raise ConfigurationError("magnitude must be finite and nonnegative")
+    if not math.isfinite(cfg.magnitude) or cfg.magnitude <= 0:
+        # a zero perturbation leaves every deviation at the noise floor
+        raise ConfigurationError("magnitude must be finite and positive")
     return cfg
+
+
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Record the wall seconds of the block under `timings[key]`."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] = time.perf_counter() - start
 
 
 def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiments: bool = True):
     """Build, solve and certify one case; with `experiments` also run the
-    perturbation experiments and fit their decay envelopes."""
+    perturbation experiments and fit their decay envelopes.  The wall
+    seconds of each phase go to `result["timings"]`."""
     params = dict(cfg.params)
     params.update(overrides)
-    bundle = build_model(cfg.model, params)
+    timings = {}
+    with _timed(timings, "build_s"):
+        bundle = build_model(cfg.model, params)
     p = bundle.problem
     for j in cfg.stages:
         if not -1 <= j <= p.dims.N:
             raise ConfigurationError(f"perturbation stage {j} outside [-1, {p.dims.N}]")
-    base = solve_equality_nlp(p, bundle.base_data, w0=bundle.warm_start, opts=cfg.solver)
-    cert = build_report(
-        p, base.trajectory, bundle.base_data, cfg.window_ctrl, cfg.window_obs
-    )
-    result = {"name": name, "base": base, "certificate": cert}
-    if experiments:
-        profiles = run_experiments(
-            p,
-            bundle.base_data,
-            base.trajectory,
-            cfg.stages,
-            cfg.replicates,
-            cfg.magnitude,
-            cfg.seed,
-            opts=cfg.solver,
+    with _timed(timings, "base_solve_s"):
+        base = solve_equality_nlp(p, bundle.base_data, w0=bundle.warm_start, opts=cfg.solver)
+    with _timed(timings, "certify_s"):
+        cert = build_report(
+            p, base.trajectory, bundle.base_data, cfg.window_ctrl, cfg.window_obs
         )
+    result = {"name": name, "base": base, "certificate": cert, "timings": timings}
+    if experiments:
+        with _timed(timings, "experiments_s"):
+            profiles = run_experiments(
+                p,
+                bundle.base_data,
+                base.trajectory,
+                cfg.stages,
+                cfg.replicates,
+                cfg.magnitude,
+                cfg.seed,
+                opts=cfg.solver,
+            )
         result["profiles"] = profiles
-        result["fit_ls"] = fit_decay(profiles, mode="ls")
-        result["fit_env"] = fit_decay(profiles, mode="envelope")
+        with _timed(timings, "fit_s"):
+            result["fit_ls"] = fit_decay(profiles, mode="ls")
+            result["fit_env"] = fit_decay(profiles, mode="envelope")
     return result
 
 
@@ -206,6 +226,7 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
         "files": [],
         "status": "ok",
     }
+    write_start = time.perf_counter()
     for res in results:
         name = res["name"]
         base_rows.extend(report.base_solution_rows(name, res["base"].trajectory))
@@ -233,6 +254,8 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
                 for p in res["profiles"]
                 if not p.converged
             ],
+            "failed_flags": res["certificate"].failures,
+            "timings": res["timings"],
         }
     for fname, rows in (
         ("base_solution.csv", base_rows),
@@ -242,6 +265,7 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
     ):
         report.write_csv(os.path.join(cfg.out_dir, fname), fname, rows)
         manifest["files"].append(fname)
+    manifest["timings"] = {"write_s": time.perf_counter() - write_start}
     if len(results) >= 2:
         a, b = results[0], results[1]
         contrast = decay_contrast(a["fit_ls"], b["fit_ls"])

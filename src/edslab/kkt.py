@@ -2,13 +2,14 @@
 
 The KKT residual, the Newton step and the rows of the mixed Hessian use the
 stage-ordered primal-dual vector of `problem.PrimalDualTrajectory`,
-[lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1}; x_N].  The dense H and J,
-assembled only for the certificates that still need them, use the stacked
-orderings: primal variables [x_0; u_0; x_1; u_1; ...; x_N], multipliers
-[lam_{-1}; lam_0; ...; lam_{N-1}].  The constraint Jacobian is block
-bidiagonal with a leading T row block; stage row block i is [-A_i, -B_i, I].
-The primal Hessian is block diagonal in (Q_i, R_i) with S_i coupling x_i to
-u_i inside each stage.
+[lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1}; x_N].  The dense J, assembled
+for the constraint-qualification modulus, and the dense H, kept as a test
+reference, use the stacked orderings: primal variables
+[x_0; u_0; x_1; u_1; ...; x_N], multipliers [lam_{-1}; lam_0; ...;
+lam_{N-1}].  The constraint Jacobian is block bidiagonal with a leading T
+row block; stage row block i is [-A_i, -B_i, I].  The primal Hessian is
+block diagonal in (Q_i, R_i) with S_i coupling x_i to u_i inside each
+stage.
 
 The Newton step never forms the KKT matrix.  Cut into the blocks
 [lam_{k-1}; x_k; u_k] of the stage-ordered vector, the matrix is block

@@ -17,6 +17,7 @@ from edslab import (
     blh_modulus,
     build_model,
     build_report,
+    condensed_sosc_modulus,
     controllability_matrix,
     duality_check,
     licq_modulus,
@@ -29,6 +30,7 @@ from edslab import (
     solve_equality_nlp,
     sosc_modulus,
 )
+from edslab import certify
 from edslab.certify import (
     dual_sequences,
     scan_controllability_seq,
@@ -303,14 +305,18 @@ class TestNUniformitySignatures:
     def test_sosc_observable_vs_not(self):
         Q = np.diag([1.0, 0.0])
 
-        def sosc_at(A, N):
-            blocks = StageBlocks.time_invariant(A, np.eye(2), Q, np.eye(2), N, T=np.eye(2))
+        def dense(blocks):
             return sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
 
-        coupled = {N: sosc_at(np.array([[1.3, 1.0], [0.0, 1.3]]), N) for N in (10, 40)}
-        assert min(coupled.values()) >= 0.5 * coupled[10]
-        decoupled = {N: sosc_at(np.diag([1.3, 1.3]), N) for N in (10, 40)}
-        assert decoupled[40] < 0.2 * decoupled[10]
+        for modulus, horizons in ((dense, (10, 40)), (condensed_sosc_modulus, (10, 40, 80))):
+
+            def sosc_at(A, N):
+                return modulus(StageBlocks.time_invariant(A, np.eye(2), Q, np.eye(2), N, T=np.eye(2)))
+
+            coupled = {N: sosc_at(np.array([[1.3, 1.0], [0.0, 1.3]]), N) for N in horizons}
+            assert min(coupled.values()) >= 0.5 * coupled[10]
+            decoupled = {N: sosc_at(np.diag([1.3, 1.3]), N) for N in horizons}
+            assert max(decoupled[N] for N in horizons[1:]) < 0.2 * decoupled[10]
 
     def test_blh_within_bound_on_model(self):
         b = build_model("lq_chain", {"n_x": 2, "n_u": 2, "N": 5, "seed": 4})
@@ -457,3 +463,81 @@ class TestBandedModuli:
         beta_short = np.linalg.svd(assemble_jacobian(short), compute_uv=False)[-1] ** 2
         assert L == pytest.approx(L_short, rel=1e-3)
         assert beta == pytest.approx(beta_short, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# condensed gamma against the dense reference
+
+
+class TestCondensedSosc:
+    @settings(max_examples=300, deadline=None)
+    @given(stage_blocks())
+    def test_matches_dense_reference(self, blocks):
+        gamma = condensed_sosc_modulus(blocks)
+        H, J = assemble_hessian(blocks), assemble_jacobian(blocks)
+        try:
+            ref = sosc_modulus(H, J)
+        except RegularityError:
+            # T has full rank, so only state growth can make the dense SVD
+            # call J rank deficient; the condensed basis still has a value
+            assert not math.isnan(gamma)
+            return
+        if math.isinf(ref):
+            assert gamma == math.inf
+            return
+        s = np.linalg.svd(J, compute_uv=False)
+        # the dense SVD's null-space error grows with kappa_2(J)
+        tol = 1e-10 * abs(ref) + H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 2) * s[0] / s[-1]
+        assert abs(gamma - ref) <= tol
+
+    def test_trivial_null_space_is_inf(self):
+        # T pins x_0 and there are no inputs: J is square and invertible
+        blocks = ti_blocks(0.5 * np.eye(2), np.zeros((2, 0)), N=5, T=np.eye(2))
+        assert condensed_sosc_modulus(blocks) == math.inf
+        assert sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks)) == math.inf
+
+    def test_no_initial_constraint(self):
+        blocks = ti_blocks([[1.1, 0.3], [0.0, 0.8]], [[0.0], [1.0]], Q=np.diag([1.0, -0.2]), N=7)
+        assert blocks.dims.n_0 == 0
+        ref = sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
+        assert condensed_sosc_modulus(blocks) == pytest.approx(ref, rel=1e-10)
+
+    def test_rank_deficient_T(self):
+        blocks = ti_blocks(0.5 * np.eye(2), [[1.0], [0.0]], N=4, T=[[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(RegularityError):
+            condensed_sosc_modulus(blocks)
+        with pytest.raises(RegularityError):
+            sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
+
+    def test_build_report_takes_no_dense_path(self, monkeypatch):
+        # the quadrotor contrast pair: gamma matches the dense reference, but
+        # build_report itself never calls it or assembles H
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_report took the dense gamma path")
+
+        for q in (1.0, 0.0):
+            bundle = build_model("quadrotor", {"dt": 0.5, "N": 8, "q": q, "b": q})
+            p, data = bundle.problem, bundle.base_data
+            base = solve_equality_nlp(p, data, w0=bundle.warm_start)
+            blocks = linearize(p, base.trajectory, data)
+            ref = sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
+            with monkeypatch.context() as m:
+                m.setattr(certify, "sosc_modulus", refuse)
+                m.setattr(certify, "assemble_hessian", refuse)
+                rep = build_report(p, base.trajectory, data, 3, 3)
+            assert rep.gamma == pytest.approx(ref, rel=1e-10)
+
+    def test_long_horizon_memory(self):
+        # the dense path peaked at 354 MB here (dense H, J and the SVD of J)
+        bundle = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": 400})
+        p, data = bundle.problem, bundle.base_data
+        base = solve_equality_nlp(p, data, w0=bundle.warm_start)
+        tracemalloc.start()
+        try:
+            rep = build_report(p, base.trajectory, data, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 177 * 2**20
+        # unit state and input costs: the reduced Hessian is 2 I
+        assert rep.gamma == pytest.approx(2.0, rel=1e-12)

@@ -27,6 +27,25 @@ def write_config(path, **overrides):
     return path
 
 
+def write_quad_pair_config(path):
+    """The benchmark's quadrotor contrast pair at a short horizon."""
+    return write_config(
+        path,
+        model="quadrotor",
+        params={"dt": 0.5, "N": 8},
+        cases=[
+            {"name": "case1", "params": {"q": 1.0, "b": 1.0}},
+            {"name": "case2", "params": {"q": 0.0, "b": 0.0}},
+        ],
+        stages=[4],
+        replicates=3,
+        magnitude=0.1,
+        seed=42,
+        window_ctrl=3,
+        window_obs=3,
+    )
+
+
 def read(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -111,23 +130,8 @@ class TestRun:
         assert read(out / "profiles.csv").decode().splitlines()[0] == SCHEMAS["profiles.csv"]
 
     def test_profile_iterations_in_manifest(self, tmp_path):
-        # the benchmark's quadrotor contrast pair at a short horizon
         out = tmp_path / "out"
-        cfg = write_config(
-            tmp_path / "cfg.json",
-            model="quadrotor",
-            params={"dt": 0.5, "N": 8},
-            cases=[
-                {"name": "case1", "params": {"q": 1.0, "b": 1.0}},
-                {"name": "case2", "params": {"q": 0.0, "b": 0.0}},
-            ],
-            stages=[4],
-            replicates=3,
-            magnitude=0.1,
-            seed=42,
-            window_ctrl=3,
-            window_obs=3,
-        )
+        cfg = write_quad_pair_config(tmp_path / "cfg.json")
         assert run(str(cfg), out_dir=str(out)) == 0
         cases = json.loads(read(out / "manifest.json"))["cases"]
         for name in ("case1", "case2"):
@@ -136,6 +140,26 @@ class TestRun:
             assert all(isinstance(e[2], int) and e[2] >= 1 for e in entries)
         lines = read(out / "profiles.csv").decode().splitlines()
         assert lines[0] == SCHEMAS["profiles.csv"] and len(lines) == 1 + 2 * 3 * 10
+
+    def test_manifest_timings_and_failed_flags(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_quad_pair_config(tmp_path / "cfg.json")
+        assert run(str(cfg), out_dir=str(out)) == 0
+        manifest = json.loads(read(out / "manifest.json"))
+        assert set(manifest["timings"]) == {"write_s"} and manifest["timings"]["write_s"] > 0
+        phases = {"build_s", "base_solve_s", "certify_s", "experiments_s", "fit_s"}
+        for name in ("case1", "case2"):
+            timings = manifest["cases"][name]["timings"]
+            assert set(timings) == phases and all(t > 0 for t in timings.values())
+        # q = b = 0 is neither controllable nor observable: each failed flag
+        # names the start of its worst window (N = 8, window 3: starts 0..4)
+        assert manifest["cases"]["case1"]["failed_flags"] == {}
+        failed = manifest["cases"]["case2"]["failed_flags"]
+        assert set(failed) == {"ctrl_uniform", "obs_uniform"}
+        for where in failed.values():
+            assert list(where) == ["window_start"] and where["window_start"] in range(5)
+        certificates = read(out / "certificates.csv").decode()
+        assert "window_start" not in certificates and "timings" not in certificates
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -197,6 +221,8 @@ class TestRun:
             {"window_ctrl": "x"},
             {"window_obs": [1]},
             {"solver": {"tol_kkt": float("nan")}},
+            {"magnitude": 0},
+            {"magnitude": -0.1},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "certify"])
