@@ -12,11 +12,14 @@ Every modulus is a measured eigenvalue or singular value at one point:
 - the second-order modulus gamma is the smallest eigenvalue of the reduced
   Hessian Z^T H Z.  A basis of null(J) is condensed through the dynamics
   (the free x_0 directions and the controls, run forward through
-  x_{k+1} = A_k x_k + B_k u_k), orthonormalized by one economic QR, and
-  the smallest eigenvalue of Z^T H Z is taken by one partial symmetric
-  eigensolve: O(N^3 n_u^2 (n_x + n_u)) time and O(N^2 n_u (n_x + n_u))
-  memory, with neither H nor J assembled.  The dense `sosc_modulus`, from
-  an SVD of J, is the reference the tests compare against.
+  x_{k+1} = A_k x_k + B_k u_k under a stabilizing feedback so that the
+  columns stay bounded when A is unstable), orthonormalized by one economic
+  QR, checked against J one stage block at a time, and the smallest
+  eigenvalue of Z^T H Z is taken by one symmetric eigensolve:
+  O(N^3 n_u^2 (n_x + n_u)) time and O(N^2 n_u (n_x + n_u)) memory, with
+  neither H nor J assembled.  The dense `sosc_modulus`, from an SVD of J,
+  is the reference the tests compare against and the fallback when the
+  check fails.
 
 Windowed controllability/observability Gramians supply the
 system-theoretic side; the point of the window scans is that their minima
@@ -33,12 +36,13 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigurationError, RegularityError
-from .kkt import StageBlocks, assemble_jacobian, assemble_mixed_hessian, linearize
-
-# No longer called here.  The benchmark under `perfbench/` still wraps
-# `assemble_hessian` and the dense `sosc_modulus` as attributes of this
-# module, and `tests/test_perfbench_hooks.py` checks that they resolve.
-from .kkt import assemble_hessian  # noqa: F401
+from .kkt import (
+    StageBlocks,
+    assemble_hessian,
+    assemble_jacobian,
+    assemble_mixed_hessian,
+    linearize,
+)
 from .problem import Array, DataTrajectory, DOProblem, PrimalDualTrajectory
 
 # Measured moduli at or below this are reported as certificate failures.
@@ -237,7 +241,8 @@ def licq_modulus(J) -> float:
 
 
 def sosc_modulus(H: Array, J: Array) -> float:
-    """Dense reference for `condensed_sosc_modulus`: the smallest eigenvalue
+    """Dense reference for `condensed_sosc_modulus`, and its fallback when
+    the condensed basis fails its residual check: the smallest eigenvalue
     of Z^T H Z for an orthonormal null-space basis Z of J (basis-independent)
     from a full SVD of J, O(n^3) for n primal variables.  Returns +inf when
     the null space is trivial (second-order condition vacuous); raises
@@ -261,23 +266,47 @@ def sosc_modulus(H: Array, J: Array) -> float:
     return smallest_eigenvalue(Z.T @ H @ Z)
 
 
-def condensed_sosc_modulus(blocks: StageBlocks) -> float:
-    """Smallest eigenvalue of the reduced Hessian Z^T H Z, with the null
-    space of J condensed through the dynamics instead of taken from an SVD.
+def _stabilizing_gains(blocks: StageBlocks) -> list:
+    """Gains K_0, ..., K_{N-1} of the finite-horizon LQR with unit state and
+    input weights: P_N = I, K_k = -(I + B_k^T P_{k+1} B_k)^{-1} B_k^T
+    P_{k+1} A_k and P_k = I + K_k^T K_k + (A_k + B_k K_k)^T P_{k+1}
+    (A_k + B_k K_k).  They depend on A and B only, and for a stabilizable
+    pair the closed loop A_k + B_k K_k is exponentially stable over all but
+    the last few stages."""
+    dims = blocks.dims
+    n_x, n_u = dims.n_x, dims.n_u
+    gains = [np.zeros((n_u, n_x))] * dims.N
+    if n_u == 0:
+        return gains
+    P = np.eye(n_x)
+    for k in range(dims.N - 1, -1, -1):
+        A, B = blocks.A[k], blocks.B[k]
+        BtP = B.T @ P
+        K = -np.linalg.solve(np.eye(n_u) + BtP @ B, BtP @ A)
+        closed = A + B @ K
+        P = np.eye(n_x) + K.T @ K + closed.T @ P @ closed
+        gains[k] = K
+    return gains
 
-    J w = 0 leaves free x_0 in null(T) and u_0, ..., u_{N-1}.  Running an
-    orthonormal basis of null(T) and unit controls forward through
-    x_{k+1} = A_k x_k + B_k u_k gives a basis Y of null(J) with
-    (n_x - n_0) + N n_u columns; its rows hold those free coordinates
-    orthonormally, so sigma_min(Y) >= 1.  One economic QR of Y gives an
-    orthonormal basis Z, H Z is applied one stage block at a time, and a
-    partial symmetric eigensolve of Z^T H Z returns gamma.
 
-    Same contract as the dense `sosc_modulus`: +inf when the null space is
-    trivial; RegularityError when J is rank deficient.  Every dynamics row
+def condensed_null_basis(blocks: StageBlocks) -> Array:
+    """Orthonormal basis Z of null(J), condensed through the dynamics.
+
+    J w = 0 leaves free x_0 in null(T) and u_0, ..., u_{N-1}.  The controls
+    are parametrized as u_k = K_k x_k + v_k with the stabilizing gains of
+    `_stabilizing_gains`, and an orthonormal basis of null(T) together with
+    unit v_k is run forward through x_{k+1} = A_k x_k + B_k u_k.  This gives
+    a basis Y of null(J) with (n_x - n_0) + N n_u columns, from which x_0's
+    free coordinates and v are read back with norm at most 1 + max_k
+    ||K_k||, so sigma_min(Y) >= 1 / (1 + max_k ||K_k||).  Without the
+    feedback, an unstable A makes the columns grow like ||A||^N and the
+    QR below loses their O(1) entries to rounding.  One economic QR of Y
+    gives Z.
+
+    Raises RegularityError when J is rank deficient.  Every dynamics row
     block of J has an identity on x_{k+1}, so that happens exactly when T is
-    rank deficient, judged by the dense path's max(shape) eps sigma_max
-    rank rule on T's singular values."""
+    rank deficient, judged by the dense path's max(shape) eps sigma_max rank
+    rule on T's singular values."""
     dims = blocks.dims
     N, n_x, n_u, n_z = dims.N, dims.n_x, dims.n_u, dims.n_z
     if dims.n_0 > 0:
@@ -289,21 +318,65 @@ def condensed_sosc_modulus(blocks: StageBlocks) -> float:
     else:
         Z0 = np.eye(n_x)
     cols = Z0.shape[1]
-    if cols + N * n_u == 0:
-        return math.inf
-    # stacked primal rows [x_0; u_0; x_1; ...; x_N]; x_k depends only on the
-    # first `cols` columns: x_0's free directions and u_0, ..., u_{k-1}
+    # stacked primal rows [x_0; u_0; x_1; ...; x_N]; x_k and u_k depend only
+    # on x_0's free directions and v_0, ..., v_k
     Y = np.zeros((dims.n_primal, cols + N * n_u), order="F")
     Y[:n_x, :cols] = Z0
-    for k in range(N):
-        r = k * n_z
-        Y[r + n_x : r + n_z, cols : cols + n_u] = np.eye(n_u)
-        Y[r + n_z : r + n_z + n_x, :cols] = blocks.A[k] @ Y[r : r + n_x, :cols]
-        Y[r + n_z : r + n_z + n_x, cols : cols + n_u] = blocks.B[k]
-        cols += n_u
+    # an unstable mode that no input reaches can overflow the Riccati
+    # recursion or the basis; Z is then non-finite and fails the residual
+    # check of `condensed_sosc_modulus`
+    with np.errstate(over="ignore", invalid="ignore"):
+        gains = _stabilizing_gains(blocks)
+        for k in range(N):
+            x = slice(k * n_z, k * n_z + n_x)
+            u = slice(k * n_z + n_x, (k + 1) * n_z)
+            Y[u, :cols] = gains[k] @ Y[x, :cols]
+            Y[u, cols : cols + n_u] = np.eye(n_u)
+            cols += n_u
+            Y[u.stop : u.stop + n_x, :cols] = blocks.A[k] @ Y[x, :cols] + blocks.B[k] @ Y[u, :cols]
+    if cols == 0:
+        return Y
     # Householder QR in Y's own storage; only the orthonormal factor is kept
-    Z = scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
-    del Y
+    return scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
+
+
+def null_space_residual(blocks: StageBlocks, Z: Array) -> float:
+    """Backward error of Z as a basis of null(J): ||J Z||_F over the
+    largest Frobenius norm of a row block of J ([T] or [-A_k, -B_k, I]),
+    computed one stage block at a time without forming J.  An orthonormal Z
+    with J Z = E spans the null space of J - E Z^T exactly."""
+    dims = blocks.dims
+    n_x, n_z = dims.n_x, dims.n_z
+    sq = float(np.sum((blocks.T @ Z[:n_x]) ** 2))
+    scale = float(np.linalg.norm(blocks.T))
+    for k in range(dims.N):
+        r = k * n_z
+        E = Z[r + n_z : r + n_z + n_x] - blocks.A[k] @ Z[r : r + n_x]
+        E -= blocks.B[k] @ Z[r + n_x : r + n_z]
+        sq += float(np.sum(E**2))
+        block_sq = np.linalg.norm(blocks.A[k]) ** 2 + np.linalg.norm(blocks.B[k]) ** 2 + n_x
+        scale = max(scale, math.sqrt(block_sq))
+    return math.sqrt(sq) / scale if scale > 0 else 0.0
+
+
+def condensed_sosc_modulus(blocks: StageBlocks) -> float:
+    """Smallest eigenvalue of the reduced Hessian Z^T H Z for the condensed
+    basis Z of `condensed_null_basis`, with H Z applied one stage block at a
+    time and neither H nor J assembled.
+
+    Same contract as the dense `sosc_modulus`: +inf when the null space is
+    trivial; RegularityError when J is rank deficient.  Z is accepted when
+    its `null_space_residual` is at most the dense path's max(shape) eps
+    rank tolerance, i.e. when it is as backward stable as the SVD's basis.
+    A sequence the feedback cannot stabilize can fail that test; gamma then
+    comes from the dense `sosc_modulus`."""
+    dims = blocks.dims
+    N, n_x, n_z = dims.N, dims.n_x, dims.n_z
+    Z = condensed_null_basis(blocks)
+    if Z.shape[1] == 0:
+        return math.inf
+    if not null_space_residual(blocks, Z) <= dims.n_primal * np.finfo(float).eps:
+        return sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
     HZ = np.empty_like(Z)
     for k in range(N):
         xs, us = slice(k * n_z, k * n_z + n_x), slice(k * n_z + n_x, (k + 1) * n_z)
@@ -311,13 +384,8 @@ def condensed_sosc_modulus(blocks: StageBlocks) -> float:
         HZ[us] = blocks.S[k].T @ Z[xs] + blocks.R[k] @ Z[us]
     HZ[N * n_z :] = blocks.Q[N] @ Z[N * n_z :]
     reduced = Z.T @ HZ
-    del Z, HZ
-    # eigh reads one triangle of the (rounding-level asymmetric) product
-    return float(
-        scipy.linalg.eigh(
-            reduced, eigvals_only=True, subset_by_index=[0, 0], overwrite_a=True, check_finite=False
-        )[0]
-    )
+    del Z, HZ  # O(N^2); only the reduced Hessian is needed now
+    return smallest_eigenvalue(reduced)
 
 
 def mixed_hessian_norm(blocks: StageBlocks) -> float:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edslab import (
+    PrimalDualTrajectory,
     RegularityError,
     StageBlocks,
     assemble_hessian,
@@ -38,8 +39,17 @@ from edslab.certify import (
     smallest_eigenvalue,
 )
 from edslab.errors import ConfigurationError
-from edslab.kkt import _w_offsets, _xi_offsets
+from edslab.kkt import _factor_and_solve, _w_offsets, _xi_offsets
 from conftest import data_coupled_jac_problem, random_point, stage_blocks
+
+
+def lq_blocks(stability, N):
+    """Stage blocks of `lq_chain` (n_x = 6, n_u = 3) with input weights
+    spread over two decades, so that H is not a multiple of I."""
+    R = np.diag([0.1, 1.0, 10.0]).tolist()
+    bundle = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": N, "stability": stability, "R": R})
+    p = bundle.problem
+    return linearize(p, PrimalDualTrajectory.zeros(p.dims), bundle.base_data)
 
 
 def ti_blocks(A, B, Q=None, R=None, N=6, T=None):
@@ -359,6 +369,28 @@ class TestReport:
         assert float(rows["beta"]) == pytest.approx(rep.beta)
         assert rows["flag_ctrl_uniform"] == "true"
 
+    def test_failures_name_the_worst_stage(self, monkeypatch):
+        # a controllable, observable double integrator whose blocks break
+        # r_positive at stages 1 and 4, q_psd at 2 and 5, s_zero at 1 and 3;
+        # each failure names the stage of the worst value
+        from edslab.models import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B
+
+        b = build_model("double_integrator", {"N": 6})
+        blocks = StageBlocks.time_invariant(
+            DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, np.eye(2), np.eye(1), 6, T=np.eye(2)
+        )
+        blocks.R[1], blocks.R[4] = np.array([[-0.1]]), np.array([[-0.3]])
+        blocks.Q[2], blocks.Q[5] = np.diag([1.0, -0.5]), np.diag([-0.01, 1.0])
+        blocks.S[1], blocks.S[3] = np.array([[0.01], [0.0]]), np.array([[0.0], [-0.2]])
+        monkeypatch.setattr(certify, "linearize", lambda *args, **kwargs: blocks)
+        traj = PrimalDualTrajectory.zeros(b.problem.dims)
+        rep = build_report(b.problem, traj, b.base_data, window_ctrl=1, window_obs=1)
+        assert rep.failures == {
+            "r_positive": {"stage": 4},
+            "q_psd": {"stage": 2},
+            "s_zero": {"stage": 3},
+        }
+
     def test_failure_is_report_entry_not_exception(self):
         # no input at all: controllability fails, everything else still fills in
         b = build_model("lq_chain", {"n_x": 2, "n_u": 0, "N": 5, "seed": 0})
@@ -475,19 +507,35 @@ class TestCondensedSosc:
     def test_matches_dense_reference(self, blocks):
         gamma = condensed_sosc_modulus(blocks)
         H, J = assemble_hessian(blocks), assemble_jacobian(blocks)
+        n = H.shape[0]
+        Z = certify.condensed_null_basis(blocks)
+        # orthonormal, with one column per degree of freedom
+        assert Z.shape == (n, n - J.shape[0])
+        assert np.allclose(Z.T @ Z, np.eye(Z.shape[1]), rtol=0, atol=n * 1e-15)
+        # the residual check reads the same as the dense product J W on an
+        # orthonormal W that is not a null-space basis
+        W = np.linalg.qr(np.random.default_rng(n).standard_normal((n, max(Z.shape[1], 1))))[0]
+        I = np.eye(blocks.dims.n_x)
+        scale = np.linalg.norm(blocks.T)
+        for A, B in zip(blocks.A, blocks.B):
+            scale = max(scale, np.linalg.norm(np.hstack([A, B, I])))
+        residual = np.linalg.norm(J @ W) / scale
+        assert certify.null_space_residual(blocks, W) == pytest.approx(residual, rel=1e-10)
         try:
             ref = sosc_modulus(H, J)
         except RegularityError:
             # T has full rank, so only state growth can make the dense SVD
-            # call J rank deficient; the condensed basis still has a value
-            assert not math.isnan(gamma)
+            # call J rank deficient; then gamma must come from a condensed
+            # basis as backward stable as the dense rank rule
+            assert np.linalg.norm(J @ Z) <= n * np.finfo(float).eps * np.linalg.norm(J, 2)
+            assert gamma == pytest.approx(smallest_eigenvalue(Z.T @ H @ Z), rel=1e-10)
             return
         if math.isinf(ref):
             assert gamma == math.inf
             return
         s = np.linalg.svd(J, compute_uv=False)
         # the dense SVD's null-space error grows with kappa_2(J)
-        tol = 1e-10 * abs(ref) + H.shape[0] * np.finfo(float).eps * np.linalg.norm(H, 2) * s[0] / s[-1]
+        tol = 1e-10 * abs(ref) + n * np.finfo(float).eps * np.linalg.norm(H, 2) * s[0] / s[-1]
         assert abs(gamma - ref) <= tol
 
     def test_trivial_null_space_is_inf(self):
@@ -541,3 +589,61 @@ class TestCondensedSosc:
         assert peak < 177 * 2**20
         # unit state and input costs: the reduced Hessian is 2 I
         assert rep.gamma == pytest.approx(2.0, rel=1e-12)
+
+    def test_unstable_chain_matches_dense(self, monkeypatch):
+        # spectral radius 1.3 and 2: without feedback the basis columns grow
+        # like ||A||^N and the QR loses the controls' unit entries (gamma
+        # came out 1.4433974 against 1.4433986 at N = 120, 0.886 against
+        # 1.163 at radius 2 and N = 60)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the condensed basis failed its residual check")
+
+        for stability, N in ((1.3, 120), (2.0, 60)):
+            blocks = lq_blocks(stability, N)
+            ref = sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
+            with monkeypatch.context() as m:
+                m.setattr(certify, "sosc_modulus", refuse)
+                assert condensed_sosc_modulus(blocks) == pytest.approx(ref, rel=1e-10)
+
+    def test_long_unstable_horizon_against_inertia(self):
+        # too long for the dense reference: bracket gamma by the inertia of
+        # the stage-block KKT factor of (H - sigma I, J), which has n_primal
+        # positive and n_dual negative eigenvalues exactly when gamma > sigma
+        blocks = lq_blocks(1.3, 400)
+        gamma = condensed_sosc_modulus(blocks)
+        dims = blocks.dims
+        rhs = np.ones(dims.n_primal + dims.n_dual)
+
+        def inertia_ok(sigma):
+            return _factor_and_solve(blocks, rhs, dims.n_primal, dims.n_dual, reg=-sigma) is not None
+
+        assert inertia_ok(gamma * (1 - 1e-7))
+        assert not inertia_ok(gamma * (1 + 1e-7))
+
+    @pytest.mark.filterwarnings("error")
+    def test_fallback_to_dense_reference(self, monkeypatch):
+        # unstable modes that no control reaches, so the feedback cannot
+        # hold the x_0 columns.  In the first case the coupling turns both
+        # towards the faster mode and the basis fails its residual check
+        # (3.3 times the bound).  In the second the Riccati recursion
+        # overflows along the mode at 10 (100^k passes 1e308 at k = 155)
+        # and the basis is not finite.  gamma comes from the dense
+        # reference both times, with no floating-point warning.
+        cases = [
+            ti_blocks([[3.0, 1.0], [0.0, 2.5]], [[0.0], [0.0]], Q=np.diag([1.0, 0.5]), N=30),
+            ti_blocks(np.diag([10.0, 10.0]), [[1.0], [0.0]], N=160),
+        ]
+        for blocks in cases:
+            Z = certify.condensed_null_basis(blocks)
+            assert not certify.null_space_residual(blocks, Z) <= blocks.dims.n_primal * np.finfo(float).eps
+            calls = []
+
+            def dense(H, J):
+                calls.append(H.shape)
+                return sosc_modulus(H, J)
+
+            with monkeypatch.context() as m:
+                m.setattr(certify, "sosc_modulus", dense)
+                gamma = condensed_sosc_modulus(blocks)
+            assert calls == [(blocks.dims.n_primal,) * 2]
+            assert gamma == sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
