@@ -42,6 +42,7 @@ from .kkt import (
     assemble_jacobian,
     assemble_mixed_hessian,
     linearize,
+    sparse_jacobian,
 )
 from .problem import Array, DataTrajectory, DOProblem, PrimalDualTrajectory
 
@@ -62,7 +63,7 @@ def smallest_eigenvalue(M: Array) -> float:
 
 def state_transition(A_seq, a: int, b: int) -> Array:
     """Product A_b A_{b-1} ... A_a for a <= b; identity when a > b."""
-    n = A_seq[0].shape[0] if A_seq else 0
+    n = A_seq[0].shape[0] if len(A_seq) else 0
     P = np.eye(n)
     for k in range(a, b + 1):
         P = A_seq[k] @ P
@@ -272,19 +273,26 @@ def _stabilizing_gains(blocks: StageBlocks) -> list:
     P_{k+1} A_k and P_k = I + K_k^T K_k + (A_k + B_k K_k)^T P_{k+1}
     (A_k + B_k K_k).  They depend on A and B only, and for a stabilizable
     pair the closed loop A_k + B_k K_k is exponentially stable over all but
-    the last few stages."""
+    the last few stages.
+
+    An unstable mode that no input reaches grows P without bound; once P is
+    no longer finite, the earlier stages reuse the last finite gain."""
     dims = blocks.dims
     n_x, n_u = dims.n_x, dims.n_u
-    gains = [np.zeros((n_u, n_x))] * dims.N
+    K = np.zeros((n_u, n_x))
+    gains = [K] * dims.N
     if n_u == 0:
         return gains
     P = np.eye(n_x)
     for k in range(dims.N - 1, -1, -1):
-        A, B = blocks.A[k], blocks.B[k]
-        BtP = B.T @ P
-        K = -np.linalg.solve(np.eye(n_u) + BtP @ B, BtP @ A)
-        closed = A + B @ K
-        P = np.eye(n_x) + K.T @ K + closed.T @ P @ closed
+        if np.isfinite(P).all():
+            A, B = blocks.A[k], blocks.B[k]
+            BtP = B.T @ P
+            K_k = -np.linalg.solve(np.eye(n_u) + BtP @ B, BtP @ A)
+            closed = A + B @ K_k
+            P = np.eye(n_x) + K_k.T @ K_k + closed.T @ P @ closed
+            if np.isfinite(K_k).all():
+                K = K_k
         gains[k] = K
     return gains
 
@@ -517,9 +525,7 @@ def build_report(
 ) -> CertificateReport:
     """Populate every certificate at a converged primal-dual point."""
     blocks = linearize(p, traj, data)
-    J = assemble_jacobian(blocks)
-    beta = licq_modulus(J)
-    del J  # O(N^2); gamma and the rest work on the stage blocks
+    beta = licq_modulus(sparse_jacobian(blocks))
     try:
         gamma = condensed_sosc_modulus(blocks)
     except RegularityError:

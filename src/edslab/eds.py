@@ -104,13 +104,12 @@ def stage_deviations(
     if a.dims != b.dims:
         raise ConfigurationError("trajectories have mismatched dimensions")
     dims = a.dims
-    diff = PrimalDualTrajectory.from_vector(dims, a.vector - b.vector)
-    out = np.zeros(dims.N + 2)
-    for i in range(-1, dims.N + 1):
-        w_i = diff.w(i)
-        if primal_only:
-            w_i = w_i[: dims.n_z] if i >= 0 else w_i[:0]
-        out[i + 1] = float(np.linalg.norm(w_i))
+    diff = a.vector - b.vector
+    W = dims.w_rows(diff)
+    out = np.empty(dims.N + 2)
+    out[0] = 0.0 if primal_only else np.linalg.norm(diff[: dims.n_0])
+    out[1:-1] = np.linalg.norm(W[:, : dims.n_z] if primal_only else W, axis=1)
+    out[-1] = np.linalg.norm(diff[dims.w_offsets[-2] :])  # w(N) = x_N
     return out
 
 

@@ -2,21 +2,32 @@
 
 The KKT residual, the Newton step and the rows of the mixed Hessian use the
 stage-ordered primal-dual vector of `problem.PrimalDualTrajectory`,
-[lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1}; x_N].  The dense J, assembled
-for the constraint-qualification modulus, and the dense H, kept as a test
-reference, use the stacked orderings: primal variables
-[x_0; u_0; x_1; u_1; ...; x_N], multipliers [lam_{-1}; lam_0; ...;
-lam_{N-1}].  The constraint Jacobian is block bidiagonal with a leading T
-row block; stage row block i is [-A_i, -B_i, I].  The primal Hessian is
-block diagonal in (Q_i, R_i) with S_i coupling x_i to u_i inside each
-stage.
+[lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1}; x_N].  The dense J and H, kept
+as test references and the dense gamma fallback, and the sparse J of the
+constraint-qualification modulus use the stacked orderings: primal
+variables [x_0; u_0; x_1; u_1; ...; x_N], multipliers [lam_{-1}; lam_0;
+...; lam_{N-1}].  The constraint Jacobian is block bidiagonal with a
+leading T row block; stage row block i is [-A_i, -B_i, I].  The primal
+Hessian is block diagonal in (Q_i, R_i) with S_i coupling x_i to u_i inside
+each stage.
+
+The residual and the linearization evaluate every stage at once.  The
+blocks w(0), ..., w(N-1) of the stage-ordered vector form one contiguous
+(N, 2 n_x + n_u) array, whose columns give the stacked X, U and Lam
+without a copy.  One sourcing helper, `_stage_terms`, returns each oracle's
+terms with a leading stage axis: from the problem's stage-batched oracles
+when it registers them and the stage data share one size, otherwise from a
+loop over the per-stage oracles (or finite differences) whose results are
+stacked.  Both then assemble from those arrays in a few array operations,
+and `StageBlocks` keeps Q, R, S, A and B stacked.
 
 The Newton step never forms the KKT matrix.  Cut into the blocks
 [lam_{k-1}; x_k; u_k] of the stage-ordered vector, the matrix is block
 tridiagonal, so a block LDL^T (one small Bunch-Kaufman factor per stage)
 solves it and, by Haynsworth additivity, reads its inertia in
 O(N (2 n_x + n_u)^3) time and O(N (2 n_x + n_u)^2) memory per Newton
-iteration.
+iteration.  Every block but its Schur corner is assembled before the
+elimination, in one stacked array.
 
 The KKT residual returned here is exactly the gradient of
 `problem.evaluate_lagrangian` in the entries of the trajectory's vector
@@ -26,7 +37,9 @@ reproduces it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -40,18 +53,19 @@ from .problem import (
     Dimensions,
     DOProblem,
     PrimalDualTrajectory,
+    _as_vector,
     check_dimensions,
-    stage_constraint,
 )
 
 
 def _sym(M: Array) -> Array:
-    return 0.5 * (M + M.T)
+    """Symmetric part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (M + np.swapaxes(M, -1, -2))
 
 
 @dataclass
 class StageBlocks:
-    """Per-stage derivative blocks evaluated at one primal-dual point.
+    """Derivative blocks of every stage, evaluated at one primal-dual point.
 
     Q[i] (i in [0, N]), R[i] and S[i] (i in [0, N-1]) are second derivatives
     of the stage Lagrangians in the primal variables, so they carry the
@@ -59,18 +73,39 @@ class StageBlocks:
     A[i], B[i], G[i] are dynamics Jacobians in x, u, d.  E[i] (i in [0, N],
     terminal included) and F[i] (i in [0, N-1]) couple primals to stage
     data.  T is the initial-state map.
+
+    Q, R, S, A and B are stacked arrays with a leading stage axis, of
+    shapes (N + 1, n_x, n_x), (N, n_u, n_u), (N, n_x, n_u), (N, n_x, n_x)
+    and (N, n_x, n_u); the constructor stacks lists of per-stage blocks
+    into copies.  E, F and G stay per-stage lists, because the data size
+    may differ by stage.
     """
 
     dims: Dimensions
     T: Array
-    Q: list = field(default_factory=list)
-    R: list = field(default_factory=list)
-    S: list = field(default_factory=list)
-    E: list = field(default_factory=list)
-    F: list = field(default_factory=list)
-    A: list = field(default_factory=list)
-    B: list = field(default_factory=list)
-    G: list = field(default_factory=list)
+    Q: Array
+    R: Array
+    S: Array
+    E: list
+    F: list
+    A: Array
+    B: Array
+    G: list
+
+    def __post_init__(self):
+        N, n_x, n_u = self.dims.N, self.dims.n_x, self.dims.n_u
+        for name, shape in (
+            ("Q", (N + 1, n_x, n_x)),
+            ("R", (N, n_u, n_u)),
+            ("S", (N, n_x, n_u)),
+            ("A", (N, n_x, n_x)),
+            ("B", (N, n_x, n_u)),
+        ):
+            M = np.array(getattr(self, name), dtype=float)
+            if M.shape != shape:
+                raise ConfigurationError(f"StageBlocks.{name}: expected shape {shape}, got {M.shape}")
+            setattr(self, name, M)
+        self.E, self.F, self.G = list(self.E), list(self.F), list(self.G)
 
     @classmethod
     def time_invariant(
@@ -110,13 +145,13 @@ class StageBlocks:
         return cls(
             dims=dims,
             T=T,
-            Q=[Q.copy() for _ in range(N)] + [Qf.copy()],
-            R=[R.copy() for _ in range(N)],
-            S=[S.copy() for _ in range(N)],
+            Q=np.concatenate([np.broadcast_to(Q, (N, n_x, n_x)), Qf[None]]),
+            R=np.broadcast_to(R, (N, n_u, n_u)),
+            S=np.broadcast_to(S, (N, n_x, n_u)),
             E=[E.copy() for _ in range(N)] + [np.zeros((n_x, n_d))],
             F=[F.copy() for _ in range(N)],
-            A=[A.copy() for _ in range(N)],
-            B=[B.copy() for _ in range(N)],
+            A=np.broadcast_to(A, (N, n_x, n_x)),
+            B=np.broadcast_to(B, (N, n_x, n_u)),
             G=[G.copy() for _ in range(N)],
         )
 
@@ -147,12 +182,80 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# derivative sourcing: analytic oracles when registered, finite differences
-# otherwise
+# derivative sourcing: stage-batched oracles when registered, else per-stage
+# analytic oracles, else finite differences
+
+
+class _Stages(NamedTuple):
+    """Stages 0..N-1 of one (traj, data) point: x_i, u_i and lam_i as the
+    rows of X, U and Lam (views of the trajectory's vector), the data, and
+    D, the data rows stacked, or None when their size differs by stage."""
+
+    X: Array
+    U: Array
+    Lam: Array
+    data: DataTrajectory
+    D: Array | None
+
+
+def _stage_rows(dims: Dimensions, v: Array):
+    """X, U, Lam: views of the x, u and lam columns of `dims.w_rows(v)`."""
+    W = dims.w_rows(v)
+    return W[:, : dims.n_x], W[:, dims.n_x : dims.n_z], W[:, dims.n_z :]
+
+
+def _stages(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> _Stages:
+    D = data.stage_rows() if p.dims.stage_nd is not None else None
+    return _Stages(*_stage_rows(p.dims, traj.vector), data, D)
+
+
+def _stage_terms(p: DOProblem, st: _Stages, per_stage, batched, shapes, with_lam: bool = False):
+    """The terms of stages 0..N-1, each with a leading stage axis.
+
+    A registered stage-batched oracle, `batched(X, U, D[, Lam])`, gives
+    them in one call when every stage's data has one size; otherwise
+    `per_stage(p, i, x_i, u_i, d_i[, lam_i])` (an analytic oracle or finite
+    differences) runs at each stage and its results are stacked.  `shapes`
+    gives each term's per-stage shape, with "d" for the data size; such a
+    term stays a per-stage list when the data size differs by stage.  A
+    single term is returned in a one-element list."""
+    N, nd = p.dims.N, p.dims.stage_nd
+    rest = (st.Lam,) if with_lam else ()
+    if batched is not None and st.D is not None:
+        out = batched(st.X, st.U, st.D, *rest)
+    else:
+        out = [
+            per_stage(p, i, st.X[i], st.U[i], st.data[i], *(r[i] for r in rest)) for i in range(N)
+        ]
+        if len(shapes) > 1:
+            out = zip(*out)
+    terms = []
+    for t, shape in zip([out] if len(shapes) == 1 else out, shapes, strict=True):
+        if nd is None and "d" in shape:
+            terms.append(list(t))
+        else:
+            terms.append(np.asarray(t, dtype=float).reshape(N, *(nd if k == "d" else k for k in shape)))
+    return terms
+
+
+def _stage_jacobians(p: DOProblem, st: _Stages):
+    """A, B, G of stages 0..N-1; see `_stage_terms`."""
+    n_x, n_u = p.dims.n_x, p.dims.n_u
+    shapes = ((n_x, n_x), (n_x, n_u), (n_x, "d"))
+    return _stage_terms(p, st, _dynamics_jacobians, p.oracles.dynamics_jac_batch, shapes)
+
+
+def _add(a, b):
+    """a + b for stacked terms, or stage by stage for per-stage lists."""
+    return a + b if isinstance(a, np.ndarray) else [x + y for x, y in zip(a, b, strict=True)]
 
 
 def _split_point(dims: Dimensions, nd_i: int, t: Array):
     return t[: dims.n_x], t[dims.n_x : dims.n_z], t[dims.n_z :]
+
+
+def _dynamics(p: DOProblem, i: int, x, u, d_i):
+    return _as_vector(p.oracles.dynamics(i, x, u, d_i), p.dims.n_x, f"f[{i}]")
 
 
 def _dynamics_jacobians(p: DOProblem, i: int, x, u, d_i):
@@ -315,25 +418,31 @@ def linearize(
     (traj, data); they are used instead of evaluating the dynamics Jacobian
     again."""
     check_dimensions(p, traj, data)
-    dims = p.dims
-    blocks = StageBlocks(dims=dims, T=p.T.copy())
-    for i in range(dims.N):
-        x, u, d_i, lam_i = traj.x(i), traj.u(i), data[i], traj.lam(i)
-        A, B, G = _dynamics_jacobians(p, i, x, u, d_i) if jacobians is None else jacobians[i]
-        Qc, Sc, Rc, Ec, Fc = _stage_cost_hessians(p, i, x, u, d_i)
-        Hxx, Hxu, Huu, Hxd, Hud = _dynamics_curvature(p, i, x, u, d_i, lam_i)
-        blocks.A.append(A)
-        blocks.B.append(B)
-        blocks.G.append(G)
-        blocks.Q.append(_sym(Qc + Hxx))
-        blocks.S.append(Sc + Hxu)
-        blocks.R.append(_sym(Rc + Huu))
-        blocks.E.append(Ec + Hxd)
-        blocks.F.append(Fc + Hud)
+    dims, orc = p.dims, p.oracles
+    n_x, n_u = dims.n_x, dims.n_u
+    st = _stages(p, traj, data)
+    shapes = ((n_x, n_x), (n_x, n_u), (n_u, n_u), (n_x, "d"), (n_u, "d"))
+    if jacobians is None:
+        A, B, G = _stage_jacobians(p, st)
+    else:
+        A, B, G = zip(*jacobians)
+    Qc, Sc, Rc, Ec, Fc = _stage_terms(p, st, _stage_cost_hessians, orc.stage_cost_hess_batch, shapes)
+    Hxx, Hxu, Huu, Hxd, Hud = _stage_terms(
+        p, st, _dynamics_curvature, orc.dynamics_hess_vec_batch, shapes, with_lam=True
+    )
     QN, EN = _terminal_cost_hessians(p, traj.x(dims.N), data[dims.N])
-    blocks.Q.append(_sym(QN))
-    blocks.E.append(EN)
-    return blocks
+    return StageBlocks(
+        dims=dims,
+        T=p.T.copy(),
+        Q=np.concatenate([_sym(Qc + Hxx), _sym(QN)[None]]),
+        R=_sym(Rc + Huu),
+        S=Sc + Hxu,
+        E=[*_add(Ec, Hxd), EN],
+        F=_add(Fc, Hud),
+        A=A,
+        B=B,
+        G=G,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +471,32 @@ def assemble_jacobian(blocks: StageBlocks) -> Array:
         if dims.n_u > 0:
             J[r : r + dims.n_x, u_off[i] : u_off[i] + dims.n_u] = -blocks.B[i]
         J[r : r + dims.n_x, x_off[i + 1] : x_off[i + 1] + dims.n_x] = np.eye(dims.n_x)
+    return J
+
+
+def sparse_jacobian(blocks: StageBlocks) -> scipy.sparse.csr_array:
+    """The constraint Jacobian of `assemble_jacobian` as a sparse CSR
+    matrix with only its nonzero entries stored, built from the stacked
+    blocks in O(N n_x (n_x + n_u)) memory."""
+    dims = blocks.dims
+    N, n_x, n_u, n_z, n_0 = dims.N, dims.n_x, dims.n_u, dims.n_z, dims.n_0
+    k = np.arange(N)[:, None, None]
+    row = n_0 + k * n_x + np.arange(n_x)[:, None]  # (N, n_x, 1)
+    jx, ju = np.arange(n_x), np.arange(n_u)
+    parts = (
+        # row block i: [-A_i, -B_i, I] on columns x_i, u_i, x_{i+1}
+        (np.arange(n_0)[:, None], jx, blocks.T),
+        (row, k * n_z + jx, -blocks.A),
+        (row, k * n_z + n_x + ju, -blocks.B),
+        (row[:, :, 0], (k[:, :, 0] + 1) * n_z + jx, np.ones((N, n_x))),
+    )
+    rows, cols, vals = zip(*(np.broadcast_arrays(r, c, v) for r, c, v in parts))
+    J = scipy.sparse.coo_array(
+        (np.concatenate([v.ravel() for v in vals]),
+         (np.concatenate([r.ravel() for r in rows]), np.concatenate([c.ravel() for c in cols]))),
+        shape=(dims.n_dual, dims.n_primal),
+    ).tocsr()
+    J.eliminate_zeros()
     return J
 
 
@@ -471,23 +606,25 @@ def kkt_residual(
     (A, B, G) are appended to `jacobians` when it is given, for `linearize`
     at the same point."""
     check_dimensions(p, traj, data)
-    dims = p.dims
-    r = PrimalDualTrajectory.zeros(dims)
-    r.lam(-1)[:] = -stage_constraint(p, traj, data, -1)
-    lam_prev = p.T.T @ traj.lam(-1)
-    for i in range(dims.N):
-        x, u, d_i, lam_i = traj.x(i), traj.u(i), data[i], traj.lam(i)
-        A, B, G = _dynamics_jacobians(p, i, x, u, d_i)
-        if jacobians is not None:
-            jacobians.append((A, B, G))
-        gx, gu = _stage_cost_gradients(p, i, x, u, d_i)
-        r.x(i)[:] = gx + A.T @ lam_i - lam_prev
-        r.u(i)[:] = gu + B.T @ lam_i
-        r.lam(i)[:] = -stage_constraint(p, traj, data, i)
-        lam_prev = lam_i
-    gN = _terminal_cost_gradient(p, traj.x(dims.N), data[dims.N])
-    r.x(dims.N)[:] = gN - lam_prev
-    return r.vector
+    dims, orc = p.dims, p.oracles
+    n_x, n_u, N = dims.n_x, dims.n_u, dims.N
+    st = _stages(p, traj, data)
+    (f,) = _stage_terms(p, st, _dynamics, orc.dynamics_batch, ((n_x,),))
+    A, B, G = _stage_jacobians(p, st)
+    gx, gu = _stage_terms(p, st, _stage_cost_gradients, orc.stage_cost_grad_batch, ((n_x,), (n_u,)))
+    if jacobians is not None:
+        jacobians.extend(zip(A, B, G))
+    v = traj.vector
+    x_N, lam_init = v[dims.w_offsets[-2] :], v[: dims.n_0]
+    r = np.empty(dims.n_w)
+    r_x, r_u, r_lam = _stage_rows(dims, r)
+    r[: dims.n_0] = data[-1] - p.T @ st.X[0]
+    # lam_{i-1} enters x_i's row; T^T lam_{-1} in place of it at stage 0
+    r_x[:] = gx + (st.Lam[:, None, :] @ A)[:, 0] - np.vstack([p.T.T @ lam_init, st.Lam[:-1]])
+    r_u[:] = gu + (st.Lam[:, None, :] @ B)[:, 0]
+    r_lam[:] = f - np.vstack([st.X[1:], x_N])
+    r[dims.w_offsets[-2] :] = _terminal_cost_gradient(p, x_N, data[N]) - st.Lam[-1]
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +636,18 @@ _sytrf, _sytrf_lwork, _sytrs = scipy.linalg.get_lapack_funcs(
 )
 
 
+@functools.lru_cache(maxsize=None)
+def _sytrf_lwork_of(n: int) -> int:
+    """Optimal ?sytrf workspace for order n; it depends on n only."""
+    return int(_sytrf_lwork(n, lower=1)[0])
+
+
 def _bunch_kaufman(W: Array):
     """Lower Bunch-Kaufman factor of the symmetric W as LAPACK ?sytrf packs
     it: (ldu, ipiv, info).  Called as SciPy's ldl() calls it (optimal
     workspace), so D is the same bit for bit.  A Fortran-ordered W is
     overwritten."""
-    lwork = int(_sytrf_lwork(W.shape[0], lower=1)[0])
-    ldu, ipiv, info = _sytrf(W, lwork=lwork, lower=1, overwrite_a=1)
+    ldu, ipiv, info = _sytrf(W, lwork=_sytrf_lwork_of(W.shape[0]), lower=1, overwrite_a=1)
     if info < 0:
         raise ValueError(f"?sytrf: illegal value in argument {-info}")
     return ldu, ipiv, info
@@ -554,32 +696,39 @@ def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, r
     if not np.isfinite(rhs).all():
         return None
     dims = blocks.dims
-    n_x, N = dims.n_x, dims.N
-    minus_I = -np.eye(n_x)
+    n_x, n_u, N = dims.n_x, dims.n_u, dims.N
+    # Every block without its Schur corner, padded to the order
+    # m = 2 n_x + n_u of an interior block [lam; x; u]: block 0 keeps the
+    # last n_0 of the lam rows for lam_{-1}, block N the first 2 n_x rows.
+    # Each C^T = [0; A_k^T; B_k^T] of the forward substitution goes into
+    # a Fortran-ordered (m, n_x + 1) slab, its last column kept for y_k.
+    m, s0 = 2 * n_x + n_u, n_x - dims.n_0
+    lam, x, u = slice(0, n_x), slice(n_x, 2 * n_x), slice(2 * n_x, m)
+    Ds = np.zeros((N + 1, m, m))
+    Ds[:, x, x] = blocks.Q
+    Ds[:N, x, u] = blocks.S
+    Ds[:N, u, x] = np.swapaxes(blocks.S, 1, 2)
+    Ds[:N, u, u] = blocks.R
+    Ds[1:, x, lam] = Ds[1:, lam, x] = -np.eye(n_x)
+    Ds[0, x, s0:n_x] = -blocks.T.T
+    Ds[0, s0:n_x, x] = -blocks.T
+    if reg != 0.0:
+        d = np.arange(n_x, m)
+        Ds[:, d, d] += reg
+    if not np.isfinite(Ds).all():
+        return None
+    CTs = np.zeros((N, n_x + 1, m)).transpose(0, 2, 1)
+    CTs[:, x, :n_x] = np.swapaxes(blocks.A, 1, 2)
+    CTs[:, u, :n_x] = np.swapaxes(blocks.B, 1, 2)
     y = np.array(rhs, dtype=float)
     diags, subs, ipivs, starts, Ys = [], [], [], [], []
-    corner = None  # C D_k^{-1} C^T of the previous block
+    corners = np.empty((N, n_x, n_x))  # C D_k^{-1} C^T of each block k < N
     a = 0
     for k in range(N + 1):
-        n_lam = dims.n_0 if k == 0 else n_x
-        n_u = dims.n_u if k < N else 0
-        m = n_lam + n_x + n_u
-        x, u = slice(n_lam, n_lam + n_x), slice(n_lam + n_x, m)
-        D = np.zeros((m, m), order="F")
-        D[x, :n_lam] = -blocks.T.T if k == 0 else minus_I
-        D[:n_lam, x] = D[x, :n_lam].T
-        D[x, x] = blocks.Q[k]
-        if n_u:
-            D[x, u] = blocks.S[k]
-            D[u, x] = blocks.S[k].T
-            D[u, u] = blocks.R[k]
-        if corner is not None:
-            D[:n_lam, :n_lam] = -corner
-        if reg != 0.0:
-            d = np.arange(n_lam, m)
-            D[d, d] += reg
-        if not np.isfinite(D).all():
-            return None
+        rows = slice(s0, m) if k == 0 else slice(0, 2 * n_x) if k == N else slice(0, m)
+        D = np.array(Ds[k, rows, rows], order="F")
+        if k > 0:
+            D[:n_x, :n_x] = -corners[k - 1]
         ldu, ipiv, info = _bunch_kaufman(D)
         if info > 0:  # D has an exact zero pivot
             return None
@@ -587,23 +736,23 @@ def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, r
         subs += [ldu.diagonal(-1), np.zeros(1)]  # padded to the block size
         ipivs.append(ipiv)
         starts.append(a)
-        b = a + m
+        b = a + D.shape[0]
         # forward substitution: z_k = D_k^{-1} y_k, y_{k+1}[lam_k] -= C z_k;
         # one ?sytrs gives z_k and Y = D_k^{-1} C^T for the backward pass
         if k < N:
-            CT_y = np.zeros((m, n_x + 1), order="F")
-            CT_y[x, :n_x] = blocks.A[k].T
-            CT_y[u, :n_x] = blocks.B[k].T
+            CT_y = CTs[k, rows]
             CT_y[:, n_x] = y[a:b]
             sol, _ = _sytrs(ldu, ipiv, CT_y, lower=1)
             C_sol = CT_y[:, :n_x].T @ sol
             Ys.append(sol[:, :n_x])
             y[a:b] = sol[:, n_x]
-            corner = C_sol[:, :n_x]
+            corners[k] = C_sol[:, :n_x]
             y[b : b + n_x] -= C_sol[:, n_x]
         else:
             y[a:b], _ = _sytrs(ldu, ipiv, y[a:b], lower=1)
         a = b
+    if not np.isfinite(corners).all():  # a non-finite D_{k+1} was factored
+        return None
     # a 2x2 pivot never straddles two blocks, so one pass reads them all
     eigs = _d_eigs(np.concatenate(diags), np.concatenate(subs), np.concatenate(ipivs))
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0

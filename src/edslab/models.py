@@ -112,8 +112,9 @@ def rk4_step_hess_vec(
     stages = _rk4_stages(rhs, rhs_jac, x, u, dt)
     weight = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
     step = (0.5 * dt, 0.5 * dt, dt)  # x_{j+1} = x + step[j] k_j
-    H = np.zeros((n + m, n + m))
-    Z = np.eye(n + m)
+    dtype = np.result_type(x, u, lam, dt)  # extended precision passes through
+    H = np.zeros((n + m, n + m), dtype=dtype)
+    Z = np.eye(n + m, dtype=dtype)
     for j in range(3, -1, -1):
         s = stages[j]
         mu = weight[j] * lam if j == 3 else weight[j] * lam + step[j] * (stages[j + 1].A.T @ mu)
@@ -454,6 +455,41 @@ def make_lq_problem(
             np.zeros((n_u, d.size)),
         )
 
+    # stage-batched forms: rows of X, U, D are stages; constant blocks are
+    # broadcast along the stage axis rather than copied
+    def dynamics_batch(X, U, D):
+        return X @ A.T + U @ B.T
+
+    def dynamics_jac_batch(X, U, D):
+        n = X.shape[0]
+        return (
+            np.broadcast_to(A, (n, n_x, n_x)),
+            np.broadcast_to(B, (n, n_x, n_u)),
+            np.zeros((n, n_x, D.shape[1])),
+        )
+
+    def stage_cost_grad_batch(X, U, D):
+        e = X - D if track_reference else X
+        return e @ (2.0 * Q).T, U @ (2.0 * R).T
+
+    def stage_cost_hess_batch(X, U, D):
+        n = X.shape[0]
+        E = -2.0 * Q if track_reference else np.zeros((n_x, 0))
+        return (
+            np.broadcast_to(2.0 * Q, (n, n_x, n_x)),
+            np.broadcast_to(0.0, (n, n_x, n_u)),
+            np.broadcast_to(2.0 * R, (n, n_u, n_u)),
+            np.broadcast_to(E, (n, n_x, n_d)),
+            np.broadcast_to(0.0, (n, n_u, n_d)),
+        )
+
+    def dynamics_hess_vec_batch(X, U, D, Lam):
+        n = X.shape[0]
+        return tuple(
+            np.broadcast_to(0.0, shape)
+            for shape in ((n, n_x, n_x), (n, n_x, n_u), (n, n_u, n_u), (n, n_x, n_d), (n, n_u, n_d))
+        )
+
     oracles = StageOracles(
         stage_cost=stage_cost,
         dynamics=dynamics,
@@ -464,6 +500,11 @@ def make_lq_problem(
         terminal_cost_hess=terminal_cost_hess,
         dynamics_jac=dynamics_jac,
         dynamics_hess_vec=dynamics_hess_vec,
+        dynamics_batch=dynamics_batch,
+        dynamics_jac_batch=dynamics_jac_batch,
+        stage_cost_grad_batch=stage_cost_grad_batch,
+        stage_cost_hess_batch=stage_cost_hess_batch,
+        dynamics_hess_vec_batch=dynamics_hess_vec_batch,
     )
     return DOProblem(dims=dims, oracles=oracles, T=T)
 

@@ -111,6 +111,18 @@ class Dimensions:
         stride = 2 * self.n_x + self.n_u
         return (0, *(self.n_0 + i * stride for i in range(self.N + 1)), self.n_w)
 
+    def w_rows(self, v: Array) -> Array:
+        """w(0), ..., w(N-1) of a stage-ordered vector as the rows of an
+        (N, 2 n_x + n_u) view: they are contiguous and equally long."""
+        return v[self.n_0 : self.w_offsets[-2]].reshape(self.N, 2 * self.n_x + self.n_u)
+
+    @cached_property
+    def stage_nd(self) -> int | None:
+        """The data size shared by stages 0..N-1, or None when it differs
+        between them."""
+        sizes = set(self.n_d[1 : self.N + 1])
+        return sizes.pop() if len(sizes) == 1 else None
+
 
 @dataclass(frozen=True)
 class StageOracles:
@@ -130,6 +142,25 @@ class StageOracles:
       dynamics_hess_vec(i, x, u, d, lam) -> (H_xx, H_xu, H_uu, H_xd, H_ud)
           second-derivative blocks of lam @ dynamics
 
+    Optional stage-batched forms of the stage oracles.  Each evaluates
+    stages 0..N-1 in one call, from the stacked X (N, n_x), U (N, n_u),
+    D (N, n_d) and Lam (N, n_x), where row i is x_i, u_i, d_i, lam_i; each
+    returned array has a leading stage axis, so row i is what the per-stage
+    form returns at stage i:
+      dynamics_batch(X, U, D)        -> F (N, n_x)
+      dynamics_jac_batch(X, U, D)    -> (A, B, G)
+      stage_cost_grad_batch(X, U, D) -> (G_x, G_u)
+      stage_cost_hess_batch(X, U, D) -> (Q_xx, S_xu, R_uu, E_xd, F_ud)
+      dynamics_hess_vec_batch(X, U, D, Lam) -> (H_xx, H_xu, H_uu, H_xd, H_ud)
+    The KKT residual and the linearization call a batched form instead of
+    its per-stage form whenever it is registered and every stage 0..N-1
+    carries data of one size; otherwise they loop over the stages.  The
+    per-stage forms stay required (stage_cost, dynamics) or in use (the
+    objective, the constraints and any problem whose data size differs by
+    stage read them), and a batched form must agree with its per-stage form.
+    A batched dynamics_hess_vec is also called at stages whose multiplier
+    is zero, where the per-stage path skips the call.
+
     All maps must be twice continuously differentiable on the evaluation
     domain.
     """
@@ -143,6 +174,11 @@ class StageOracles:
     terminal_cost_hess: Callable | None = None
     dynamics_jac: Callable | None = None
     dynamics_hess_vec: Callable | None = None
+    dynamics_batch: Callable | None = None
+    dynamics_jac_batch: Callable | None = None
+    stage_cost_grad_batch: Callable | None = None
+    stage_cost_hess_batch: Callable | None = None
+    dynamics_hess_vec_batch: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -211,6 +247,11 @@ class DataTrajectory:
 
     def stacked(self) -> Array:
         return np.concatenate(self._d) if self._d else np.zeros(0)
+
+    def stage_rows(self) -> Array:
+        """d_0, ..., d_{N-1} as the rows of an (N, n_d) array; only when
+        `dims.stage_nd` is not None."""
+        return np.array(self._d[1 : self.dims.N + 1]).reshape(self.dims.N, self.dims.stage_nd)
 
 
 def _stage_order(dims: Dimensions) -> Array:
@@ -317,15 +358,6 @@ def evaluate_objective(p: DOProblem, traj: PrimalDualTrajectory, data: DataTraje
     return total
 
 
-def stage_constraint(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory, i: int) -> Array:
-    """Residual of the constraint that lam(i) multiplies: T x_0 - d_{-1} for
-    i = -1 (empty when n_0 = 0), x_{i+1} - f_i otherwise."""
-    if i == -1:
-        return p.T @ traj.x(0) - data[-1]
-    fi = _as_vector(p.oracles.dynamics(i, traj.x(i), traj.u(i), data[i]), p.dims.n_x, f"f[{i}]")
-    return traj.x(i + 1) - fi
-
-
 def evaluate_constraints(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> Array:
     """Stacked residual [T x_0 - d_{-1}; x_1 - f_0; ...; x_N - f_{N-1}].
 
@@ -333,7 +365,11 @@ def evaluate_constraints(p: DOProblem, traj: PrimalDualTrajectory, data: DataTra
     leading block is absent when n_0 = 0.
     """
     check_dimensions(p, traj, data)
-    return np.concatenate([stage_constraint(p, traj, data, i) for i in range(-1, p.dims.N)])
+    blocks = [p.T @ traj.x(0) - data[-1]]
+    for i in range(p.dims.N):
+        fi = _as_vector(p.oracles.dynamics(i, traj.x(i), traj.u(i), data[i]), p.dims.n_x, f"f[{i}]")
+        blocks.append(traj.x(i + 1) - fi)
+    return np.concatenate(blocks)
 
 
 def evaluate_lagrangian(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> float:

@@ -95,23 +95,24 @@ def test_ublh_bound():
             T = scaled((n_0, n_x), K)
             from edslab import Dimensions
 
-            blocks = StageBlocks(
-                dims=Dimensions(N, n_x, n_u, (n_0,) + (n_d,) * (N + 1), n_0), T=T
-            )
+            fam = {name: [] for name in "QRSEFABG"}
             for _i in range(N):
                 Q = scaled((n_x, n_x), K)
-                blocks.Q.append(0.5 * (Q + Q.T))
+                fam["Q"].append(0.5 * (Q + Q.T))
                 R = scaled((n_u, n_u), K)
-                blocks.R.append(0.5 * (R + R.T))
-                blocks.S.append(scaled((n_x, n_u), K))
-                blocks.E.append(scaled((n_x, n_d), K))
-                blocks.F.append(scaled((n_u, n_d), K))
-                blocks.A.append(scaled((n_x, n_x), K))
-                blocks.B.append(scaled((n_x, n_u), K))
-                blocks.G.append(scaled((n_x, n_d), K))
+                fam["R"].append(0.5 * (R + R.T))
+                fam["S"].append(scaled((n_x, n_u), K))
+                fam["E"].append(scaled((n_x, n_d), K))
+                fam["F"].append(scaled((n_u, n_d), K))
+                fam["A"].append(scaled((n_x, n_x), K))
+                fam["B"].append(scaled((n_x, n_u), K))
+                fam["G"].append(scaled((n_x, n_d), K))
             Q = scaled((n_x, n_x), K)
-            blocks.Q.append(0.5 * (Q + Q.T))
-            blocks.E.append(scaled((n_x, n_d), K))
+            fam["Q"].append(0.5 * (Q + Q.T))
+            fam["E"].append(scaled((n_x, n_d), K))
+            blocks = StageBlocks(
+                dims=Dimensions(N, n_x, n_u, (n_0,) + (n_d,) * (N + 1), n_0), T=T, **fam
+            )
             assert mixed_hessian_norm(blocks) <= blh_bound_from_K(K)
             count += 1
     assert count == 20

@@ -31,7 +31,7 @@ from edslab import (
     solve_equality_nlp,
     sosc_modulus,
 )
-from edslab import certify
+from edslab import certify, kkt
 from edslab.certify import (
     dual_sequences,
     scan_controllability_seq,
@@ -391,6 +391,25 @@ class TestReport:
             "s_zero": {"stage": 3},
         }
 
+    def test_build_report_assembles_no_dense_jacobian(self, monkeypatch):
+        # beta comes from the sparse J of the stage blocks, and matches the
+        # dense J's beta (the benchmark's lq_chain sizes and a quadrotor case)
+        def refuse(*args, **kwargs):
+            raise AssertionError("build_report assembled the dense J")
+
+        for name, params in (
+            ("lq_chain", {"n_x": 6, "n_u": 3, "N": 30, "seed": 5}),
+            ("quadrotor", {"dt": 0.5, "N": 8}),
+        ):
+            bundle = build_model(name, params)
+            p, data = bundle.problem, bundle.base_data
+            base = solve_equality_nlp(p, data, w0=bundle.warm_start)
+            ref = licq_modulus(assemble_jacobian(linearize(p, base.trajectory, data)))
+            with monkeypatch.context() as m:
+                m.setattr(certify, "assemble_jacobian", refuse)
+                rep = build_report(p, base.trajectory, data, 2, 2)
+            assert abs(rep.beta - ref) <= 1e-12 * abs(ref) + 1e-14
+
     def test_failure_is_report_entry_not_exception(self):
         # no input at all: controllability fails, everything else still fills in
         b = build_model("lq_chain", {"n_x": 2, "n_u": 0, "N": 5, "seed": 0})
@@ -445,6 +464,9 @@ class TestBandedModuli:
     def test_licq_matches_svd_on_banded_jacobian(self, blocks):
         J = assemble_jacobian(blocks)
         assert np.array_equal(sparse_jacobian(blocks).toarray(), J)
+        stored = kkt.sparse_jacobian(blocks)
+        assert np.array_equal(stored.toarray(), J)
+        assert stored.nnz == np.count_nonzero(J)  # no explicit zeros
         assert_licq_matches_svd(J)
 
     @settings(max_examples=150, deadline=None)
@@ -621,17 +643,36 @@ class TestCondensedSosc:
         assert not inertia_ok(gamma * (1 + 1e-7))
 
     @pytest.mark.filterwarnings("error")
+    def test_overflowing_riccati_keeps_last_finite_gain(self, monkeypatch):
+        # the unit-weight Riccati recursion overflows along the unreached
+        # mode at 10 (100^k passes 1e308 near k = 155); the earlier stages
+        # reuse the last finite gain, so the basis stays finite and passes
+        # its residual check.  With T = I the reduced Hessian is exactly I.
+        # With x_0 free (no T) the unreached column grows like 10^k but
+        # stays finite at N = 160, and gamma matches the dense reference.
+        def refuse(*args, **kwargs):
+            raise AssertionError("the condensed basis failed its residual check")
+
+        pinned = ti_blocks(np.diag([10.0, 10.0]), [[1.0], [0.0]], N=400, T=np.eye(2))
+        free = ti_blocks(np.diag([10.0, 10.0]), [[1.0], [0.0]], N=160)
+        ref = sosc_modulus(assemble_hessian(free), assemble_jacobian(free))
+        with monkeypatch.context() as m:
+            m.setattr(certify, "sosc_modulus", refuse)
+            assert condensed_sosc_modulus(pinned) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+            assert condensed_sosc_modulus(free) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
     def test_fallback_to_dense_reference(self, monkeypatch):
         # unstable modes that no control reaches, so the feedback cannot
         # hold the x_0 columns.  In the first case the coupling turns both
         # towards the faster mode and the basis fails its residual check
-        # (3.3 times the bound).  In the second the Riccati recursion
-        # overflows along the mode at 10 (100^k passes 1e308 at k = 155)
-        # and the basis is not finite.  gamma comes from the dense
+        # (3.3 times the bound).  In the second the free x_0 column along
+        # the unreached mode at 1000 overflows (1000^k passes 1e308 at
+        # k = 103) and the basis is not finite.  gamma comes from the dense
         # reference both times, with no floating-point warning.
         cases = [
             ti_blocks([[3.0, 1.0], [0.0, 2.5]], [[0.0], [0.0]], Q=np.diag([1.0, 0.5]), N=30),
-            ti_blocks(np.diag([10.0, 10.0]), [[1.0], [0.0]], N=160),
+            ti_blocks(np.diag([1e3, 1e3]), [[1.0], [0.0]], N=110),
         ]
         for blocks in cases:
             Z = certify.condensed_null_basis(blocks)

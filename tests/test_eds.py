@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edslab import (
     DataTrajectory,
     DecayFit,
+    Dimensions,
     FitError,
     PerturbationSpec,
     PrimalDualTrajectory,
@@ -15,6 +18,7 @@ from edslab import (
     run_experiments,
     run_perturbation_experiment,
     solve_equality_nlp,
+    stage_deviations,
     verify_eds_bound,
 )
 from conftest import strongly_indefinite_problem, toy_nonlinear_problem
@@ -226,3 +230,22 @@ class TestTwoSidedDecay:
             for a, c in zip(seq, seq[1:]):
                 if a > floor and c > floor:
                     assert c <= 1.05 * a + 1e-12
+
+
+class TestStageDeviations:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 3), st.data(), st.booleans())
+    def test_matches_per_stage_norms(self, N, n_x, n_u, draw, primal_only):
+        dims = Dimensions.uniform(N, n_x, n_u, 0, draw.draw(st.integers(0, n_x)))
+        rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
+        a = PrimalDualTrajectory.from_vector(dims, rng.standard_normal(dims.n_w))
+        b = PrimalDualTrajectory.from_vector(dims, rng.standard_normal(dims.n_w))
+        ref = np.zeros(N + 2)
+        for i in range(-1, N + 1):
+            w = a.w(i) - b.w(i)
+            if primal_only:
+                w = w[: dims.n_z] if i >= 0 else w[:0]
+            ref[i + 1] = np.linalg.norm(w)
+        s = stage_deviations(a, b, primal_only=primal_only)
+        assert np.abs(s - ref).max() <= 1e-15 * ref.max()
+

@@ -201,6 +201,125 @@ class TestResidual:
         assert r.stacked_dual() == pytest.approx(-c)
 
 
+BATCHED_FIELDS = (
+    "dynamics_batch",
+    "dynamics_jac_batch",
+    "stage_cost_grad_batch",
+    "stage_cost_hess_batch",
+    "dynamics_hess_vec_batch",
+)
+
+
+def per_stage_only(p):
+    """The same problem with its stage-batched oracles removed, so the
+    residual and the linearization loop over the stages."""
+    return dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, **dict.fromkeys(BATCHED_FIELDS)))
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this oracle must not be called")
+
+
+def relative_diff(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    scale = np.abs(b).max(initial=0.0)
+    return np.abs(a - b).max(initial=0.0) / scale if scale > 0 else np.abs(a).max(initial=0.0)
+
+
+def blocks_relative_diff(a, b):
+    """Largest relative difference over every block family of two
+    StageBlocks, stage by stage."""
+    out = relative_diff(a.T, b.T)
+    for name in "QRSEFABG":
+        for x, y in zip(getattr(a, name), getattr(b, name), strict=True):
+            out = max(out, relative_diff(x, y))
+    return out
+
+
+class TestStageBatchedOracles:
+    """The LQ factories register stage-batched oracles; dropping them sends
+    the residual, the linearization and a whole solve through the
+    per-stage loop, which must agree."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(0, 3),
+        st.integers(1, 12),
+        st.sampled_from([0.5, 0.9, 1.3]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_batched_path_matches_per_stage_loop(self, n_x, n_u, N, stability, seed):
+        p = lq_chain(n_x, n_u, N, stability=stability, seed=seed % 1000)
+        loop = per_stage_only(p)
+        traj, data = random_point(p, seed=seed, scale=2.0)
+        assert relative_diff(kkt_residual(p, traj, data), kkt_residual(loop, traj, data)) <= 1e-13
+        assert blocks_relative_diff(linearize(p, traj, data), linearize(loop, traj, data)) <= 1e-13
+        jac = []
+        kkt_residual(p, traj, data, jacobians=jac)
+        assert len(jac) == N
+        assert blocks_relative_diff(linearize(p, traj, data, jacobians=jac), linearize(loop, traj, data)) <= 1e-13
+        batched, looped = solve_equality_nlp(p, data), solve_equality_nlp(loop, data)
+        assert batched.converged and looped.converged
+        assert batched.iterations == looped.iterations
+        assert relative_diff(batched.trajectory.vector, looped.trajectory.vector) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["scalar_oracle", "double_integrator", "lq_chain"])
+    def test_lq_models_use_only_the_batched_stage_oracles(self, name):
+        bundle = build_model(name)
+        p = bundle.problem
+        batched_only = dataclasses.replace(
+            p,
+            oracles=dataclasses.replace(
+                p.oracles,
+                dynamics=refuse,
+                dynamics_jac=refuse,
+                stage_cost_grad=refuse,
+                stage_cost_hess=refuse,
+                dynamics_hess_vec=refuse,
+            ),
+        )
+        traj, data = random_point(p, seed=1)
+        assert np.array_equal(kkt_residual(batched_only, traj, data), kkt_residual(p, traj, data))
+        res = solve_equality_nlp(batched_only, bundle.base_data, w0=bundle.warm_start)
+        ref = solve_equality_nlp(per_stage_only(p), bundle.base_data, w0=bundle.warm_start)
+        assert res.converged and res.iterations == ref.iterations
+        assert relative_diff(res.trajectory.vector, ref.trajectory.vector) <= 1e-13
+
+    def test_data_size_differing_by_stage_loops_over_stages(self):
+        # stage data of sizes 1, 0, 2 at stages 0..2: the batched forms
+        # cannot take stacked data, so they are never called
+        dims = Dimensions(3, 2, 1, (2, 1, 0, 2, 1), 2)
+
+        def stage_cost(i, x, u, d):
+            return float(x @ x + 0.5 * u @ u + np.sin(x[0]) * d.sum() + 0.1 * x[1] * u[0])
+
+        def dynamics(i, x, u, d):
+            return 0.9 * x + 0.2 * np.sin(x[::-1]) + 0.3 * u[0] + 0.1 * x[0] * d.sum()
+
+        p = DOProblem(
+            dims=dims,
+            oracles=StageOracles(
+                stage_cost=stage_cost,
+                dynamics=dynamics,
+                terminal_cost=lambda x, d: float(x @ x + 0.3 * np.cos(x[0]) * d.sum()),
+                **dict.fromkeys(BATCHED_FIELDS, refuse),
+            ),
+            T=np.eye(2),
+        )
+        loop = per_stage_only(p)
+        traj, data = random_point(p, seed=3)
+        assert np.array_equal(kkt_residual(p, traj, data), kkt_residual(loop, traj, data))
+        blocks = linearize(p, traj, data)
+        assert blocks_relative_diff(blocks, linearize(loop, traj, data)) == 0.0
+        assert [G.shape for G in blocks.G] == [(2, dims.nd(i)) for i in range(3)]
+        assert [F.shape for F in blocks.F] == [(1, dims.nd(i)) for i in range(3)]
+        assert [E.shape for E in blocks.E] == [(2, dims.nd(i)) for i in range(4)]
+        res = solve_equality_nlp(p, data)
+        assert res.converged
+        assert np.array_equal(res.trajectory.vector, solve_equality_nlp(loop, data).trajectory.vector)
+
+
 class TestSolve:
     def test_oracle_hand_solution(self):
         b = build_model("scalar_oracle")
@@ -535,6 +654,26 @@ class TestBlockFactor:
             for p in range(n_p + n_d + 1):
                 assert kkt._factor_and_solve(sing, rhs, p, n_p + n_d - p) is None
             assert dense_factor_and_solve(dense_kkt(sing), rhs, n_p, n_d) is None
+
+    @pytest.mark.parametrize("reg", [0.0, 1e-4])
+    def test_matches_dense_oracle_on_linearized_blocks(self, reg):
+        # the blocks of a batched linearization and of time_invariant are
+        # built from broadcast arrays
+        p = lq_chain(4, 2, 9, stability=1.2, seed=3)
+        traj, data = random_point(p, seed=2)
+        ti = StageBlocks.time_invariant(
+            np.diag([1.5, 0.5]), [[1.0], [0.3]], np.diag([1.0, 0.2]), 0.5 * np.eye(1), 7,
+            S=[[0.1], [0.0]], T=np.eye(2)[:1],
+        )
+        for blocks in (linearize(p, traj, data), ti):
+            assert all(isinstance(getattr(blocks, name), np.ndarray) for name in "QRSAB")
+            dims = blocks.dims
+            K = dense_kkt(blocks)
+            rhs = np.random.default_rng(1).standard_normal(K.shape[0])
+            x = kkt._factor_and_solve(blocks, to_stage_order(dims, rhs), dims.n_primal, dims.n_dual, reg)
+            ref = dense_factor_and_solve(K, rhs, dims.n_primal, dims.n_dual, reg)
+            assert x is not None and ref is not None
+            assert np.abs(x - to_stage_order(dims, ref)).max() <= 1e-8 * np.abs(ref).max()
 
     def test_no_dense_matrix_at_long_horizon(self):
         # lq_chain-sized stages (n_x = 6, n_u = 3) over N = 1000: a dense KKT

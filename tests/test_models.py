@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edslab import (
@@ -118,13 +118,21 @@ class TestQuadrotorDerivatives:
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
+    @example(dt=0.875, seed=8880885)
     def test_rk4_adjoint_matches_complex_step(self, dt, seed):
         # r(x, u) = A0 x + B0 u + C sin(V z), z = (x, u), takes complex z, so
-        # the complex step differentiates rk4_step_jacobians to round-off
+        # the complex step differentiates rk4_step_jacobians to round-off.
+        # Both sides run in extended precision: in float64 each carries its
+        # own round-off, about 1e-12 relative at the example's draw (adjoint
+        # 1.1e-12, complex step 8.3e-13 off an extended-precision reference)
+        if not np.finfo(np.longdouble).eps < 1e-18:
+            pytest.skip("np.longdouble is not an extended-precision type here")
         rng = np.random.default_rng(seed)
         n, m, k = 4, 2, 5
-        A0, B0 = rng.standard_normal((n, n)), rng.standard_normal((n, m))
-        C, V = rng.standard_normal((n, k)), rng.standard_normal((k, n + m))
+        draw = lambda *shape: rng.standard_normal(shape).astype(np.longdouble)
+        dt = np.longdouble(dt)
+        A0, B0 = draw(n, n), draw(n, m)
+        C, V = draw(n, k), draw(k, n + m)
         rhs = lambda x, u: A0 @ x + B0 @ u + C @ np.sin(V @ np.concatenate([x, u]))
 
         def rhs_jac(x, u):
@@ -135,15 +143,16 @@ class TestQuadrotorDerivatives:
             s = np.sin(V @ np.concatenate([x, u]))
             return -V.T @ (((C.T @ mu) * s)[:, None] * V)
 
-        x, u, lam = rng.standard_normal(n), rng.standard_normal(m), rng.standard_normal(n)
+        x, u, lam = draw(n), draw(m), draw(n)
         H = rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, x, u, dt, lam)
-        z, h = np.concatenate([x, u]), 1e-30
+        assert H.dtype == np.longdouble
+        z, h = np.concatenate([x, u]), np.longdouble(1e-30)
         cols = []
-        for e in np.eye(n + m):
-            zc = z + 1j * h * e
+        for e in np.eye(n + m, dtype=np.longdouble):
+            zc = z + np.clongdouble(1j) * h * e
             Ad, Bd = rk4_step_jacobians(rhs, rhs_jac, zc[:n], zc[n:], dt)
             cols.append(np.concatenate([Ad.T @ lam, Bd.T @ lam]).imag / h)
-        assert relative_error(np.column_stack(cols), H) <= 1e-12
+        assert relative_error(np.column_stack(cols), H) <= 1e-15
 
     @settings(max_examples=30, deadline=None)
     @quad_draws

@@ -57,3 +57,21 @@ def test_tracer_installs_and_uninstalls(tracer_module):
         tracer.uninstall()
     for (owner, attr), original in zip(wrapped, before):
         assert getattr(owner, attr) is original
+
+
+def test_counting_oracles_wrap_every_field(tracer_module):
+    # the tracer replaces every registered oracle field with a counting
+    # function: each field, the stage-batched ones included, must be a plain
+    # callable for a traced run to solve at all
+    from edslab.kkt import solve_equality_nlp
+    from edslab.models import build_model
+
+    tracer = tracer_module.Tracer()
+    bundle = tracer._counting_oracles(build_model)("lq_chain", {"n_x": 3, "n_u": 2, "N": 8})
+    res = solve_equality_nlp(bundle.problem, bundle.base_data, w0=bundle.warm_start)
+    assert res.converged
+    counts = dict(tracer.counts)
+    assert counts["problem.dynamics_jac_batch_calls"] > 0
+    assert counts["problem.dynamics_batch_calls"] > 0
+    # the batched forms replace the per-stage ones on the LQ chain
+    assert "problem.dynamics_jac_calls" not in counts
