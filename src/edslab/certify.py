@@ -421,16 +421,15 @@ def blh_bound_from_K(K: float) -> float:
 
 
 def max_block_norm(blocks: StageBlocks) -> float:
-    """Largest spectral norm over every stage block and T."""
-    out = 0.0
-    groups = [blocks.Q, blocks.R, blocks.S, blocks.E, blocks.F, blocks.A, blocks.B, blocks.G]
-    for group in groups:
+    """Largest spectral norm over every stage block and T, one batched norm
+    per stack of equally shaped blocks."""
+    stacks = [blocks.Q, blocks.R, blocks.S, blocks.A, blocks.B, blocks.T[None]]
+    for group in (blocks.E, blocks.F, blocks.G):  # per-stage lists
+        by_shape = {}
         for M in group:
-            if M.size:
-                out = max(out, float(np.linalg.norm(M, 2)))
-    if blocks.T.size:
-        out = max(out, float(np.linalg.norm(blocks.T, 2)))
-    return out
+            by_shape.setdefault(M.shape, []).append(M)
+        stacks.extend(np.array(same) for same in by_shape.values())
+    return max((float(np.linalg.norm(s, 2, axis=(1, 2)).max()) for s in stacks if s.size), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,18 @@ ModelBundle carrying the problem, its base data, and a warm start inside the
 convergence basin.  Constructors are pure and the generated problems
 immutable, so bundles are safe to share.
 
-Every preset registers exact derivatives.  The quadrotor's dynamics
-Jacobians come from the forward chain rule through its RK4 step, and its
-multiplier-contracted dynamics Hessians from a second-order adjoint through
-the same stages.  Finite differences serve only oracles that register
-neither, such as the time-invariant problems built here from plain cost and
-dynamics callables.
+Every preset registers exact derivatives, and every preset registers the
+stage-batched forms of its stage oracles, which evaluate all stages in one
+call.  The quadrotor's dynamics Jacobians come from the forward chain rule
+through its RK4 step, and its multiplier-contracted dynamics Hessians from a
+second-order adjoint through the same stages; both run over a stack of
+stages with batched matrix products, and its per-stage oracles are one-row
+calls of the batched ones.  Finite differences serve only oracles that
+register neither, such as the time-invariant problems built here from plain
+cost and dynamics callables.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -43,7 +45,8 @@ class ModelBundle:
 
 
 # ---------------------------------------------------------------------------
-# generic RK4 helpers
+# generic RK4 helpers; x, u and lam may stack points as rows (any leading
+# axes), and every result then carries the same leading axes
 
 
 def rk4_step(rhs: Callable, x: Array, u: Array, dt: float) -> Array:
@@ -72,10 +75,10 @@ def _rk4_stages(rhs: Callable, rhs_jac: Callable, x: Array, u: Array, dt: float)
     """The four stages of one RK4 step with their forward chain rule;
     x_{j+1} = x + c_j dt k_j with c = (1/2, 1/2, 1).  Complex input passes
     through, so complex-step differentiation can check it."""
-    n = x.size
+    n = x.shape[-1]
     eye = np.eye(n)
     stages = []
-    xj, Xx, Xu = x, eye, np.zeros((n, u.size))
+    xj, Xx, Xu = x, eye, np.zeros((n, u.shape[-1]))
     for c in (0.5, 0.5, 1.0, None):
         A, B = rhs_jac(xj, u)
         Kx, Ku = A @ Xx, A @ Xu + B
@@ -91,7 +94,7 @@ def rk4_step_jacobians(rhs: Callable, rhs_jac: Callable, x: Array, u: Array, dt:
     """Exact Jacobians of one RK4 step by the chain rule; `rhs_jac` returns
     (d rhs / dx, d rhs / du) at a point."""
     s1, s2, s3, s4 = _rk4_stages(rhs, rhs_jac, x, u, dt)
-    Ad = np.eye(x.size) + (dt / 6.0) * (s1.Kx + 2.0 * s2.Kx + 2.0 * s3.Kx + s4.Kx)
+    Ad = np.eye(x.shape[-1]) + (dt / 6.0) * (s1.Kx + 2.0 * s2.Kx + 2.0 * s3.Kx + s4.Kx)
     Bd = (dt / 6.0) * (s1.Ku + 2.0 * s2.Ku + 2.0 * s3.Ku + s4.Ku)
     return Ad, Bd
 
@@ -108,18 +111,19 @@ def rk4_step_hess_vec(
     mu_2 = dt/3 lam + dt/2 A_3^T mu_3, mu_1 = dt/6 lam + dt/2 A_2^T mu_2
     the Hessian is sum_j Z_j^T (Hessian of mu_j @ rhs at stage j) Z_j,
     where Z_j = d(x_j, u)/d(x, u)."""
-    n, m = x.size, u.size
+    n, m = x.shape[-1], u.shape[-1]
     stages = _rk4_stages(rhs, rhs_jac, x, u, dt)
     weight = (dt / 6.0, dt / 3.0, dt / 3.0, dt / 6.0)
     step = (0.5 * dt, 0.5 * dt, dt)  # x_{j+1} = x + step[j] k_j
     dtype = np.result_type(x, u, lam, dt)  # extended precision passes through
-    H = np.zeros((n + m, n + m), dtype=dtype)
-    Z = np.eye(n + m, dtype=dtype)
+    H = np.zeros(x.shape[:-1] + (n + m, n + m), dtype=dtype)
+    Z = np.zeros_like(H)
+    Z[..., n:, n:] = np.eye(m)
     for j in range(3, -1, -1):
         s = stages[j]
-        mu = weight[j] * lam if j == 3 else weight[j] * lam + step[j] * (stages[j + 1].A.T @ mu)
-        Z[:n, :n], Z[:n, n:] = s.Xx, s.Xu
-        H += Z.T @ rhs_hess_vec(s.x, u, mu) @ Z
+        mu = weight[j] * lam if j == 3 else weight[j] * lam + step[j] * np.matvec(stages[j + 1].A.mT, mu)
+        Z[..., :n, :n], Z[..., :n, n:] = s.Xx, s.Xu
+        H += Z.mT @ rhs_hess_vec(s.x, u, mu) @ Z
     return H
 
 
@@ -159,103 +163,96 @@ N_X_QUAD = 9
 N_U_QUAD = 4
 
 
+def _attitude(x: Array, u: Array):
+    """x and u as float arrays, the raw controls (a, wX, wY, wZ) and the
+    cosines and sines (cg, sg, cb, sb, ca, sa) of the attitude angles
+    (gamma, beta, alpha) of row-stacked states and controls; raises at the
+    pitch singularity of any row."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    angles = x[..., 6:9]
+    c, s = np.cos(angles), np.sin(angles)
+    if np.any(np.abs(c[..., 1]) < 1e-9):
+        raise EvaluationError("attitude singularity: cos(beta) vanished")
+    trig = (c[..., 0], s[..., 0], c[..., 1], s[..., 1], c[..., 2], s[..., 2])
+    return x, np.unstack(u, axis=-1), trig
+
+
 def quadrotor_continuous_rhs(x: Array, u: Array, params: QuadrotorParams) -> Array:
     """Time derivative of (X, Xdot, Y, Ydot, Z, Zdot, gamma, beta, alpha)
     under raw controls (a, wX, wY, wZ): second-order translational dynamics
     driven by total thrust through the attitude angles, plus attitude
-    kinematics with the roll-rate terms scaled by b."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    a, wx, wy, wz = u
-    gam, bet, alp = x[6], x[7], x[8]
-    cg, sg = math.cos(gam), math.sin(gam)
-    cb, sb = math.cos(bet), math.sin(bet)
-    ca, sa = math.cos(alp), math.sin(alp)
-    if abs(cb) < 1e-9:
-        raise EvaluationError("attitude singularity: cos(beta) vanished")
-    return np.array(
+    kinematics with the roll-rate terms scaled by b.  Rows of x (n, 9) and
+    u (n, 4) are independent points; the result is (n, 9)."""
+    x, (a, wx, wy, wz), (cg, sg, cb, sb, ca, sa) = _attitude(x, u)
+    return np.stack(
         [
-            x[1],
+            x[..., 1],
             a * (cg * sb * ca + sg * sa),
-            x[3],
+            x[..., 3],
             a * (cg * sb * sa - sg * ca),
-            x[5],
+            x[..., 5],
             a * cg * cb - params.g,
             (params.b * wx * cg + wy * sg) / cb,
             -params.b * wx * sg + wy * cg,
             params.b * wx * cg * (sb / cb) + wy * sg * (sb / cb) + wz,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def quadrotor_rhs_jacobians(x: Array, u: Array, params: QuadrotorParams):
     """Analytic derivatives of the continuous dynamics in state and raw
-    controls."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    a, wx, wy, _ = u
-    gam, bet, alp = x[6], x[7], x[8]
-    cg, sg = math.cos(gam), math.sin(gam)
-    cb, sb = math.cos(bet), math.sin(bet)
-    ca, sa = math.cos(alp), math.sin(alp)
-    if abs(cb) < 1e-9:
-        raise EvaluationError("attitude singularity: cos(beta) vanished")
+    controls, (n, 9, 9) and (n, 9, 4) for row-stacked x and u."""
+    x, (a, wx, wy, _), (cg, sg, cb, sb, ca, sa) = _attitude(x, u)
     tb = sb / cb
     b = params.b
-    A = np.zeros((N_X_QUAD, N_X_QUAD))
-    B = np.zeros((N_X_QUAD, N_U_QUAD))
-    A[0, 1] = 1.0
-    A[2, 3] = 1.0
-    A[4, 5] = 1.0
+    A = np.zeros(x.shape[:-1] + (N_X_QUAD, N_X_QUAD))
+    B = np.zeros(x.shape[:-1] + (N_X_QUAD, N_U_QUAD))
+    A[..., 0, 1] = 1.0
+    A[..., 2, 3] = 1.0
+    A[..., 4, 5] = 1.0
     # Xddot = a (cg sb ca + sg sa)
-    A[1, 6] = a * (-sg * sb * ca + cg * sa)
-    A[1, 7] = a * cg * cb * ca
-    A[1, 8] = a * (-cg * sb * sa + sg * ca)
-    B[1, 0] = cg * sb * ca + sg * sa
+    A[..., 1, 6] = a * (-sg * sb * ca + cg * sa)
+    A[..., 1, 7] = a * cg * cb * ca
+    A[..., 1, 8] = a * (-cg * sb * sa + sg * ca)
+    B[..., 1, 0] = cg * sb * ca + sg * sa
     # Yddot = a (cg sb sa - sg ca)
-    A[3, 6] = a * (-sg * sb * sa - cg * ca)
-    A[3, 7] = a * cg * cb * sa
-    A[3, 8] = a * (cg * sb * ca + sg * sa)
-    B[3, 0] = cg * sb * sa - sg * ca
+    A[..., 3, 6] = a * (-sg * sb * sa - cg * ca)
+    A[..., 3, 7] = a * cg * cb * sa
+    A[..., 3, 8] = a * (cg * sb * ca + sg * sa)
+    B[..., 3, 0] = cg * sb * sa - sg * ca
     # Zddot = a cg cb - g
-    A[5, 6] = -a * sg * cb
-    A[5, 7] = -a * cg * sb
-    B[5, 0] = cg * cb
+    A[..., 5, 6] = -a * sg * cb
+    A[..., 5, 7] = -a * cg * sb
+    B[..., 5, 0] = cg * cb
     # gammadot = (b wx cg + wy sg) / cb
-    A[6, 6] = (-b * wx * sg + wy * cg) / cb
-    A[6, 7] = (b * wx * cg + wy * sg) * sb / cb**2
-    B[6, 1] = b * cg / cb
-    B[6, 2] = sg / cb
+    A[..., 6, 6] = (-b * wx * sg + wy * cg) / cb
+    A[..., 6, 7] = (b * wx * cg + wy * sg) * sb / cb**2
+    B[..., 6, 1] = b * cg / cb
+    B[..., 6, 2] = sg / cb
     # betadot = -b wx sg + wy cg
-    A[7, 6] = -b * wx * cg - wy * sg
-    B[7, 1] = -b * sg
-    B[7, 2] = cg
+    A[..., 7, 6] = -b * wx * cg - wy * sg
+    B[..., 7, 1] = -b * sg
+    B[..., 7, 2] = cg
     # alphadot = b wx cg tb + wy sg tb + wz
-    A[8, 6] = -b * wx * sg * tb + wy * cg * tb
-    A[8, 7] = (b * wx * cg + wy * sg) / cb**2
-    B[8, 1] = b * cg * tb
-    B[8, 2] = sg * tb
-    B[8, 3] = 1.0
+    A[..., 8, 6] = -b * wx * sg * tb + wy * cg * tb
+    A[..., 8, 7] = (b * wx * cg + wy * sg) / cb**2
+    B[..., 8, 1] = b * cg * tb
+    B[..., 8, 2] = sg * tb
+    B[..., 8, 3] = 1.0
     return A, B
 
 
 def quadrotor_rhs_hess_vec(x: Array, u: Array, mu: Array, params: QuadrotorParams) -> Array:
     """Analytic Hessian of mu @ (continuous dynamics) in (state, raw
-    controls): a symmetric 13 x 13 matrix.  Only gamma, beta, alpha and a,
-    wX, wY enter nonlinearly, so it has 13 distinct nonzero entries, all in
-    rows and columns 6..11."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    a, wx, wy, _ = u
-    gam, bet, alp = x[6], x[7], x[8]
-    cg, sg = math.cos(gam), math.sin(gam)
-    cb, sb = math.cos(bet), math.sin(bet)
-    ca, sa = math.cos(alp), math.sin(alp)
-    if abs(cb) < 1e-9:
-        raise EvaluationError("attitude singularity: cos(beta) vanished")
+    controls): a symmetric 13 x 13 matrix per row of x, u and mu.  Only
+    gamma, beta, alpha and a, wX, wY enter nonlinearly, so it has 13
+    distinct nonzero entries, all in rows and columns 6..11."""
+    x, (a, wx, wy, _), (cg, sg, cb, sb, ca, sa) = _attitude(x, u)
     sec, tb = 1.0 / cb, sb / cb
     b = params.b
-    m1, m3, m5, m6, m7, m8 = mu[1], mu[3], mu[5], mu[6], mu[7], mu[8]
+    _, m1, _, m3, _, m5, m6, m7, m8 = np.unstack(np.asarray(mu, dtype=float), axis=-1)
     # thrust: (Xddot, Yddot, Zddot + g) = a (P1, P3, P5), Phi = m1 P1 + m3 P3
     # + m5 P5; subscripts g, b, a are d/dgamma, d/dbeta, d/dalpha
     P1 = cg * sb * ca + sg * sa
@@ -276,22 +273,27 @@ def quadrotor_rhs_hess_vec(x: Array, u: Array, mu: Array, params: QuadrotorParam
     c0 = m6 * sec + m8 * tb
     c0_b = m6 * sec * tb + m8 * sec**2
     c0_bb = m6 * (sec * tb**2 + sec**3) + 2.0 * m8 * sec**2 * tb
-    gg = a * Phi_gg - c0 * K - m7 * Kg
-    gb = a * Phi_gb + c0_b * Kg
-    bb = a * Phi_bb + c0_bb * K
-    ga, ba, aa = a * Phi_ga, a * Phi_ba, a * Phi_aa
-    g_wx, g_wy = -b * (c0 * sg + m7 * cg), c0 * cg - m7 * sg
-    b_wx, b_wy = b * c0_b * cg, c0_b * sg
-    H = np.zeros((N_X_QUAD + N_U_QUAD, N_X_QUAD + N_U_QUAD))
-    # rows and columns (gamma, beta, alpha, a, wX, wY)
-    H[6:12, 6:12] = [
-        [gg, gb, ga, Phi_g, g_wx, g_wy],
-        [gb, bb, ba, Phi_b, b_wx, b_wy],
-        [ga, ba, aa, Phi_a, 0.0, 0.0],
-        [Phi_g, Phi_b, Phi_a, 0.0, 0.0, 0.0],
-        [g_wx, b_wx, 0.0, 0.0, 0.0, 0.0],
-        [g_wy, b_wy, 0.0, 0.0, 0.0, 0.0],
-    ]
+    # the upper triangle of rows and columns (gamma, beta, alpha, a, wX, wY)
+    upper = {
+        (6, 6): a * Phi_gg - c0 * K - m7 * Kg,
+        (6, 7): a * Phi_gb + c0_b * Kg,
+        (6, 8): a * Phi_ga,
+        (6, 9): Phi_g,
+        (6, 10): -b * (c0 * sg + m7 * cg),
+        (6, 11): c0 * cg - m7 * sg,
+        (7, 7): a * Phi_bb + c0_bb * K,
+        (7, 8): a * Phi_ba,
+        (7, 9): Phi_b,
+        (7, 10): b * c0_b * cg,
+        (7, 11): c0_b * sg,
+        (8, 8): a * Phi_aa,
+        (8, 9): Phi_a,
+    }
+    rows, cols = np.array(list(upper)).T
+    entries = np.stack(np.broadcast_arrays(*upper.values()), axis=-1)
+    H = np.zeros(entries.shape[:-1] + (N_X_QUAD + N_U_QUAD, N_X_QUAD + N_U_QUAD))
+    H[..., rows, cols] = entries
+    H[..., cols, rows] = entries
     return H
 
 
@@ -311,6 +313,17 @@ def quadrotor_cost_weights(params: QuadrotorParams):
     R = np.eye(N_U_QUAD)
     Qf = np.eye(N_X_QUAD)
     return Q, R, Qf
+
+
+def _one_row(batched: Callable) -> Callable:
+    """The per-stage form `f(i, x, u, d[, lam])` of a stage-batched oracle:
+    one call on one-row stacks."""
+
+    def per_stage(i, *rows):
+        out = batched(*(np.asarray(r, dtype=float)[None] for r in rows))
+        return out[0] if isinstance(out, np.ndarray) else tuple(t[0] for t in out)
+
+    return per_stage
 
 
 def quadrotor_problem(params: QuadrotorParams):
@@ -333,31 +346,41 @@ def quadrotor_problem(params: QuadrotorParams):
     def rhs_jac(x, u_raw):
         return quadrotor_rhs_jacobians(x, u_raw, params)
 
-    def dynamics(i, x, u, d):
-        return rk4_step(rhs, x, u + trim, dt)
-
     def rhs_hess_vec(x, u_raw, mu):
         return quadrotor_rhs_hess_vec(x, u_raw, mu, params)
 
-    def dynamics_jac(i, x, u, d):
-        A, B = rk4_step_jacobians(rhs, rhs_jac, x, u + trim, dt)
-        return A, B, np.zeros((N_X_QUAD, d.size))
+    # stage-batched forms: rows of X, U, D, Lam are stages.  The data enter
+    # only through the cost, so G and the (x, u)-d curvature blocks vanish;
+    # constant cost blocks are broadcast along the stage axis
+    def dynamics_batch(X, U, D):
+        return rk4_step(rhs, X, U + trim, dt)
 
-    def dynamics_hess_vec(i, x, u, d, lam):
-        # data enter only through the cost, so the (x, u)-d blocks vanish
-        H = rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, x, u + trim, dt, lam)
-        n = N_X_QUAD
-        return H[:n, :n], H[:n, n:], H[n:, n:], np.zeros((n, d.size)), np.zeros((N_U_QUAD, d.size))
+    def dynamics_jac_batch(X, U, D):
+        A, B = rk4_step_jacobians(rhs, rhs_jac, X, U + trim, dt)
+        return A, B, np.zeros((len(X), N_X_QUAD, N_X_QUAD))
+
+    def dynamics_hess_vec_batch(X, U, D, Lam):
+        H = rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, X, U + trim, dt, Lam)
+        n, k = N_X_QUAD, len(X)
+        zero_xd, zero_ud = np.broadcast_to(0.0, (k, n, n)), np.broadcast_to(0.0, (k, N_U_QUAD, n))
+        return H[:, :n, :n], H[:, :n, n:], H[:, n:, n:], zero_xd, zero_ud
+
+    def stage_cost_grad_batch(X, U, D):
+        return (X - D) @ (2.0 * Q).T, U @ (2.0 * R).T
+
+    def stage_cost_hess_batch(X, U, D):
+        n = len(X)
+        return (
+            np.broadcast_to(2.0 * Q, (n, N_X_QUAD, N_X_QUAD)),
+            np.broadcast_to(0.0, (n, N_X_QUAD, N_U_QUAD)),
+            np.broadcast_to(2.0 * R, (n, N_U_QUAD, N_U_QUAD)),
+            np.broadcast_to(-2.0 * Q, (n, N_X_QUAD, N_X_QUAD)),
+            np.broadcast_to(0.0, (n, N_U_QUAD, N_X_QUAD)),
+        )
 
     def stage_cost(i, x, u, d):
         e = x - d
         return float(e @ Q @ e + u @ R @ u)
-
-    def stage_cost_grad(i, x, u, d):
-        return 2.0 * Q @ (x - d), 2.0 * R @ u
-
-    def stage_cost_hess(i, x, u, d):
-        return 2.0 * Q, np.zeros((N_X_QUAD, N_U_QUAD)), 2.0 * R, -2.0 * Q, np.zeros((N_U_QUAD, N_X_QUAD))
 
     def terminal_cost(x, d):
         e = x - d
@@ -372,14 +395,19 @@ def quadrotor_problem(params: QuadrotorParams):
     dims = Dimensions.uniform(params.N, N_X_QUAD, N_U_QUAD, N_X_QUAD, N_X_QUAD)
     oracles = StageOracles(
         stage_cost=stage_cost,
-        dynamics=dynamics,
+        dynamics=_one_row(dynamics_batch),
         terminal_cost=terminal_cost,
-        stage_cost_grad=stage_cost_grad,
-        stage_cost_hess=stage_cost_hess,
+        stage_cost_grad=_one_row(stage_cost_grad_batch),
+        stage_cost_hess=_one_row(stage_cost_hess_batch),
         terminal_cost_grad=terminal_cost_grad,
         terminal_cost_hess=terminal_cost_hess,
-        dynamics_jac=dynamics_jac,
-        dynamics_hess_vec=dynamics_hess_vec,
+        dynamics_jac=_one_row(dynamics_jac_batch),
+        dynamics_hess_vec=_one_row(dynamics_hess_vec_batch),
+        dynamics_batch=dynamics_batch,
+        dynamics_jac_batch=dynamics_jac_batch,
+        stage_cost_grad_batch=stage_cost_grad_batch,
+        stage_cost_hess_batch=stage_cost_hess_batch,
+        dynamics_hess_vec_batch=dynamics_hess_vec_batch,
     )
     problem = DOProblem(dims=dims, oracles=oracles, T=np.eye(N_X_QUAD))
     hover = quadrotor_hover_state(params)

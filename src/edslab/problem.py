@@ -159,7 +159,8 @@ class StageOracles:
     objective, the constraints and any problem whose data size differs by
     stage read them), and a batched form must agree with its per-stage form.
     A batched dynamics_hess_vec is also called at stages whose multiplier
-    is zero, where the per-stage path skips the call.
+    is zero, where the per-stage path skips the call.  Every preset of
+    `models` registers all five.
 
     All maps must be twice continuously differentiable on the evaluation
     domain.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edslab import (
+    Dimensions,
     PrimalDualTrajectory,
     RegularityError,
     StageBlocks,
@@ -333,6 +335,26 @@ class TestNUniformitySignatures:
         res = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
         blocks = linearize(b.problem, res.trajectory, b.base_data)
         assert mixed_hessian_norm(blocks) <= blh_bound_from_K(max_block_norm(blocks))
+
+    @settings(max_examples=100, deadline=None)
+    @given(stage_blocks(), st.integers(0, 2**32 - 1))
+    def test_max_block_norm_matches_per_block_loop(self, blocks, seed):
+        def per_block(blocks):
+            every = [blocks.T, *(M for name in "QRSEFABG" for M in getattr(blocks, name))]
+            return max((float(np.linalg.norm(M, 2)) for M in every if M.size), default=0.0)
+
+        assert max_block_norm(blocks) == per_block(blocks)
+        # data sizes that differ by stage: E, F and G mix block shapes
+        dims, rng = blocks.dims, np.random.default_rng(seed)
+        nd = [int(k) for k in rng.integers(0, 4, dims.N + 1)]
+        mixed = dataclasses.replace(
+            blocks,
+            dims=Dimensions(dims.N, dims.n_x, dims.n_u, (dims.n_0, *nd), dims.n_0),
+            E=[rng.standard_normal((dims.n_x, k)) for k in nd],
+            F=[rng.standard_normal((dims.n_u, k)) for k in nd[:-1]],
+            G=[rng.standard_normal((dims.n_x, k)) for k in nd[:-1]],
+        )
+        assert max_block_norm(mixed) == per_block(mixed)
 
 
 class TestReport:

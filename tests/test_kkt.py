@@ -236,8 +236,25 @@ def blocks_relative_diff(a, b):
     return out
 
 
+def assert_batched_matches_loop(p, traj, data, solve_data, w0=None):
+    """The residual and the fresh and reused linearizations at (traj, data),
+    and a whole solve of `solve_data`, agree between `p` and its per-stage
+    loop to 1e-13 relative, with the same Newton iterations."""
+    loop = per_stage_only(p)
+    assert relative_diff(kkt_residual(p, traj, data), kkt_residual(loop, traj, data)) <= 1e-13
+    assert blocks_relative_diff(linearize(p, traj, data), linearize(loop, traj, data)) <= 1e-13
+    jac = []
+    kkt_residual(p, traj, data, jacobians=jac)
+    assert len(jac) == p.dims.N
+    assert blocks_relative_diff(linearize(p, traj, data, jacobians=jac), linearize(loop, traj, data)) <= 1e-13
+    batched, looped = solve_equality_nlp(p, solve_data, w0=w0), solve_equality_nlp(loop, solve_data, w0=w0)
+    assert batched.converged and looped.converged
+    assert batched.iterations == looped.iterations
+    assert relative_diff(batched.trajectory.vector, looped.trajectory.vector) <= 1e-13
+
+
 class TestStageBatchedOracles:
-    """The LQ factories register stage-batched oracles; dropping them sends
+    """Every preset registers stage-batched oracles; dropping them sends
     the residual, the linearization and a whole solve through the
     per-stage loop, which must agree."""
 
@@ -251,21 +268,30 @@ class TestStageBatchedOracles:
     )
     def test_batched_path_matches_per_stage_loop(self, n_x, n_u, N, stability, seed):
         p = lq_chain(n_x, n_u, N, stability=stability, seed=seed % 1000)
-        loop = per_stage_only(p)
         traj, data = random_point(p, seed=seed, scale=2.0)
-        assert relative_diff(kkt_residual(p, traj, data), kkt_residual(loop, traj, data)) <= 1e-13
-        assert blocks_relative_diff(linearize(p, traj, data), linearize(loop, traj, data)) <= 1e-13
-        jac = []
-        kkt_residual(p, traj, data, jacobians=jac)
-        assert len(jac) == N
-        assert blocks_relative_diff(linearize(p, traj, data, jacobians=jac), linearize(loop, traj, data)) <= 1e-13
-        batched, looped = solve_equality_nlp(p, data), solve_equality_nlp(loop, data)
-        assert batched.converged and looped.converged
-        assert batched.iterations == looped.iterations
-        assert relative_diff(batched.trajectory.vector, looped.trajectory.vector) <= 1e-13
+        assert_batched_matches_loop(p, traj, data, data)
 
-    @pytest.mark.parametrize("name", ["scalar_oracle", "double_integrator", "lq_chain"])
-    def test_lq_models_use_only_the_batched_stage_oracles(self, name):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 1.0]),
+        st.integers(2, 8),
+        st.sampled_from([0.02, 0.05, 0.1]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_quadrotor_batched_path_matches_per_stage_loop(self, b, q, N, dt, seed):
+        # the batched RK4 chain runs every stage as one row of a stack; the
+        # per-stage oracles are one-row calls of it
+        bundle = build_model("quadrotor", {"b": b, "q": q, "N": N, "dt": dt})
+        traj, data = random_point(bundle.problem, seed=seed)
+        # the solve starts at hover after a kick of the initial state, as in
+        # the perturbation experiments; random reference data may leave the
+        # b = q = 0 case without a regular KKT system
+        kick = 0.2 * np.random.default_rng(seed).standard_normal(9)
+        assert_batched_matches_loop(bundle.problem, traj, data, bundle.base_data.perturbed(-1, kick), bundle.warm_start)
+
+    @pytest.mark.parametrize("name", ["scalar_oracle", "double_integrator", "lq_chain", "quadrotor"])
+    def test_presets_use_only_batched_oracles(self, name):
         bundle = build_model(name)
         p = bundle.problem
         batched_only = dataclasses.replace(
@@ -351,25 +377,27 @@ class TestSolve:
 
     def test_one_dynamics_jacobian_per_point(self, monkeypatch):
         # Newton's linearize takes the Jacobians its residual evaluated at the
-        # accepted point: every dynamics_jac call belongs to a residual
+        # accepted point: every dynamics Jacobian evaluation belongs to a
+        # residual, one stage-batched call for all stages of each
         bundle = build_model("quadrotor", {"N": 6, "dt": 0.5})
         orc = bundle.problem.oracles
         jac_calls, residual_calls = [0], [0]
 
         def counted_jac(*args):
             jac_calls[0] += 1
-            return orc.dynamics_jac(*args)
+            return orc.dynamics_jac_batch(*args)
 
         def counted_residual(*args, **kwargs):
             residual_calls[0] += 1
             return kkt_residual(*args, **kwargs)
 
-        p = dataclasses.replace(bundle.problem, oracles=dataclasses.replace(orc, dynamics_jac=counted_jac))
+        oracles = dataclasses.replace(orc, dynamics_jac=refuse, dynamics_jac_batch=counted_jac)
+        p = dataclasses.replace(bundle.problem, oracles=oracles)
         monkeypatch.setattr(kkt, "kkt_residual", counted_residual)
         data = bundle.base_data.perturbed(-1, 0.2 * np.ones(9))
         res = solve_equality_nlp(p, data, w0=bundle.warm_start)
         assert res.converged and res.iterations >= 2
-        assert jac_calls[0] == p.dims.N * residual_calls[0]
+        assert jac_calls[0] == residual_calls[0]
 
     def test_one_newton_step_on_lq(self):
         p = lq_chain(3, 2, 6, seed=3)

@@ -65,66 +65,100 @@ class TestQuadrotorRHS:
             quadrotor_continuous_rhs(x, quadrotor_trim(qp), qp)
 
 
-def quad_point(b, beta, seed):
-    """A random quadrotor evaluation point: params with roll authority b,
-    a state with pitch beta, raw controls (a, wX, wY, wZ) and a multiplier."""
+def quad_point(b, beta, seed, rows=1):
+    """Random quadrotor evaluation points, stacked as rows: params with roll
+    authority b, states, raw controls (a, wX, wY, wZ) and multipliers.  The
+    first state has pitch beta, the others a pitch drawn in [-1.2, 1.2]."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(9)
-    x[7] = beta
-    u = np.concatenate([[rng.uniform(0.0, 20.0)], 2.0 * rng.standard_normal(3)])
-    return QuadrotorParams(b=b), x, u, rng.standard_normal(9)
+    x = rng.standard_normal((rows, 9))
+    x[:, 7] = beta
+    u = np.column_stack([rng.uniform(0.0, 20.0, rows), 2.0 * rng.standard_normal((rows, 3))])
+    mu = rng.standard_normal((rows, 9))
+    x[1:, 7] = rng.uniform(-1.2, 1.2, rows - 1)
+    return QuadrotorParams(b=b), x, u, mu
 
 
 def central_jacobian(fun, z, h):
-    return np.column_stack([(fun(z + h * e) - fun(z - h * e)) / (2.0 * h) for e in np.eye(z.size)])
+    """Central differences of `fun` in each entry of z's last axis; for
+    row-stacked points, each row's Jacobian."""
+    return np.stack([(fun(z + h * e) - fun(z - h * e)) / (2.0 * h) for e in np.eye(z.shape[-1])], axis=-1)
 
 
 def relative_error(approx, exact):
-    return float(np.abs(approx - exact).max() / np.abs(exact).max())
+    """Largest error relative to the largest exact entry, over each matrix
+    of a stack."""
+    axes = (-2, -1)
+    return float((np.abs(approx - exact).max(axis=axes) / np.abs(exact).max(axis=axes)).max())
 
 
-quad_draws = given(st.floats(0.0, 2.0), st.floats(-1.2, 1.2), st.integers(0, 2**32 - 1))
+pitches, seeds = st.floats(-1.2, 1.2), st.integers(0, 2**32 - 1)
+quad_draws = given(st.floats(0.0, 2.0), pitches, seeds)
+quad_stack_draws = given(st.floats(0.0, 2.0), pitches, st.integers(1, 5), seeds)
 
 
 class TestQuadrotorDerivatives:
     @settings(max_examples=100, deadline=None)
-    @quad_draws
-    def test_rhs_jacobians_match_central_differences(self, b, beta, seed):
-        qp, x, u, _ = quad_point(b, beta, seed)
+    @quad_stack_draws
+    def test_rhs_jacobians_match_central_differences(self, b, beta, rows, seed):
+        qp, x, u, _ = quad_point(b, beta, seed, rows)
         A, B = quadrotor_rhs_jacobians(x, u, qp)
-        fun = lambda z: quadrotor_continuous_rhs(z[:9], z[9:], qp)
-        J = central_jacobian(fun, np.concatenate([x, u]), 1e-6)
-        assert relative_error(J, np.hstack([A, B])) <= 1e-7
+        assert A.shape == (rows, 9, 9) and B.shape == (rows, 9, 4)
+        fun = lambda z: quadrotor_continuous_rhs(z[:, :9], z[:, 9:], qp)
+        J = central_jacobian(fun, np.hstack([x, u]), 1e-6)
+        assert relative_error(J, np.concatenate([A, B], axis=-1)) <= 1e-7
 
     @settings(max_examples=100, deadline=None)
-    @quad_draws
-    def test_rhs_hess_vec_matches_richardson_differences(self, b, beta, seed):
+    @quad_stack_draws
+    def test_rhs_hess_vec_matches_richardson_differences(self, b, beta, rows, seed):
         # Richardson extrapolation of central differences of the analytic
         # gradient map mu^T [A, B] cancels the O(h^2) term
-        qp, x, u, mu = quad_point(b, beta, seed)
+        qp, x, u, mu = quad_point(b, beta, seed, rows)
         H = quadrotor_rhs_hess_vec(x, u, mu, qp)
-        assert np.array_equal(H, H.T)
+        assert H.shape == (rows, 13, 13)
+        assert np.array_equal(H, H.mT)
         outside = np.ones(13, dtype=bool)
         outside[6:12] = False
-        assert not H[outside].any() and not H[:, outside].any()
+        assert not H[:, outside].any() and not H[:, :, outside].any()
 
         def grad(z):
-            A, B = quadrotor_rhs_jacobians(z[:9], z[9:], qp)
-            return np.concatenate([A.T @ mu, B.T @ mu])
+            A, B = quadrotor_rhs_jacobians(z[:, :9], z[:, 9:], qp)
+            return np.vecmat(mu, np.concatenate([A, B], axis=-1))
 
-        z, h = np.concatenate([x, u]), 1e-3
+        z, h = np.hstack([x, u]), 1e-3
         R = (4.0 * central_jacobian(grad, z, h / 2) - central_jacobian(grad, z, h)) / 3.0
         assert relative_error(R, H) <= 1e-8
+
+    def test_singular_row_guarded_in_every_batched_form(self):
+        # one interior row of a 5-row stack at the pitch singularity
+        qp, x, u, mu = quad_point(1.0, 0.3, 0, 5)
+        orc = build_model("quadrotor", {"N": 5}).problem.oracles
+        U, D = u - quadrotor_trim(qp), np.zeros((5, 9))
+        calls = (
+            lambda: quadrotor_continuous_rhs(x, u, qp),
+            lambda: quadrotor_rhs_jacobians(x, u, qp),
+            lambda: quadrotor_rhs_hess_vec(x, u, mu, qp),
+            lambda: orc.dynamics_batch(x, U, D),
+            lambda: orc.dynamics_jac_batch(x, U, D),
+            lambda: orc.dynamics_hess_vec_batch(x, U, D, mu),
+        )
+        for call in calls:
+            call()
+        x[2, 7] = np.pi / 2
+        for call in calls:
+            with pytest.raises(EvaluationError, match="attitude singularity"):
+                call()
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.01, 1.0), st.integers(0, 2**32 - 1))
     @example(dt=0.875, seed=8880885)
     def test_rk4_adjoint_matches_complex_step(self, dt, seed):
-        # r(x, u) = A0 x + B0 u + C sin(V z), z = (x, u), takes complex z, so
-        # the complex step differentiates rk4_step_jacobians to round-off.
-        # Both sides run in extended precision: in float64 each carries its
-        # own round-off, about 1e-12 relative at the example's draw (adjoint
-        # 1.1e-12, complex step 8.3e-13 off an extended-precision reference)
+        # r(x, u) = A0 x + B0 u + C sin(V z), z = (x, u), evaluated row-wise
+        # on stacked points, takes complex z, so the complex step
+        # differentiates rk4_step_jacobians to round-off: one row per
+        # direction of (x, u).  Both sides run in extended precision: in
+        # float64 each carries its own round-off, about 1e-12 relative at
+        # the example's draw (adjoint 1.1e-12, complex step 8.3e-13 off an
+        # extended-precision reference)
         if not np.finfo(np.longdouble).eps < 1e-18:
             pytest.skip("np.longdouble is not an extended-precision type here")
         rng = np.random.default_rng(seed)
@@ -133,26 +167,24 @@ class TestQuadrotorDerivatives:
         dt = np.longdouble(dt)
         A0, B0 = draw(n, n), draw(n, m)
         C, V = draw(n, k), draw(k, n + m)
-        rhs = lambda x, u: A0 @ x + B0 @ u + C @ np.sin(V @ np.concatenate([x, u]))
+        angles = lambda x, u: np.concatenate([x, u], axis=-1) @ V.T
+        rhs = lambda x, u: x @ A0.T + u @ B0.T + np.sin(angles(x, u)) @ C.T
 
         def rhs_jac(x, u):
-            J = np.hstack([A0, B0]) + C @ (np.cos(V @ np.concatenate([x, u]))[:, None] * V)
-            return J[:, :n], J[:, n:]
+            J = np.hstack([A0, B0]) + C @ (np.cos(angles(x, u))[..., :, None] * V)
+            return J[..., :n], J[..., n:]
 
         def rhs_hess_vec(x, u, mu):
-            s = np.sin(V @ np.concatenate([x, u]))
-            return -V.T @ (((C.T @ mu) * s)[:, None] * V)
+            return -V.T @ (((mu @ C) * np.sin(angles(x, u)))[..., :, None] * V)
 
         x, u, lam = draw(n), draw(m), draw(n)
-        H = rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, x, u, dt, lam)
+        (H,) = rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, x[None], u[None], dt, lam[None])
         assert H.dtype == np.longdouble
-        z, h = np.concatenate([x, u]), np.longdouble(1e-30)
-        cols = []
-        for e in np.eye(n + m, dtype=np.longdouble):
-            zc = z + np.clongdouble(1j) * h * e
-            Ad, Bd = rk4_step_jacobians(rhs, rhs_jac, zc[:n], zc[n:], dt)
-            cols.append(np.concatenate([Ad.T @ lam, Bd.T @ lam]).imag / h)
-        assert relative_error(np.column_stack(cols), H) <= 1e-15
+        h = np.longdouble(1e-30)
+        zc = np.concatenate([x, u]) + np.clongdouble(1j) * h * np.eye(n + m, dtype=np.longdouble)
+        Ad, Bd = rk4_step_jacobians(rhs, rhs_jac, zc[:, :n], zc[:, n:], dt)
+        rows = np.concatenate([lam @ Ad, lam @ Bd], axis=-1).imag / h
+        assert relative_error(rows.T, H) <= 1e-15
 
     @settings(max_examples=30, deadline=None)
     @quad_draws
@@ -161,7 +193,7 @@ class TestQuadrotorDerivatives:
         # dynamics_hess_vec agrees to its own error; a short step keeps the
         # RK4 stage points of these rough draws off the pitch singularity,
         # near which the FD error grows without bound
-        qp, x, u, lam = quad_point(b, beta, seed)
+        qp, (x,), (u,), (lam,) = quad_point(b, beta, seed)
         bundle = build_model("quadrotor", {"b": b, "N": 2, "dt": 0.05})
         p = bundle.problem
         p_fd = dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, dynamics_hess_vec=None))

@@ -66,12 +66,14 @@ def test_counting_oracles_wrap_every_field(tracer_module):
     from edslab.kkt import solve_equality_nlp
     from edslab.models import build_model
 
-    tracer = tracer_module.Tracer()
-    bundle = tracer._counting_oracles(build_model)("lq_chain", {"n_x": 3, "n_u": 2, "N": 8})
-    res = solve_equality_nlp(bundle.problem, bundle.base_data, w0=bundle.warm_start)
-    assert res.converged
-    counts = dict(tracer.counts)
-    assert counts["problem.dynamics_jac_batch_calls"] > 0
-    assert counts["problem.dynamics_batch_calls"] > 0
-    # the batched forms replace the per-stage ones on the LQ chain
-    assert "problem.dynamics_jac_calls" not in counts
+    for name, params in (("lq_chain", {"n_x": 3, "n_u": 2, "N": 8}), ("quadrotor", {"N": 8})):
+        tracer = tracer_module.Tracer()
+        bundle = tracer._counting_oracles(build_model)(name, params)
+        data = bundle.base_data.perturbed(-1, 0.1 * bundle.base_data[-1] + 0.1)
+        res = solve_equality_nlp(bundle.problem, data, w0=bundle.warm_start)
+        assert res.converged and res.iterations > 0, name
+        counts = dict(tracer.counts)
+        for field in ("dynamics_batch", "dynamics_jac_batch", "dynamics_hess_vec_batch"):
+            assert counts[f"problem.{field}_calls"] > 0, (name, field)
+        # the batched forms replace the per-stage ones on every preset
+        assert "problem.dynamics_jac_calls" not in counts, name
