@@ -45,12 +45,14 @@ from .errors import (
     RegularityError,
 )
 from .kkt import (
+    BlockFactor,
     SolveOptions,
     SolveResult,
     StageBlocks,
     assemble_hessian,
     assemble_jacobian,
     assemble_mixed_hessian,
+    factor_kkt,
     kkt_residual,
     linearize,
     solve_equality_nlp,

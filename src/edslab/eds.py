@@ -83,16 +83,14 @@ class SensitivityProfile:
         peak = float(self.s.max()) if self.s.size else 0.0
         return max(FLOOR_ABS, FLOOR_REL * peak)
 
-    def above_floor(self):
-        """(i, s_i) for every stage whose deviation exceeds the noise floor;
-        nothing when the profile is not usable."""
+    def above_floor(self) -> tuple[list, list]:
+        """The stages i and deviations s_i, as two lists, where s_i exceeds
+        the noise floor, picked by one array mask; both empty when the
+        profile is not usable."""
         if not self.usable:
-            return
-        floor = self.floor()
-        for i in self.stage_range():
-            si = self.deviation(i)
-            if si > floor:
-                yield i, si
+            return [], []
+        keep = np.flatnonzero(self.s > self.floor())
+        return (keep - 1).tolist(), self.s[keep].tolist()
 
 
 def stage_deviations(
@@ -228,7 +226,7 @@ class DecayFit:
 def _pooled_points(profiles):
     dists, logs = [], []
     for prof in profiles:
-        for i, si in prof.above_floor():
+        for i, si in zip(*prof.above_floor()):
             dists.append(abs(i - prof.stage))
             logs.append(math.log(si / prof.magnitude))
     floors = [prof.floor() for prof in profiles if prof.usable]
@@ -289,7 +287,7 @@ def verify_eds_bound(profiles, fit: DecayFit, slack: float = 1.0) -> BoundCheck:
     violations = 0
     worst = 0.0
     for prof in profiles:
-        for i, si in prof.above_floor():
+        for i, si in zip(*prof.above_floor()):
             bound = slack * fit.upsilon * fit.rho ** abs(i - prof.stage) * prof.magnitude
             ratio = si / bound
             n_checked += 1

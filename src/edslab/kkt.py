@@ -27,7 +27,14 @@ tridiagonal, so a block LDL^T (one small Bunch-Kaufman factor per stage)
 solves it and, by Haynsworth additivity, reads its inertia in
 O(N (2 n_x + n_u)^3) time and O(N (2 n_x + n_u)^2) memory per Newton
 iteration.  Every block but its Schur corner is assembled before the
-elimination, in one stacked array.
+elimination, in one stacked array.  `factor_kkt` returns that factor as a
+`BlockFactor`, whose `solve` takes a vector or a matrix of columns.  The
+first Newton iteration keeps its factor in a one-entry memo keyed by a
+bitwise copy of the blocks and the regularization: perturbation
+experiments all re-solve from the base solution, so they share that first
+KKT matrix, and for an LQ problem it is the only one.  On the benchmark's
+`lq_many_perturbations` (N = 60) one factorization serves all 97 Newton
+steps, where each used to factor anew.
 
 The KKT residual returned here is exactly the gradient of
 `problem.evaluate_lagrangian` in the entries of the trajectory's vector
@@ -519,34 +526,15 @@ def assemble_hessian(blocks: StageBlocks) -> Array:
     return H
 
 
-def _w_offsets(dims: Dimensions):
-    """Row offsets of lam_i, x_i and u_i in the stage-ordered primal-dual
-    vector [lam_{-1}; x_0; u_0; lam_0; ...; x_N], and its length."""
-    off = {(-1, "lam"): 0}
-    for i in range(dims.N + 1):
-        base = dims.w_offsets[i + 1]
-        off[(i, "x")] = base
-        off[(i, "u")] = base + dims.n_x
-        off[(i, "lam")] = base + dims.n_z
-    return off, dims.n_w
-
-
-def _xi_offsets(dims: Dimensions):
-    """Column offsets of the stage-interleaved (primal-dual, data) stacking
-    [lam_{-1}; d_{-1}; x_0; u_0; lam_0; d_0; ...; x_N; d_N]."""
-    off = {}
-    off[(-1, "lam")] = 0
-    off[(-1, "d")] = dims.n_0
-    base = dims.n_0 + dims.nd(-1)
-    for i in range(dims.N):
-        off[(i, "x")] = base
-        off[(i, "u")] = base + dims.n_x
-        off[(i, "lam")] = base + dims.n_z
-        off[(i, "d")] = base + dims.n_z + dims.n_x
-        base += 2 * dims.n_x + dims.n_u + dims.nd(i)
-    off[(dims.N, "x")] = base
-    off[(dims.N, "d")] = base + dims.n_x
-    return off, base + dims.n_x + dims.nd(dims.N)
+def _block_indices(r0, c0, nr, nc):
+    """Row and column indices of the entries of blocks of shape (nr[k],
+    nc[k]) whose first entries sit at (r0[k], c0[k]), each block in C
+    order, one block after another; scalars broadcast."""
+    r0, c0, nr, nc = np.broadcast_arrays(*(np.atleast_1d(v) for v in (r0, c0, nr, nc)))
+    size = nr * nc
+    blk = np.repeat(np.arange(size.size), size)
+    k = np.arange(blk.size) - (np.cumsum(size) - size)[blk]
+    return r0[blk] + k // nc[blk], c0[blk] + k % nc[blk]
 
 
 def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
@@ -557,43 +545,47 @@ def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
     couplings E_i, F_i, G_i plus the identity pairing lam(-1) with d_{-1}.
     Zero entries inside a block are stored too."""
     dims = blocks.dims
-    row, n_w = _w_offsets(dims)
-    col, n_xi = _xi_offsets(dims)
-    I_x = np.eye(dims.n_x)
-    rows, cols, vals = [], [], []
-
-    def put(r, c, block):
-        if block.size:
-            k = np.arange(block.size)
-            rows.append(r + k // block.shape[1])
-            cols.append(c + k % block.shape[1])
-            vals.append(block.ravel())
-
-    # initial constraint couplings
-    put(row[(-1, "lam")], col[(0, "x")], -blocks.T)
-    put(row[(0, "x")], col[(-1, "lam")], -blocks.T.T)
-    put(row[(-1, "lam")], col[(-1, "d")], np.eye(dims.n_0))
-    for i in range(dims.N):
-        # stage Hessian
-        put(row[(i, "x")], col[(i, "x")], blocks.Q[i])
-        put(row[(i, "x")], col[(i, "u")], blocks.S[i])
-        put(row[(i, "u")], col[(i, "x")], blocks.S[i].T)
-        put(row[(i, "u")], col[(i, "u")], blocks.R[i])
+    N, n_x, n_u, n_z, n_0 = dims.N, dims.n_x, dims.n_u, dims.n_z, dims.n_0
+    nd = np.array(dims.n_d)  # d_{-1}, ..., d_N
+    # rows of x_i (i in [0, N]), u_i and lam_i in the stage-ordered vector
+    rx = np.array(dims.w_offsets[1:-1])
+    ru, rl = rx[:N] + n_x, rx[:N] + n_z
+    # columns of x_i, u_i, lam_i and d_i in [lam_{-1}; d_{-1}; x_0; u_0;
+    # lam_0; d_0; ...; x_N; d_N]
+    cx = n_0 + nd[0] + np.arange(N + 1) * (2 * n_x + n_u) + np.r_[0, np.cumsum(nd[1:-1])]
+    cu, cl = cx[:N] + n_x, cx[:N] + n_z
+    cd = np.r_[cl + n_x, cx[N] + n_x]
+    minus_I = np.broadcast_to(-np.eye(n_x), (N, n_x, n_x))
+    parts = (
+        # initial constraint couplings
+        (0, cx[0], n_0, n_x, -blocks.T[None]),
+        (rx[0], 0, n_x, n_0, -blocks.T.T[None]),
+        (0, n_0, n_0, n_0, np.eye(n_0)[None]),
+        # stage Hessian, terminal Q_N included
+        (rx, cx, n_x, n_x, blocks.Q),
+        (rx[:N], cu, n_x, n_u, blocks.S),
+        (ru, cx[:N], n_u, n_x, np.swapaxes(blocks.S, 1, 2)),
+        (ru, cu, n_u, n_u, blocks.R),
         # dynamics couplings
-        put(row[(i, "x")], col[(i, "lam")], blocks.A[i].T)
-        put(row[(i, "u")], col[(i, "lam")], blocks.B[i].T)
-        put(row[(i, "lam")], col[(i, "x")], blocks.A[i])
-        put(row[(i, "lam")], col[(i, "u")], blocks.B[i])
-        put(row[(i + 1, "x")], col[(i, "lam")], -I_x)
-        put(row[(i, "lam")], col[(i + 1, "x")], -I_x)
-        # data couplings
-        put(row[(i, "x")], col[(i, "d")], blocks.E[i])
-        put(row[(i, "u")], col[(i, "d")], blocks.F[i])
-        put(row[(i, "lam")], col[(i, "d")], blocks.G[i])
-    put(row[(dims.N, "x")], col[(dims.N, "x")], blocks.Q[dims.N])
-    put(row[(dims.N, "x")], col[(dims.N, "d")], blocks.E[dims.N])
+        (rx[:N], cl, n_x, n_x, np.swapaxes(blocks.A, 1, 2)),
+        (ru, cl, n_u, n_x, np.swapaxes(blocks.B, 1, 2)),
+        (rl, cx[:N], n_x, n_x, blocks.A),
+        (rl, cu, n_x, n_u, blocks.B),
+        (rx[1:], cl, n_x, n_x, minus_I),
+        (rl, cx[1:], n_x, n_x, minus_I),
+        # data couplings, terminal E_N included
+        (rx, cd, n_x, nd[1:], blocks.E),
+        (ru, cd[:N], n_u, nd[1:-1], blocks.F),
+        (rl, cd[:N], n_x, nd[1:-1], blocks.G),
+    )
+    rows, cols = zip(*(_block_indices(*part[:4]) for part in parts))
+    vals = [
+        V.ravel() if isinstance(V, np.ndarray) else np.concatenate([M.ravel() for M in V])
+        for *_, V in parts
+    ]
     return scipy.sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_w, n_xi)
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dims.n_w, cd[N] + nd[-1]),
     ).tocsr()
 
 
@@ -668,22 +660,83 @@ def _d_eigs(diag: Array, sub: Array, ipiv: Array) -> Array:
     return np.concatenate([diag[one], 0.5 * (a + c + disc), 0.5 * (a + c - disc)])
 
 
-def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, reg: float = 0.0):
-    """Solve (K + reg * I_primal) x = rhs for the KKT matrix K of `blocks`,
-    the Hessian of the Lagrangian in the stage-ordered primal-dual vector,
-    with an inertia gate and without forming K; I_primal is one on the x
-    and u entries.  rhs and x are stage-ordered.  Returns x only when the
-    shifted K has exactly (n_pos, n_neg, 0) positive/negative/zero
-    eigenvalues, None otherwise (non-finite input included).
+@dataclass
+class BlockFactor:
+    """Block LDL^T factor of the shifted KKT matrix K + reg * I_primal of
+    one `StageBlocks`, made by `factor_kkt`.
 
-    Block LDL^T on consecutive slices of the stage-ordered vector.  Block k
-    holds [lam_{k-1}; x_k; u_k]: block 0 opens with lam_{-1} and its
-    coupling -T to x_0, block N is [lam_{N-1}; x_N].  Block k+1 couples to block k only through the rows
-    lam_k, by C = [0, A_k, B_k].  The Schur complements D_0 = K_00 and
-    D_{k+1} = K_{k+1,k+1} - C D_k^{-1} C^T (which changes only the lam_k
-    corner) each get one Bunch-Kaufman factor.  By Haynsworth additivity
-    the inertia of K is the sum of the inertias of the blocks' D.  Costs
-    O(N (2 n_x + n_u)^3) time and O(N (2 n_x + n_u)^2) memory.
+    Block k of the stage-ordered vector holds its rows starts[k] to
+    starts[k + 1] (starts[-1] is the order n of K); ldus[k] and ipivs[k]
+    are the ?sytrf factor of its Schur complement D_k.  For k < N, Cs[k]
+    is its coupling C = [0, A_k, B_k] to block k + 1, the transposed view
+    of the Fortran-ordered slab [C^T | .] of the factor pass, and Ys[k] =
+    D_k^{-1} C^T.  eigs are the eigenvalues of the D's, and inertia is the
+    number of them above and below the gate's tolerance
+    max(|eigs|.max(), 1) n eps (K's inertia, by Haynsworth additivity); the
+    rest count as zero.  forward, when the factor pass carried a
+    right-hand side, is that rhs and its forward substitution.
+    """
+
+    n_x: int
+    starts: list
+    ldus: list
+    ipivs: list
+    Cs: list
+    Ys: list
+    eigs: Array
+    inertia: tuple
+    forward: tuple | None = None
+
+    def solve(self, rhs: Array) -> Array | None:
+        """(K + reg * I_primal)^{-1} rhs for a stage-ordered vector, or for
+        each column of an (n, c) matrix; None when rhs or the solution is
+        not finite.  The forward substitution of block k solves the last c
+        columns of an (m_k, n_x + c) slab, so a vector takes the ?sytrs and
+        matrix-product shapes of the factor pass and its solution is the
+        same bit for bit."""
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
+            return None
+        n_x, st = self.n_x, self.starts
+        carried = self.forward
+        if carried is not None and carried[0].shape == rhs.shape and carried[0].tobytes() == rhs.tobytes():
+            y = carried[1].copy()
+        else:
+            # forward substitution: z_k = D_k^{-1} y_k, y_{k+1}[lam_k] -= C z_k,
+            # on the columns of Y, a 2-D view of y
+            y = rhs.copy()
+            Y = y.reshape(y.shape[0], -1)
+            width = n_x + Y.shape[1]
+            for ldu, ipiv, C, a, b in zip(self.ldus, self.ipivs, self.Cs, st, st[1:]):
+                slab = np.zeros((b - a, width), order="F")
+                slab[:, n_x:] = Y[a:b]
+                sol = _sytrs(ldu, ipiv, slab, lower=1)[0]
+                Y[a:b] = sol[:, n_x:]
+                Y[b : b + n_x] -= (C @ sol)[:, n_x:]
+            y[st[-2] :] = _sytrs(self.ldus[-1], self.ipivs[-1], y[st[-2] :], lower=1)[0]
+        # backward substitution: x_N = z_N, x_k = z_k - Y_k x_{k+1}[lam_k]
+        for Yk, a, b in zip(self.Ys[::-1], st[-3::-1], st[-2::-1]):
+            y[a:b] -= Yk @ y[b : b + n_x]
+        return y if np.isfinite(y).all() else None
+
+
+def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) -> BlockFactor | None:
+    """Block LDL^T factor of K + reg * I_primal for the KKT matrix K of
+    `blocks`, the Hessian of the Lagrangian in the stage-ordered
+    primal-dual vector, without forming K; I_primal is one on the x and u
+    entries.  None when K has a non-finite entry or a block an exact zero
+    pivot.  A stage-ordered `rhs`, when given, rides along in the last
+    column of each slab, so `solve` of that same rhs then only runs the
+    backward substitution.
+
+    Block k holds [lam_{k-1}; x_k; u_k]: block 0 opens with lam_{-1} and
+    its coupling -T to x_0, block N is [lam_{N-1}; x_N].  Block k+1
+    couples to block k only through the rows lam_k, by C = [0, A_k, B_k].
+    The Schur complements D_0 = K_00 and D_{k+1} = K_{k+1,k+1} - C D_k^{-1}
+    C^T (which changes only the lam_k corner) each get one Bunch-Kaufman
+    factor.  By Haynsworth additivity the inertia of K is the sum of the
+    inertias of the blocks' D.  Costs O(N (2 n_x + n_u)^3) time and
+    O(N (2 n_x + n_u)^2) memory.
 
     The elimination runs forward in time.  Backward (Riccati) order lets
     uncontrollable modes inflate the blocks: on the quadrotor with q = b =
@@ -693,8 +746,6 @@ def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, r
     own (R_k = S_k = 0) gives an exactly singular block, so K is rejected
     at reg = 0 even when it is regular.
     """
-    if not np.isfinite(rhs).all():
-        return None
     dims = blocks.dims
     n_x, n_u, N = dims.n_x, dims.n_u, dims.N
     # Every block without its Schur corner, padded to the order
@@ -720,8 +771,8 @@ def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, r
     CTs = np.zeros((N, n_x + 1, m)).transpose(0, 2, 1)
     CTs[:, x, :n_x] = np.swapaxes(blocks.A, 1, 2)
     CTs[:, u, :n_x] = np.swapaxes(blocks.B, 1, 2)
-    y = np.array(rhs, dtype=float)
-    diags, subs, ipivs, starts, Ys = [], [], [], [], []
+    y = None if rhs is None else np.array(rhs, dtype=float)
+    ldus, ipivs, diags, subs, starts, Cs, Ys = [], [], [], [], [], [], []
     corners = np.empty((N, n_x, n_x))  # C D_k^{-1} C^T of each block k < N
     a = 0
     for k in range(N + 1):
@@ -732,42 +783,72 @@ def _factor_and_solve(blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, r
         ldu, ipiv, info = _bunch_kaufman(D)
         if info > 0:  # D has an exact zero pivot
             return None
+        ldus.append(ldu)
+        ipivs.append(ipiv)
         diags.append(ldu.diagonal())
         subs += [ldu.diagonal(-1), np.zeros(1)]  # padded to the block size
-        ipivs.append(ipiv)
         starts.append(a)
         b = a + D.shape[0]
-        # forward substitution: z_k = D_k^{-1} y_k, y_{k+1}[lam_k] -= C z_k;
-        # one ?sytrs gives z_k and Y = D_k^{-1} C^T for the backward pass
+        # one ?sytrs gives Y = D_k^{-1} C^T and, for a carried rhs, z_k
         if k < N:
             CT_y = CTs[k, rows]
-            CT_y[:, n_x] = y[a:b]
+            if y is not None:
+                CT_y[:, n_x] = y[a:b]
             sol, _ = _sytrs(ldu, ipiv, CT_y, lower=1)
-            C_sol = CT_y[:, :n_x].T @ sol
+            C = CT_y[:, :n_x].T
+            C_sol = C @ sol
+            Cs.append(C)
             Ys.append(sol[:, :n_x])
-            y[a:b] = sol[:, n_x]
             corners[k] = C_sol[:, :n_x]
-            y[b : b + n_x] -= C_sol[:, n_x]
-        else:
+            if y is not None:
+                y[a:b] = sol[:, n_x]
+                y[b : b + n_x] -= C_sol[:, n_x]
+        elif y is not None:
             y[a:b], _ = _sytrs(ldu, ipiv, y[a:b], lower=1)
         a = b
+    starts.append(a)
     if not np.isfinite(corners).all():  # a non-finite D_{k+1} was factored
         return None
     # a 2x2 pivot never straddles two blocks, so one pass reads them all
     eigs = _d_eigs(np.concatenate(diags), np.concatenate(subs), np.concatenate(ipivs))
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    tol = max(scale, 1.0) * rhs.size * np.finfo(float).eps
-    pos = int(np.sum(eigs > tol))
-    neg = int(np.sum(eigs < -tol))
-    if pos != n_pos or neg != n_neg:
+    tol = max(scale, 1.0) * a * np.finfo(float).eps
+    inertia = (int(np.sum(eigs > tol)), int(np.sum(eigs < -tol)))
+    forward = None if y is None else (np.array(rhs, dtype=float), y)
+    return BlockFactor(n_x, starts, ldus, ipivs, Cs, Ys, eigs, inertia, forward)
+
+
+# The factor of the last first Newton iteration, keyed by a private bitwise
+# copy of what `factor_kkt` reads: perturbation experiments all start from
+# the base solution, so their first steps share one KKT matrix (the only
+# one of an LQ problem).  At most one entry, (key, factor or None).
+_memo: list = []
+
+
+def _newton_step(
+    blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, reg: float = 0.0, reuse: bool = False
+) -> Array | None:
+    """Solve (K + reg * I_primal) x = rhs (see `factor_kkt`) with an
+    inertia gate: x only when the shifted K has exactly (n_pos, n_neg, 0)
+    positive/negative/zero eigenvalues, None otherwise (non-finite input
+    included).  With `reuse`, a factor whose key matches (blocks, reg) bit
+    for bit comes from the memo, and a new one replaces the memo's entry;
+    the gate runs either way."""
+    if not np.isfinite(rhs).all():
         return None
-    # backward substitution: x_N = z_N, x_k = z_k - Y x_{k+1}[lam_k]
-    for k in range(N - 1, -1, -1):
-        b = starts[k + 1]
-        y[starts[k] : b] -= Ys[k] @ y[b : b + n_x]
-    if not np.all(np.isfinite(y)):
+    key = None
+    if reuse:
+        fields = (reg, blocks.T, blocks.Q, blocks.R, blocks.S, blocks.A, blocks.B)
+        key = tuple((np.shape(M), np.asarray(M, dtype=float).tobytes()) for M in fields)
+    if _memo and _memo[0][0] == key:
+        factor = _memo[0][1]
+    else:
+        factor = factor_kkt(blocks, reg, rhs)
+        if reuse:
+            _memo[:] = [(key, factor)]
+    if factor is None or factor.inertia != (n_pos, n_neg):
         return None
-    return y
+    return factor.solve(rhs)
 
 
 def solve_equality_nlp(
@@ -782,7 +863,10 @@ def solve_equality_nlp(
     When the KKT factorization signals singularity or wrong inertia (or the
     search direction fails to reduce the residual), eps * I is added to the
     primal Hessian block, starting at opts.reg0 and escalating tenfold up to
-    opts.reg_max.  Raises RegularityError when no usable direction exists at
+    opts.reg_max.  The first iteration takes its factor from a one-entry
+    memo when the KKT matrix and regularization match the memo's bit for
+    bit: re-solves warm-started from one point share that first matrix.
+    Raises RegularityError when no usable direction exists at
     maximal regularization and NonconvergenceError when max_iter is
     exhausted; both carry the last iterate.
     """
@@ -804,7 +888,7 @@ def solve_equality_nlp(
         reg = 0.0
         accepted = None
         while True:
-            step = _factor_and_solve(blocks, -r, nz, ndual, reg)
+            step = _newton_step(blocks, -r, nz, ndual, reg, reuse=it == 0)
             if step is not None:
                 alpha = 1.0
                 while alpha >= 1e-12:

@@ -237,13 +237,19 @@ class DataTrajectory:
         return self._d[self._index(stage)]
 
     def copy(self) -> "DataTrajectory":
-        return DataTrajectory(self.dims, [v.copy() for v in self._d])
+        """A copy of every vector; they were validated already, so they are
+        not checked again."""
+        out = DataTrajectory.__new__(DataTrajectory)
+        out.dims, out._d = self.dims, [v.copy() for v in self._d]
+        return out
 
     def perturbed(self, stage: int, delta) -> "DataTrajectory":
-        """New trajectory with `delta` added to the data at one stage."""
-        out = self.copy()
+        """New trajectory with `delta` added to the data at one stage; only
+        `delta` is validated."""
         k = self._index(stage)
-        out._d[k] = out._d[k] + _as_vector(delta, self.dims.nd(stage), f"delta at stage {stage}")
+        delta = _as_vector(delta, self.dims.nd(stage), f"delta at stage {stage}")
+        out = self.copy()
+        out._d[k] = out._d[k] + delta
         return out
 
     def stacked(self) -> Array:

@@ -97,7 +97,7 @@ def plot_decay(profiles, fit) -> str:
     xs_lo, xs_hi = -1.0, float(N)
     pts = []
     for prof in profiles:
-        for i, si in prof.above_floor():
+        for i, si in zip(*prof.above_floor()):
             pts.append((float(i), math.log10(si / prof.magnitude)))
     if not pts:
         raise ConfigurationError("profiles contain no entries above the noise floor")
@@ -168,7 +168,7 @@ def plot_decay(profiles, fit) -> str:
         )
     # data points
     for prof in profiles:
-        for i, si in prof.above_floor():
+        for i, si in zip(*prof.above_floor()):
             px = _xmap(i, xs_lo, xs_hi)
             py = _ymap(math.log10(si / prof.magnitude), y_lo, y_hi)
             out.append(f'<circle cx="{_f3(px)}" cy="{_f3(py)}" r="3" fill="#1f77b4"/>')

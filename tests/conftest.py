@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import strategies as st
 
 from edslab import (
@@ -104,23 +105,31 @@ def toy():
     return toy_nonlinear_problem()
 
 
+@pytest.fixture(autouse=True)
+def empty_factor_memo():
+    """Every test starts with an empty memo of first-iteration KKT factors,
+    so no test passes or fails because of the tests run before it."""
+    kkt._memo.clear()
+
+
 @st.composite
-def stage_blocks(draw, zero_families="QRSEFABG"):
+def stage_blocks(draw, zero_families="QRSEFABG", varying_nd=False):
     """Random time-varying StageBlocks (N <= 10, n_x <= 4, n_u <= 3,
     n_0 <= n_x with a full-row-rank T, n_d <= 3); Q and R are symmetric
     and indefinite, and any block family named in `zero_families` may be
-    all zero."""
+    all zero.  With `varying_nd` each stage draws its own data size."""
     N = draw(st.integers(1, 10))
     n_x = draw(st.integers(1, 4))
     n_u = draw(st.integers(0, 3))
     n_0 = draw(st.integers(0, n_x))
     n_d = draw(st.integers(0, 3))
+    nds = [draw(st.integers(0, 3)) for _ in range(N + 1)] if varying_nd else [n_d] * (N + 1)
     zero = draw(st.sets(st.sampled_from(zero_families))) if zero_families else set()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    def family(name, shape, count, sym=False):
+    def family(name, shapes, sym=False):
         out = []
-        for _ in range(count):
+        for shape in shapes:
             M = np.zeros(shape) if name in zero else rng.standard_normal(shape)
             out.append(0.5 * (M + M.T) if sym else M)
         return out
@@ -128,16 +137,16 @@ def stage_blocks(draw, zero_families="QRSEFABG"):
     # orthonormal rows scaled by a random factor: full row rank
     T = rng.uniform(0.5, 2.0) * np.linalg.qr(rng.standard_normal((n_x, n_x)))[0][:n_0]
     return StageBlocks(
-        dims=Dimensions.uniform(N, n_x, n_u, n_d, n_0),
+        dims=Dimensions(N, n_x, n_u, (n_0, *nds), n_0),
         T=T,
-        Q=family("Q", (n_x, n_x), N + 1, sym=True),
-        R=family("R", (n_u, n_u), N, sym=True),
-        S=family("S", (n_x, n_u), N),
-        E=family("E", (n_x, n_d), N + 1),
-        F=family("F", (n_u, n_d), N),
-        A=family("A", (n_x, n_x), N),
-        B=family("B", (n_x, n_u), N),
-        G=family("G", (n_x, n_d), N),
+        Q=family("Q", [(n_x, n_x)] * (N + 1), sym=True),
+        R=family("R", [(n_u, n_u)] * N, sym=True),
+        S=family("S", [(n_x, n_u)] * N),
+        E=family("E", [(n_x, k) for k in nds]),
+        F=family("F", [(n_u, k) for k in nds[:N]]),
+        A=family("A", [(n_x, n_x)] * N),
+        B=family("B", [(n_x, n_u)] * N),
+        G=family("G", [(n_x, k) for k in nds[:N]]),
     )
 
 
@@ -186,3 +195,72 @@ def dense_factor_and_solve(K, rhs, n_pos, n_neg, reg=0.0):
     if not np.all(np.isfinite(x)):
         return None
     return x
+
+
+def w_offsets(dims):
+    """Row offsets of lam_i, x_i and u_i in the stage-ordered primal-dual
+    vector [lam_{-1}; x_0; u_0; lam_0; ...; x_N], and its length."""
+    off = {(-1, "lam"): 0}
+    for i in range(dims.N + 1):
+        base = dims.w_offsets[i + 1]
+        off[(i, "x")] = base
+        off[(i, "u")] = base + dims.n_x
+        off[(i, "lam")] = base + dims.n_z
+    return off, dims.n_w
+
+
+def xi_offsets(dims):
+    """Column offsets of the stage-interleaved (primal-dual, data) stacking
+    [lam_{-1}; d_{-1}; x_0; u_0; lam_0; d_0; ...; x_N; d_N], and its
+    length."""
+    off = {(-1, "lam"): 0, (-1, "d"): dims.n_0}
+    base = dims.n_0 + dims.nd(-1)
+    for i in range(dims.N):
+        off[(i, "x")] = base
+        off[(i, "u")] = base + dims.n_x
+        off[(i, "lam")] = base + dims.n_z
+        off[(i, "d")] = base + dims.n_z + dims.n_x
+        base += 2 * dims.n_x + dims.n_u + dims.nd(i)
+    off[(dims.N, "x")] = base
+    off[(dims.N, "d")] = base + dims.n_x
+    return off, base + dims.n_x + dims.nd(dims.N)
+
+
+def mixed_hessian_by_blocks(blocks):
+    """Reference for `assemble_mixed_hessian`: the same sparse matrix, put
+    together one stage block at a time from the dictionary offsets above."""
+    dims = blocks.dims
+    row, n_w = w_offsets(dims)
+    col, n_xi = xi_offsets(dims)
+    minus_I = -np.eye(dims.n_x)
+    rows, cols, vals = [], [], []
+
+    def put(r, c, block):
+        if block.size:
+            k = np.arange(block.size)
+            rows.append(r + k // block.shape[1])
+            cols.append(c + k % block.shape[1])
+            vals.append(block.ravel())
+
+    put(row[(-1, "lam")], col[(0, "x")], -blocks.T)
+    put(row[(0, "x")], col[(-1, "lam")], -blocks.T.T)
+    put(row[(-1, "lam")], col[(-1, "d")], np.eye(dims.n_0))
+    for i in range(dims.N):
+        put(row[(i, "x")], col[(i, "x")], blocks.Q[i])
+        put(row[(i, "x")], col[(i, "u")], blocks.S[i])
+        put(row[(i, "u")], col[(i, "x")], blocks.S[i].T)
+        put(row[(i, "u")], col[(i, "u")], blocks.R[i])
+        put(row[(i, "x")], col[(i, "lam")], blocks.A[i].T)
+        put(row[(i, "u")], col[(i, "lam")], blocks.B[i].T)
+        put(row[(i, "lam")], col[(i, "x")], blocks.A[i])
+        put(row[(i, "lam")], col[(i, "u")], blocks.B[i])
+        put(row[(i + 1, "x")], col[(i, "lam")], minus_I)
+        put(row[(i, "lam")], col[(i + 1, "x")], minus_I)
+        put(row[(i, "x")], col[(i, "d")], blocks.E[i])
+        put(row[(i, "u")], col[(i, "d")], blocks.F[i])
+        put(row[(i, "lam")], col[(i, "d")], blocks.G[i])
+    put(row[(dims.N, "x")], col[(dims.N, "x")], blocks.Q[dims.N])
+    put(row[(dims.N, "x")], col[(dims.N, "d")], blocks.E[dims.N])
+    return scipy.sparse.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_w, n_xi)
+    ).tocsr()

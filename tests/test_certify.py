@@ -41,8 +41,8 @@ from edslab.certify import (
     smallest_eigenvalue,
 )
 from edslab.errors import ConfigurationError
-from edslab.kkt import _factor_and_solve, _w_offsets, _xi_offsets
-from conftest import data_coupled_jac_problem, random_point, stage_blocks
+from edslab.kkt import factor_kkt
+from conftest import data_coupled_jac_problem, random_point, stage_blocks, w_offsets, xi_offsets
 
 
 def lq_blocks(stability, N):
@@ -260,8 +260,8 @@ def mixed_hessian_by_fd(p, w, d):
     from edslab.problem import PrimalDualTrajectory
 
     dims = p.dims
-    row, n_w = _w_offsets(dims)
-    col, n_xi = _xi_offsets(dims)
+    row, n_w = w_offsets(dims)
+    col, n_xi = xi_offsets(dims)
 
     def traj_from(vec, off):
         xs = [vec[off[(i, "x")] : off[(i, "x")] + dims.n_x] for i in range(dims.N + 1)]
@@ -460,8 +460,8 @@ def sparse_jacobian(blocks):
     """J as the negated (multiplier rows, primal columns) block of the
     sparse mixed Hessian, without a dense intermediate."""
     dims = blocks.dims
-    row, _ = _w_offsets(dims)
-    col, _ = _xi_offsets(dims)
+    row, _ = w_offsets(dims)
+    col, _ = xi_offsets(dims)
     lam_rows = [np.arange(dims.n_0)] + [
         np.arange(row[(i, "lam")], row[(i, "lam")] + dims.n_x) for i in range(dims.N)
     ]
@@ -656,10 +656,10 @@ class TestCondensedSosc:
         blocks = lq_blocks(1.3, 400)
         gamma = condensed_sosc_modulus(blocks)
         dims = blocks.dims
-        rhs = np.ones(dims.n_primal + dims.n_dual)
 
         def inertia_ok(sigma):
-            return _factor_and_solve(blocks, rhs, dims.n_primal, dims.n_dual, reg=-sigma) is not None
+            factor = factor_kkt(blocks, reg=-sigma)
+            return factor is not None and factor.inertia == (dims.n_primal, dims.n_dual)
 
         assert inertia_ok(gamma * (1 - 1e-7))
         assert not inertia_ok(gamma * (1 + 1e-7))
