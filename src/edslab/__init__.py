@@ -55,6 +55,7 @@ from .kkt import (
     factor_kkt,
     kkt_residual,
     linearize,
+    solve_batch,
     solve_equality_nlp,
 )
 from .models import (

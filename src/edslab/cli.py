@@ -8,8 +8,9 @@ or more cases it also prints a decay-rate contrast line.  Exit codes:
 0 success, 2 solver failure, 3 configuration error.
 
 `edslab certify --config cfg.json` emits only the certificate report;
-`edslab models` lists the available presets.  Perturbation experiments
-run one after another in this process.
+`edslab models` lists the available presets.  The perturbation experiments
+of a case are solved together, in lock step (`kkt.solve_batch`), and
+their solver counts go to the manifest.
 """
 from __future__ import annotations
 
@@ -156,7 +157,7 @@ def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiment
         cert = build_report(
             p, base.trajectory, bundle.base_data, cfg.window_ctrl, cfg.window_obs
         )
-    result = {"name": name, "base": base, "certificate": cert, "timings": timings}
+    result = {"name": name, "base": base, "certificate": cert, "timings": timings, "experiments": {}}
     if experiments:
         with _timed(timings, "experiments_s"):
             profiles = run_experiments(
@@ -168,6 +169,7 @@ def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiment
                 cfg.magnitude,
                 cfg.seed,
                 opts=cfg.solver,
+                stats=result["experiments"],
             )
         result["profiles"] = profiles
         with _timed(timings, "fit_s"):
@@ -255,6 +257,7 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
                 if not p.converged
             ],
             "failed_flags": res["certificate"].failures,
+            "experiments": res["experiments"],
             "timings": res["timings"],
         }
     for fname, rows in (

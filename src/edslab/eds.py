@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FitError, NonconvergenceError, RegularityError
-from .kkt import SolveOptions, solve_equality_nlp
+from .kkt import SolveOptions, solve_batch, solve_equality_nlp
 from .problem import (
     Array,
     DataTrajectory,
@@ -123,6 +123,19 @@ def random_perturbation(n: int, magnitude: float, rng: np.random.Generator) -> A
     return (magnitude / norm) * v
 
 
+def _profile(stage: int, delta: Array, w_star, result, error, primal_only: bool) -> SensitivityProfile:
+    """The profile of one solve: its result, or the last iterate that its
+    error carries."""
+    return SensitivityProfile(
+        stage=stage,
+        s=stage_deviations(result.trajectory, w_star, primal_only=primal_only),
+        magnitude=float(np.linalg.norm(delta)),
+        converged=error is None,
+        error=None if error is None else f"{type(error).__name__}: {error}",
+        iterations=result.iterations,
+    )
+
+
 def run_perturbation_experiment(
     p: DOProblem,
     d_star: DataTrajectory,
@@ -137,22 +150,12 @@ def run_perturbation_experiment(
     converged=False (computed from the last iterate), carrying the error,
     which fits exclude."""
     delta = _as_vector(spec.delta, p.dims.nd(spec.stage), f"perturbation at stage {spec.stage}")
-    d_pert = d_star.perturbed(spec.stage, delta)
     error = None
     try:
-        result = solve_equality_nlp(p, d_pert, w0=w_star, opts=opts)
+        result = solve_equality_nlp(p, d_star.perturbed(spec.stage, delta), w0=w_star, opts=opts)
     except (NonconvergenceError, RegularityError) as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        result = exc.result
-    s = stage_deviations(result.trajectory, w_star, primal_only=primal_only)
-    return SensitivityProfile(
-        stage=spec.stage,
-        s=s,
-        magnitude=float(np.linalg.norm(delta)),
-        converged=error is None,
-        error=error,
-        iterations=result.iterations,
-    )
+        error, result = exc, exc.result
+    return _profile(spec.stage, delta, w_star, result, error, primal_only)
 
 
 def run_experiments(
@@ -165,12 +168,14 @@ def run_experiments(
     seed: int,
     opts: SolveOptions | None = None,
     primal_only: bool = False,
+    stats: dict | None = None,
 ):
-    """Batch of seeded experiments over (stage, replicate) pairs, solved one
-    after another.  Each pair draws its direction from an independently
-    derived generator, so one pair's result does not depend on the others;
-    profiles come back sorted by (stage, replicate) with their derivation
-    seeds recorded."""
+    """Batch of seeded experiments over (stage, replicate) pairs, all solved
+    together by one `kkt.solve_batch` call, which adds its solver counts to
+    the dict `stats` when given.  Each pair draws its direction from an
+    independently derived generator, so one pair's result does not depend
+    on the others; profiles come back sorted by (stage, replicate) with
+    their derivation seeds recorded."""
     if replicates < 1:
         raise ConfigurationError("replicates must be >= 1")
     tasks = []
@@ -180,17 +185,13 @@ def run_experiments(
         if p.dims.nd(j) == 0:
             raise ConfigurationError(f"stage {j} has empty data; nothing to perturb")
         for rep in range(replicates):
-            tasks.append((j, rep))
-
+            rng = np.random.default_rng([seed, j + 1, rep])
+            tasks.append((j, rep, random_perturbation(p.dims.nd(j), magnitude, rng)))
+    solved = solve_batch(p, (d_star.perturbed(j, delta) for j, _, delta in tasks), w_star, opts, stats)
     profiles = []
-    for j, rep in tasks:
-        rng = np.random.default_rng([seed, j + 1, rep])
-        delta = random_perturbation(p.dims.nd(j), magnitude, rng)
-        profile = run_perturbation_experiment(
-            p, d_star, w_star, PerturbationSpec(j, delta), opts=opts, primal_only=primal_only
-        )
-        profile.replicate = rep
-        profile.seed = (seed, j, rep)
+    for (j, rep, delta), (result, error) in zip(tasks, solved, strict=True):
+        profile = _profile(j, delta, w_star, result, error, primal_only)
+        profile.replicate, profile.seed = rep, (seed, j, rep)
         profiles.append(profile)
     profiles.sort(key=lambda pr: (pr.stage, pr.replicate))
     return profiles

@@ -28,13 +28,12 @@ solves it and, by Haynsworth additivity, reads its inertia in
 O(N (2 n_x + n_u)^3) time and O(N (2 n_x + n_u)^2) memory per Newton
 iteration.  Every block but its Schur corner is assembled before the
 elimination, in one stacked array.  `factor_kkt` returns that factor as a
-`BlockFactor`, whose `solve` takes a vector or a matrix of columns.  The
-first Newton iteration keeps its factor in a one-entry memo keyed by a
-bitwise copy of the blocks and the regularization: perturbation
-experiments all re-solve from the base solution, so they share that first
-KKT matrix, and for an LQ problem it is the only one.  On the benchmark's
-`lq_many_perturbations` (N = 60) one factorization serves all 97 Newton
-steps, where each used to factor anew.
+`BlockFactor`, whose `solve` takes a vector or a matrix of columns.
+`solve_batch` runs Newton on many data sets from one warm start in lock
+step, the residual and linearization taking every point's stages at once
+and points with bit-equal KKT matrices sharing one factor: the perturbation
+experiments of an LQ problem, all re-solved from the base solution, take
+one factorization between them.
 
 The KKT residual returned here is exactly the gradient of
 `problem.evaluate_lagrangian` in the entries of the trajectory's vector
@@ -45,6 +44,7 @@ reproduces it.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -194,45 +194,56 @@ class SolveResult:
 
 
 class _Stages(NamedTuple):
-    """Stages 0..N-1 of one (traj, data) point: x_i, u_i and lam_i as the
-    rows of X, U and Lam (views of the trajectory's vector), the data, and
-    D, the data rows stacked, or None when their size differs by stage."""
+    """Stages 0..N-1 of P points: row k N + i of X, U, Lam and D holds x_i,
+    u_i, lam_i and d_i of point k; D is None when data sizes differ."""
 
     X: Array
     U: Array
     Lam: Array
-    data: DataTrajectory
+    data: list
     D: Array | None
 
 
-def _stage_rows(dims: Dimensions, v: Array):
-    """X, U, Lam: views of the x, u and lam columns of `dims.w_rows(v)`."""
-    W = dims.w_rows(v)
-    return W[:, : dims.n_x], W[:, dims.n_x : dims.n_z], W[:, dims.n_z :]
+def _stages(p: DOProblem, W: Array, data: list) -> _Stages:
+    dims = p.dims
+    rows = W[:, dims.n_0 : dims.w_offsets[-2]].reshape(-1, 2 * dims.n_x + dims.n_u)
+    D = np.concatenate([d.stage_rows() for d in data]) if dims.stage_nd is not None else None
+    return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], data, D)
 
 
-def _stages(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> _Stages:
-    D = data.stage_rows() if p.dims.stage_nd is not None else None
-    return _Stages(*_stage_rows(p.dims, traj.vector), data, D)
+def _points(p: DOProblem, traj, data):
+    """(W, data, single): one point, or a batch given as a (P, n_w) array
+    and P data trajectories (see `kkt_residual`), as rows of W and a list."""
+    if isinstance(traj, PrimalDualTrajectory):
+        check_dimensions(p, traj, data)
+        return traj.vector[None], [data], True
+    W, data = np.asarray(traj, dtype=float), list(data)
+    if W.shape != (len(data), p.dims.n_w):
+        raise ConfigurationError(f"expected {len(data)} stage-ordered vectors of length {p.dims.n_w}")
+    for d in data:
+        check_dimensions(p, None, d)
+    return W, data, False
 
 
 def _stage_terms(p: DOProblem, st: _Stages, per_stage, batched, shapes, with_lam: bool = False):
-    """The terms of stages 0..N-1, each with a leading stage axis.
+    """The terms of stages 0..N-1 of every point, each with a leading axis
+    of the rows of `st`.
 
     A registered stage-batched oracle, `batched(X, U, D[, Lam])`, gives
     them in one call when every stage's data has one size; otherwise
     `per_stage(p, i, x_i, u_i, d_i[, lam_i])` (an analytic oracle or finite
-    differences) runs at each stage and its results are stacked.  `shapes`
+    differences) runs at each row and its results are stacked.  `shapes`
     gives each term's per-stage shape, with "d" for the data size; such a
-    term stays a per-stage list when the data size differs by stage.  A
+    term stays a per-row list when the data size differs by stage.  A
     single term is returned in a one-element list."""
-    N, nd = p.dims.N, p.dims.stage_nd
+    N, nd, rows = p.dims.N, p.dims.stage_nd, len(st.X)
     rest = (st.Lam,) if with_lam else ()
     if batched is not None and st.D is not None:
         out = batched(st.X, st.U, st.D, *rest)
     else:
         out = [
-            per_stage(p, i, st.X[i], st.U[i], st.data[i], *(r[i] for r in rest)) for i in range(N)
+            per_stage(p, r % N, st.X[r], st.U[r], st.data[r // N][r % N], *(t[r] for t in rest))
+            for r in range(rows)
         ]
         if len(shapes) > 1:
             out = zip(*out)
@@ -241,7 +252,7 @@ def _stage_terms(p: DOProblem, st: _Stages, per_stage, batched, shapes, with_lam
         if nd is None and "d" in shape:
             terms.append(list(t))
         else:
-            terms.append(np.asarray(t, dtype=float).reshape(N, *(nd if k == "d" else k for k in shape)))
+            terms.append(np.asarray(t, dtype=float).reshape(rows, *(nd if k == "d" else k for k in shape)))
     return terms
 
 
@@ -415,41 +426,35 @@ def _dynamics_curvature(p: DOProblem, i: int, x, u, d_i, lam_i):
     )
 
 
-def linearize(
-    p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory, *, jacobians: list | None = None
-) -> StageBlocks:
+def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None):
     """All per-stage derivative blocks at (traj, data).  The Q/S/R/E/F blocks
     differentiate the stage Lagrangians, so they include the
     multiplier-weighted dynamics curvature.  `jacobians`, when given, holds
     the per-stage (A, B, G) that `kkt_residual` evaluated at this same
     (traj, data); they are used instead of evaluating the dynamics Jacobian
-    again."""
-    check_dimensions(p, traj, data)
+    again.  A batch of points (see `kkt_residual`) gives a list with one
+    `StageBlocks` per point."""
+    W, data, single = _points(p, traj, data)
     dims, orc = p.dims, p.oracles
-    n_x, n_u = dims.n_x, dims.n_u
-    st = _stages(p, traj, data)
+    n_x, n_u, N = dims.n_x, dims.n_u, dims.N
+    st = _stages(p, W, data)
     shapes = ((n_x, n_x), (n_x, n_u), (n_u, n_u), (n_x, "d"), (n_u, "d"))
     if jacobians is None:
         A, B, G = _stage_jacobians(p, st)
     else:
-        A, B, G = zip(*jacobians)
+        A, B, G = zip(*jacobians) if single else jacobians[0]
     Qc, Sc, Rc, Ec, Fc = _stage_terms(p, st, _stage_cost_hessians, orc.stage_cost_hess_batch, shapes)
     Hxx, Hxu, Huu, Hxd, Hud = _stage_terms(
         p, st, _dynamics_curvature, orc.dynamics_hess_vec_batch, shapes, with_lam=True
     )
-    QN, EN = _terminal_cost_hessians(p, traj.x(dims.N), data[dims.N])
-    return StageBlocks(
-        dims=dims,
-        T=p.T.copy(),
-        Q=np.concatenate([_sym(Qc + Hxx), _sym(QN)[None]]),
-        R=_sym(Rc + Huu),
-        S=Sc + Hxu,
-        E=[*_add(Ec, Hxd), EN],
-        F=_add(Fc, Hud),
-        A=A,
-        B=B,
-        G=G,
-    )
+    Q, R, S, E, F = _sym(Qc + Hxx), _sym(Rc + Huu), Sc + Hxu, _add(Ec, Hxd), _add(Fc, Hud)
+    blocks = []
+    for k, (w, d) in enumerate(zip(W, data)):
+        QN, EN = _terminal_cost_hessians(p, w[dims.w_offsets[-2] :], d[N])
+        s = slice(k * N, (k + 1) * N)
+        Qk = np.concatenate([Q[s], _sym(QN)[None]])
+        blocks.append(StageBlocks(dims, p.T.copy(), Qk, R[s], S[s], [*E[s], EN], F[s], A[s], B[s], G[s]))
+    return blocks[0] if single else blocks
 
 
 # ---------------------------------------------------------------------------
@@ -589,34 +594,40 @@ def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
     ).tocsr()
 
 
-def kkt_residual(
-    p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory, *, jacobians: list | None = None
-) -> Array:
+def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None) -> Array:
     """Gradient of the Lagrangian in `traj.vector`, so in the same stage
     order; zero exactly at stationary points.  The multiplier entries are
     the negated constraint residuals.  Each stage's dynamics Jacobians
     (A, B, G) are appended to `jacobians` when it is given, for `linearize`
-    at the same point."""
-    check_dimensions(p, traj, data)
+    at the same point.
+
+    For a batch of P points, the rows of a (P, n_w) array `traj` with P
+    data trajectories, all P N stages go through each batched oracle at
+    once, the residuals are rows too, and one (A, B, G) stacked over the
+    P N stage rows is appended to `jacobians`."""
+    W, data, single = _points(p, traj, data)
     dims, orc = p.dims, p.oracles
-    n_x, n_u, N = dims.n_x, dims.n_u, dims.N
-    st = _stages(p, traj, data)
+    n_x, n_u, N, T = dims.n_x, dims.n_u, dims.N, p.T
+    st = _stages(p, W, data)
     (f,) = _stage_terms(p, st, _dynamics, orc.dynamics_batch, ((n_x,),))
     A, B, G = _stage_jacobians(p, st)
     gx, gu = _stage_terms(p, st, _stage_cost_gradients, orc.stage_cost_grad_batch, ((n_x,), (n_u,)))
     if jacobians is not None:
-        jacobians.extend(zip(A, B, G))
-    v = traj.vector
-    x_N, lam_init = v[dims.w_offsets[-2] :], v[: dims.n_0]
-    r = np.empty(dims.n_w)
-    r_x, r_u, r_lam = _stage_rows(dims, r)
-    r[: dims.n_0] = data[-1] - p.T @ st.X[0]
+        jacobians.extend(zip(A, B, G)) if single else jacobians.append((A, B, G))
+    P, end = len(W), dims.w_offsets[-2]
+    X, Lam = st.X.reshape(P, N, n_x), st.Lam.reshape(P, N, n_x)
+    x_N, lam_init = W[:, end:], W[:, : dims.n_0]
+    r = np.empty((P, dims.n_w))
+    rows = r[:, dims.n_0 : end].reshape(P, N, -1)
     # lam_{i-1} enters x_i's row; T^T lam_{-1} in place of it at stage 0
-    r_x[:] = gx + (st.Lam[:, None, :] @ A)[:, 0] - np.vstack([p.T.T @ lam_init, st.Lam[:-1]])
-    r_u[:] = gu + (st.Lam[:, None, :] @ B)[:, 0]
-    r_lam[:] = f - np.vstack([st.X[1:], x_N])
-    r[dims.w_offsets[-2] :] = _terminal_cost_gradient(p, x_N, data[N]) - st.Lam[-1]
-    return r
+    lam_prev = np.concatenate([np.array([T.T @ lam for lam in lam_init])[:, None], Lam[:, :-1]], axis=1)
+    rows[..., :n_x] = (gx + (st.Lam[:, None, :] @ A)[:, 0]).reshape(P, N, n_x) - lam_prev
+    rows[..., n_x : n_x + n_u] = (gu + (st.Lam[:, None, :] @ B)[:, 0]).reshape(P, N, n_u)
+    rows[..., n_x + n_u :] = f.reshape(P, N, n_x) - np.concatenate([X[:, 1:], x_N[:, None]], axis=1)
+    for k, d in enumerate(data):
+        r[k, : dims.n_0] = d[-1] - T @ X[k, 0]
+        r[k, end:] = _terminal_cost_gradient(p, x_N[k], d[N]) - Lam[k, -1]
+    return r[0] if single else r
 
 
 # ---------------------------------------------------------------------------
@@ -674,7 +685,7 @@ class BlockFactor:
     number of them above and below the gate's tolerance
     max(|eigs|.max(), 1) n eps (K's inertia, by Haynsworth additivity); the
     rest count as zero.  forward, when the factor pass carried a
-    right-hand side, is that rhs and its forward substitution.
+    right-hand side, is its forward substitution, until `solve` finishes it.
     """
 
     n_x: int
@@ -687,24 +698,26 @@ class BlockFactor:
     inertia: tuple
     forward: tuple | None = None
 
-    def solve(self, rhs: Array) -> Array | None:
+    def solve(self, rhs: Array | None = None) -> Array | None:
         """(K + reg * I_primal)^{-1} rhs for a stage-ordered vector, or for
         each column of an (n, c) matrix; None when rhs or the solution is
-        not finite.  The forward substitution of block k solves the last c
-        columns of an (m_k, n_x + c) slab, so a vector takes the ?sytrs and
-        matrix-product shapes of the factor pass and its solution is the
-        same bit for bit."""
-        rhs = np.asarray(rhs, dtype=float)
-        if not np.isfinite(rhs).all():
+        not finite.  Without rhs, the rhs carried by the factor pass is
+        finished; given here it takes the factor pass's (m_k, n_x + c) slab
+        shapes, so both agree bit for bit."""
+        if rhs is not None and not np.isfinite(rhs).all():
             return None
+        y = self._solve(rhs)
+        return y if np.isfinite(y).all() else None
+
+    def _solve(self, rhs: Array | None) -> Array:
+        """`solve` without the finiteness checks."""
         n_x, st = self.n_x, self.starts
-        carried = self.forward
-        if carried is not None and carried[0].shape == rhs.shape and carried[0].tobytes() == rhs.tobytes():
-            y = carried[1].copy()
+        if rhs is None:
+            y, self.forward = self.forward, None
         else:
             # forward substitution: z_k = D_k^{-1} y_k, y_{k+1}[lam_k] -= C z_k,
             # on the columns of Y, a 2-D view of y
-            y = rhs.copy()
+            y = np.array(rhs, dtype=float)
             Y = y.reshape(y.shape[0], -1)
             width = n_x + Y.shape[1]
             for ldu, ipiv, C, a, b in zip(self.ldus, self.ipivs, self.Cs, st, st[1:]):
@@ -717,7 +730,7 @@ class BlockFactor:
         # backward substitution: x_N = z_N, x_k = z_k - Y_k x_{k+1}[lam_k]
         for Yk, a, b in zip(self.Ys[::-1], st[-3::-1], st[-2::-1]):
             y[a:b] -= Yk @ y[b : b + n_x]
-        return y if np.isfinite(y).all() else None
+        return y
 
 
 def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) -> BlockFactor | None:
@@ -725,9 +738,9 @@ def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) 
     `blocks`, the Hessian of the Lagrangian in the stage-ordered
     primal-dual vector, without forming K; I_primal is one on the x and u
     entries.  None when K has a non-finite entry or a block an exact zero
-    pivot.  A stage-ordered `rhs`, when given, rides along in the last
-    column of each slab, so `solve` of that same rhs then only runs the
-    backward substitution.
+    pivot.  A stage-ordered `rhs` (a vector or an (n, c) matrix of
+    columns), when given, rides along in the last columns of each slab,
+    and `solve()` then only runs its backward substitution.
 
     Block k holds [lam_{k-1}; x_k; u_k]: block 0 opens with lam_{-1} and
     its coupling -T to x_0, block N is [lam_{N-1}; x_N].  Block k+1
@@ -752,7 +765,7 @@ def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) 
     # m = 2 n_x + n_u of an interior block [lam; x; u]: block 0 keeps the
     # last n_0 of the lam rows for lam_{-1}, block N the first 2 n_x rows.
     # Each C^T = [0; A_k^T; B_k^T] of the forward substitution goes into
-    # a Fortran-ordered (m, n_x + 1) slab, its last column kept for y_k.
+    # a Fortran-ordered (m, n_x + c) slab, its last c columns kept for y_k.
     m, s0 = 2 * n_x + n_u, n_x - dims.n_0
     lam, x, u = slice(0, n_x), slice(n_x, 2 * n_x), slice(2 * n_x, m)
     Ds = np.zeros((N + 1, m, m))
@@ -768,10 +781,11 @@ def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) 
         Ds[:, d, d] += reg
     if not np.isfinite(Ds).all():
         return None
-    CTs = np.zeros((N, n_x + 1, m)).transpose(0, 2, 1)
+    y = None if rhs is None else np.array(rhs, dtype=float)
+    Y = None if y is None else y.reshape(y.shape[0], -1)  # a 2-D view of y
+    CTs = np.zeros((N, n_x + (1 if Y is None else Y.shape[1]), m)).transpose(0, 2, 1)
     CTs[:, x, :n_x] = np.swapaxes(blocks.A, 1, 2)
     CTs[:, u, :n_x] = np.swapaxes(blocks.B, 1, 2)
-    y = None if rhs is None else np.array(rhs, dtype=float)
     ldus, ipivs, diags, subs, starts, Cs, Ys = [], [], [], [], [], [], []
     corners = np.empty((N, n_x, n_x))  # C D_k^{-1} C^T of each block k < N
     a = 0
@@ -793,7 +807,7 @@ def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) 
         if k < N:
             CT_y = CTs[k, rows]
             if y is not None:
-                CT_y[:, n_x] = y[a:b]
+                CT_y[:, n_x:] = Y[a:b]
             sol, _ = _sytrs(ldu, ipiv, CT_y, lower=1)
             C = CT_y[:, :n_x].T
             C_sol = C @ sol
@@ -801,8 +815,8 @@ def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) 
             Ys.append(sol[:, :n_x])
             corners[k] = C_sol[:, :n_x]
             if y is not None:
-                y[a:b] = sol[:, n_x]
-                y[b : b + n_x] -= C_sol[:, n_x]
+                Y[a:b] = sol[:, n_x:]
+                Y[b : b + n_x] -= C_sol[:, n_x:]
         elif y is not None:
             y[a:b], _ = _sytrs(ldu, ipiv, y[a:b], lower=1)
         a = b
@@ -814,41 +828,28 @@ def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) 
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     tol = max(scale, 1.0) * a * np.finfo(float).eps
     inertia = (int(np.sum(eigs > tol)), int(np.sum(eigs < -tol)))
-    forward = None if y is None else (np.array(rhs, dtype=float), y)
-    return BlockFactor(n_x, starts, ldus, ipivs, Cs, Ys, eigs, inertia, forward)
+    return BlockFactor(n_x, starts, ldus, ipivs, Cs, Ys, eigs, inertia, y)
 
 
-# The factor of the last first Newton iteration, keyed by a private bitwise
-# copy of what `factor_kkt` reads: perturbation experiments all start from
-# the base solution, so their first steps share one KKT matrix (the only
-# one of an LQ problem).  At most one entry, (key, factor or None).
-_memo: list = []
+def _jacobian_rows(jacs: list, N: int) -> tuple:
+    """Stacked (A, B, G) of points given as (the (A, B, G) of a residual
+    call, index in it): views when consecutive in one call, else copies."""
+    src, start = jacs[0]
+    if all(s is src and i == start + n for n, (s, i) in enumerate(jacs)):
+        return tuple(t[start * N : (start + len(jacs)) * N] for t in src)
+    parts = [[s[t][i * N : (i + 1) * N] for s, i in jacs] for t in range(3)]
+    return tuple(np.concatenate(p) if isinstance(p[0], np.ndarray) else [m for r in p for m in r] for p in parts)
 
 
-def _newton_step(
-    blocks: StageBlocks, rhs: Array, n_pos: int, n_neg: int, reg: float = 0.0, reuse: bool = False
-) -> Array | None:
-    """Solve (K + reg * I_primal) x = rhs (see `factor_kkt`) with an
-    inertia gate: x only when the shifted K has exactly (n_pos, n_neg, 0)
-    positive/negative/zero eigenvalues, None otherwise (non-finite input
-    included).  With `reuse`, a factor whose key matches (blocks, reg) bit
-    for bit comes from the memo, and a new one replaces the memo's entry;
-    the gate runs either way."""
-    if not np.isfinite(rhs).all():
-        return None
-    key = None
-    if reuse:
-        fields = (reg, blocks.T, blocks.Q, blocks.R, blocks.S, blocks.A, blocks.B)
-        key = tuple((np.shape(M), np.asarray(M, dtype=float).tobytes()) for M in fields)
-    if _memo and _memo[0][0] == key:
-        factor = _memo[0][1]
-    else:
-        factor = factor_kkt(blocks, reg, rhs)
-        if reuse:
-            _memo[:] = [(key, factor)]
-    if factor is None or factor.inertia != (n_pos, n_neg):
-        return None
-    return factor.solve(rhs)
+def _same_matrix(a: StageBlocks, b: StageBlocks) -> bool:
+    """Whether T, Q, R, S, A and B, all that `factor_kkt` reads, are equal
+    bit for bit in a and b."""
+    return all(np.array_equal(getattr(a, f).view(np.int64), getattr(b, f).view(np.int64)) for f in "TQRSAB")
+
+
+# Bound on 8 n_w (2 n_x + n_u)^2 bytes per point over a chunk of `solve_batch`:
+# 7 points of the N = 60 lq_chain, 2 of the quadrotor, near one-point peaks.
+_CHUNK_BYTES = 12 * 2**20
 
 
 def solve_equality_nlp(
@@ -858,63 +859,152 @@ def solve_equality_nlp(
     opts: SolveOptions | None = None,
 ) -> SolveResult:
     """Newton on the first-order conditions with a backtracking line search
-    on the squared residual norm.
+    on the squared residual norm: the one-point call of `solve_batch`.
 
     When the KKT factorization signals singularity or wrong inertia (or the
     search direction fails to reduce the residual), eps * I is added to the
     primal Hessian block, starting at opts.reg0 and escalating tenfold up to
-    opts.reg_max.  The first iteration takes its factor from a one-entry
-    memo when the KKT matrix and regularization match the memo's bit for
-    bit: re-solves warm-started from one point share that first matrix.
-    Raises RegularityError when no usable direction exists at
-    maximal regularization and NonconvergenceError when max_iter is
+    opts.reg_max.  Raises RegularityError when no usable direction exists
+    at maximal regularization and NonconvergenceError when max_iter is
     exhausted; both carry the last iterate.
     """
-    opts = opts or SolveOptions()
-    check_dimensions(p, None, data)
-    w = w0.copy() if w0 is not None else PrimalDualTrajectory.zeros(p.dims)
-    check_dimensions(p, w, None)
-    nz, ndual = p.dims.n_primal, p.dims.n_dual
-    reg_seen = 0.0
-    # the dynamics Jacobians are evaluated once per point, in kkt_residual
+    ((result, error),) = solve_batch(p, [data], w0, opts)
+    if error is not None:
+        raise error
+    return result
+
+
+def solve_batch(p: DOProblem, data, w0=None, opts: SolveOptions | None = None, stats: dict | None = None):
+    """`solve_equality_nlp` for each data trajectory of the iterable `data`,
+    all warm-started from w0: yields (result, error) for each in order,
+    error being the exception that the one-point solve raises, or None, and
+    result the solve's, or the last iterate that the error carries.
+
+    The points take their Newton iterations in lock step, each residual or
+    linearization evaluating all their stages at once, and points whose
+    shifted KKT matrices are equal bit for bit share one `factor_kkt` that
+    carries all their right-hand sides.  Step length, regularization,
+    convergence and failure stay per point.  The points go in chunks, so
+    memory does not grow with their number; the first iteration's factors,
+    all at w0, serve every chunk.  `stats` gets the counts `newton_rounds`
+    (chunk iterations), `factorizations`, `solved_columns` and
+    `residual_evals` (batched residual calls) added.
+    """
+    opts, stats = opts or SolveOptions(), {} if stats is None else stats
+    w0 = w0 if w0 is not None else PrimalDualTrajectory.zeros(p.dims)
+    check_dimensions(p, w0, None)
+    for key in ("newton_rounds", "factorizations", "solved_columns", "residual_evals"):
+        stats.setdefault(key, 0)
+    size = max(1, _CHUNK_BYTES // (8 * p.dims.n_w * (2 * p.dims.n_x + p.dims.n_u) ** 2))
+    first, data = [], iter(data)
+    while chunk := list(itertools.islice(data, size)):
+        yield from _lockstep(p, chunk, w0, opts, first, stats)
+
+
+def _steps(todo: list, R: Array, reg: dict, blocks: dict, pool: list, dims: Dimensions, stats: dict) -> dict:
+    """Newton steps for -R[k] of the points k in `todo` at regularization
+    reg[k]; None where the inertia gate rejects the shifted K or the step
+    is not finite.  `pool` holds [reg, blocks, factor] entries (a rejected
+    factor as None); a new entry's factor pass carries the right-hand sides
+    of all points that need it."""
+    groups, out = {}, {}
+    for k in todo:
+        if not np.isfinite(R[k]).all():
+            out[k] = None
+            continue
+        entry = next((e for e in pool if e[0] == reg[k] and _same_matrix(e[1], blocks[k])), None)
+        if entry is None:
+            entry = [reg[k], blocks[k], None]
+            pool.append(entry)
+            groups[id(entry)] = (entry, [], True)
+        groups.setdefault(id(entry), (entry, [], False))[1].append(k)
+        blocks[k] = entry[1]  # equal bits: the copy is dropped
+    for entry, ks, fresh in groups.values():
+        rhs = -R[ks[0]] if len(ks) == 1 else -R[ks].T
+        if fresh:
+            entry[2] = factor_kkt(entry[1], entry[0], rhs)
+            stats["factorizations"] += 1
+        if entry[2] is None or entry[2].inertia != (dims.n_primal, dims.n_dual):
+            entry[2] = None
+            out.update(dict.fromkeys(ks))
+            continue
+        Y = entry[2]._solve(None if fresh else rhs).reshape(dims.n_w, -1)
+        stats["solved_columns"] += len(ks)
+        out.update((k, y if np.isfinite(y).all() else None) for k, y in zip(ks, Y.T))
+    return out
+
+
+def _lockstep(p: DOProblem, data: list, w0, opts: SolveOptions, first: list, stats: dict) -> list:
+    """The Newton loop of `solve_batch` on one chunk of data trajectories;
+    `first` is the pool of the first iteration, shared across chunks."""
+    dims, P, N = p.dims, len(data), p.dims.N
+    W = np.tile(w0.vector, (P, 1))
     jac = []
-    r = kkt_residual(p, w, data, jacobians=jac)
-    rnorm = float(np.abs(r).max()) if r.size else 0.0
-    for it in range(opts.max_iter):
-        if rnorm <= opts.tol_kkt:
-            return SolveResult(w, it, rnorm, True, reg_seen)
-        blocks = linearize(p, w, data, jacobians=jac)
-        phi0 = 0.5 * float(r @ r)
-        reg = 0.0
-        accepted = None
-        while True:
-            step = _newton_step(blocks, -r, nz, ndual, reg, reuse=it == 0)
-            if step is not None:
-                alpha = 1.0
-                while alpha >= 1e-12:
-                    w_try = PrimalDualTrajectory.from_vector(p.dims, w.vector + alpha * step)
-                    jac_try = []
-                    r_try = kkt_residual(p, w_try, data, jacobians=jac_try)
-                    if 0.5 * float(r_try @ r_try) <= (1.0 - 2.0 * opts.ls_sigma * alpha) * phi0:
-                        accepted = (w_try, r_try, jac_try)
-                        break
-                    alpha *= opts.ls_beta
-            if accepted is not None:
-                break
-            reg = opts.reg0 if reg == 0.0 else reg * 10.0
-            if reg > opts.reg_max:
-                raise RegularityError(
-                    f"KKT system unusable at iteration {it} despite regularization up to {opts.reg_max:g}",
-                    result=SolveResult(w, it, rnorm, False, reg_seen),
-                )
-        reg_seen = max(reg_seen, reg)
-        w, r, jac = accepted
-        rnorm = float(np.abs(r).max())
-    if rnorm <= opts.tol_kkt:
-        return SolveResult(w, opts.max_iter, rnorm, True, reg_seen)
-    last = SolveResult(w, opts.max_iter, rnorm, False, reg_seen)
-    raise NonconvergenceError(
-        f"Newton did not reach tol {opts.tol_kkt:g} in {opts.max_iter} iterations "
-        f"(residual {rnorm:.3e})",
-        result=last,
-    )
+    R = kkt_residual(p, W, data, jacobians=jac)
+    stats["residual_evals"] += 1
+    # per point: the (A, B, G) of the residual call at its iterate, its index
+    jacs = [(jac[0], k) for k in range(P)]
+    rnorm, reg_seen = np.abs(R).max(axis=1), np.zeros(P)
+    out = [None] * P
+
+    def finish(k, it, error=None, msg=""):
+        traj = PrimalDualTrajectory.from_vector(dims, W[k].copy())
+        res = SolveResult(traj, it, float(rnorm[k]), error is None, float(reg_seen[k]))
+        out[k] = (res, None if error is None else error(msg, result=res))
+
+    def iterate(it, live):
+        """One Newton iteration: each point of `live` steps or fails."""
+        jac = [_jacobian_rows([jacs[k] for k in live], N)]
+        blocks = dict(zip(live, linearize(p, W[live], [data[k] for k in live], jacobians=jac)))
+        phi0 = {k: 0.5 * float(R[k] @ R[k]) for k in live}
+        reg = dict.fromkeys(live, 0.0)
+        need, alpha, step = list(live), {}, {}
+
+        def escalate(k):
+            reg[k] = opts.reg0 if reg[k] == 0.0 else reg[k] * 10.0
+            if reg[k] <= opts.reg_max:
+                need.append(k)
+            else:
+                msg = f"KKT system unusable at iteration {it} despite regularization up to {opts.reg_max:g}"
+                finish(k, it, RegularityError, msg)
+
+        while need or alpha:
+            todo, need[:] = list(need), []
+            for k, y in _steps(todo, R, reg, blocks, first if it == 0 else [], dims, stats).items():
+                if y is None:
+                    escalate(k)
+                else:
+                    alpha[k], step[k] = 1.0, y
+            if not alpha:
+                continue
+            # one backtracking trial of every point that has a step
+            S = list(alpha)
+            W_try = W[S] + np.array([alpha[k] for k in S])[:, None] * np.array([step[k] for k in S])
+            jac = []
+            R_try = kkt_residual(p, W_try, [data[k] for k in S], jacobians=jac)
+            stats["residual_evals"] += 1
+            for i, k in enumerate(S):
+                r = R_try[i]
+                if 0.5 * float(r @ r) <= (1.0 - 2.0 * opts.ls_sigma * alpha[k]) * phi0[k]:
+                    W[k], R[k] = W_try[i], r
+                    jacs[k] = (jac[0], i)
+                    rnorm[k], reg_seen[k] = np.abs(r).max(), max(reg_seen[k], reg[k])
+                    del alpha[k]
+                else:
+                    alpha[k] *= opts.ls_beta
+                    if alpha[k] < 1e-12:
+                        del alpha[k]
+                        escalate(k)
+
+    for it in range(opts.max_iter + 1):
+        for k in range(P):
+            if out[k] is None and rnorm[k] <= opts.tol_kkt:
+                finish(k, it)
+            elif out[k] is None and it == opts.max_iter:
+                msg = f"Newton did not reach tol {opts.tol_kkt:g} in {it} iterations (residual {rnorm[k]:.3e})"
+                finish(k, it, NonconvergenceError, msg)
+        live = [k for k in range(P) if out[k] is None]
+        if not live:
+            return out
+        stats["newton_rounds"] += 1
+        iterate(it, live)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 SCHEMAS = {
@@ -22,10 +24,8 @@ SCHEMA_VERSION = "1"
 
 
 def fmt(x) -> str:
-    value = float(x)
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
+    """17 significant digits; "inf", "-inf" and "nan" as they are."""
+    return format(float(x), ".17g")
 
 
 def base_solution_rows(case: str, traj):
@@ -44,10 +44,11 @@ def base_solution_rows(case: str, traj):
 
 
 def profile_rows(case: str, profiles):
+    """One row per stage of each profile."""
     rows = []
     for prof in profiles:
-        for i in prof.stage_range():
-            rows.append((case, str(i), str(prof.stage), str(prof.replicate), fmt(prof.deviation(i))))
+        j, rep = str(prof.stage), str(prof.replicate)
+        rows.extend((case, str(i), j, rep, fmt(s)) for i, s in zip(prof.stage_range(), prof.s.tolist()))
     return rows
 
 
@@ -95,13 +96,13 @@ def plot_decay(profiles, fit) -> str:
     n_stages = profiles[0].n_stages
     N = n_stages - 2
     xs_lo, xs_hi = -1.0, float(N)
-    pts = []
+    pt_i, y_vals = [], []
     for prof in profiles:
-        for i, si in zip(*prof.above_floor()):
-            pts.append((float(i), math.log10(si / prof.magnitude)))
-    if not pts:
+        stages, s = prof.above_floor()
+        pt_i += stages
+        y_vals += [math.log10(si / prof.magnitude) for si in s]
+    if not y_vals:
         raise ConfigurationError("profiles contain no entries above the noise floor")
-    y_vals = [y for _, y in pts]
     y_lo = math.floor(min(y_vals) - 0.2)
     y_hi = math.ceil(max(max(y_vals), math.log10(fit.upsilon)) + 0.2)
     stages_marked = sorted({prof.stage for prof in profiles})
@@ -156,21 +157,20 @@ def plot_decay(profiles, fit) -> str:
             f'<line x1="{_f3(px)}" y1="{_f3(y0)}" x2="{_f3(px)}" y2="{_f3(y1)}" '
             f'stroke="#888888" stroke-width="1" stroke-dasharray="4 3"/>'
         )
-    # envelope per perturbed stage
+    # envelope per perturbed stage; numpy's elementwise arithmetic rounds
+    # as Python's does, so the coordinates are those of a per-point loop
+    stage = np.arange(-1, N + 1)
+    env_x = _xmap(stage, xs_lo, xs_hi).tolist()
     for j in stages_marked:
-        coords = []
-        for i in range(-1, N + 1):
-            ylog = math.log10(fit.upsilon) + abs(i - j) * math.log10(fit.rho) if fit.rho > 0 else y_lo
-            ylog = max(ylog, y_lo)
-            coords.append(f"{_f3(_xmap(i, xs_lo, xs_hi))},{_f3(_ymap(ylog, y_lo, y_hi))}")
-        out.append(
-            f'<polyline points="{" ".join(coords)}" fill="none" stroke="#d62728" stroke-width="1.5"/>'
-        )
+        if fit.rho > 0:
+            ylog = np.maximum(math.log10(fit.upsilon) + np.abs(stage - j) * math.log10(fit.rho), y_lo)
+        else:
+            ylog = np.full(stage.size, y_lo)
+        coords = " ".join("%.3f,%.3f" % xy for xy in zip(env_x, _ymap(ylog, y_lo, y_hi).tolist()))
+        out.append(f'<polyline points="{coords}" fill="none" stroke="#d62728" stroke-width="1.5"/>')
     # data points
-    for prof in profiles:
-        for i, si in zip(*prof.above_floor()):
-            px = _xmap(i, xs_lo, xs_hi)
-            py = _ymap(math.log10(si / prof.magnitude), y_lo, y_hi)
-            out.append(f'<circle cx="{_f3(px)}" cy="{_f3(py)}" r="3" fill="#1f77b4"/>')
+    px = _xmap(np.array(pt_i, dtype=float), xs_lo, xs_hi).tolist()
+    py = _ymap(np.array(y_vals), y_lo, y_hi).tolist()
+    out.extend('<circle cx="%.3f" cy="%.3f" r="3" fill="#1f77b4"/>' % xy for xy in zip(px, py))
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -12,6 +12,8 @@ from edslab import (
     StageOracles,
     assemble_hessian,
     assemble_jacobian,
+    kkt_residual,
+    linearize,
 )
 from edslab import kkt
 
@@ -105,13 +107,6 @@ def toy():
     return toy_nonlinear_problem()
 
 
-@pytest.fixture(autouse=True)
-def empty_factor_memo():
-    """Every test starts with an empty memo of first-iteration KKT factors,
-    so no test passes or fails because of the tests run before it."""
-    kkt._memo.clear()
-
-
 @st.composite
 def stage_blocks(draw, zero_families="QRSEFABG", varying_nd=False):
     """Random time-varying StageBlocks (N <= 10, n_x <= 4, n_u <= 3,
@@ -167,6 +162,27 @@ def dense_kkt(blocks):
     in the stacked [primal; dual] ordering."""
     H, J = assemble_hessian(blocks), assemble_jacobian(blocks)
     return np.block([[H, -J.T], [-J, np.zeros((J.shape[0], J.shape[0]))]])
+
+
+def newton_step(blocks, rhs, n_pos, n_neg, reg=0.0):
+    """The gated solve of a Newton step: (K + reg * I_primal)^{-1} rhs from
+    `kkt.factor_kkt` when the shifted K has exactly (n_pos, n_neg, 0)
+    positive/negative/zero eigenvalues, None otherwise (non-finite input
+    included)."""
+    if not np.isfinite(rhs).all():
+        return None
+    factor = kkt.factor_kkt(blocks, reg, rhs)
+    return factor.solve() if factor is not None and factor.inertia == (n_pos, n_neg) else None
+
+
+def dense_newton_step(p, traj, data):
+    """Reference for one Newton step of `solve_equality_nlp` without
+    regularization: the dense KKT matrix at (traj, data), assembled from
+    `linearize`, solved by `np.linalg.solve` against the negated residual,
+    in the stage order of `traj.vector`."""
+    K = dense_kkt(linearize(p, traj, data))
+    r = kkt_residual(p, traj, data)
+    return to_stage_order(p.dims, np.linalg.solve(K, -to_stacked_order(p.dims, r)))
 
 
 def dense_factor_and_solve(K, rhs, n_pos, n_neg, reg=0.0):

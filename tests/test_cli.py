@@ -1,13 +1,16 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edslab import DecayFit, SensitivityProfile
+from edslab import DecayFit, SensitivityProfile, report
 from edslab.cli import main, run
 from edslab.errors import ConfigurationError
-from edslab.report import SCHEMAS, plot_decay
+from edslab.report import SCHEMAS, plot_decay, profile_rows
 
 
 def write_config(path, **overrides):
@@ -316,3 +319,159 @@ class TestPlot:
         prof, fit = self.synthetic(j=7)
         svg = plot_decay([prof], fit)
         assert 'stroke-dasharray="4 3"' in svg
+
+
+# ---------------------------------------------------------------------------
+# the per-point formatting that `profile_rows` and `plot_decay` replaced, kept
+# as oracles for their bytes
+
+
+def legacy_fmt(x) -> str:
+    value = float(x)
+    if math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return format(value, ".17g")
+
+
+def legacy_profile_rows(case, profiles):
+    rows = []
+    for prof in profiles:
+        for i in prof.stage_range():
+            rows.append((case, str(i), str(prof.stage), str(prof.replicate), legacy_fmt(prof.deviation(i))))
+    return rows
+
+
+def legacy_plot_decay(profiles, fit):
+    _W, _H, _xmap, _ymap, _f3 = report._W, report._H, report._xmap, report._ymap, report._f3
+    profiles = [p for p in profiles if p.converged]
+    if not profiles:
+        raise ConfigurationError("no converged profiles to plot")
+    N = profiles[0].n_stages - 2
+    xs_lo, xs_hi = -1.0, float(N)
+    pts = []
+    for prof in profiles:
+        for i, si in zip(*prof.above_floor()):
+            pts.append((float(i), math.log10(si / prof.magnitude)))
+    if not pts:
+        raise ConfigurationError("profiles contain no entries above the noise floor")
+    y_vals = [y for _, y in pts]
+    y_lo = math.floor(min(y_vals) - 0.2)
+    y_hi = math.ceil(max(max(y_vals), math.log10(fit.upsilon)) + 0.2)
+    stages_marked = sorted({prof.stage for prof in profiles})
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
+        f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
+    ]
+    x0, x1 = _xmap(xs_lo, xs_lo, xs_hi), _xmap(xs_hi, xs_lo, xs_hi)
+    y0, y1 = _ymap(y_lo, y_lo, y_hi), _ymap(y_hi, y_lo, y_hi)
+    out.append(f'<line x1="{_f3(x0)}" y1="{_f3(y0)}" x2="{_f3(x1)}" y2="{_f3(y0)}" stroke="black" stroke-width="1"/>')
+    out.append(f'<line x1="{_f3(x0)}" y1="{_f3(y0)}" x2="{_f3(x0)}" y2="{_f3(y1)}" stroke="black" stroke-width="1"/>')
+    tick = 10 if N >= 20 else max(1, N // 4)
+    i = 0
+    while i <= N:
+        px = _xmap(i, xs_lo, xs_hi)
+        out.append(f'<line x1="{_f3(px)}" y1="{_f3(y0)}" x2="{_f3(px)}" y2="{_f3(y0 + 4)}" stroke="black" stroke-width="1"/>')
+        out.append(f'<text x="{_f3(px)}" y="{_f3(y0 + 18)}" font-size="11" text-anchor="middle">{i}</text>')
+        i += tick
+    out.append(f'<text x="{_f3((x0 + x1) / 2)}" y="{_f3(_H - 8)}" font-size="12" text-anchor="middle">stage</text>')
+    for d in range(int(y_lo), int(y_hi) + 1):
+        py = _ymap(d, y_lo, y_hi)
+        out.append(f'<line x1="{_f3(x0 - 4)}" y1="{_f3(py)}" x2="{_f3(x0)}" y2="{_f3(py)}" stroke="black" stroke-width="1"/>')
+        out.append(f'<text x="{_f3(x0 - 8)}" y="{_f3(py + 4)}" font-size="11" text-anchor="end">1e{d}</text>')
+    out.append(
+        f'<text x="14" y="{_f3((y0 + y1) / 2)}" font-size="12" text-anchor="middle" '
+        f'transform="rotate(-90 14 {_f3((y0 + y1) / 2)})">deviation / perturbation</text>'
+    )
+    for j in stages_marked:
+        px = _xmap(j, xs_lo, xs_hi)
+        out.append(
+            f'<line x1="{_f3(px)}" y1="{_f3(y0)}" x2="{_f3(px)}" y2="{_f3(y1)}" '
+            f'stroke="#888888" stroke-width="1" stroke-dasharray="4 3"/>'
+        )
+    for j in stages_marked:
+        coords = []
+        for i in range(-1, N + 1):
+            ylog = math.log10(fit.upsilon) + abs(i - j) * math.log10(fit.rho) if fit.rho > 0 else y_lo
+            ylog = max(ylog, y_lo)
+            coords.append(f"{_f3(_xmap(i, xs_lo, xs_hi))},{_f3(_ymap(ylog, y_lo, y_hi))}")
+        out.append(f'<polyline points="{" ".join(coords)}" fill="none" stroke="#d62728" stroke-width="1.5"/>')
+    for prof in profiles:
+        for i, si in zip(*prof.above_floor()):
+            px = _xmap(i, xs_lo, xs_hi)
+            py = _ymap(math.log10(si / prof.magnitude), y_lo, y_hi)
+            out.append(f'<circle cx="{_f3(px)}" cy="{_f3(py)}" r="3" fill="#1f77b4"/>')
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def profile_sets(draw, special=False):
+    """1-5 profiles of one horizon N <= 30: deviations spread over many
+    decades, some zero or under the noise floor, some profiles unconverged;
+    with `special`, also infinite and NaN deviations."""
+    N = draw(st.integers(1, 30))
+    values = st.one_of(
+        st.floats(1e-30, 1e3),
+        st.just(0.0),
+        st.sampled_from([float("inf"), float("-inf"), float("nan")] if special else [1e-13]),
+    )
+    profiles = []
+    for k in range(draw(st.integers(1, 5))):
+        s = np.array(draw(st.lists(values, min_size=N + 2, max_size=N + 2)))
+        profiles.append(
+            SensitivityProfile(
+                stage=draw(st.integers(-1, N)),
+                s=s,
+                magnitude=draw(st.floats(1e-3, 10.0)),
+                converged=draw(st.booleans()) or k == 0,
+                replicate=k,
+            )
+        )
+    return profiles
+
+
+def outcome(fn, *args):
+    """What fn returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except (ConfigurationError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBulkFormatting:
+    """`profile_rows` and `plot_decay` format whole arrays at once; their
+    bytes must be those of the per-point code they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(profile_sets(special=True))
+    def test_profile_rows_same_bytes(self, profiles):
+        assert profile_rows("case", profiles) == legacy_profile_rows("case", profiles)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        profile_sets(),
+        st.floats(1e-6, 1e3),
+        st.one_of(st.just(0.0), st.floats(1e-6, 1.5)),
+    )
+    def test_plot_decay_same_bytes(self, profiles, upsilon, rho):
+        fit = DecayFit(upsilon=upsilon, rho=rho, r2=1.0, floor=1e-12, mode="envelope", clamped=False, n_points=1)
+        assert outcome(plot_decay, profiles, fit) == outcome(legacy_plot_decay, profiles, fit)
+
+
+def test_manifest_reports_experiment_solver_counts(tmp_path):
+    # the benchmark's lq_many_perturbations: 96 profiles of one N = 60 chain
+    # re-solved from the base solution share one KKT factorization
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        params={"n_x": 6, "n_u": 3, "N": 60, "stability": 0.9, "seed": 5},
+        stages=list(range(0, 60, 5)),
+        replicates=8,
+    )
+    assert run(str(cfg), out_dir=str(out)) == 0
+    counts = json.loads(read(out / "manifest.json"))["cases"]["base"]["experiments"]
+    assert counts["factorizations"] == 1 and counts["solved_columns"] == 96
+    assert counts["newton_rounds"] >= 1 and counts["residual_evals"] == 2 * counts["newton_rounds"]
+    # the counts stay out of the CSVs
+    for name, header in SCHEMAS.items():
+        assert read(out / name).decode().splitlines()[0] == header

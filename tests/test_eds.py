@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,15 @@ from edslab import (
     build_model,
     decay_contrast,
     fit_decay,
+    random_perturbation,
     run_experiments,
     run_perturbation_experiment,
     solve_equality_nlp,
     stage_deviations,
     verify_eds_bound,
 )
-from conftest import strongly_indefinite_problem, toy_nonlinear_problem
+from edslab import kkt
+from conftest import dense_newton_step, strongly_indefinite_problem, toy_nonlinear_problem
 
 
 def synthetic_profile(N, j, upsilon, rho, magnitude=1.0, replicate=0):
@@ -249,3 +253,121 @@ class TestStageDeviations:
         s = stage_deviations(a, b, primal_only=primal_only)
         assert np.abs(s - ref).max() <= 1e-15 * ref.max()
 
+
+
+def experiment_deltas(p, stages, replicates, magnitude, seed):
+    """The perturbations `run_experiments` draws, keyed by (stage, replicate)."""
+    return {
+        (j, rep): random_perturbation(p.dims.nd(j), magnitude, np.random.default_rng([seed, j + 1, rep]))
+        for j in stages
+        for rep in range(replicates)
+    }
+
+
+def assert_batch_matches_alone(p, d_star, w_star, stages, replicates, magnitude, seed, opts=None):
+    """Every profile of one lock-step batch agrees with the same experiment
+    solved alone through the one-point path: deviations within 1e-12 of the
+    profile's peak, the same convergence, error and Newton iterations.
+    Returns the batch's profiles and solver counts."""
+    stats = {}
+    batch = run_experiments(p, d_star, w_star, stages, replicates, magnitude, seed, opts=opts, stats=stats)
+    deltas = experiment_deltas(p, stages, replicates, magnitude, seed)
+    assert [(pr.stage, pr.replicate) for pr in batch] == sorted(deltas)
+    for prof in batch:
+        spec = PerturbationSpec(prof.stage, deltas[prof.stage, prof.replicate])
+        alone = run_perturbation_experiment(p, d_star, w_star, spec, opts=opts)
+        assert (prof.converged, prof.error, prof.iterations) == (alone.converged, alone.error, alone.iterations)
+        assert np.abs(prof.s - alone.s).max() <= 1e-12 * alone.s.max()
+    return batch, stats
+
+
+class TestLockstepExperiments:
+    """`run_experiments` solves all its profiles in one lock-step Newton
+    loop; each profile must come out as its one-point solve does."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(0, 3),
+        st.integers(2, 20),
+        st.sampled_from([0.5, 0.9, 1.3]),
+        st.data(),
+        st.sampled_from([1, kkt._CHUNK_BYTES]),
+    )
+    def test_lq_chain_batch_matches_alone_and_dense_step(self, n_x, n_u, N, stability, draw, chunk_bytes):
+        seed = draw.draw(st.integers(0, 999))
+        b = build_model("lq_chain", {"n_x": n_x, "n_u": n_u, "N": N, "stability": stability, "seed": seed})
+        p = b.problem
+        base = solve_equality_nlp(p, b.base_data, w0=b.warm_start)
+        stages = sorted(draw.draw(st.sets(st.integers(-1, N), min_size=1, max_size=4)))
+        replicates = draw.draw(st.integers(1, 3))
+        # one point per chunk, or the default chunks: the results agree
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kkt, "_CHUNK_BYTES", chunk_bytes)
+            batch, stats = assert_batch_matches_alone(
+                p, b.base_data, base.trajectory, stages, replicates, 0.1, seed
+            )
+        # every LQ profile takes one Newton step, all from one factor
+        n = len(batch)
+        assert all(pr.converged and pr.iterations == 1 for pr in batch)
+        assert stats["factorizations"] == 1 and stats["solved_columns"] == n
+        deltas = experiment_deltas(p, stages, replicates, 0.1, seed)
+        for prof in batch:
+            data = b.base_data.perturbed(prof.stage, deltas[prof.stage, prof.replicate])
+            step = dense_newton_step(p, base.trajectory, data)
+            w = PrimalDualTrajectory.from_vector(p.dims, base.trajectory.vector + step)
+            ref = stage_deviations(w, base.trajectory)
+            assert np.abs(prof.s - ref).max() <= 1e-9 * ref.max()
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.0, 1.0]),
+        st.sampled_from([0.1, 0.5]),
+        st.sampled_from([0.1, 3.0]),
+        st.data(),
+    )
+    def test_quadrotor_batch_matches_alone(self, b, q, dt, magnitude, draw):
+        # the shared first factor's slab is wider than a one-point solve's,
+        # so the batch may differ from it in the last bits; magnitudes that
+        # make Newton fail chaotically (50 at dt = 0.5) would amplify them
+        bundle = build_model("quadrotor", {"N": 8, "dt": dt, "b": b, "q": q})
+        p = bundle.problem
+        base = solve_equality_nlp(p, bundle.base_data, w0=bundle.warm_start)
+        stages = sorted(draw.draw(st.sets(st.integers(-1, 8), min_size=1, max_size=3)))
+        replicates = draw.draw(st.integers(1, 3))
+        seed = draw.draw(st.integers(0, 999))
+        assert_batch_matches_alone(p, bundle.base_data, base.trajectory, stages, replicates, magnitude, seed)
+
+    def test_failures_and_nonconvergence_match_alone(self):
+        p = toy_nonlinear_problem(N=3)
+        d_star = DataTrajectory(p.dims, [0.1 * np.ones(p.dims.nd(i)) for i in range(-1, 4)])
+        w_star = solve_equality_nlp(p, d_star).trajectory
+        batch, _ = assert_batch_matches_alone(
+            p, d_star, w_star, [-1, 1, 3], 2, 0.2, 5, opts=SolveOptions(max_iter=2, tol_kkt=1e-300)
+        )
+        assert all(pr.error.startswith("NonconvergenceError") and pr.iterations == 2 for pr in batch)
+        p = strongly_indefinite_problem()
+        d_star = DataTrajectory(p.dims, [[0.3], [], []])
+        batch, _ = assert_batch_matches_alone(p, d_star, PrimalDualTrajectory.zeros(p.dims), [-1], 3, 0.1, 2)
+        assert all(pr.error.startswith("RegularityError") for pr in batch)
+
+    def test_many_perturbations_factor_once_in_bounded_memory(self):
+        # the benchmark's lq_many_perturbations: 96 profiles of one N = 60
+        # chain.  The profile axis goes in chunks, so the peak stays far
+        # below the ~18 MiB of all 96 points' blocks at once, and the first
+        # factor serves every chunk
+        b = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": 60, "stability": 0.9, "seed": 5})
+        base = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
+        args = (b.problem, b.base_data, base.trajectory, list(range(0, 60, 5)), 8, 0.1, 7)
+        stats = {}
+        tracemalloc.start()
+        try:
+            profiles = run_experiments(*args, stats=stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(profiles) == 96 and all(pr.converged and pr.iterations == 1 for pr in profiles)
+        assert peak < 3 * 2**20
+        assert stats["factorizations"] == 1 and stats["solved_columns"] == 96
+        assert stats["residual_evals"] == 2 * stats["newton_rounds"]

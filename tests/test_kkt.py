@@ -23,7 +23,6 @@ from edslab import (
     evaluate_constraints,
     kkt_residual,
     linearize,
-    run_experiments,
     solve_equality_nlp,
 )
 from edslab import kkt
@@ -34,6 +33,7 @@ from conftest import (
     dense_factor_and_solve,
     dense_kkt,
     mixed_hessian_by_blocks,
+    newton_step,
     random_point,
     stage_blocks,
     strongly_indefinite_problem,
@@ -638,7 +638,7 @@ class TestBlockFactor:
         truth = shifted_inertia(K, n_p, reg)
         if truth is None:
             return
-        x = kkt._newton_step(blocks, to_stage_order(dims, rhs), n_p, n_d, reg)
+        x = newton_step(blocks, to_stage_order(dims, rhs), n_p, n_d, reg)
         ref = dense_factor_and_solve(K, rhs, n_p, n_d, reg)
         assert (x is not None) == (ref is not None) == (truth == (n_p, n_d))
         if x is not None:
@@ -653,18 +653,18 @@ class TestBlockFactor:
         if truth is None:
             return
         pos, neg = truth
-        x = kkt._newton_step(blocks, to_stage_order(blocks.dims, rhs), pos, neg)
+        x = newton_step(blocks, to_stage_order(blocks.dims, rhs), pos, neg)
         ref = dense_factor_and_solve(K, rhs, pos, neg)
         assert x is not None
         x = to_stacked_order(blocks.dims, x)
         assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
         assert np.linalg.norm(K @ x - rhs) <= 1e-8 * np.linalg.norm(K, 2) * np.linalg.norm(x)
         if pos != neg:
-            assert kkt._newton_step(blocks, rhs, neg, pos) is None
+            assert newton_step(blocks, rhs, neg, pos) is None
         if neg > 0:
-            assert kkt._newton_step(blocks, rhs, pos + 1, neg - 1) is None
+            assert newton_step(blocks, rhs, pos + 1, neg - 1) is None
         if pos > 0:
-            assert kkt._newton_step(blocks, rhs, pos - 1, neg + 1) is None
+            assert newton_step(blocks, rhs, pos - 1, neg + 1) is None
 
     @settings(max_examples=100, deadline=None)
     @given(stage_blocks(), st.sampled_from([0.0, 1e-4]), st.integers(0, 2**32 - 1))
@@ -675,7 +675,7 @@ class TestBlockFactor:
         rhs = rng.standard_normal(n_p + n_d)
         bad_rhs = rhs.copy()
         bad_rhs[rng.integers(rhs.size)] = np.inf
-        assert kkt._newton_step(blocks, bad_rhs, n_p, n_d, reg) is None
+        assert newton_step(blocks, bad_rhs, n_p, n_d, reg) is None
         # NaN in one entry of one block of K
         families = [f for f in "QRSAB" if getattr(blocks, f)[0].size] + (["T"] if dims.n_0 else [])
         name = families[rng.integers(len(families))]
@@ -685,7 +685,7 @@ class TestBlockFactor:
         else:
             M = getattr(bad, name)[rng.integers(len(getattr(bad, name)))]
         M[tuple(rng.integers(s) for s in M.shape)] = np.nan
-        assert kkt._newton_step(bad, rhs, n_p, n_d, reg) is None
+        assert newton_step(bad, rhs, n_p, n_d, reg) is None
         if dims.n_u and reg == 0.0:
             # a control with no curvature and no dynamics coupling: a zero
             # row of its stage block and of K, so both are exactly singular
@@ -695,7 +695,7 @@ class TestBlockFactor:
             sing.S[k][:, j] = 0.0
             sing.B[k][:, j] = 0.0
             for p in range(n_p + n_d + 1):
-                assert kkt._newton_step(sing, rhs, p, n_p + n_d - p) is None
+                assert newton_step(sing, rhs, p, n_p + n_d - p) is None
             assert dense_factor_and_solve(dense_kkt(sing), rhs, n_p, n_d) is None
 
     @pytest.mark.parametrize("reg", [0.0, 1e-4])
@@ -713,7 +713,7 @@ class TestBlockFactor:
             dims = blocks.dims
             K = dense_kkt(blocks)
             rhs = np.random.default_rng(1).standard_normal(K.shape[0])
-            x = kkt._newton_step(blocks, to_stage_order(dims, rhs), dims.n_primal, dims.n_dual, reg)
+            x = newton_step(blocks, to_stage_order(dims, rhs), dims.n_primal, dims.n_dual, reg)
             ref = dense_factor_and_solve(K, rhs, dims.n_primal, dims.n_dual, reg)
             assert x is not None and ref is not None
             assert np.abs(x - to_stage_order(dims, ref)).max() <= 1e-8 * np.abs(ref).max()
@@ -759,75 +759,18 @@ class TestBlockFactor:
             assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
             assert np.abs(X[:, j] - ref).max() <= 1e-8 * np.abs(ref).max()
 
-
-class TestFactorMemo:
-    """The first Newton iteration reuses the factor of an identical KKT
-    matrix from a one-entry memo; the inertia gate runs on every use."""
-
-    @pytest.fixture
-    def setup(self, monkeypatch):
-        # quadrotor-sized stages: there a one-column ?sytrs differs in the
-        # last bits from the same column of the factor pass's slab
-        p = lq_chain(9, 4, 10, stability=1.1, seed=4)
-        traj, data = random_point(p, seed=5)
-        blocks = linearize(p, traj, data)
-        calls = []
-        factor_kkt = kkt.factor_kkt
-
-        def counted(*args, **kwargs):
-            calls.append(args[1] if len(args) > 1 else kwargs.get("reg", 0.0))
-            return factor_kkt(*args, **kwargs)
-
-        monkeypatch.setattr(kkt, "factor_kkt", counted)
-        rng = np.random.default_rng(6)
-        rhs = [rng.standard_normal(p.dims.n_w) for _ in range(3)]
-        return blocks, rhs, calls
-
-    def test_hit_is_bitwise_a_fresh_factor(self, setup):
-        blocks, (r1, r2, _), calls = setup
-        n_p, n_d = blocks.dims.n_primal, blocks.dims.n_dual
-        fresh = kkt._newton_step(blocks, r2, n_p, n_d)
-        assert kkt._newton_step(blocks, r1, n_p, n_d, reuse=True) is not None
-        hit = kkt._newton_step(blocks, r2, n_p, n_d, reuse=True)
-        assert len(calls) == 2  # the fresh factor and the memo's
-        assert hit.tobytes() == fresh.tobytes()
-        # a right-hand side of several columns goes through the same factor
-        both = kkt.factor_kkt(blocks).solve(np.column_stack([r1, r2]))
-        assert np.abs(both[:, 1] - fresh).max() <= 1e-12 * np.abs(fresh).max()
-
-    def test_gate_runs_on_a_hit(self, setup):
-        blocks, (r1, r2, _), calls = setup
-        n_p, n_d = blocks.dims.n_primal, blocks.dims.n_dual
-        assert kkt._newton_step(blocks, r1, n_p, n_d, reuse=True) is not None
-        assert kkt._newton_step(blocks, r2, n_p + 1, n_d - 1, reuse=True) is None
-        assert kkt._newton_step(blocks, r2, n_p - 1, n_d + 1, reuse=True) is None
-        assert kkt._newton_step(blocks, r2, n_p, n_d, reuse=True) is not None
-        assert len(calls) == 1
-
-    def test_other_reg_or_mutated_blocks_miss(self, setup):
-        blocks, (r1, r2, r3), calls = setup
-        n_p, n_d = blocks.dims.n_primal, blocks.dims.n_dual
-        kkt._newton_step(blocks, r1, n_p, n_d, reuse=True)
-        kkt._newton_step(blocks, r2, n_p, n_d, 1e-4, reuse=True)
-        assert calls == [0.0, 1e-4]
-        blocks.A[3, 1, 0] += 0.5  # in place: the memo keeps its own copy
-        step = kkt._newton_step(blocks, r3, n_p, n_d, 1e-4, reuse=True)
-        assert calls == [0.0, 1e-4, 1e-4]
-        assert step.tobytes() == kkt._newton_step(blocks, r3, n_p, n_d, 1e-4).tobytes()
-        # without reuse the memo is neither read nor written
-        kkt._newton_step(blocks, r3, n_p, n_d, 1e-4)
-        assert len(calls) == 5 and kkt._memo[0][1] is not None
-
-    def test_experiments_factor_once(self, monkeypatch):
-        p = lq_chain(3, 2, 20, stability=0.9, seed=1)
-        rng = np.random.default_rng(2)
-        data = DataTrajectory(p.dims, [rng.standard_normal(p.dims.nd(i)) for i in range(-1, 21)])
-        base = solve_equality_nlp(p, data)
-        kkt._memo.clear()
-        calls = []
-        factor_kkt = kkt.factor_kkt
-        monkeypatch.setattr(kkt, "factor_kkt", lambda *a, **k: calls.append(1) or factor_kkt(*a, **k))
-        profiles = run_experiments(p, data, base.trajectory, [0, 7, 19], 2, 0.1, seed=3)
-        assert [pr.iterations for pr in profiles] == [1] * 6
-        assert all(pr.converged for pr in profiles)
-        assert len(calls) == 1
+    @settings(max_examples=50, deadline=None)
+    @given(stage_blocks(zero_families="ABEFG"), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_carried_columns_match_a_later_solve(self, blocks, n_cols, seed):
+        # right-hand sides carried through the factor pass, finished by
+        # solve(), are the bits that solve(rhs) gives from the kept factor
+        rhs = np.random.default_rng(seed).standard_normal((blocks.dims.n_w, n_cols))
+        carried = kkt.factor_kkt(blocks, 1e-4, rhs)
+        kept = kkt.factor_kkt(blocks, 1e-4)
+        if carried is None:
+            assert kept is None
+            return
+        later = kept.solve(rhs)
+        done = carried.solve()
+        assert (done is None) == (later is None)
+        assert done is None or done.tobytes() == later.tobytes()
