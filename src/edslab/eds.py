@@ -225,13 +225,14 @@ class DecayFit:
 
 
 def _pooled_points(profiles):
-    dists, logs = [], []
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    dists, logs = [np.empty(0)], []
     for prof in profiles:
-        for i, si in zip(*prof.above_floor()):
-            dists.append(abs(i - prof.stage))
-            logs.append(math.log(si / prof.magnitude))
+        stages, s = prof.above_floor()
+        dists.append(np.abs(np.asarray(stages, dtype=float) - prof.stage))
+        logs.extend(map(math.log, (np.asarray(s) / prof.magnitude).tolist()))
     floors = [prof.floor() for prof in profiles if prof.usable]
-    return np.asarray(dists, dtype=float), np.asarray(logs), (max(floors) if floors else FLOOR_ABS)
+    return np.concatenate(dists), np.asarray(logs, dtype=float), (max(floors) if floors else FLOOR_ABS)
 
 
 def fit_decay(profiles, mode: str = "ls") -> DecayFit:

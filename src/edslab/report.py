@@ -29,18 +29,15 @@ def fmt(x) -> str:
 
 
 def base_solution_rows(case: str, traj):
-    rows = []
-    dims = traj.dims
-    for i in range(-1, dims.N):
-        for k, v in enumerate(traj.lam(i)):
-            rows.append((case, str(i), "lam", str(k), fmt(v)))
-    for i in range(dims.N + 1):
-        for k, v in enumerate(traj.x(i)):
-            rows.append((case, str(i), "x", str(k), fmt(v)))
-    for i in range(dims.N):
-        for k, v in enumerate(traj.u(i)):
-            rows.append((case, str(i), "u", str(k), fmt(v)))
-    return rows
+    """Rows of every multiplier, then every state, then every control; the
+    stage-ordered vector is formatted once and the rows read its spans."""
+    text = [format(v, ".17g") for v in traj.vector.tolist()]
+    dims, off = traj.dims, traj.dims.w_offsets
+    spans = [("lam", -1, 0, dims.n_0)]
+    spans += [("lam", i, off[i + 1] + dims.n_z, dims.n_x) for i in range(dims.N)]
+    spans += [("x", i, off[i + 1], dims.n_x) for i in range(dims.N + 1)]
+    spans += [("u", i, off[i + 1] + dims.n_x, dims.n_u) for i in range(dims.N)]
+    return [(case, str(i), var, str(k), text[a + k]) for var, i, a, n in spans for k in range(n)]
 
 
 def profile_rows(case: str, profiles):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -15,7 +17,7 @@ from edslab import (
     kkt_residual,
     linearize,
 )
-from edslab import kkt
+from edslab import certify, kkt
 
 
 def toy_nonlinear_problem(N=3):
@@ -280,3 +282,44 @@ def mixed_hessian_by_blocks(blocks):
     return scipy.sparse.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n_w, n_xi)
     ).tocsr()
+
+
+def smallest_eigenvalue_of(M):
+    """Reference for one matrix of `certify.smallest_eigenvalues`: the
+    smallest eigenvalue of (M + M^T) / 2 from one 2-D eigensolve, +inf for
+    an empty M."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    if M.shape[0] == 0:
+        return math.inf
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+
+
+def controllability_scan_by_windows(A_seq, B_seq, window):
+    """Reference for `certify.scan_controllability_seq`: the values of every
+    window [i, i + window], built one window at a time by the one-window
+    builder."""
+    values = []
+    for i in range(len(B_seq) - window):
+        C = certify.controllability_matrix_seq(A_seq, B_seq, i, i + window)
+        values.append(smallest_eigenvalue_of(C @ C.T))
+    return values
+
+
+def observability_scan_by_windows(A_seq, Q_seq, window):
+    """Reference for `certify.scan_observability_seq`, one window at a
+    time."""
+    values = []
+    for i in range(len(Q_seq) - window):
+        O = certify.observability_matrix_seq(A_seq, Q_seq, i, i + window)
+        values.append(smallest_eigenvalue_of(O.T @ O))
+    return values
+
+
+def stage_moduli_by_stage(blocks):
+    """Reference for `certify.stage_moduli`, one stage at a time: smallest
+    eigenvalues of R and Q, largest |S| entries."""
+    return (
+        [smallest_eigenvalue_of(R) for R in blocks.R],
+        [smallest_eigenvalue_of(Q) for Q in blocks.Q],
+        [float(np.abs(S).max()) if S.size else 0.0 for S in blocks.S],
+    )

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -42,7 +43,16 @@ from edslab.certify import (
 )
 from edslab.errors import ConfigurationError
 from edslab.kkt import factor_kkt
-from conftest import data_coupled_jac_problem, random_point, stage_blocks, w_offsets, xi_offsets
+from conftest import (
+    controllability_scan_by_windows,
+    data_coupled_jac_problem,
+    observability_scan_by_windows,
+    random_point,
+    stage_blocks,
+    stage_moduli_by_stage,
+    w_offsets,
+    xi_offsets,
+)
 
 
 def lq_blocks(stability, N):
@@ -181,6 +191,96 @@ class TestDuality:
             Ad, Qd = dual_sequences(A, B)
             obs = scan_observability_seq(Ad, Qd, 2)
             assert abs(ctrl.minimum - obs.minimum) <= 1e-9 * max(1.0, abs(ctrl.minimum))
+
+
+def windows(N):
+    """Window lengths in [0, N - 1], the two ends drawn often."""
+    return st.sampled_from([0, N - 1]) | st.integers(0, N - 1)
+
+
+class TestStackedCertificates:
+    """The window scans and per-stage moduli, computed for all windows and
+    stages in stacked calls, equal the per-window and per-stage loops of
+    conftest bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stage_blocks(), st.data())
+    def test_scans_match_window_loops(self, blocks, data):
+        N = blocks.dims.N
+        w_c, w_o = data.draw(windows(N)), data.draw(windows(N))
+        ctrl = scan_uniform_controllability(blocks, w_c)
+        obs = scan_uniform_observability(blocks, w_o)
+        assert ctrl.window_length == w_c and obs.window_length == w_o
+        assert ctrl.values == controllability_scan_by_windows(blocks.A, blocks.B, w_c)
+        assert obs.values == observability_scan_by_windows(blocks.A, blocks.Q[:N], w_o)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stage_blocks())
+    def test_stage_moduli_match_stage_loop(self, blocks):
+        assert certify.stage_moduli(blocks) == stage_moduli_by_stage(blocks)
+
+    def test_no_inputs(self):
+        blocks = ti_blocks(np.diag([0.5, 2.0]), np.zeros((2, 0)), N=5)
+        r, q, s = certify.stage_moduli(blocks)
+        assert r == [math.inf] * 5 and s == [0.0] * 5
+        assert (r, q, s) == stage_moduli_by_stage(blocks)
+        for w in range(5):
+            values = scan_uniform_controllability(blocks, w).values
+            assert values == [0.0] * (5 - w)
+            assert values == controllability_scan_by_windows(blocks.A, blocks.B, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stage_blocks(), st.data())
+    def test_duality_check_matches_window_loops(self, blocks, data):
+        N = blocks.dims.N
+        window = data.draw(windows(N))
+        ctrl = controllability_scan_by_windows(blocks.A, blocks.B, window)
+        obs = observability_scan_by_windows(*dual_sequences(blocks.A, blocks.B), window)
+        disc = 0.0
+        for i, v in enumerate(ctrl):
+            disc = max(disc, abs(v - obs[N - 1 - (i + window)]))
+        agree = abs(min(ctrl) - min(obs)) <= 1e-9 * max(1.0, abs(min(ctrl)))
+        assert duality_check(blocks, window) == (agree, disc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stage_blocks(), st.data())
+    def test_report_failures_match_loops(self, blocks, data):
+        # the report with the stacked scans and moduli against the report
+        # with the per-window and per-stage loops patched in
+        N = blocks.dims.N
+        w_c, w_o = data.draw(windows(N)), data.draw(windows(N))
+        p = types.SimpleNamespace(dims=blocks.dims)  # build_report reads only p.dims
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(certify, "linearize", lambda *args: blocks)
+            rep = build_report(p, None, None, w_c, w_o)
+            m.setattr(certify, "stage_moduli", stage_moduli_by_stage)
+            m.setattr(
+                certify,
+                "scan_uniform_controllability",
+                lambda b, w: certify.WindowScan(w, controllability_scan_by_windows(b.A, b.B, w)),
+            )
+            m.setattr(
+                certify,
+                "scan_uniform_observability",
+                lambda b, w: certify.WindowScan(w, observability_scan_by_windows(b.A, b.Q[:N], w)),
+            )
+            ref = build_report(p, None, None, w_c, w_o)
+        assert (rep.ctrl, rep.obs, rep.r) == (ref.ctrl, ref.obs, ref.r)
+        assert rep.flags == ref.flags
+        assert rep.failures == ref.failures
+
+    def test_quadrotor_without_weights_fails_at_the_same_window(self):
+        # the q = b = 0 case of the headline pair: controllability and
+        # observability fail, at window start 0, with the loops' values
+        bundle = build_model("quadrotor", {"dt": 0.5, "N": 60, "q": 0.0, "b": 0.0})
+        p, data = bundle.problem, bundle.base_data
+        base = solve_equality_nlp(p, data, w0=bundle.warm_start)
+        blocks = linearize(p, base.trajectory, data)
+        rep = build_report(p, base.trajectory, data, 3, 3)
+        assert rep.ctrl.values == controllability_scan_by_windows(blocks.A, blocks.B, 3)
+        assert rep.obs.values == observability_scan_by_windows(blocks.A, blocks.Q[:60], 3)
+        assert rep.failures["ctrl_uniform"] == {"window_start": 0}
+        assert rep.failures["obs_uniform"] == {"window_start": 0}
 
 
 class TestModuli:

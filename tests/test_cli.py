@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edslab import DecayFit, SensitivityProfile, report
+from edslab import DecayFit, Dimensions, PrimalDualTrajectory, SensitivityProfile, report
 from edslab.cli import main, run
 from edslab.errors import ConfigurationError
-from edslab.report import SCHEMAS, plot_decay, profile_rows
+from edslab.eds import _pooled_points
+from edslab.report import SCHEMAS, base_solution_rows, plot_decay, profile_rows
 
 
 def write_config(path, **overrides):
@@ -322,8 +323,8 @@ class TestPlot:
 
 
 # ---------------------------------------------------------------------------
-# the per-point formatting that `profile_rows` and `plot_decay` replaced, kept
-# as oracles for their bytes
+# the per-point code that `base_solution_rows`, `profile_rows`, `plot_decay`
+# and the fits' point pooling replaced, kept as oracles for their bytes
 
 
 def legacy_fmt(x) -> str:
@@ -331,6 +332,30 @@ def legacy_fmt(x) -> str:
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return format(value, ".17g")
+
+
+def legacy_base_solution_rows(case, traj):
+    rows = []
+    dims = traj.dims
+    for i in range(-1, dims.N):
+        for k, v in enumerate(traj.lam(i)):
+            rows.append((case, str(i), "lam", str(k), legacy_fmt(v)))
+    for i in range(dims.N + 1):
+        for k, v in enumerate(traj.x(i)):
+            rows.append((case, str(i), "x", str(k), legacy_fmt(v)))
+    for i in range(dims.N):
+        for k, v in enumerate(traj.u(i)):
+            rows.append((case, str(i), "u", str(k), legacy_fmt(v)))
+    return rows
+
+
+def legacy_pooled_points(profiles):
+    dists, logs = [], []
+    for prof in profiles:
+        for i, si in zip(*prof.above_floor()):
+            dists.append(abs(i - prof.stage))
+            logs.append(math.log(si / prof.magnitude))
+    return np.asarray(dists, dtype=float), np.asarray(logs)
 
 
 def legacy_profile_rows(case, profiles):
@@ -438,9 +463,48 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
+@st.composite
+def trajectories(draw):
+    """A primal-dual trajectory of random sizes (n_u and n_0 may be 0) whose
+    entries include zeros of both signs, infinities and NaN."""
+    N, n_x, n_u = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    dims = Dimensions.uniform(N, n_x, n_u, 1, draw(st.integers(0, n_x)))
+    values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 0.1])
+    v = draw(st.lists(values, min_size=dims.n_w, max_size=dims.n_w))
+    return PrimalDualTrajectory.from_vector(dims, np.array(v, dtype=float))
+
+
 class TestBulkFormatting:
-    """`profile_rows` and `plot_decay` format whole arrays at once; their
-    bytes must be those of the per-point code they replaced."""
+    """`base_solution_rows`, `profile_rows`, `plot_decay` and the fits'
+    point pooling work on whole arrays at once; their bytes must be those
+    of the per-point code they replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(trajectories())
+    def test_base_solution_rows_same_bytes(self, traj):
+        assert base_solution_rows("case", traj) == legacy_base_solution_rows("case", traj)
+
+    @settings(max_examples=100, deadline=None)
+    @given(profile_sets(special=True))
+    def test_pooled_points_same_bits(self, profiles):
+        dists, logs, _ = _pooled_points(profiles)
+        ref_dists, ref_logs = legacy_pooled_points(profiles)
+        assert dists.dtype == logs.dtype == np.float64
+        assert dists.tobytes() == ref_dists.tobytes() and logs.tobytes() == ref_logs.tobytes()
+
+    def test_pooled_points_same_bits_on_many_points(self):
+        # np.log differs from math.log in the last bit on about one input in
+        # a thousand; 12,000 log-uniform points find such inputs
+        rng = np.random.default_rng(3)
+        profiles = [
+            SensitivityProfile(stage=int(rng.integers(-1, 200)), s=10.0 ** rng.uniform(-6, 2, 202),
+                               magnitude=float(rng.uniform(1e-3, 10.0)), converged=True, replicate=k)
+            for k in range(60)
+        ]
+        dists, logs, _ = _pooled_points(profiles)
+        ref_dists, ref_logs = legacy_pooled_points(profiles)
+        assert dists.size == 60 * 202
+        assert dists.tobytes() == ref_dists.tobytes() and logs.tobytes() == ref_logs.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(profile_sets(special=True))
