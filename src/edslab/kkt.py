@@ -14,12 +14,14 @@ each stage.
 The residual and the linearization evaluate every stage at once.  The
 blocks w(0), ..., w(N-1) of the stage-ordered vector form one contiguous
 (N, 2 n_x + n_u) array, whose columns give the stacked X, U and Lam
-without a copy.  One sourcing helper, `_stage_terms`, returns each oracle's
-terms with a leading stage axis: from the problem's stage-batched oracles
-when it registers them and the stage data share one size, otherwise from a
-loop over the per-stage oracles (or finite differences) whose results are
-stacked.  Both then assemble from those arrays in a few array operations,
-and `StageBlocks` keeps Q, R, S, A and B stacked.
+without a copy.  One sourcing helper, `_stage_terms`, keyed by oracle
+name, returns each oracle's terms with a leading stage axis and checks
+their sizes: from the problem's stage-batched oracle when it registers one
+and the stage data share one size, otherwise from `_PER_STAGE[name]` at
+each stage (the per-stage analytic oracle, or finite differences), whose
+results are stacked.  The terminal cost goes through the same path as a
+stage with an empty control.  Both then assemble from those arrays in a
+few array operations, and `StageBlocks` keeps Q, R, S, A and B stacked.
 
 The Newton step never forms the KKT matrix.  Cut into the blocks
 [lam_{k-1}; x_k; u_k] of the stage-ordered vector, the matrix is block
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,7 +63,6 @@ from .problem import (
     Dimensions,
     DOProblem,
     PrimalDualTrajectory,
-    _as_vector,
     check_dimensions,
 )
 
@@ -194,21 +196,31 @@ class SolveResult:
 
 
 class _Stages(NamedTuple):
-    """Stages 0..N-1 of P points: row k N + i of X, U, Lam and D holds x_i,
-    u_i, lam_i and d_i of point k; D is None when data sizes differ."""
+    """Rows of stages: for stages 0..N-1 of P points, row k N + i of X, U,
+    Lam and D holds x_i, u_i, lam_i and d_i of point k (`_terminal` gives
+    one row per point instead).  D is an array when every row's data has
+    one size, else a per-row list of vectors."""
 
     X: Array
     U: Array
-    Lam: Array
-    data: list
-    D: Array | None
+    Lam: Array | None
+    D: Array | list
 
 
 def _stages(p: DOProblem, W: Array, data: list) -> _Stages:
     dims = p.dims
     rows = W[:, dims.n_0 : dims.w_offsets[-2]].reshape(-1, 2 * dims.n_x + dims.n_u)
-    D = np.concatenate([d.stage_rows() for d in data]) if dims.stage_nd is not None else None
-    return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], data, D)
+    if dims.stage_nd is not None:
+        D = np.concatenate([d.stage_rows() for d in data])
+    else:
+        D = [d[i] for d in data for i in range(dims.N)]
+    return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], D)
+
+
+def _terminal(p: DOProblem, W: Array, data: list) -> _Stages:
+    """The terminal stage of every point, as a stage with an empty control."""
+    x_N = W[:, p.dims.w_offsets[-2] :]
+    return _Stages(x_N, np.zeros((len(W), 0)), None, np.array([d[p.dims.N] for d in data]))
 
 
 def _points(p: DOProblem, traj, data):
@@ -225,42 +237,44 @@ def _points(p: DOProblem, traj, data):
     return W, data, False
 
 
-def _stage_terms(p: DOProblem, st: _Stages, per_stage, batched, shapes, with_lam: bool = False):
-    """The terms of stages 0..N-1 of every point, each with a leading axis
-    of the rows of `st`.
+def _shaped(t, shape: tuple, what: str, rows: tuple = ()) -> Array:
+    """The term t of oracle `what`, of per-stage shape `shape`, as a float
+    array of shape rows + shape."""
+    t = np.asarray(t, dtype=float)
+    if t.size != math.prod(rows + shape):
+        raise ConfigurationError(f"{what}: expected shape {shape} per stage, got {t.shape}")
+    return t.reshape(rows + shape)
 
-    A registered stage-batched oracle, `batched(X, U, D[, Lam])`, gives
-    them in one call when every stage's data has one size; otherwise
-    `per_stage(p, i, x_i, u_i, d_i[, lam_i])` (an analytic oracle or finite
-    differences) runs at each row and its results are stacked.  `shapes`
-    gives each term's per-stage shape, with "d" for the data size; such a
-    term stays a per-row list when the data size differs by stage.  A
+
+def _stage_terms(p: DOProblem, st: _Stages, name: str, shapes, with_lam: bool = False):
+    """The terms of oracle `name` at the rows of `st`, each with a leading
+    row axis.
+
+    The registered stage-batched form `<name>_batch(X, U, D[, Lam])` gives
+    them in one call when every row's data has one size; otherwise
+    `_PER_STAGE[name]` (the per-stage oracle, or finite differences) runs at
+    each row and its results are stacked.  `shapes` spells each term's
+    per-stage shape in the sizes of x, u and d, "xd" for (n_x, n_d); a term
+    with a "d" stays a per-row list when the data size differs by row.  A
     single term is returned in a one-element list."""
-    N, nd, rows = p.dims.N, p.dims.stage_nd, len(st.X)
     rest = (st.Lam,) if with_lam else ()
-    if batched is not None and st.D is not None:
+    batched = getattr(p.oracles, f"{name}_batch", None)
+    uniform = isinstance(st.D, np.ndarray)
+    sizes = {"x": st.X.shape[1], "u": st.U.shape[1], "d": st.D.shape[1] if uniform else None}
+    per_stage = [tuple(sizes[k] for k in shape) for shape in shapes]
+    if batched is not None and uniform:
         out = batched(st.X, st.U, st.D, *rest)
-    else:
-        out = [
-            per_stage(p, r % N, st.X[r], st.U[r], st.data[r // N][r % N], *(t[r] for t in rest))
-            for r in range(rows)
-        ]
-        if len(shapes) > 1:
-            out = zip(*out)
+        terms = zip([out] if len(shapes) == 1 else out, per_stage, strict=True)
+        return [_shaped(t, s, f"{name}_batch", (len(st.X),)) for t, s in terms]
+    N, entry = p.dims.N, _PER_STAGE[name]
+    out = [entry(p.oracles, r % N, st.X[r], st.U[r], st.D[r], *(t[r] for t in rest)) for r in range(len(st.X))]
     terms = []
-    for t, shape in zip([out] if len(shapes) == 1 else out, shapes, strict=True):
-        if nd is None and "d" in shape:
-            terms.append(list(t))
+    for t, s in zip([out] if len(shapes) == 1 else zip(*out), per_stage, strict=True):
+        if None in s:  # a per-row list, each term of its row's data size
+            terms.append([_shaped(m, tuple(len(d) if k is None else k for k in s), name) for m, d in zip(t, st.D)])
         else:
-            terms.append(np.asarray(t, dtype=float).reshape(rows, *(nd if k == "d" else k for k in shape)))
+            terms.append(np.array([_shaped(m, s, name) for m in t]))
     return terms
-
-
-def _stage_jacobians(p: DOProblem, st: _Stages):
-    """A, B, G of stages 0..N-1; see `_stage_terms`."""
-    n_x, n_u = p.dims.n_x, p.dims.n_u
-    shapes = ((n_x, n_x), (n_x, n_u), (n_x, "d"))
-    return _stage_terms(p, st, _dynamics_jacobians, p.oracles.dynamics_jac_batch, shapes)
 
 
 def _add(a, b):
@@ -268,162 +282,104 @@ def _add(a, b):
     return a + b if isinstance(a, np.ndarray) else [x + y for x, y in zip(a, b, strict=True)]
 
 
-def _split_point(dims: Dimensions, nd_i: int, t: Array):
-    return t[: dims.n_x], t[dims.n_x : dims.n_z], t[dims.n_z :]
+def _hessian_blocks(fun, n_x: int, n_z: int, t: Array):
+    """(Q, S, R, E, F) of a scalar map of t = (x, u, d) by nested central
+    differences."""
+    ix, iu, idd = np.arange(n_x), np.arange(n_x, n_z), np.arange(n_z, t.size)
+    return tuple(diff.hessian_block(fun, *ab, t) for ab in ((ix, ix), (ix, iu), (iu, iu), (ix, idd), (iu, idd)))
 
 
-def _dynamics(p: DOProblem, i: int, x, u, d_i):
-    return _as_vector(p.oracles.dynamics(i, x, u, d_i), p.dims.n_x, f"f[{i}]")
+def _from_gradient(Jz: Array, Jd: Array, n_x: int):
+    """(Q, S, R, E, F) from the differences of a gradient in (x, u): Jz its
+    (x, u) square, symmetrized here, and Jd its (x, u)-d block."""
+    S = 0.5 * (Jz[:n_x, n_x:] + Jz[n_x:, :n_x].T)
+    return _sym(Jz[:n_x, :n_x]), S, _sym(Jz[n_x:, n_x:]), Jd[:n_x], Jd[n_x:]
 
 
-def _dynamics_jacobians(p: DOProblem, i: int, x, u, d_i):
-    orc = p.oracles
+def _cost_gradients(cost, grad, x, u, d):
+    """(g_x, g_u) of cost(x, u, d): the analytic `grad` when given, else
+    central differences."""
+    if grad is not None:
+        return grad(x, u, d)
+    n_x, n_z = x.size, x.size + u.size
+    g = diff.gradient(lambda t: cost(*np.split(t, [n_x, n_z])), np.concatenate([x, u, d]), diff.FIRST_ORDER)
+    return g[:n_x], g[n_x:n_z]
+
+
+def _cost_hessians(cost, grad, hess, x, u, d):
+    """(Q, S, R, E, F) of cost(x, u, d): the analytic `hess` when given,
+    else differences of `grad`, else nested differences of `cost`."""
+    if hess is not None:
+        return hess(x, u, d)
+    n_x, n_z = x.size, x.size + u.size
+    t = np.concatenate([x, u, d])
+    if grad is None:
+        return _hessian_blocks(lambda tt: cost(*np.split(tt, [n_x, n_z])), n_x, n_z, t)
+    Jg = diff.hessian_via_gradient(lambda tt: np.concatenate(grad(*np.split(tt, [n_x, n_z]))), np.arange(t.size), t)
+    return _from_gradient(Jg[:, :n_z], Jg[:, n_z:], n_x)
+
+
+def _stage_cost(orc, i: int):
+    """Stage i's (cost, grad, hess) as maps of (x, u, d), None where absent."""
+    at = lambda f: None if f is None else functools.partial(f, i)
+    return functools.partial(orc.stage_cost, i), at(orc.stage_cost_grad), at(orc.stage_cost_hess)
+
+
+def _terminal_cost(orc):
+    """The terminal cost's (cost, grad, hess) as those of a stage whose
+    control u is empty; u then also stands for each empty u term."""
+    f, g, h = orc.terminal_cost, orc.terminal_cost_grad, orc.terminal_cost_hess
+
+    def hess(x, u, d):
+        Q, E = h(x, d)
+        return Q, u, u, E, u
+
+    return lambda x, u, d: f(x, d), g and (lambda x, u, d: (g(x, d), u)), h and hess
+
+
+def _dynamics_jacobians(orc, i: int, x, u, d):
+    """(A, B, G) of f_i: the analytic `dynamics_jac`, else central
+    differences."""
     if orc.dynamics_jac is not None:
-        A, B, G = orc.dynamics_jac(i, x, u, d_i)
-        return (
-            np.asarray(A, dtype=float).reshape(p.dims.n_x, p.dims.n_x),
-            np.asarray(B, dtype=float).reshape(p.dims.n_x, p.dims.n_u),
-            np.asarray(G, dtype=float).reshape(p.dims.n_x, p.dims.nd(i)),
-        )
-    t = np.concatenate([x, u, d_i])
-    fun = lambda tt: p.oracles.dynamics(i, *_split_point(p.dims, d_i.size, tt))
-    J = diff.jacobian(fun, t, diff.FIRST_ORDER)
-    return (
-        J[:, : p.dims.n_x],
-        J[:, p.dims.n_x : p.dims.n_z],
-        J[:, p.dims.n_z :],
-    )
+        return orc.dynamics_jac(i, x, u, d)
+    n_x, n_z = x.size, x.size + u.size
+    fun = lambda t: orc.dynamics(i, *np.split(t, [n_x, n_z]))
+    J = diff.jacobian(fun, np.concatenate([x, u, d]), diff.FIRST_ORDER)
+    return J[:, :n_x], J[:, n_x:n_z], J[:, n_z:]
 
 
-def _stage_cost_gradients(p: DOProblem, i: int, x, u, d_i):
-    orc = p.oracles
-    if orc.stage_cost_grad is not None:
-        gx, gu = orc.stage_cost_grad(i, x, u, d_i)
-        return np.asarray(gx, dtype=float).reshape(p.dims.n_x), np.asarray(gu, dtype=float).reshape(p.dims.n_u)
-    t = np.concatenate([x, u, d_i])
-    fun = lambda tt: orc.stage_cost(i, *_split_point(p.dims, d_i.size, tt))
-    g = diff.gradient(fun, t, diff.FIRST_ORDER)
-    return g[: p.dims.n_x], g[p.dims.n_x : p.dims.n_z]
-
-
-def _terminal_cost_gradient(p: DOProblem, x, d_N):
-    orc = p.oracles
-    if orc.terminal_cost_grad is not None:
-        return np.asarray(orc.terminal_cost_grad(x, d_N), dtype=float).reshape(p.dims.n_x)
-    t = np.concatenate([x, d_N])
-    fun = lambda tt: orc.terminal_cost(tt[: p.dims.n_x], tt[p.dims.n_x :])
-    return diff.gradient(fun, t, diff.FIRST_ORDER)[: p.dims.n_x]
-
-
-def _stage_cost_hessians(p: DOProblem, i: int, x, u, d_i):
-    dims = p.dims
-    orc = p.oracles
-    nd_i = d_i.size
-    if orc.stage_cost_hess is not None:
-        Q, S, R, E, F = orc.stage_cost_hess(i, x, u, d_i)
-        return (
-            _sym(np.asarray(Q, dtype=float).reshape(dims.n_x, dims.n_x)),
-            np.asarray(S, dtype=float).reshape(dims.n_x, dims.n_u),
-            _sym(np.asarray(R, dtype=float).reshape(dims.n_u, dims.n_u)),
-            np.asarray(E, dtype=float).reshape(dims.n_x, nd_i),
-            np.asarray(F, dtype=float).reshape(dims.n_u, nd_i),
-        )
-    t = np.concatenate([x, u, d_i])
-    ix = np.arange(dims.n_x)
-    iu = np.arange(dims.n_x, dims.n_z)
-    idd = np.arange(dims.n_z, dims.n_z + nd_i)
-    if orc.stage_cost_grad is not None:
-        grad_z = lambda tt: np.concatenate(
-            orc.stage_cost_grad(i, *_split_point(dims, nd_i, tt))
-        )
-        Jg = diff.hessian_via_gradient(grad_z, np.arange(t.size), t)
-        Q = _sym(Jg[: dims.n_x, : dims.n_x])
-        R = _sym(Jg[dims.n_x : dims.n_z, dims.n_x : dims.n_z])
-        S = 0.5 * (Jg[: dims.n_x, dims.n_x : dims.n_z] + Jg[dims.n_x : dims.n_z, : dims.n_x].T)
-        E = Jg[: dims.n_x, dims.n_z :]
-        F = Jg[dims.n_x : dims.n_z, dims.n_z :]
-        return Q, S, R, E, F
-    fun = lambda tt: orc.stage_cost(i, *_split_point(dims, nd_i, tt))
-    Q = diff.hessian_block(fun, ix, ix, t)
-    S = diff.hessian_block(fun, ix, iu, t)
-    R = diff.hessian_block(fun, iu, iu, t)
-    E = diff.hessian_block(fun, ix, idd, t)
-    F = diff.hessian_block(fun, iu, idd, t)
-    return Q, S, R, E, F
-
-
-def _terminal_cost_hessians(p: DOProblem, x, d_N):
-    dims = p.dims
-    orc = p.oracles
-    nd_N = d_N.size
-    if orc.terminal_cost_hess is not None:
-        Q, E = orc.terminal_cost_hess(x, d_N)
-        return (
-            _sym(np.asarray(Q, dtype=float).reshape(dims.n_x, dims.n_x)),
-            np.asarray(E, dtype=float).reshape(dims.n_x, nd_N),
-        )
-    t = np.concatenate([x, d_N])
-    ix = np.arange(dims.n_x)
-    idd = np.arange(dims.n_x, dims.n_x + nd_N)
-    if orc.terminal_cost_grad is not None:
-        grad = lambda tt: orc.terminal_cost_grad(tt[: dims.n_x], tt[dims.n_x :])
-        Jg = diff.hessian_via_gradient(grad, np.arange(t.size), t)
-        return _sym(Jg[:, : dims.n_x]), Jg[:, dims.n_x :]
-    fun = lambda tt: orc.terminal_cost(tt[: dims.n_x], tt[dims.n_x :])
-    return diff.hessian_block(fun, ix, ix, t), diff.hessian_block(fun, ix, idd, t)
-
-
-def _dynamics_curvature(p: DOProblem, i: int, x, u, d_i, lam_i):
-    """Second-derivative blocks of lam_i @ f_i in (x, u, d)."""
-    dims = p.dims
-    nd_i = d_i.size
-    zero = (
-        np.zeros((dims.n_x, dims.n_x)),
-        np.zeros((dims.n_x, dims.n_u)),
-        np.zeros((dims.n_u, dims.n_u)),
-        np.zeros((dims.n_x, nd_i)),
-        np.zeros((dims.n_u, nd_i)),
-    )
-    if not np.any(lam_i):
-        return zero
-    orc = p.oracles
+def _dynamics_curvature(orc, i: int, x, u, d, lam):
+    """Second-derivative blocks (H_xx, H_xu, H_uu, H_xd, H_ud) of lam @ f_i
+    in (x, u, d); zero, without a call, when lam is."""
+    n_x, n_u, n_d = x.size, u.size, d.size
+    n_z = n_x + n_u
+    if not np.any(lam):
+        return tuple(np.zeros(s) for s in ((n_x, n_x), (n_x, n_u), (n_u, n_u), (n_x, n_d), (n_u, n_d)))
     if orc.dynamics_hess_vec is not None:
-        Hxx, Hxu, Huu, Hxd, Hud = orc.dynamics_hess_vec(i, x, u, d_i, lam_i)
-        return (
-            _sym(np.asarray(Hxx, dtype=float).reshape(dims.n_x, dims.n_x)),
-            np.asarray(Hxu, dtype=float).reshape(dims.n_x, dims.n_u),
-            _sym(np.asarray(Huu, dtype=float).reshape(dims.n_u, dims.n_u)),
-            np.asarray(Hxd, dtype=float).reshape(dims.n_x, nd_i),
-            np.asarray(Hud, dtype=float).reshape(dims.n_u, nd_i),
-        )
-    t = np.concatenate([x, u, d_i])
-    if orc.dynamics_jac is not None:
-        # FD of the analytic gradient map d(lam @ f)/d(x, u, d) = [A; B;
-        # G]^T lam in (x, u) only: its d rows hold the mixed (x, u)-d
-        # blocks, as second derivatives are symmetric
-        def grad(tt):
-            xx, uu, dd = _split_point(dims, nd_i, tt)
-            A, B, G = _dynamics_jacobians(p, i, xx, uu, dd)
-            return np.concatenate([A.T @ lam_i, B.T @ lam_i, G.T @ lam_i])
+        return orc.dynamics_hess_vec(i, x, u, d, lam)
+    t, split = np.concatenate([x, u, d]), lambda tt: np.split(tt, [n_x, n_z])
+    if orc.dynamics_jac is None:
+        return _hessian_blocks(lambda tt: float(lam @ np.asarray(orc.dynamics(i, *split(tt)))), n_x, n_z, t)
+    # FD of the analytic gradient map d(lam @ f)/d(x, u, d) = [A; B; G]^T lam
+    # in (x, u) only: its d rows hold the mixed (x, u)-d blocks, as second
+    # derivatives are symmetric
+    grad = lambda tt: np.concatenate([np.reshape(M, (n_x, -1)).T @ lam for M in orc.dynamics_jac(i, *split(tt))])
+    Jg = diff.hessian_via_gradient(grad, np.arange(n_z), t)
+    return _from_gradient(Jg[:n_z], Jg[n_z:].T, n_x)
 
-        Jg = diff.hessian_via_gradient(grad, np.arange(dims.n_z), t)
-        Hxx = _sym(Jg[: dims.n_x, : dims.n_x])
-        Huu = _sym(Jg[dims.n_x : dims.n_z, dims.n_x :])
-        Hxu = 0.5 * (Jg[: dims.n_x, dims.n_x :] + Jg[dims.n_x : dims.n_z, : dims.n_x].T)
-        Hxd = Jg[dims.n_z :, : dims.n_x].T
-        Hud = Jg[dims.n_z :, dims.n_x :].T
-        return Hxx, Hxu, Huu, Hxd, Hud
-    fun = lambda tt: float(lam_i @ np.asarray(orc.dynamics(i, *_split_point(dims, nd_i, tt))))
-    ix = np.arange(dims.n_x)
-    iu = np.arange(dims.n_x, dims.n_z)
-    idd = np.arange(dims.n_z, dims.n_z + nd_i)
-    return (
-        diff.hessian_block(fun, ix, ix, t),
-        diff.hessian_block(fun, ix, iu, t),
-        diff.hessian_block(fun, iu, iu, t),
-        diff.hessian_block(fun, ix, idd, t),
-        diff.hessian_block(fun, iu, idd, t),
-    )
+
+# per-stage sourcing of each oracle name, called as (oracles, i, x, u, d[, lam]);
+# the terminal entries ignore i
+_PER_STAGE = {
+    "dynamics": lambda orc, i, *z: orc.dynamics(i, *z),
+    "dynamics_jac": _dynamics_jacobians,
+    "dynamics_hess_vec": _dynamics_curvature,
+    "stage_cost_grad": lambda orc, i, *z: _cost_gradients(*_stage_cost(orc, i)[:2], *z),
+    "stage_cost_hess": lambda orc, i, *z: _cost_hessians(*_stage_cost(orc, i), *z),
+    "terminal_cost_grad": lambda orc, i, *z: _cost_gradients(*_terminal_cost(orc)[:2], *z),
+    "terminal_cost_hess": lambda orc, i, *z: _cost_hessians(*_terminal_cost(orc), *z),
+}
+_HESSIAN = ("xx", "xu", "uu", "xd", "ud")
 
 
 def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None):
@@ -435,25 +391,22 @@ def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None):
     again.  A batch of points (see `kkt_residual`) gives a list with one
     `StageBlocks` per point."""
     W, data, single = _points(p, traj, data)
-    dims, orc = p.dims, p.oracles
-    n_x, n_u, N = dims.n_x, dims.n_u, dims.N
+    dims, N = p.dims, p.dims.N
     st = _stages(p, W, data)
-    shapes = ((n_x, n_x), (n_x, n_u), (n_u, n_u), (n_x, "d"), (n_u, "d"))
     if jacobians is None:
-        A, B, G = _stage_jacobians(p, st)
+        A, B, G = _stage_terms(p, st, "dynamics_jac", ("xx", "xu", "xd"))
     else:
         A, B, G = zip(*jacobians) if single else jacobians[0]
-    Qc, Sc, Rc, Ec, Fc = _stage_terms(p, st, _stage_cost_hessians, orc.stage_cost_hess_batch, shapes)
-    Hxx, Hxu, Huu, Hxd, Hud = _stage_terms(
-        p, st, _dynamics_curvature, orc.dynamics_hess_vec_batch, shapes, with_lam=True
-    )
+    Qc, Sc, Rc, Ec, Fc = _stage_terms(p, st, "stage_cost_hess", _HESSIAN)
+    Hxx, Hxu, Huu, Hxd, Hud = _stage_terms(p, st, "dynamics_hess_vec", _HESSIAN, with_lam=True)
     Q, R, S, E, F = _sym(Qc + Hxx), _sym(Rc + Huu), Sc + Hxu, _add(Ec, Hxd), _add(Fc, Hud)
+    QN, _, _, EN, _ = _stage_terms(p, _terminal(p, W, data), "terminal_cost_hess", _HESSIAN)
+    QN = _sym(QN)
     blocks = []
-    for k, (w, d) in enumerate(zip(W, data)):
-        QN, EN = _terminal_cost_hessians(p, w[dims.w_offsets[-2] :], d[N])
+    for k in range(len(W)):
         s = slice(k * N, (k + 1) * N)
-        Qk = np.concatenate([Q[s], _sym(QN)[None]])
-        blocks.append(StageBlocks(dims, p.T.copy(), Qk, R[s], S[s], [*E[s], EN], F[s], A[s], B[s], G[s]))
+        Qk = np.concatenate([Q[s], QN[k][None]])
+        blocks.append(StageBlocks(dims, p.T.copy(), Qk, R[s], S[s], [*E[s], EN[k]], F[s], A[s], B[s], G[s]))
     return blocks[0] if single else blocks
 
 
@@ -606,12 +559,13 @@ def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None) -> 
     once, the residuals are rows too, and one (A, B, G) stacked over the
     P N stage rows is appended to `jacobians`."""
     W, data, single = _points(p, traj, data)
-    dims, orc = p.dims, p.oracles
+    dims = p.dims
     n_x, n_u, N, T = dims.n_x, dims.n_u, dims.N, p.T
     st = _stages(p, W, data)
-    (f,) = _stage_terms(p, st, _dynamics, orc.dynamics_batch, ((n_x,),))
-    A, B, G = _stage_jacobians(p, st)
-    gx, gu = _stage_terms(p, st, _stage_cost_gradients, orc.stage_cost_grad_batch, ((n_x,), (n_u,)))
+    (f,) = _stage_terms(p, st, "dynamics", ("x",))
+    A, B, G = _stage_terms(p, st, "dynamics_jac", ("xx", "xu", "xd"))
+    gx, gu = _stage_terms(p, st, "stage_cost_grad", ("x", "u"))
+    gN, _ = _stage_terms(p, _terminal(p, W, data), "terminal_cost_grad", ("x", "u"))
     if jacobians is not None:
         jacobians.extend(zip(A, B, G)) if single else jacobians.append((A, B, G))
     P, end = len(W), dims.w_offsets[-2]
@@ -624,9 +578,9 @@ def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None) -> 
     rows[..., :n_x] = (gx + (st.Lam[:, None, :] @ A)[:, 0]).reshape(P, N, n_x) - lam_prev
     rows[..., n_x : n_x + n_u] = (gu + (st.Lam[:, None, :] @ B)[:, 0]).reshape(P, N, n_u)
     rows[..., n_x + n_u :] = f.reshape(P, N, n_x) - np.concatenate([X[:, 1:], x_N[:, None]], axis=1)
+    r[:, end:] = gN - Lam[:, -1]
     for k, d in enumerate(data):
         r[k, : dims.n_0] = d[-1] - T @ X[k, 0]
-        r[k, end:] = _terminal_cost_gradient(p, x_N[k], d[N]) - Lam[k, -1]
     return r[0] if single else r
 
 

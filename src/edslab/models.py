@@ -8,13 +8,15 @@ immutable, so bundles are safe to share.
 
 Every preset registers exact derivatives, and every preset registers the
 stage-batched forms of its stage oracles, which evaluate all stages in one
-call.  The quadrotor's dynamics Jacobians come from the forward chain rule
-through its RK4 step, and its multiplier-contracted dynamics Hessians from a
-second-order adjoint through the same stages; both run over a stack of
-stages with batched matrix products, and its per-stage oracles are one-row
-calls of the batched ones.  Finite differences serve only oracles that
-register neither, such as the time-invariant problems built here from plain
-cost and dynamics callables.
+call; each preset writes its model math once, in those batched forms, and
+its per-stage oracles are one-row calls of them.  The quadrotor's dynamics
+Jacobians come from the forward chain rule through its RK4 step, and its
+multiplier-contracted dynamics Hessians from a second-order adjoint through
+the same stages; both run over a stack of stages with batched matrix
+products.  Finite differences serve only oracles that register neither,
+such as the time-invariant problems built here from plain cost and
+dynamics callables.  One table describes each preset, for `list_models`
+and for its bundle.
 """
 from __future__ import annotations
 
@@ -448,14 +450,6 @@ def make_lq_problem(
         e = x - d if track_reference else x
         return float(e @ Q @ e + u @ R @ u)
 
-    def stage_cost_grad(i, x, u, d):
-        e = x - d if track_reference else x
-        return 2.0 * Q @ e, 2.0 * R @ u
-
-    def stage_cost_hess(i, x, u, d):
-        E = -2.0 * Q if track_reference else np.zeros((n_x, 0))
-        return 2.0 * Q, np.zeros((n_x, n_u)), 2.0 * R, E, np.zeros((n_u, n_d))
-
     def terminal_cost(x, d):
         e = x - d if track_reference else x
         return float(e @ Qf @ e)
@@ -468,23 +462,9 @@ def make_lq_problem(
         E = -2.0 * Qf if track_reference else np.zeros((n_x, 0))
         return 2.0 * Qf, E
 
-    def dynamics(i, x, u, d):
-        return A @ x + B @ u
-
-    def dynamics_jac(i, x, u, d):
-        return A, B, np.zeros((n_x, d.size))
-
-    def dynamics_hess_vec(i, x, u, d, lam):
-        return (
-            np.zeros((n_x, n_x)),
-            np.zeros((n_x, n_u)),
-            np.zeros((n_u, n_u)),
-            np.zeros((n_x, d.size)),
-            np.zeros((n_u, d.size)),
-        )
-
-    # stage-batched forms: rows of X, U, D are stages; constant blocks are
-    # broadcast along the stage axis rather than copied
+    # stage-batched forms, whose one-row calls are the per-stage forms: rows
+    # of X, U, D are stages; constant blocks are broadcast along the stage
+    # axis rather than copied
     def dynamics_batch(X, U, D):
         return X @ A.T + U @ B.T
 
@@ -520,14 +500,14 @@ def make_lq_problem(
 
     oracles = StageOracles(
         stage_cost=stage_cost,
-        dynamics=dynamics,
+        dynamics=_one_row(dynamics_batch),
         terminal_cost=terminal_cost,
-        stage_cost_grad=stage_cost_grad,
-        stage_cost_hess=stage_cost_hess,
+        stage_cost_grad=_one_row(stage_cost_grad_batch),
+        stage_cost_hess=_one_row(stage_cost_hess_batch),
         terminal_cost_grad=terminal_cost_grad,
         terminal_cost_hess=terminal_cost_hess,
-        dynamics_jac=dynamics_jac,
-        dynamics_hess_vec=dynamics_hess_vec,
+        dynamics_jac=_one_row(dynamics_jac_batch),
+        dynamics_hess_vec=_one_row(dynamics_hess_vec_batch),
         dynamics_batch=dynamics_batch,
         dynamics_jac_batch=dynamics_jac_batch,
         stage_cost_grad_batch=stage_cost_grad_batch,
@@ -787,6 +767,14 @@ def constant_trajectory(dims: Dimensions, ss: SteadyState) -> PrimalDualTrajecto
 # registry
 
 
+_DESCRIPTIONS = {
+    "quadrotor": "9-state quadrotor tracking; knobs q (cost visibility) and b (roll authority)",
+    "lq_chain": "seeded random time-invariant LQ tracking chain",
+    "double_integrator": "position/velocity chain with single force input",
+    "scalar_oracle": "hand-solvable single-stage golden problem",
+}
+
+
 def _bundle_quadrotor(params: dict) -> ModelBundle:
     qp = QuadrotorParams(**params)
     problem, data = quadrotor_problem(qp)
@@ -796,13 +784,7 @@ def _bundle_quadrotor(params: dict) -> ModelBundle:
         [np.zeros(N_U_QUAD) for _ in range(qp.N)],
         [np.zeros(N_X_QUAD)] + [np.zeros(N_X_QUAD) for _ in range(qp.N)],
     )
-    return ModelBundle(
-        name="quadrotor",
-        problem=problem,
-        base_data=data,
-        warm_start=warm,
-        description="9-state quadrotor tracking with observability knob q and controllability knob b",
-    )
+    return ModelBundle("quadrotor", problem, data, warm, _DESCRIPTIONS["quadrotor"])
 
 
 def _bundle_lq_chain(params: dict) -> ModelBundle:
@@ -814,13 +796,8 @@ def _bundle_lq_chain(params: dict) -> ModelBundle:
     x0 = np.zeros(dims.n_x)
     x0[0] = x0_scale
     data = DataTrajectory(dims, [x0] + [np.zeros(dims.n_x) for _ in range(dims.N + 1)])
-    return ModelBundle(
-        name="lq_chain",
-        problem=problem,
-        base_data=data,
-        warm_start=PrimalDualTrajectory.zeros(dims),
-        description="seeded random time-invariant LQ tracking chain",
-    )
+    warm = PrimalDualTrajectory.zeros(dims)
+    return ModelBundle("lq_chain", problem, data, warm, _DESCRIPTIONS["lq_chain"])
 
 
 def _bundle_double_integrator(params: dict) -> ModelBundle:
@@ -829,26 +806,16 @@ def _bundle_double_integrator(params: dict) -> ModelBundle:
     dims = problem.dims
     x0 = np.asarray(params.get("x0", [1.0, 0.0]), dtype=float)
     data = DataTrajectory(dims, [x0] + [np.zeros(2) for _ in range(N + 1)])
-    return ModelBundle(
-        name="double_integrator",
-        problem=problem,
-        base_data=data,
-        warm_start=PrimalDualTrajectory.zeros(dims),
-        description="position/velocity chain with single force input",
-    )
+    warm = PrimalDualTrajectory.zeros(dims)
+    return ModelBundle("double_integrator", problem, data, warm, _DESCRIPTIONS["double_integrator"])
 
 
 def _bundle_scalar_oracle(params: dict) -> ModelBundle:
     problem = scalar_oracle()
     dims = problem.dims
     data = DataTrajectory(dims, [np.array([1.0]), np.zeros(0), np.zeros(0)])
-    return ModelBundle(
-        name="scalar_oracle",
-        problem=problem,
-        base_data=data,
-        warm_start=PrimalDualTrajectory.zeros(dims),
-        description="hand-solvable single-stage problem used as a golden oracle",
-    )
+    warm = PrimalDualTrajectory.zeros(dims)
+    return ModelBundle("scalar_oracle", problem, data, warm, _DESCRIPTIONS["scalar_oracle"])
 
 
 MODEL_BUILDERS = {
@@ -860,16 +827,7 @@ MODEL_BUILDERS = {
 
 
 def list_models():
-    out = []
-    for name in sorted(MODEL_BUILDERS):
-        bundle_doc = {
-            "quadrotor": "9-state quadrotor tracking; knobs q (cost visibility) and b (roll authority)",
-            "lq_chain": "seeded random time-invariant LQ tracking chain",
-            "double_integrator": "position/velocity chain with single force input",
-            "scalar_oracle": "hand-solvable single-stage golden problem",
-        }[name]
-        out.append((name, bundle_doc))
-    return out
+    return sorted(_DESCRIPTIONS.items())
 
 
 def build_model(name: str, params: dict | None = None) -> ModelBundle:

@@ -159,8 +159,10 @@ class StageOracles:
     objective, the constraints and any problem whose data size differs by
     stage read them), and a batched form must agree with its per-stage form.
     A batched dynamics_hess_vec is also called at stages whose multiplier
-    is zero, where the per-stage path skips the call.  Every preset of
-    `models` registers all five.
+    is zero, where the per-stage path skips the call.  A term whose size
+    does not match its stage's shape raises ConfigurationError.  Every
+    preset of `models` registers all five, and its per-stage forms are
+    one-row calls of them.
 
     All maps must be twice continuously differentiable on the evaluation
     domain.

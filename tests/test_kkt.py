@@ -25,8 +25,8 @@ from edslab import (
     linearize,
     solve_equality_nlp,
 )
-from edslab import kkt
-from edslab.errors import NonconvergenceError, RegularityError
+from edslab import diff, kkt
+from edslab.errors import ConfigurationError, NonconvergenceError, RegularityError
 from edslab.models import lq_chain, make_lq_problem
 from conftest import (
     data_coupled_jac_problem,
@@ -338,7 +338,18 @@ class TestStageBatchedOracles:
         def dynamics(i, x, u, d):
             return 0.9 * x + 0.2 * np.sin(x[::-1]) + 0.3 * u[0] + 0.1 * x[0] * d.sum()
 
-        p = DOProblem(
+        # analytic derivatives, G, E and F given flat or as nested lists so
+        # that each stage's term is reshaped to its own data size
+        def dynamics_jac(i, x, u, d):
+            A = np.array([[0.9 + 0.1 * d.sum(), 0.2 * np.cos(x[1])], [0.2 * np.cos(x[0]) + 0.1 * d.sum(), 0.9]])
+            return A, [0.3, 0.3], np.full(2 * d.size, 0.1 * x[0])
+
+        def stage_cost_hess(i, x, u, d):
+            Q = np.diag([2.0 - np.sin(x[0]) * d.sum(), 2.0])
+            E = [[np.cos(x[0])] * d.size, [0.0] * d.size]
+            return Q, [[0.0], [0.1]], [[1.0]], E, [0.0] * d.size
+
+        fd = DOProblem(
             dims=dims,
             oracles=StageOracles(
                 stage_cost=stage_cost,
@@ -348,17 +359,89 @@ class TestStageBatchedOracles:
             ),
             T=np.eye(2),
         )
-        loop = per_stage_only(p)
-        traj, data = random_point(p, seed=3)
-        assert np.array_equal(kkt_residual(p, traj, data), kkt_residual(loop, traj, data))
+        analytic = dataclasses.replace(
+            fd, oracles=dataclasses.replace(fd.oracles, dynamics_jac=dynamics_jac, stage_cost_hess=stage_cost_hess)
+        )
+        traj, data = random_point(fd, seed=3)
+        for p in (fd, analytic):
+            loop = per_stage_only(p)
+            assert np.array_equal(kkt_residual(p, traj, data), kkt_residual(loop, traj, data))
+            blocks = linearize(p, traj, data)
+            assert blocks_relative_diff(blocks, linearize(loop, traj, data)) == 0.0
+            assert [G.shape for G in blocks.G] == [(2, dims.nd(i)) for i in range(3)]
+            assert [F.shape for F in blocks.F] == [(1, dims.nd(i)) for i in range(3)]
+            assert [E.shape for E in blocks.E] == [(2, dims.nd(i)) for i in range(4)]
+            res = solve_equality_nlp(p, data)
+            assert res.converged
+            assert np.array_equal(res.trajectory.vector, solve_equality_nlp(loop, data).trajectory.vector)
+        assert relative_diff(kkt_residual(analytic, traj, data), kkt_residual(fd, traj, data)) <= 1e-8
+        exact, approx = linearize(analytic, traj, data), linearize(fd, traj, data)
+        for name in "QRSEFABG":
+            for a, b in zip(getattr(exact, name), getattr(approx, name), strict=True):
+                assert np.allclose(a, b, rtol=1e-6, atol=1e-6), name
+
+    def test_malformed_oracle_output_names_the_oracle(self):
+        # a wrong-sized term raises ConfigurationError on both paths, naming
+        # the oracle and its per-stage shape
+        p = toy_nonlinear_problem()
+        bad = dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, dynamics=lambda i, x, u, d: np.ones(3)))
+        traj, data = random_point(p)
+        with pytest.raises(ConfigurationError, match=r"dynamics: expected shape \(2,\) per stage, got \(3,\)"):
+            kkt_residual(bad, traj, data)
+        q = lq_chain(3, 2, 4, seed=1)
+        wrong_A = lambda X, U, D: (np.zeros((len(X), 3, 2)), *q.oracles.dynamics_jac_batch(X, U, D)[1:])
+        bad = dataclasses.replace(q, oracles=dataclasses.replace(q.oracles, dynamics_jac_batch=wrong_A))
+        traj, data = random_point(q)
+        with pytest.raises(ConfigurationError, match=r"dynamics_jac_batch: expected shape \(3, 3\) per stage"):
+            kkt_residual(bad, traj, data)
+        with pytest.raises(ConfigurationError, match="dynamics_jac_batch"):
+            linearize(bad, traj, data)
+
+
+class TestTerminalSourcing:
+    """The terminal cost is sourced as a stage with an empty control: its
+    gradient and its Q_N, E_N blocks are those of the analytic oracles or of
+    the finite differences `diff` takes of the terminal cost, bit for bit."""
+
+    @staticmethod
+    def terminal_grad(x, d):
+        return np.array([2.0 * x[0] - 0.3 * np.sin(x[0]) * d[0], 2.0 * x[1]])
+
+    @staticmethod
+    def terminal_hess(x, d):
+        Q = np.array([[2.0 - 0.3 * np.cos(x[0]) * d[0], 0.0], [0.0, 2.0]])
+        return Q, np.array([[-0.3 * np.sin(x[0]), 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("given_", ["none", "grad", "both"])
+    def test_terminal_terms_bit_for_bit(self, given_):
+        p = toy_nonlinear_problem()
+        grad = None if given_ == "none" else self.terminal_grad
+        hess = self.terminal_hess if given_ == "both" else None
+        p = dataclasses.replace(
+            p, oracles=dataclasses.replace(p.oracles, terminal_cost_grad=grad, terminal_cost_hess=hess)
+        )
+        traj, data = random_point(p, seed=5)
+        N, n_x = p.dims.N, p.dims.n_x
+        x, d = traj.x(N), data[N]
+        t = np.concatenate([x, d])
+        fun = lambda tt: p.oracles.terminal_cost(tt[:n_x], tt[n_x:])
+        ix, idd = np.arange(n_x), np.arange(n_x, t.size)
+        if grad is None:
+            g = diff.gradient(fun, t)[:n_x]
+            Q, E = diff.hessian_block(fun, ix, ix, t), diff.hessian_block(fun, ix, idd, t)
+        else:
+            g = grad(x, d)
+            if hess is None:
+                Jg = diff.hessian_via_gradient(lambda tt: grad(tt[:n_x], tt[n_x:]), np.arange(t.size), t)
+                Q, E = 0.5 * (Jg[:, :n_x] + Jg[:, :n_x].T), Jg[:, n_x:]
+            else:
+                Q, E = hess(x, d)
+                Q = 0.5 * (Q + Q.T)
+        r = kkt_residual(p, traj, data)
+        assert np.array_equal(r[p.dims.w_offsets[-2] :], g - traj.lam(N - 1))
         blocks = linearize(p, traj, data)
-        assert blocks_relative_diff(blocks, linearize(loop, traj, data)) == 0.0
-        assert [G.shape for G in blocks.G] == [(2, dims.nd(i)) for i in range(3)]
-        assert [F.shape for F in blocks.F] == [(1, dims.nd(i)) for i in range(3)]
-        assert [E.shape for E in blocks.E] == [(2, dims.nd(i)) for i in range(4)]
-        res = solve_equality_nlp(p, data)
-        assert res.converged
-        assert np.array_equal(res.trajectory.vector, solve_equality_nlp(loop, data).trajectory.vector)
+        assert np.array_equal(blocks.Q[N], Q)
+        assert np.array_equal(blocks.E[N], E)
 
 
 class TestSolve:

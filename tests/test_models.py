@@ -12,6 +12,7 @@ from edslab import (
     build_model,
     build_report,
     kkt_residual,
+    list_models,
     solve_equality_nlp,
 )
 from edslab import diff, kkt
@@ -199,8 +200,8 @@ class TestQuadrotorDerivatives:
         p_fd = dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, dynamics_hess_vec=None))
         u = u - quadrotor_trim(qp)
         d = np.zeros(9)
-        exact = kkt._dynamics_curvature(p, 0, x, u, d, lam)
-        approx = kkt._dynamics_curvature(p_fd, 0, x, u, d, lam)
+        exact = kkt._dynamics_curvature(p.oracles, 0, x, u, d, lam)
+        approx = kkt._dynamics_curvature(p_fd.oracles, 0, x, u, d, lam)
         for blk in exact[3:]:
             assert blk.shape[1] == 9 and not blk.any()
         H = np.block([[exact[0], exact[1]], [exact[1].T, exact[2]]])
@@ -475,3 +476,9 @@ class TestTICosts:
             traj = constant_trajectory(prob.dims, ss)
             data = DataTrajectory(prob.dims, [T @ ss.x] + [d] * (N + 1))
             assert np.abs(kkt_residual(prob, traj, data)).max() <= 1e-8
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", ["quadrotor", "lq_chain", "double_integrator", "scalar_oracle"])
+    def test_description_is_the_list_models_entry(self, name):
+        assert build_model(name).description == dict(list_models())[name]
