@@ -10,16 +10,15 @@ Every modulus is a measured eigenvalue or singular value at one point:
   eigenvalue is found by bisection on banded Cholesky factorizations, in
   O(N b^2) time and O(N b) memory for half-bandwidth b;
 - the second-order modulus gamma is the smallest eigenvalue of the reduced
-  Hessian Z^T H Z.  A basis of null(J) is condensed through the dynamics
-  (the free x_0 directions and the controls, run forward through
-  x_{k+1} = A_k x_k + B_k u_k under a stabilizing feedback so that the
-  columns stay bounded when A is unstable), orthonormalized by one economic
-  QR, checked against J one stage block at a time, and the smallest
-  eigenvalue of Z^T H Z is taken by one symmetric eigensolve:
-  O(N^3 n_u^2 (n_x + n_u)) time and O(N^2 n_u (n_x + n_u)) memory, with
-  neither H nor J assembled.  The dense `sosc_modulus`, from an SVD of J,
-  is the reference the tests compare against and the fallback when the
-  check fails.
+  Hessian Z^T H Z, estimated by block inverse iteration on the stage-block
+  KKT factor and proved by that factor's inertia, in O(N n^3) time and
+  O(N n^2) memory.  Where forward block elimination grows along unstable
+  modes the proof fails; a basis of null(J) condensed through the dynamics
+  under a stabilizing feedback then gives it in O(N^3 n_u^2 (n_x + n_u))
+  time and O(N^2 n_u (n_x + n_u)) memory, with neither H nor J assembled.
+  The dense `sosc_modulus`, from an SVD of J, is the reference the tests
+  compare against and the fallback when the condensed basis fails its
+  check.
 
 Windowed controllability/observability Gramians supply the
 system-theoretic side; the point of the window scans is that their minima
@@ -44,6 +43,7 @@ from .kkt import (
     assemble_hessian,
     assemble_jacobian,
     assemble_mixed_hessian,
+    factor_kkt,
     linearize,
     sparse_jacobian,
 )
@@ -315,6 +315,18 @@ def _stabilizing_gains(blocks: StageBlocks) -> list:
     return gains
 
 
+def _initial_null_basis(blocks: StageBlocks) -> Array:
+    """Orthonormal basis of null(T), or I without an initial constraint;
+    RegularityError by the rank rule of `condensed_null_basis`."""
+    if blocks.dims.n_0 == 0:
+        return np.eye(blocks.dims.n_x)
+    _, s, Vt = np.linalg.svd(blocks.T)
+    rank = int(np.sum(s > max(blocks.T.shape) * np.finfo(float).eps * s[0]))
+    if rank < blocks.dims.n_0:
+        raise RegularityError("initial-state map T is rank deficient, so J is too")
+    return Vt[rank:].T
+
+
 def condensed_null_basis(blocks: StageBlocks) -> Array:
     """Orthonormal basis Z of null(J), condensed through the dynamics.
 
@@ -335,14 +347,7 @@ def condensed_null_basis(blocks: StageBlocks) -> Array:
     rule on T's singular values."""
     dims = blocks.dims
     N, n_x, n_u, n_z = dims.N, dims.n_x, dims.n_u, dims.n_z
-    if dims.n_0 > 0:
-        _, s, Vt = np.linalg.svd(blocks.T)
-        rank = int(np.sum(s > max(blocks.T.shape) * np.finfo(float).eps * s[0]))
-        if rank < dims.n_0:
-            raise RegularityError("initial-state map T is rank deficient, so J is too")
-        Z0 = Vt[rank:].T
-    else:
-        Z0 = np.eye(n_x)
+    Z0 = _initial_null_basis(blocks)
     cols = Z0.shape[1]
     # stacked primal rows [x_0; u_0; x_1; ...; x_N]; x_k and u_k depend only
     # on x_0's free directions and v_0, ..., v_k
@@ -366,52 +371,123 @@ def condensed_null_basis(blocks: StageBlocks) -> Array:
     return scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
 
 
+def _hessian_times(blocks: StageBlocks, Z: Array) -> Array:
+    """H Z as one stacked product of the stage blocks [[Q_k, S_k], [S_k^T,
+    R_k]] with Z's stage rows, without forming H."""
+    N, n_x, n_z = blocks.dims.N, blocks.dims.n_x, blocks.dims.n_z
+    H = np.empty((N, n_z, n_z))
+    H[:, :n_x, :n_x], H[:, :n_x, n_x:], H[:, n_x:, n_x:] = blocks.Q[:-1], blocks.S, blocks.R
+    H[:, n_x:, :n_x] = blocks.S.swapaxes(1, 2)
+    HZ = np.empty_like(Z)  # in Z's memory order, so that its reshape is a view
+    np.matmul(H, Z[: N * n_z].reshape(N, n_z, -1), out=HZ[: N * n_z].reshape(N, n_z, -1))
+    HZ[N * n_z :] = blocks.Q[-1] @ Z[N * n_z :]
+    return HZ
+
+
 def null_space_residual(blocks: StageBlocks, Z: Array) -> float:
     """Backward error of Z as a basis of null(J): ||J Z||_F over the
     largest Frobenius norm of a row block of J ([T] or [-A_k, -B_k, I]),
-    computed one stage block at a time without forming J.  An orthonormal Z
-    with J Z = E spans the null space of J - E Z^T exactly."""
-    dims = blocks.dims
-    n_x, n_z = dims.n_x, dims.n_z
-    sq = float(np.sum((blocks.T @ Z[:n_x]) ** 2))
-    scale = float(np.linalg.norm(blocks.T))
-    for k in range(dims.N):
-        r = k * n_z
-        E = Z[r + n_z : r + n_z + n_x] - blocks.A[k] @ Z[r : r + n_x]
-        E -= blocks.B[k] @ Z[r + n_x : r + n_z]
-        sq += float(np.sum(E**2))
-        block_sq = np.linalg.norm(blocks.A[k]) ** 2 + np.linalg.norm(blocks.B[k]) ** 2 + n_x
-        scale = max(scale, math.sqrt(block_sq))
+    from stacked products over the stages without forming J.  An
+    orthonormal Z with J Z = E spans the null space of J - E Z^T exactly."""
+    N, n_x, n_z = blocks.dims.N, blocks.dims.n_x, blocks.dims.n_z
+    Zs = Z[: N * n_z].reshape(N, n_z, Z.shape[1])
+    E = np.concatenate([Zs[1:, :n_x], Z[None, N * n_z :]]) - blocks.A @ Zs[:, :n_x] - blocks.B @ Zs[:, n_x:]
+    sq = float(np.sum((blocks.T @ Z[:n_x]) ** 2)) + float(np.sum(E**2))
+    block_sq = np.sum(blocks.A**2, axis=(1, 2)) + np.sum(blocks.B**2, axis=(1, 2)) + n_x
+    scale = max(float(np.linalg.norm(blocks.T)), math.sqrt(float(block_sq.max(initial=0.0))))
     return math.sqrt(sq) / scale if scale > 0 else 0.0
 
 
-def condensed_sosc_modulus(blocks: StageBlocks) -> float:
+def condensed_sosc_modulus(blocks: StageBlocks, stats: dict | None = None) -> float:
     """Smallest eigenvalue of the reduced Hessian Z^T H Z for the condensed
-    basis Z of `condensed_null_basis`, with H Z applied one stage block at a
-    time and neither H nor J assembled.
+    basis Z of `condensed_null_basis`, with H Z from `_hessian_times` and
+    neither H nor J assembled.
 
     Same contract as the dense `sosc_modulus`: +inf when the null space is
     trivial; RegularityError when J is rank deficient.  Z is accepted when
     its `null_space_residual` is at most the dense path's max(shape) eps
     rank tolerance, i.e. when it is as backward stable as the SVD's basis.
     A sequence the feedback cannot stabilize can fail that test; gamma then
-    comes from the dense `sosc_modulus`."""
-    dims = blocks.dims
-    N, n_x, n_z = dims.N, dims.n_x, dims.n_z
+    comes from the dense `sosc_modulus`.  `stats["source"]`, when given,
+    names the path taken: "condensed" or "dense"."""
+    stats = {} if stats is None else stats
+    stats["source"] = "condensed"
     Z = condensed_null_basis(blocks)
     if Z.shape[1] == 0:
         return math.inf
-    if not null_space_residual(blocks, Z) <= dims.n_primal * np.finfo(float).eps:
+    if not null_space_residual(blocks, Z) <= blocks.dims.n_primal * np.finfo(float).eps:
+        stats["source"] = "dense"
         return sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
-    HZ = np.empty_like(Z)
-    for k in range(N):
-        xs, us = slice(k * n_z, k * n_z + n_x), slice(k * n_z + n_x, (k + 1) * n_z)
-        HZ[xs] = blocks.Q[k] @ Z[xs] + blocks.S[k] @ Z[us]
-        HZ[us] = blocks.S[k].T @ Z[xs] + blocks.R[k] @ Z[us]
-    HZ[N * n_z :] = blocks.Q[N] @ Z[N * n_z :]
+    HZ = _hessian_times(blocks, Z)
     reduced = Z.T @ HZ
     del Z, HZ  # O(N^2); only the reduced Hessian is needed now
     return smallest_eigenvalue(reduced)
+
+
+# block inverse iteration: columns, step cap, re-shift period, proof gap
+_INVERSE_COLUMNS, _INVERSE_STEPS, _RESHIFT_EVERY, _PROOF_GAP = 4, 12, 3, 1e-10
+
+
+def factor_sosc_modulus(blocks: StageBlocks, stats: dict | None = None) -> float | None:
+    """gamma from the stage-block KKT factor in O(N n^3) time and O(N n^2)
+    memory, or None when its proof fails; otherwise the contract of
+    `condensed_sosc_modulus`.  [[H - sigma I, J^T], [J, 0]] has exactly
+    (n_primal, n_dual) positive and negative eigenvalues iff sigma < gamma
+    (the KKT inertia theorem), counted here with no tolerance.  Block inverse
+    iteration on that factor keeps its columns in null(J), so once the
+    smallest Ritz value theta of H settles and the columns pass the
+    `null_space_residual` rule, theta >= gamma, and the count at theta -
+    1e-10 max(|theta|, 1) proves gamma above that.  `stats` receives the
+    factorizations and block steps taken."""
+    dims = blocks.dims
+    stats = {} if stats is None else stats
+    stats.update(factorizations=0, steps=0)
+    _initial_null_basis(blocks)
+    if dims.n_primal == dims.n_dual:
+        return math.inf
+    eps = np.finfo(float).eps
+
+    def factor_below_gamma(sigma):
+        stats["factorizations"] += 1
+        F = factor_kkt(blocks, -sigma)
+        ok = F is not None and (np.sum(F.eigs > 0), np.sum(F.eigs < 0)) == (dims.n_primal, dims.n_dual)
+        return F if ok else None
+
+    # rows of x_0, u_0, ..., x_N in the stage-ordered vector
+    primal = (np.array(dims.w_offsets[1:-1])[:, None] + np.arange(dims.n_z)).ravel()[: dims.n_primal]
+    rhs = np.zeros((dims.n_w, min(_INVERSE_COLUMNS, dims.n_primal - dims.n_dual)))
+    rhs[primal] = np.random.default_rng(0).standard_normal((dims.n_primal, rhs.shape[1]))
+    # forward elimination grows along unstable modes: a factor or a solve
+    # that overflows is None, and so is the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma, F = 0.0, factor_below_gamma(0.0)
+        if F is None:  # start below every eigenvalue of H, by Gershgorin
+            Q, R, S = np.abs(blocks.Q), np.abs(blocks.R), np.abs(blocks.S)
+            rows = Q[:-1].sum(axis=2) + S.sum(axis=2), R.sum(axis=2) + S.sum(axis=1), Q[-1].sum(axis=1)
+            sigma = -max(float(r.max(initial=0.0)) for r in rows) - 1.0
+            F = factor_below_gamma(sigma)
+        theta = math.inf
+        for step in range(1, _INVERSE_STEPS + 1):
+            sol = None if F is None else F.solve(rhs)
+            if sol is None:
+                return None
+            stats["steps"] = step
+            W = np.linalg.qr(sol[primal])[0]
+            ritz, U = np.linalg.eigh(W.T @ _hessian_times(blocks, W))
+            rhs[primal] = W @ U
+            last, theta = theta, float(ritz[0])
+            if abs(theta - last) <= 4 * eps * max(abs(theta), 1.0):
+                break
+            if step % _RESHIFT_EVERY == 0:
+                shift = theta - 1e-2 * abs(theta - sigma)
+                if (F_shift := factor_below_gamma(shift)) is not None:
+                    sigma, F = shift, F_shift
+        else:  # theta has not settled, so the gap below it may not close
+            return None
+        below = theta - _PROOF_GAP * max(abs(theta), 1.0)
+        if null_space_residual(blocks, W) <= dims.n_primal * eps and factor_below_gamma(below) is not None:
+            return theta
+    return None
 
 
 def mixed_hessian_norm(blocks: StageBlocks) -> float:
@@ -470,8 +546,9 @@ class CertificateReport:
     trivial and None when the Jacobian is rank deficient; failures are
     report entries, never exceptions.  `failures` names, for each failed
     flag among ctrl_uniform, obs_uniform, r_positive, q_psd and s_zero, the
-    window start or stage that set it; it is kept out of the text and CSV
-    forms.
+    window start or stage that set it, and `gamma_provenance` gamma's path
+    ("factor", "condensed" or "dense") and the fast path's counts; both are
+    kept out of the text and CSV forms.
     """
 
     beta: float
@@ -486,6 +563,7 @@ class CertificateReport:
     obs: WindowScan
     flags: dict
     failures: dict = field(default_factory=dict)
+    gamma_provenance: dict = field(default_factory=dict)
 
     @property
     def licq_ok(self) -> bool:
@@ -550,8 +628,11 @@ def build_report(
     """Populate every certificate at a converged primal-dual point."""
     blocks = linearize(p, traj, data)
     beta = licq_modulus(sparse_jacobian(blocks))
+    provenance = {"source": "factor"}
     try:
-        gamma = condensed_sosc_modulus(blocks)
+        gamma = factor_sosc_modulus(blocks, provenance)
+        if gamma is None:
+            gamma = condensed_sosc_modulus(blocks, provenance)
     except RegularityError:
         gamma = None
     vacuous = gamma is not None and math.isinf(gamma)
@@ -601,4 +682,5 @@ def build_report(
         obs=obs,
         flags=flags,
         failures=failures,
+        gamma_provenance=provenance,
     )

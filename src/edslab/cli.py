@@ -257,6 +257,7 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
                 if not p.converged
             ],
             "failed_flags": res["certificate"].failures,
+            "gamma": res["certificate"].gamma_provenance,
             "experiments": res["experiments"],
             "timings": res["timings"],
         }

@@ -810,3 +810,138 @@ class TestCondensedSosc:
                 gamma = condensed_sosc_modulus(blocks)
             assert calls == [(blocks.dims.n_primal,) * 2]
             assert gamma == sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
+
+
+# ---------------------------------------------------------------------------
+# gamma from the KKT factor, with the condensed basis as its fallback
+
+
+def report_gamma(blocks, monkeypatch):
+    """`build_report` on given stage blocks: its gamma and provenance."""
+    monkeypatch.setattr(certify, "linearize", lambda *args, **kwargs: blocks)
+    p = types.SimpleNamespace(dims=blocks.dims)
+    rep = build_report(p, None, None, window_ctrl=1, window_obs=1)
+    return rep.gamma, rep.gamma_provenance
+
+
+def counted_factors(monkeypatch):
+    """Monkeypatch `certify.factor_kkt` to record each (reg, factor)."""
+    calls = []
+
+    def factor(blocks, reg=0.0):
+        F = factor_kkt(blocks, reg)
+        calls.append((reg, F))
+        return F
+
+    monkeypatch.setattr(certify, "factor_kkt", factor)
+    return calls
+
+
+# where forward block elimination grows along unstable modes, so the fast
+# path cannot prove gamma: two unstable lq_chain horizons, a coupled Jordan
+# block and a pinned chain along an unreached mode at 10
+HARD_CASES = {
+    "lq_1.3_120": lambda: lq_blocks(1.3, 120),
+    "lq_2.0_60": lambda: lq_blocks(2.0, 60),
+    "jordan_80": lambda: ti_blocks([[1.3, 1.0], [0.0, 1.3]], [[0.0], [1.0]], Q=np.diag([1.0, 0.0]), N=80),
+    "pinned_10I_400": lambda: ti_blocks(np.diag([10.0, 10.0]), [[1.0], [0.0]], N=400, T=np.eye(2)),
+}
+
+
+class TestFactorSosc:
+    @settings(max_examples=300, deadline=None)
+    @given(stage_blocks())
+    def test_matches_dense_reference(self, blocks):
+        stats = {}
+        try:
+            gamma = certify.factor_sosc_modulus(blocks, stats)
+        except RegularityError:
+            with pytest.raises(RegularityError):
+                condensed_sosc_modulus(blocks)
+            return
+        if gamma is None:
+            return
+        # two starting shifts, one re-shift every third step, the proof
+        assert stats["factorizations"] <= 2 + certify._INVERSE_STEPS // 3 + 1
+        H, J = assemble_hessian(blocks), assemble_jacobian(blocks)
+        n = H.shape[0]
+        ref = sosc_modulus(H, J)
+        if math.isinf(ref):
+            assert gamma == math.inf
+            return
+        # the bound of TestCondensedSosc.test_matches_dense_reference
+        s = np.linalg.svd(J, compute_uv=False)
+        tol = 1e-10 * abs(ref) + n * np.finfo(float).eps * np.linalg.norm(H, 2) * s[0] / s[-1]
+        assert abs(gamma - ref) <= tol
+
+    def test_contract(self):
+        trivial = ti_blocks(0.5 * np.eye(2), np.zeros((2, 0)), N=5, T=np.eye(2))
+        assert certify.factor_sosc_modulus(trivial) == math.inf
+        deficient = ti_blocks(0.5 * np.eye(2), [[1.0], [0.0]], N=4, T=[[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(RegularityError):
+            certify.factor_sosc_modulus(deficient)
+
+    @pytest.mark.parametrize("name", sorted(HARD_CASES))
+    def test_hard_cases_fall_back_to_condensed(self, name, monkeypatch):
+        blocks = HARD_CASES[name]()
+        assert certify.factor_sosc_modulus(blocks) is None
+        gamma, provenance = report_gamma(blocks, monkeypatch)
+        assert provenance["source"] == "condensed"
+        assert gamma == condensed_sosc_modulus(blocks)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_factor_falls_back_without_warning(self, monkeypatch):
+        # factor_kkt overflows on the pinned chain along the mode at 10;
+        # gamma still comes out of the condensed basis as exactly I's
+        gamma, provenance = report_gamma(HARD_CASES["pinned_10I_400"](), monkeypatch)
+        assert provenance["source"] == "condensed"
+        assert gamma == pytest.approx(1.0, rel=1e-12, abs=0.0)
+
+    def test_singular_stage_block_certifies_through_the_shifted_factor(self, monkeypatch):
+        # a 3-stage double integrator with no control cost at stage 0
+        # (R_0 = S_0 = 0): its stage block is singular, so the factor at
+        # shift 0 is None although K is regular.  The iteration starts at
+        # minus the largest Gershgorin row sum of the stage blocks (1 here,
+        # with Q = I and R_k in {0, 1}) minus 1, i.e. at reg = 2
+        from edslab.models import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B
+
+        blocks = ti_blocks(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, N=3, T=np.eye(2))
+        blocks.R[0] = 0.0
+        calls = counted_factors(monkeypatch)
+        stats = {}
+        gamma = certify.factor_sosc_modulus(blocks, stats)
+        assert calls[0][0] == 0.0 and calls[0][1] is None
+        assert calls[1][0] == 2.0 and calls[1][1] is not None
+        ref = sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
+        assert gamma == pytest.approx(ref, rel=1e-10)
+        assert stats["factorizations"] == len(calls)
+
+    def test_lq_chain_takes_at_most_three_factorizations(self, monkeypatch):
+        bundle = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": 120})
+        p = bundle.problem
+        blocks = linearize(p, PrimalDualTrajectory.zeros(p.dims), bundle.base_data)
+        calls = counted_factors(monkeypatch)
+        gamma = certify.factor_sosc_modulus(blocks)
+        assert len(calls) <= 3
+        assert gamma == pytest.approx(2.0, rel=1e-12)
+
+    def test_reruns_are_identical(self):
+        blocks = lq_blocks(0.9, 30)
+        first, second = {}, {}
+        assert certify.factor_sosc_modulus(blocks, first) == certify.factor_sosc_modulus(blocks, second)
+        assert first == second
+
+    def test_build_report_memory_at_long_horizon(self):
+        # the condensed basis alone would hold a 15006 x 3006 Z here
+        bundle = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": 1000})
+        p, data = bundle.problem, bundle.base_data
+        base = solve_equality_nlp(p, data, w0=bundle.warm_start)
+        tracemalloc.start()
+        try:
+            rep = build_report(p, base.trajectory, data, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert rep.gamma_provenance["source"] == "factor"
+        assert rep.gamma == pytest.approx(2.0, rel=1e-12)
