@@ -19,9 +19,9 @@ name, returns each oracle's terms with a leading stage axis and checks
 their sizes: from the problem's stage-batched oracle when it registers one
 and the stage data share one size, otherwise from `_PER_STAGE[name]` at
 each stage (the per-stage analytic oracle, or finite differences), whose
-results are stacked.  The terminal cost goes through the same path as a
-stage with an empty control.  Both then assemble from those arrays in a
-few array operations, and `StageBlocks` keeps Q, R, S, A and B stacked.
+results are stacked.  The terminal cost takes a two-term path of its own,
+`_terminal_terms`.  Both then assemble from those arrays in a few array
+operations, and `StageBlocks` keeps Q, R, S, A and B stacked.
 
 The Newton step never forms the KKT matrix.  Cut into the blocks
 [lam_{k-1}; x_k; u_k] of the stage-ordered vector, the matrix is block
@@ -35,7 +35,9 @@ elimination, in one stacked array.  `factor_kkt` returns that factor as a
 step, the residual and linearization taking every point's stages at once
 and points with bit-equal KKT matrices sharing one factor: the perturbation
 experiments of an LQ problem, all re-solved from the base solution, take
-one factorization between them.
+one factorization between them.  Their iteration 0 is taken once
+(`_Start`): each distinct (stage, data) row at w0 goes through the oracles
+once, and points with point 0's blocks share its `StageBlocks` object.
 
 The KKT residual returned here is exactly the gradient of
 `problem.evaluate_lagrangian` in the entries of the trajectory's vector
@@ -46,7 +48,6 @@ reproduces it.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -196,15 +197,16 @@ class SolveResult:
 
 
 class _Stages(NamedTuple):
-    """Rows of stages: for stages 0..N-1 of P points, row k N + i of X, U,
-    Lam and D holds x_i, u_i, lam_i and d_i of point k (`_terminal` gives
-    one row per point instead).  D is an array when every row's data has
-    one size, else a per-row list of vectors."""
+    """Rows of stages: row r of X, U, Lam and D holds x_i, u_i, lam_i and
+    d_i of stage i = I[r] (`_stages` gives row k N + i to stage i of point
+    k).  D is an array when every row's data has one size, else a per-row
+    list of vectors."""
 
     X: Array
     U: Array
-    Lam: Array | None
+    Lam: Array
     D: Array | list
+    I: list
 
 
 def _stages(p: DOProblem, W: Array, data: list) -> _Stages:
@@ -214,13 +216,12 @@ def _stages(p: DOProblem, W: Array, data: list) -> _Stages:
         D = np.concatenate([d.stage_rows() for d in data])
     else:
         D = [d[i] for d in data for i in range(dims.N)]
-    return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], D)
+    return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], D, [*range(dims.N)] * len(W))
 
 
-def _terminal(p: DOProblem, W: Array, data: list) -> _Stages:
-    """The terminal stage of every point, as a stage with an empty control."""
-    x_N = W[:, p.dims.w_offsets[-2] :]
-    return _Stages(x_N, np.zeros((len(W), 0)), None, np.array([d[p.dims.N] for d in data]))
+def _terminal(p: DOProblem, W: Array, data: list) -> tuple:
+    """x_N and d_N of every point, as the rows of two arrays."""
+    return W[:, p.dims.w_offsets[-2] :], np.array([d[p.dims.N] for d in data])
 
 
 def _points(p: DOProblem, traj, data):
@@ -262,12 +263,14 @@ def _stage_terms(p: DOProblem, st: _Stages, name: str, shapes, with_lam: bool = 
     uniform = isinstance(st.D, np.ndarray)
     sizes = {"x": st.X.shape[1], "u": st.U.shape[1], "d": st.D.shape[1] if uniform else None}
     per_stage = [tuple(sizes[k] for k in shape) for shape in shapes]
+    if not st.I:  # no rows: no call
+        return [[] if None in s else np.zeros((0, *s)) for s in per_stage]
     if batched is not None and uniform:
         out = batched(st.X, st.U, st.D, *rest)
         terms = zip([out] if len(shapes) == 1 else out, per_stage, strict=True)
         return [_shaped(t, s, f"{name}_batch", (len(st.X),)) for t, s in terms]
-    N, entry = p.dims.N, _PER_STAGE[name]
-    out = [entry(p.oracles, r % N, st.X[r], st.U[r], st.D[r], *(t[r] for t in rest)) for r in range(len(st.X))]
+    entry = _PER_STAGE[name]
+    out = [entry(p.oracles, i, st.X[r], st.U[r], st.D[r], *(t[r] for t in rest)) for r, i in enumerate(st.I)]
     terms = []
     for t, s in zip([out] if len(shapes) == 1 else zip(*out), per_stage, strict=True):
         if None in s:  # a per-row list, each term of its row's data size
@@ -325,16 +328,20 @@ def _stage_cost(orc, i: int):
     return functools.partial(orc.stage_cost, i), at(orc.stage_cost_grad), at(orc.stage_cost_hess)
 
 
-def _terminal_cost(orc):
-    """The terminal cost's (cost, grad, hess) as those of a stage whose
-    control u is empty; u then also stands for each empty u term."""
-    f, g, h = orc.terminal_cost, orc.terminal_cost_grad, orc.terminal_cost_hess
-
-    def hess(x, u, d):
-        Q, E = h(x, d)
-        return Q, u, u, E, u
-
-    return lambda x, u, d: f(x, d), g and (lambda x, u, d: (g(x, d), u)), h and hess
+def _terminal_terms(p: DOProblem, x_N: Array, D_N: Array, hess: bool = False) -> list:
+    """[g] of the terminal cost, or with `hess` [Q, E], at each row of x_N
+    and D_N, stacked: from the analytic oracle when given, else by the
+    differences of a stage whose control u is empty."""
+    orc, u, n_x = p.oracles, np.zeros(0), x_N.shape[1]
+    g, h = orc.terminal_cost_grad, orc.terminal_cost_hess
+    if (h if hess else g) is None:
+        cost, grad = lambda x, _, d: orc.terminal_cost(x, d), g and (lambda x, _, d: (orc.terminal_cost_grad(x, d), u))
+        g = lambda x, d: _cost_gradients(cost, None, x, u, d)[0]
+        h = lambda x, d: _cost_hessians(cost, grad, None, x, u, d)[::3]
+    shapes = [(n_x, n_x), (n_x, D_N.shape[1])] if hess else [(n_x,)]
+    name = "terminal_cost_hess" if hess else "terminal_cost_grad"
+    out = [h(x, d) if hess else (g(x, d),) for x, d in zip(x_N, D_N)]
+    return [np.array([_shaped(m, s, name) for m in t]) for t, s in zip(zip(*out), shapes, strict=True)]
 
 
 def _dynamics_jacobians(orc, i: int, x, u, d):
@@ -368,18 +375,23 @@ def _dynamics_curvature(orc, i: int, x, u, d, lam):
     return _from_gradient(Jg[:n_z], Jg[n_z:].T, n_x)
 
 
-# per-stage sourcing of each oracle name, called as (oracles, i, x, u, d[, lam]);
-# the terminal entries ignore i
+# per-stage sourcing of each oracle name, called as (oracles, i, x, u, d[, lam])
 _PER_STAGE = {
     "dynamics": lambda orc, i, *z: orc.dynamics(i, *z),
     "dynamics_jac": _dynamics_jacobians,
     "dynamics_hess_vec": _dynamics_curvature,
     "stage_cost_grad": lambda orc, i, *z: _cost_gradients(*_stage_cost(orc, i)[:2], *z),
     "stage_cost_hess": lambda orc, i, *z: _cost_hessians(*_stage_cost(orc, i), *z),
-    "terminal_cost_grad": lambda orc, i, *z: _cost_gradients(*_terminal_cost(orc)[:2], *z),
-    "terminal_cost_hess": lambda orc, i, *z: _cost_hessians(*_terminal_cost(orc), *z),
 }
 _HESSIAN = ("xx", "xu", "uu", "xd", "ud")
+
+
+def _block_terms(p: DOProblem, st: _Stages, x_N: Array, D_N: Array) -> tuple:
+    """(Q, R, S, E, F) of the stage Lagrangians at the rows of `st`, (Q_N, E_N) at x_N and D_N."""
+    Qc, Sc, Rc, Ec, Fc = _stage_terms(p, st, "stage_cost_hess", _HESSIAN)
+    Hxx, Hxu, Huu, Hxd, Hud = _stage_terms(p, st, "dynamics_hess_vec", _HESSIAN, with_lam=True)
+    QN, EN = _terminal_terms(p, x_N, D_N, hess=True)
+    return _sym(Qc + Hxx), _sym(Rc + Huu), Sc + Hxu, _add(Ec, Hxd), _add(Fc, Hud), _sym(QN), EN
 
 
 def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None):
@@ -397,11 +409,7 @@ def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None):
         A, B, G = _stage_terms(p, st, "dynamics_jac", ("xx", "xu", "xd"))
     else:
         A, B, G = zip(*jacobians) if single else jacobians[0]
-    Qc, Sc, Rc, Ec, Fc = _stage_terms(p, st, "stage_cost_hess", _HESSIAN)
-    Hxx, Hxu, Huu, Hxd, Hud = _stage_terms(p, st, "dynamics_hess_vec", _HESSIAN, with_lam=True)
-    Q, R, S, E, F = _sym(Qc + Hxx), _sym(Rc + Huu), Sc + Hxu, _add(Ec, Hxd), _add(Fc, Hud)
-    QN, _, _, EN, _ = _stage_terms(p, _terminal(p, W, data), "terminal_cost_hess", _HESSIAN)
-    QN = _sym(QN)
+    Q, R, S, E, F, QN, EN = _block_terms(p, st, *_terminal(p, W, data))
     blocks = []
     for k in range(len(W)):
         s = slice(k * N, (k + 1) * N)
@@ -547,6 +555,22 @@ def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
     ).tocsr()
 
 
+def _stage_residuals(p: DOProblem, W: Array, st: _Stages, at=slice(None)) -> tuple:
+    """The [x; u; lam] blocks of the KKT residual at the rows of `st`, and
+    their (A, B, G): the rows `at` of the P N stage rows of the points W,
+    whose neighbours lam_{i-1} (T^T lam_{-1} at i = 0) and x_{i+1} they take."""
+    (f,) = _stage_terms(p, st, "dynamics", ("x",))
+    A, B, G = _stage_terms(p, st, "dynamics_jac", ("xx", "xu", "xd"))
+    gx, gu = _stage_terms(p, st, "stage_cost_grad", ("x", "u"))
+    dims, end = p.dims, p.dims.w_offsets[-2]
+    rows = W[:, dims.n_0 : end].reshape(len(W), dims.N, -1)
+    lam_init = np.array([p.T.T @ lam for lam in W[:, : dims.n_0]])[:, None]
+    lam_prev = np.concatenate([lam_init, rows[:, :-1, dims.n_z :]], axis=1).reshape(-1, dims.n_x)[at]
+    x_next = np.concatenate([rows[:, 1:, : dims.n_x], W[:, None, end:]], axis=1).reshape(-1, dims.n_x)[at]
+    LA, LB = (st.Lam[:, None, :] @ M for M in (A, B))
+    return np.hstack([gx + LA[:, 0] - lam_prev, gu + LB[:, 0], f - x_next]), (A, B, G)
+
+
 def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None) -> Array:
     """Gradient of the Lagrangian in `traj.vector`, so in the same stage
     order; zero exactly at stationary points.  The multiplier entries are
@@ -559,28 +583,13 @@ def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None) -> 
     once, the residuals are rows too, and one (A, B, G) stacked over the
     P N stage rows is appended to `jacobians`."""
     W, data, single = _points(p, traj, data)
-    dims = p.dims
-    n_x, n_u, N, T = dims.n_x, dims.n_u, dims.N, p.T
-    st = _stages(p, W, data)
-    (f,) = _stage_terms(p, st, "dynamics", ("x",))
-    A, B, G = _stage_terms(p, st, "dynamics_jac", ("xx", "xu", "xd"))
-    gx, gu = _stage_terms(p, st, "stage_cost_grad", ("x", "u"))
-    gN, _ = _stage_terms(p, _terminal(p, W, data), "terminal_cost_grad", ("x", "u"))
+    stages, (A, B, G) = _stage_residuals(p, W, _stages(p, W, data))
+    (gN,) = _terminal_terms(p, *_terminal(p, W, data))
     if jacobians is not None:
         jacobians.extend(zip(A, B, G)) if single else jacobians.append((A, B, G))
-    P, end = len(W), dims.w_offsets[-2]
-    X, Lam = st.X.reshape(P, N, n_x), st.Lam.reshape(P, N, n_x)
-    x_N, lam_init = W[:, end:], W[:, : dims.n_0]
-    r = np.empty((P, dims.n_w))
-    rows = r[:, dims.n_0 : end].reshape(P, N, -1)
-    # lam_{i-1} enters x_i's row; T^T lam_{-1} in place of it at stage 0
-    lam_prev = np.concatenate([np.array([T.T @ lam for lam in lam_init])[:, None], Lam[:, :-1]], axis=1)
-    rows[..., :n_x] = (gx + (st.Lam[:, None, :] @ A)[:, 0]).reshape(P, N, n_x) - lam_prev
-    rows[..., n_x : n_x + n_u] = (gu + (st.Lam[:, None, :] @ B)[:, 0]).reshape(P, N, n_u)
-    rows[..., n_x + n_u :] = f.reshape(P, N, n_x) - np.concatenate([X[:, 1:], x_N[:, None]], axis=1)
-    r[:, end:] = gN - Lam[:, -1]
-    for k, d in enumerate(data):
-        r[k, : dims.n_0] = d[-1] - T @ X[k, 0]
+    dims, end = p.dims, p.dims.w_offsets[-2]
+    init = [d[-1] - p.T @ x_0 for d, x_0 in zip(data, W[:, dims.n_0 : dims.n_0 + dims.n_x])]
+    r = np.hstack([np.reshape(init, (len(W), dims.n_0)), stages.reshape(len(W), -1), gN - W[:, end - dims.n_x : end]])
     return r[0] if single else r
 
 
@@ -798,7 +807,50 @@ def _jacobian_rows(jacs: list, N: int) -> tuple:
 def _same_matrix(a: StageBlocks, b: StageBlocks) -> bool:
     """Whether T, Q, R, S, A and B, all that `factor_kkt` reads, are equal
     bit for bit in a and b."""
-    return all(np.array_equal(getattr(a, f).view(np.int64), getattr(b, f).view(np.int64)) for f in "TQRSAB")
+    return a is b or all(np.array_equal(getattr(a, f).view(np.int64), getattr(b, f).view(np.int64)) for f in "TQRSAB")
+
+
+class _Start:
+    """Iteration 0 of `solve_batch` for all its points, all at w0.  Point 0
+    goes through `kkt_residual` and `linearize`; of the others, only the
+    stages whose data differ from point 0's go through the oracles, each
+    distinct (stage, data) row once, row rows[k, i] of `table` holding point
+    k's stage i.  Points whose rows leave Q, R, S, A and B bit-equal (`same`)
+    take point 0's `StageBlocks` object `ref`."""
+
+    def __init__(self, p: DOProblem, w0: PrimalDualTrajectory, data: list):
+        dims, N, P, end = p.dims, p.dims.N, len(data), p.dims.w_offsets[-2]
+        self.W0, jac = w0.vector[None], []
+        # which of stages -1..N hold data that differ from point 0's
+        bits = np.array([d.stacked() for d in data]).view(np.int64)
+        seen, off = np.cumsum(np.pad(bits != bits[0], ((0, 0), (1, 0))), axis=1), np.cumsum([0, *dims.n_d])
+        differs = seen[:, off[1:]] > seen[:, off[:-1]]
+        self.rows, own = np.tile(np.arange(N), (P, 1)), {}
+        for k, i in np.argwhere(differs[:, 1:-1]).tolist():
+            self.rows[k, i] = own.setdefault((i, data[k][i].tobytes()), (N + len(own), i, data[k][i]))[0]
+        self.n_rows, I, D = N + len(own), [i for _, i, _ in own.values()], [d for *_, d in own.values()]
+        I, D = (I * 2, D * 2) if len(I) == 1 else (I, D)  # a batched oracle rounds a lone row differently
+        D = np.reshape(D, (len(I), dims.stage_nd)) if dims.stage_nd is not None else D
+        st = _Stages(*np.split(dims.w_rows(w0.vector)[I], [dims.n_x, dims.n_z], axis=1), D, I)
+        last = np.flatnonzero(differs[:, -1])  # the points with terminal data of their own
+        terminal = _terminal(p, np.repeat(self.W0, len(last) + 1, axis=0), [data[0], *(data[k] for k in last)])
+        r0 = kkt_residual(p, self.W0, data[:1], jacobians=jac)[0]
+        own_rows, (A, B, _) = _stage_residuals(p, self.W0, st, I)
+        self.table = np.concatenate([r0[dims.n_0 : end].reshape(N, -1), own_rows])
+        self.init = np.reshape([d[-1] for d in data], (P, dims.n_0)) - p.T @ w0.vector[dims.n_0 : dims.n_0 + dims.n_x]
+        self.tail = np.repeat(r0[None, end:], P, axis=0)
+        self.tail[last] = _terminal_terms(p, *terminal)[0][1:] - w0.vector[end - dims.n_x : end]
+        self.ref = linearize(p, self.W0, data[:1], jacobians=jac)[0]
+        Q, R, S, _, _, QN, _ = _block_terms(p, st, *terminal)
+        equal = lambda M, at: (M.view(np.int64) == at.view(np.int64)).all(axis=(1, 2))  # matrix by matrix
+        own = np.logical_and.reduce([equal(M, getattr(self.ref, f)[I]) for M, f in zip((Q, R, S, A, B), "QRSAB")])
+        self.same = np.r_[np.ones(N, bool), own][self.rows].all(axis=1)
+        self.same[last] &= equal(QN[1:], QN[:1])
+
+    def residual(self, ks: slice) -> Array:
+        """The residuals at w0 of the points ks."""
+        stages = self.table[self.rows[ks]]
+        return np.hstack([self.init[ks], stages.reshape(len(stages), -1), self.tail[ks]])
 
 
 # Bound on 8 n_w (2 n_x + n_u)^2 bytes per point over a chunk of `solve_batch`:
@@ -839,10 +891,12 @@ def solve_batch(p: DOProblem, data, w0=None, opts: SolveOptions | None = None, s
     shifted KKT matrices are equal bit for bit share one `factor_kkt` that
     carries all their right-hand sides.  Step length, regularization,
     convergence and failure stay per point.  The points go in chunks, so
-    memory does not grow with their number; the first iteration's factors,
-    all at w0, serve every chunk.  `stats` gets the counts `newton_rounds`
-    (chunk iterations), `factorizations`, `solved_columns` and
-    `residual_evals` (batched residual calls) added.
+    memory does not grow with their number; the first iteration, all at w0,
+    is taken once for all points (`_Start`), and its factors serve every
+    chunk.  `stats` gets the counts `newton_rounds` (chunk iterations),
+    `factorizations`, `solved_columns` and `residual_evals` (batched
+    residual calls, the start one) added, and `chunk_points` (points per
+    chunk) and `start_rows` (stage rows the start evaluated) set.
     """
     opts, stats = opts or SolveOptions(), {} if stats is None else stats
     w0 = w0 if w0 is not None else PrimalDualTrajectory.zeros(p.dims)
@@ -850,9 +904,13 @@ def solve_batch(p: DOProblem, data, w0=None, opts: SolveOptions | None = None, s
     for key in ("newton_rounds", "factorizations", "solved_columns", "residual_evals"):
         stats.setdefault(key, 0)
     size = max(1, _CHUNK_BYTES // (8 * p.dims.n_w * (2 * p.dims.n_x + p.dims.n_u) ** 2))
-    first, data = [], iter(data)
-    while chunk := list(itertools.islice(data, size)):
-        yield from _lockstep(p, chunk, w0, opts, first, stats)
+    first, data = [], list(data)
+    if not data:
+        return
+    start = _Start(p, w0, data)
+    stats.update(chunk_points=size, start_rows=start.n_rows, residual_evals=stats["residual_evals"] + 1)
+    for c in range(0, len(data), size):
+        yield from _lockstep(p, data[c : c + size], start, slice(c, c + size), opts, first, stats)
 
 
 def _steps(todo: list, R: Array, reg: dict, blocks: dict, pool: list, dims: Dimensions, stats: dict) -> dict:
@@ -888,16 +946,15 @@ def _steps(todo: list, R: Array, reg: dict, blocks: dict, pool: list, dims: Dime
     return out
 
 
-def _lockstep(p: DOProblem, data: list, w0, opts: SolveOptions, first: list, stats: dict) -> list:
-    """The Newton loop of `solve_batch` on one chunk of data trajectories;
-    `first` is the pool of the first iteration, shared across chunks."""
+def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOptions, first: list, stats: dict) -> list:
+    """The Newton loop of `solve_batch` on its points ks, whose data
+    trajectories are `data`, from their `_Start`; `first` is the pool of
+    the first iteration, shared across chunks."""
     dims, P, N = p.dims, len(data), p.dims.N
-    W = np.tile(w0.vector, (P, 1))
-    jac = []
-    R = kkt_residual(p, W, data, jacobians=jac)
-    stats["residual_evals"] += 1
-    # per point: the (A, B, G) of the residual call at its iterate, its index
-    jacs = [(jac[0], k) for k in range(P)]
+    W = np.repeat(start.W0, P, axis=0)
+    R = start.residual(ks)
+    # per point after iteration 0: the (A, B, G) of the residual call at its iterate, its index
+    jacs = [None] * P
     rnorm, reg_seen = np.abs(R).max(axis=1), np.zeros(P)
     out = [None] * P
 
@@ -908,8 +965,11 @@ def _lockstep(p: DOProblem, data: list, w0, opts: SolveOptions, first: list, sta
 
     def iterate(it, live):
         """One Newton iteration: each point of `live` steps or fails."""
-        jac = [_jacobian_rows([jacs[k] for k in live], N)]
-        blocks = dict(zip(live, linearize(p, W[live], [data[k] for k in live], jacobians=jac)))
+        if it == 0:  # point 0's blocks where they are the point's
+            blocks = {k: start.ref if start.same[ks][k] else linearize(p, start.W0, [data[k]])[0] for k in live}
+        else:
+            jac = [_jacobian_rows([jacs[k] for k in live], N)]
+            blocks = dict(zip(live, linearize(p, W[live], [data[k] for k in live], jacobians=jac)))
         phi0 = {k: 0.5 * float(R[k] @ R[k]) for k in live}
         reg = dict.fromkeys(live, 0.0)
         need, alpha, step = list(live), {}, {}

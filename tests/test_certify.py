@@ -734,6 +734,24 @@ class TestCondensedSosc:
         # unit state and input costs: the reduced Hessian is 2 I
         assert rep.gamma == pytest.approx(2.0, rel=1e-12)
 
+    def test_long_horizon_memory_of_the_condensed_path(self):
+        # build_report takes gamma from the block factor here, so the
+        # condensed basis is bounded on its own.  It peaked at 77.1 MiB (its
+        # 3606 x 1200 basis Z takes 33 MiB), against 354 MB for the dense
+        # path; the bound adds a 13 MiB margin, less than one more copy of Z
+        bundle = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": 400})
+        p, data = bundle.problem, bundle.base_data
+        blocks = linearize(p, solve_equality_nlp(p, data, w0=bundle.warm_start).trajectory, data)
+        stats = {}
+        tracemalloc.start()
+        try:
+            gamma = condensed_sosc_modulus(blocks, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats["source"] == "condensed" and peak < 90 * 2**20
+        assert gamma == pytest.approx(2.0, rel=1e-12)
+
     def test_unstable_chain_matches_dense(self, monkeypatch):
         # spectral radius 1.3 and 2: without feedback the basis columns grow
         # like ||A||^N and the QR loses the controls' unit entries (gamma

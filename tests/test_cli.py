@@ -542,7 +542,25 @@ def test_manifest_reports_experiment_solver_counts(tmp_path):
     assert run(str(cfg), out_dir=str(out)) == 0
     counts = json.loads(read(out / "manifest.json"))["cases"]["base"]["experiments"]
     assert counts["factorizations"] == 1 and counts["solved_columns"] == 96
-    assert counts["newton_rounds"] >= 1 and counts["residual_evals"] == 2 * counts["newton_rounds"]
+    assert counts["newton_rounds"] >= 1 and counts["residual_evals"] == counts["newton_rounds"] + 1
     # the counts stay out of the CSVs
     for name, header in SCHEMAS.items():
         assert read(out / name).decode().splitlines()[0] == header
+
+
+def test_manifest_reports_chunk_size_and_start_rows(tmp_path):
+    # two replicates at stages 0 and 5 of an N = 10 chain: point 0 is
+    # (stage 0, replicate 0).  Its 10 rows are evaluated first, then the
+    # rows where the others' data differ from it: replicate 1 at stage 0,
+    # the base data at stage 0 (shared by both stage-5 points) and the two
+    # stage-5 replicates
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path / "cfg.json", params={"n_x": 6, "n_u": 3, "N": 10, "stability": 0.9, "seed": 5}, stages=[0, 5]
+    )
+    assert run(str(cfg), out_dir=str(out)) == 0
+    counts = json.loads(read(out / "manifest.json"))["cases"]["base"]["experiments"]
+    # a chunk holds as many points as 12 MiB of 8 n_w (2 n_x + n_u)^2 bytes
+    assert counts["chunk_points"] == 12 * 2**20 // (8 * (6 + 10 * 15 + 6) * 15**2)
+    assert counts["start_rows"] == 10 + 4
+    assert counts["factorizations"] == 1 and counts["solved_columns"] == 4

@@ -857,3 +857,131 @@ class TestBlockFactor:
         done = carried.solve()
         assert (done is None) == (later is None)
         assert done is None or done.tobytes() == later.tobytes()
+
+
+def varying_data_problem(N):
+    """A nonlinear problem without derivatives whose stage data sizes
+    cycle through 1, 2 and 3, so stages cannot be stacked and every term
+    comes from finite differences stage by stage."""
+    dims = Dimensions(N, 2, 1, (2,) + tuple(1 + i % 3 for i in range(N)) + (2,), 2)
+    oracles = StageOracles(
+        stage_cost=lambda i, x, u, d: float(x @ x + 0.5 * u @ u + np.sin(x[0]) * d.sum() + 0.1 * i * x[1] * d[-1]),
+        dynamics=lambda i, x, u, d: 0.9 * x + 0.2 * np.sin(x[::-1]) + 0.3 * u[0] + 0.1 * x[0] * d.sum(),
+        terminal_cost=lambda x, d: float(x @ x + 0.3 * np.cos(x[0]) * d.sum()),
+    )
+    return DOProblem(dims=dims, oracles=oracles, T=np.eye(2))
+
+
+def data_in_B_problem(N):
+    """Analytic per-stage oracles in which d[1] enters B and d[0] only the
+    linear cost terms, so Q, R and S never depend on the data."""
+    dims = Dimensions.uniform(N, 2, 1, 2, 2)
+    A = np.array([[0.9, 0.2], [0.0, 0.8]])
+    B = lambda d: np.array([[0.3], [0.2 * d[1]]])
+    zeros = lambda *shapes: tuple(np.zeros(s) for s in shapes)
+    oracles = StageOracles(
+        stage_cost=lambda i, x, u, d: float(x @ x + 0.5 * u @ u - 2 * d[0] * x[0]),
+        dynamics=lambda i, x, u, d: A @ x + B(d) @ u,
+        terminal_cost=lambda x, d: float(x @ x),
+        stage_cost_grad=lambda i, x, u, d: (2 * x - np.array([2 * d[0], 0.0]), u.copy()),
+        stage_cost_hess=lambda i, x, u, d: (
+            2 * np.eye(2), np.zeros((2, 1)), np.eye(1), np.array([[-2.0, 0.0], [0.0, 0.0]]), np.zeros((1, 2))
+        ),
+        terminal_cost_grad=lambda x, d: 2 * x,
+        terminal_cost_hess=lambda x, d: (2 * np.eye(2), np.zeros((2, 2))),
+        dynamics_jac=lambda i, x, u, d: (A, B(d), np.array([[0.0, 0.0], [0.0, 0.2 * u[0]]])),
+        dynamics_hess_vec=lambda i, x, u, d, lam: (*zeros((2, 2), (2, 1), (1, 1), (2, 2)), np.array([[0.0, 0.2 * lam[1]]])),
+    )
+    return DOProblem(dims=dims, oracles=oracles, T=np.eye(2))
+
+
+def counting_batched_rows(p, rows):
+    """p with each stage-batched oracle appending its row count to `rows`."""
+
+    def counted(f):
+        return lambda X, *rest: rows.append(len(X)) or f(X, *rest)
+
+    batched = {name: counted(getattr(p.oracles, name)) for name in BATCHED_FIELDS if getattr(p.oracles, name)}
+    return dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, **batched))
+
+
+class TestSharedStart:
+    """`solve_batch` takes iteration 0 once for all its points: point 0
+    through `kkt_residual`, every other distinct (stage, data) row once.
+    Each point's residual and the blocks the factor reads must still be
+    those of its own `kkt_residual` and `linearize`, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["lq_chain", "quadrotor", "toy", "varying", "data_in_B"]), st.integers(2, 6), st.data())
+    def test_start_matches_each_point_bit_for_bit(self, name, N, draw):
+        seed = draw.draw(st.integers(0, 999))
+        if name == "lq_chain":
+            p = lq_chain(draw.draw(st.integers(1, 4)), draw.draw(st.integers(0, 2)), N, seed=seed)
+        elif name == "quadrotor":
+            p = build_model("quadrotor", {"N": N, "dt": 0.1}).problem
+        else:
+            p = {"toy": toy_nonlinear_problem, "varying": varying_data_problem, "data_in_B": data_in_B_problem}[name](N)
+        w0, base = random_point(p, seed=seed)
+        # a random set of perturbed stages, the ends -1 and N included or not
+        stages = draw.draw(st.sets(st.integers(-1, N), min_size=1, max_size=4))
+        stages |= {j for j, add in zip((-1, N), draw.draw(st.tuples(st.booleans(), st.booleans()))) if add}
+        rng = np.random.default_rng(seed)
+        data = [
+            base.perturbed(j, rng.standard_normal(p.dims.nd(j)))
+            for j in sorted(stages)
+            for _ in range(draw.draw(st.integers(1, 3)))
+        ]
+        rows = []
+        start = kkt._Start(counting_batched_rows(p, rows), w0, data)
+        # a lone row would take another BLAS path than the same row in a stack
+        assert all(n >= 2 for n in rows)
+        # the residuals of the points in two chunks
+        c = draw.draw(st.integers(1, len(data)))
+        R = np.concatenate([start.residual(s) for s in (slice(0, c), slice(c, len(data))) if s.stop > s.start])
+        for k, d in enumerate(data):
+            assert np.array_equal(R[k], kkt_residual(p, w0, d)), k
+            # point 0's blocks serve exactly the points whose own match them
+            # in all that the factor reads
+            alone = linearize(p, w0, d)
+            equal = [np.array_equal(getattr(start.ref, f).view(np.int64), getattr(alone, f).view(np.int64)) for f in "TQRSAB"]
+            assert start.same[k] == all(equal), k
+
+    def test_blocks_are_shared_exactly_where_the_factor_reads_the_same(self):
+        # d[0] moves only the residual and E; d[1] at a stage moves its B;
+        # stage N's data leave Q_N alone
+        p = data_in_B_problem(4)
+        w0, base = random_point(p, seed=6)
+        data = [base.perturbed(j, dj) for j, dj in ((2, [1.0, 0.0]), (2, [0.0, 1.0]), (1, [1.0, 0.0]), (4, [1.0, 1.0]))]
+        start = kkt._Start(p, w0, data)
+        assert start.same.tolist() == [True, False, True, True]
+        for k, d in enumerate(data):
+            assert np.array_equal(start.residual(slice(k, k + 1))[0], kkt_residual(p, w0, d))
+
+    def test_lq_batch_evaluates_each_distinct_row_once(self):
+        # point 0's 12 rows, then one own row per other point: the rows of
+        # stage 3 that equal the base data are one row, evaluated once
+        p = lq_chain(3, 2, 12, seed=4)
+        w0, base = random_point(p, seed=4)
+        rng = np.random.default_rng(4)
+        data = [base.perturbed(j, rng.standard_normal(3)) for j in (3, 7, 7, 12, -1)]
+        rows, stats = [], {}
+        batch = list(kkt.solve_batch(counting_batched_rows(p, rows), data, w0, stats=stats))
+        start = kkt._Start(p, w0, data)
+        # point 0's rows 0..11, then stage 3 at the base data (row 12, shared by
+        # the four others) and the two stage-7 rows; stages 12 and -1 hold no row
+        assert start.n_rows == stats["start_rows"] == 12 + 3 and stats["chunk_points"] >= len(data)
+        assert (start.rows[1:, 3] == 12).all() and start.rows[1:3, 7].tolist() == [13, 14]
+        assert (start.rows[3:] == [*range(3), 12, *range(4, 12)]).all()
+        assert stats["residual_evals"] == stats["newton_rounds"] + 1
+        # each LQ point shares point 0's blocks, so one factor serves all
+        assert start.same.all()
+        assert stats["factorizations"] == 1
+        # the two stage-7 points alone: one own row, which still goes
+        # through the batched oracles with another row
+        rows = []
+        kkt._Start(counting_batched_rows(p, rows), w0, data[1:3])
+        assert rows and min(rows) >= 2
+        for (res, err), d in zip(batch, data):
+            alone = solve_equality_nlp(p, d, w0=w0)
+            assert err is None and res.iterations == alone.iterations == 1
+            assert np.abs(res.trajectory.vector - alone.trajectory.vector).max() <= 1e-12

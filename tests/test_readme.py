@@ -1,8 +1,14 @@
-"""The README's library example runs as documented, so it cannot rot."""
+"""The README's library example runs as documented, and the solver counts
+it quotes are those a run writes, so neither can rot."""
+import importlib
+import json
 import re
 from pathlib import Path
 
+from edslab.cli import run
+
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = README.parent / "perfbench"
 
 
 def test_library_quick_tour_runs(capsys):
@@ -13,3 +19,31 @@ def test_library_quick_tour_runs(capsys):
     assert report
     rho, passed = last.split()
     assert 0.0 < float(rho) < 1.0 and passed in ("True", "False")
+
+
+def test_quoted_lock_step_counts_match_the_manifest(tmp_path, monkeypatch):
+    # the benchmark's lq_many_perturbations config, read from perfbench
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    cfg = importlib.import_module("workloads").config("lq_many_perturbations", 0)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(str(tmp_path / "cfg.json"), out_dir=str(tmp_path / "out")) == 0
+    counts = json.loads((tmp_path / "out" / "manifest.json").read_text())["cases"]["base"]["experiments"]
+    text = " ".join(README.read_text().split())
+    quoted = re.search(
+        r"on `lq_many_perturbations` (\d+) factorization for the (\d+) profiles' (\d+) Newton steps, "
+        r"in (\d+) rounds \(chunks of up to (\d+) profiles, `chunk_points`\) with (\d+) batched residual "
+        r"evaluations, the shared start's (\d+) \+ (\d+) = (\d+) stage rows",
+        text,
+    )
+    assert quoted, "the README no longer quotes the lq_many_perturbations counts"
+    factorizations, profiles, steps, rounds, chunk, evals, N, own, rows = map(int, quoted.groups())
+    assert profiles == len(cfg["stages"]) * cfg["replicates"] and N == cfg["params"]["N"] and N + own == rows
+    assert (factorizations, steps, rounds, chunk, evals, rows) == (
+        counts["factorizations"],
+        counts["solved_columns"],
+        counts["newton_rounds"],
+        counts["chunk_points"],
+        counts["residual_evals"],
+        counts["start_rows"],
+    )
+    assert f"(7 of the N = {N} chain" in text and chunk == 7
