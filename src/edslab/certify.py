@@ -8,7 +8,8 @@ Every modulus is a measured eigenvalue or singular value at one point:
   variables, i.e. the square root of the largest eigenvalue of M M^T.  Both
   Gram matrices are banded in the stage-interleaved ordering, so each
   eigenvalue is found by bisection on banded Cholesky factorizations, in
-  O(N b^2) time and O(N b) memory for half-bandwidth b;
+  O(N b^2) time and O(N b) memory for half-bandwidth b; M M^T's band comes
+  from the stage blocks, and inverse iteration finishes its bisection;
 - the second-order modulus gamma is the smallest eigenvalue of the reduced
   Hessian Z^T H Z, estimated by block inverse iteration on the stage-block
   KKT factor and proved by that factor's inertia, in O(N n^3) time and
@@ -42,7 +43,7 @@ from .kkt import (
     StageBlocks,
     assemble_hessian,
     assemble_jacobian,
-    assemble_mixed_hessian,
+    assemble_mixed_hessian,  # unused here: perfbench/tracer.py wraps it at this lookup site
     factor_kkt,
     linearize,
     sparse_jacobian,
@@ -203,60 +204,94 @@ def duality_check(blocks: StageBlocks, window: int, rel_tol: float = 1e-9):
 # NLP regularity moduli
 
 
-_pbtrf = scipy.linalg.get_lapack_funcs("pbtrf", dtype=np.float64)
+_pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 # Cap on bisection steps.  A bracket that starts at zero (a singular Gram
 # matrix) never shrinks to one ulp; after 64 halvings it is far narrower
 # than the eps * ||G|| to which a Cholesky test can resolve an eigenvalue.
 _BISECTION_STEPS = 64
+# Largest eigenvalues: the relative width that ends bisection, the inverse iteration's step cap, the proof's tests
+_TAU, _SOLVES, _PROOF_TESTS = 1e-6, 8, 2
 
 
-def _gram_eigenvalue(A, largest: bool) -> float:
-    """Largest or smallest eigenvalue of the Gram matrix G = A A^T of a
-    sparse A, by bisection on sigma.  G's lower band goes into LAPACK's
-    band storage; sigma I - G (largest) or G - sigma I (smallest) is
-    positive definite exactly when the banded Cholesky ?pbtrf succeeds.
-    The brackets are [max diag G, ||A||_1 ||A||_inf] and [0, min diag G].
-    Each step costs O(n b^2) for half-bandwidth b, and the result is
-    deterministic."""
-    G = (A @ A.T).tocoo()
-    lower = G.row >= G.col
-    r, c = G.row[lower], G.col[lower]
-    # Fortran order, as ?pbtrf takes it, so f2py passes each copy uncopied
-    band = np.zeros((int((r - c).max(initial=0)) + 1, G.shape[0]), order="F")
-    band[r - c, c] = G.data[lower]
+def _gram_eigenvalue(band: Array, largest: bool, stats: dict | None = None) -> float:
+    """Largest or smallest eigenvalue of the symmetric G with lower band
+    `band` (LAPACK's band storage), by bisection on sigma in [max diag G,
+    largest absolute row sum] or [0, min diag G]: sigma I - G or G - sigma I
+    is positive definite iff ?pbtrf succeeds, in O(n b^2) for half-bandwidth
+    b.  The result is the midpoint of a bracket whose ends tests (or the
+    first bracket) decided, with hi - lo <= eps hi or after 64 steps.  A
+    largest eigenvalue is bisected only to _TAU hi; inverse iteration on the
+    factor at hi then decides the remaining steps, and tests of the last
+    bracket's ends, the one nearer its estimate first and two at most, prove
+    them, or bisection goes on with every test kept.  `stats` gets the
+    factorizations, the solves and whether that proof closed (or None)."""
+    eps, stats = np.finfo(float).eps, {} if stats is None else stats
+    stats.update(factorizations=0, solves=0, proved=None)
+    S, tested, held = (-band if largest else band), {}, None
     if largest:
-        absA = abs(A)
-        lo, hi = float(band[0].max()), float(absA.sum(axis=0).max() * absA.sum(axis=1).max())
-        band = -band
-    else:
-        lo, hi = 0.0, float(band[0].min())
-    eps = np.finfo(float).eps
-    for _ in range(_BISECTION_STEPS):
-        if hi - lo <= eps * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        W = band.copy(order="F")
-        W[0] += mid if largest else -mid
-        _, info = _pbtrf(W, lower=1, overwrite_ab=1)
-        if info < 0:
-            raise ValueError(f"?pbtrf: illegal value in argument {-info}")
-        if (info == 0) == largest:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+        rows = np.abs(band).sum(axis=0)
+        for i in range(1, len(band)):
+            rows[i:] += np.abs(band[i, :-i])
+    lo, hi = (float(band[0].max()), float(rows.max())) if largest else (0.0, float(band[0].min()))
+
+    def above(sigma):
+        """Whether the eigenvalue lies below sigma, by one ?pbtrf per sigma."""
+        nonlocal held
+        if sigma not in tested:
+            W = S.copy(order="F")  # Fortran order, as ?pbtrf takes it
+            W[0] += sigma if largest else -sigma
+            _, info = _pbtrf(W, lower=1, overwrite_ab=1)
+            if info < 0:
+                raise ValueError(f"?pbtrf: illegal value in argument {-info}")
+            stats["factorizations"] += 1
+            tested[sigma], held = (info == 0) == largest, W if info == 0 else held
+        return tested[sigma]
+
+    def bisect(rel, below):
+        a, b = lo, hi
+        for _ in range(_BISECTION_STEPS):
+            if b - a <= rel * b:
+                break
+            mid = 0.5 * (a + b)
+            a, b = (a, mid) if below(mid) else (mid, b)
+        return a, b
+
+    a, b = bisect(_TAU if largest else eps, above)
+    if largest and held is not None and b - a > eps * b:
+        v, theta = np.random.default_rng(0).standard_normal(band.shape[1]), math.inf
+        for _ in range(_SOLVES):
+            y = _pbtrs(held, v, lower=1)[0]
+            stats["solves"] += 1
+            last, theta, v = theta, b - float(v @ v) / float(v @ y), y / np.linalg.norm(y)
+            if abs(theta - last) <= eps * theta:
+                break
+        for spent in range(_PROOF_TESTS + 1):
+            a, b = bisect(eps, lambda mid: tested[mid] if mid in tested else mid > theta)
+            ends = [e for e in (a, b) if e not in tested and e not in (lo, hi)]
+            if not ends or spent == _PROOF_TESTS:
+                break
+            above(min(ends, key=lambda e: abs(e - theta)))
+        stats["proved"] = not ends
+        if ends:
+            a, b = bisect(eps, above)
+    return 0.5 * (a + b)
 
 
-def licq_modulus(J) -> float:
-    """Smallest eigenvalue of J J^T for a dense or sparse J; see
-    `_gram_eigenvalue`."""
+def licq_modulus(J, stats: dict | None = None) -> float:
+    """Smallest eigenvalue of J J^T for a dense or sparse J, from the band of
+    the sparse product by `_gram_eigenvalue`."""
     J = scipy.sparse.csr_array(J if scipy.sparse.issparse(J) else np.atleast_2d(J), dtype=float)
     if J.shape[0] == 0:
         return math.inf
     if J.shape[0] > J.shape[1]:
         return 0.0
-    return _gram_eigenvalue(J, largest=False)
+    G = (J @ J.T).tocoo()
+    lower = G.row >= G.col
+    r, c = G.row[lower], G.col[lower]
+    band = np.zeros((int((r - c).max(initial=0)) + 1, G.shape[0]), order="F")
+    band[r - c, c] = G.data[lower]
+    return _gram_eigenvalue(band, False, stats)
 
 
 def sosc_modulus(H: Array, J: Array) -> float:
@@ -490,14 +525,50 @@ def factor_sosc_modulus(blocks: StageBlocks, stats: dict | None = None) -> float
     return None
 
 
-def mixed_hessian_norm(blocks: StageBlocks) -> float:
-    """Spectral norm of the sparse mixed second derivative M of the
-    Lagrangian in (primal-dual, data) variables: the square root of the
-    largest eigenvalue of M M^T, see `_gram_eigenvalue`."""
-    M = assemble_mixed_hessian(blocks)
-    if min(M.shape) == 0:
-        return 0.0
-    return math.sqrt(_gram_eigenvalue(M, largest=True))
+def _mixed_gram_band(blocks: StageBlocks) -> Array:
+    """Lower band (LAPACK's band storage) of M M^T for the mixed Hessian M of
+    `assemble_mixed_hessian`, from the stage blocks alone.  The rows of M
+    fall into the groups lam_{-1}, [x_k; u_k; lam_k] and x_N; group k meets
+    only the columns lam_{k-1} (-I on x_k, -T^T at k = 0), (x_k, u_k, lam_k)
+    (Y_k = [[Q, S, A^T], [S^T, R, B^T], [A, B, 0]]), d_k ([E; F; G]) and
+    x_{k+1} (-I on lam_k).  So M M^T is block tridiagonal in the groups;
+    trailing zero diagonals of its band are dropped."""
+    dims = blocks.dims
+    N, n_x, n_z, n_0, s = dims.N, dims.n_x, dims.n_z, dims.n_0, dims.n_z + dims.n_x
+    x, u, l = slice(0, n_x), slice(n_x, n_z), slice(n_z, s)
+    Y, D = np.zeros((N + 1, s, s)), np.zeros((N + 1, s, max(dims.n_d[1:])))
+    Y[:, x, x], Y[:N, u, u] = blocks.Q, blocks.R
+    for r, c, M in ((x, u, blocks.S), (l, x, blocks.A), (l, u, blocks.B)):
+        Y[:N, r, c], Y[:N, c, r] = M, np.swapaxes(M, 1, 2)
+    for r, Ms in ((x, blocks.E), (u, blocks.F), (l, blocks.G)):
+        for k, M in enumerate(Ms):
+            D[k, r, : M.shape[1]] = M
+    # V[k]: group k's diagonal block over its block with group k + 1 (x_N padded
+    # to a full group); T's Gram products term by term, as a fused multiply-add
+    # leaves a residue where rows of T are orthogonal by construction
+    gram = lambda M: (M[:, None] * M[None]).sum(axis=2)
+    V = np.zeros((N + 1, 2 * s, s))
+    V[:, :s] = Y @ Y.swapaxes(1, 2) + D @ D.swapaxes(1, 2)
+    V[0, x, x] += gram(blocks.T.T)
+    V[1:, x, x] += np.eye(n_x)
+    V[:N, l, l] += np.eye(n_x)
+    V[:N, s : s + n_x] = -Y[:N, :, l].swapaxes(1, 2)
+    V[:N, s:, l] -= Y[1:, :, x]
+    band = np.zeros((s + n_x, n_0 + (N + 1) * s), order="F")
+    for i in range(s + n_x):
+        band[i, n_0:].reshape(N + 1, s)[:, : 2 * s - i] = np.diagonal(V, -i, 1, 2)
+    head = np.vstack([gram(blocks.T) + np.eye(n_0), -Y[0, :, x] @ blocks.T.T])  # lam_{-1}'s column
+    for c in range(n_0):
+        band[: n_0 + s - c, c] = head[c:, c]
+    band = band[:, : dims.n_w]
+    return np.asfortranarray(band[: np.flatnonzero(band.any(axis=1))[-1] + 1])
+
+
+def mixed_hessian_norm(blocks: StageBlocks, stats: dict | None = None) -> float:
+    """Spectral norm of the mixed second derivative M of the Lagrangian in
+    (primal-dual, data) variables: the square root of the largest
+    eigenvalue of M M^T, from `_mixed_gram_band` by `_gram_eigenvalue`."""
+    return math.sqrt(_gram_eigenvalue(_mixed_gram_band(blocks), True, stats))
 
 
 def blh_modulus(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> float:
@@ -546,9 +617,10 @@ class CertificateReport:
     trivial and None when the Jacobian is rank deficient; failures are
     report entries, never exceptions.  `failures` names, for each failed
     flag among ctrl_uniform, obs_uniform, r_positive, q_psd and s_zero, the
-    window start or stage that set it, and `gamma_provenance` gamma's path
-    ("factor", "condensed" or "dense") and the fast path's counts; both are
-    kept out of the text and CSV forms.
+    window start or stage that set it, `gamma_provenance` gamma's path
+    ("factor", "condensed" or "dense") and the fast path's counts, and
+    `gram_provenance`, for each of beta and L_observed, the counts of
+    `_gram_eigenvalue`; all three are kept out of the text and CSV forms.
     """
 
     beta: float
@@ -564,6 +636,7 @@ class CertificateReport:
     flags: dict
     failures: dict = field(default_factory=dict)
     gamma_provenance: dict = field(default_factory=dict)
+    gram_provenance: dict = field(default_factory=dict)
 
     @property
     def licq_ok(self) -> bool:
@@ -627,7 +700,8 @@ def build_report(
 ) -> CertificateReport:
     """Populate every certificate at a converged primal-dual point."""
     blocks = linearize(p, traj, data)
-    beta = licq_modulus(sparse_jacobian(blocks))
+    gram = {"beta": {}, "L_observed": {}}
+    beta = licq_modulus(sparse_jacobian(blocks), gram["beta"])
     provenance = {"source": "factor"}
     try:
         gamma = factor_sosc_modulus(blocks, provenance)
@@ -636,7 +710,7 @@ def build_report(
     except RegularityError:
         gamma = None
     vacuous = gamma is not None and math.isinf(gamma)
-    L_observed = mixed_hessian_norm(blocks)
+    L_observed = mixed_hessian_norm(blocks, gram["L_observed"])
     K = max_block_norm(blocks)
     r_stages, q_stages, s_stages = stage_moduli(blocks)
     r = min(r_stages, default=math.inf)
@@ -683,4 +757,5 @@ def build_report(
         flags=flags,
         failures=failures,
         gamma_provenance=provenance,
+        gram_provenance=gram,
     )

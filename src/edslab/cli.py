@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from . import report
 from .certify import build_report
-from .eds import decay_contrast, fit_decay, run_experiments
+from .eds import decay_contrast, fit_decay, pooled_points, run_experiments
 from .errors import ConfigurationError, EdslabError
 from .kkt import SolveOptions, solve_equality_nlp
 from .models import build_model, list_models
@@ -173,8 +173,9 @@ def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiment
             )
         result["profiles"] = profiles
         with _timed(timings, "fit_s"):
-            result["fit_ls"] = fit_decay(profiles, mode="ls")
-            result["fit_env"] = fit_decay(profiles, mode="envelope")
+            points = pooled_points(profiles)
+            result["fit_ls"] = fit_decay(profiles, "ls", points)
+            result["fit_env"] = fit_decay(profiles, "envelope", points)
     return result
 
 
@@ -258,6 +259,7 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
             ],
             "failed_flags": res["certificate"].failures,
             "gamma": res["certificate"].gamma_provenance,
+            "gram": res["certificate"].gram_provenance,
             "experiments": res["experiments"],
             "timings": res["timings"],
         }

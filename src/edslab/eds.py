@@ -224,7 +224,8 @@ class DecayFit:
         return self.rho >= 1.0 - 1e-12
 
 
-def _pooled_points(profiles):
+def pooled_points(profiles):
+    """(|i - j|, log(s_i / magnitude), largest floor) of `fit_decay`."""
     # math.log, not np.log: the two differ in the last bit on some inputs
     dists, logs = [np.empty(0)], []
     for prof in profiles:
@@ -235,12 +236,13 @@ def _pooled_points(profiles):
     return np.concatenate(dists), np.asarray(logs, dtype=float), (max(floors) if floors else FLOOR_ABS)
 
 
-def fit_decay(profiles, mode: str = "ls") -> DecayFit:
+def fit_decay(profiles, mode: str = "ls", points: tuple | None = None) -> DecayFit:
     """Least-squares line through (|i - j|, log(s_i / magnitude)) pooled
-    over converged profiles, entries above the noise floor only."""
+    over converged profiles, entries above the noise floor only; `points`
+    is `pooled_points(profiles)` when the caller holds them."""
     if mode not in ("ls", "envelope"):
         raise ConfigurationError(f"unknown fit mode '{mode}'")
-    dists, logs, floor = _pooled_points(profiles)
+    dists, logs, floor = pooled_points(profiles) if points is None else points
     if dists.size < 3:
         raise FitError(f"need at least 3 points above the noise floor, have {dists.size}")
     if np.ptp(dists) == 0.0:

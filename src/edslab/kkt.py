@@ -209,11 +209,11 @@ class _Stages(NamedTuple):
     I: list
 
 
-def _stages(p: DOProblem, W: Array, data: list) -> _Stages:
+def _stages(p: DOProblem, W: Array, data: list, D: Array | None = None) -> _Stages:
     dims = p.dims
     rows = W[:, dims.n_0 : dims.w_offsets[-2]].reshape(-1, 2 * dims.n_x + dims.n_u)
-    if dims.stage_nd is not None:
-        D = np.concatenate([d.stage_rows() for d in data])
+    if dims.stage_nd is not None:  # D: the points' stage_rows(), when the caller holds them
+        D = np.concatenate([d.stage_rows() for d in data]) if D is None else D.reshape(len(rows), -1)
     else:
         D = [d[i] for d in data for i in range(dims.N)]
     return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], D, [*range(dims.N)] * len(W))
@@ -394,17 +394,17 @@ def _block_terms(p: DOProblem, st: _Stages, x_N: Array, D_N: Array) -> tuple:
     return _sym(Qc + Hxx), _sym(Rc + Huu), Sc + Hxu, _add(Ec, Hxd), _add(Fc, Hud), _sym(QN), EN
 
 
-def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None):
+def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None, rows: Array | None = None):
     """All per-stage derivative blocks at (traj, data).  The Q/S/R/E/F blocks
     differentiate the stage Lagrangians, so they include the
     multiplier-weighted dynamics curvature.  `jacobians`, when given, holds
     the per-stage (A, B, G) that `kkt_residual` evaluated at this same
     (traj, data); they are used instead of evaluating the dynamics Jacobian
-    again.  A batch of points (see `kkt_residual`) gives a list with one
-    `StageBlocks` per point."""
+    again.  A batch of points (see `kkt_residual`, also for `rows`) gives a
+    list with one `StageBlocks` per point."""
     W, data, single = _points(p, traj, data)
     dims, N = p.dims, p.dims.N
-    st = _stages(p, W, data)
+    st = _stages(p, W, data, rows)
     if jacobians is None:
         A, B, G = _stage_terms(p, st, "dynamics_jac", ("xx", "xu", "xd"))
     else:
@@ -571,7 +571,7 @@ def _stage_residuals(p: DOProblem, W: Array, st: _Stages, at=slice(None)) -> tup
     return np.hstack([gx + LA[:, 0] - lam_prev, gu + LB[:, 0], f - x_next]), (A, B, G)
 
 
-def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None) -> Array:
+def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None, rows: Array | None = None) -> Array:
     """Gradient of the Lagrangian in `traj.vector`, so in the same stage
     order; zero exactly at stationary points.  The multiplier entries are
     the negated constraint residuals.  Each stage's dynamics Jacobians
@@ -581,9 +581,10 @@ def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None) -> 
     For a batch of P points, the rows of a (P, n_w) array `traj` with P
     data trajectories, all P N stages go through each batched oracle at
     once, the residuals are rows too, and one (A, B, G) stacked over the
-    P N stage rows is appended to `jacobians`."""
+    P N stage rows is appended to `jacobians`.  `rows`, when given, stacks
+    the points' `DataTrajectory.stage_rows()`, for a caller that holds them."""
     W, data, single = _points(p, traj, data)
-    stages, (A, B, G) = _stage_residuals(p, W, _stages(p, W, data))
+    stages, (A, B, G) = _stage_residuals(p, W, _stages(p, W, data, rows))
     (gN,) = _terminal_terms(p, *_terminal(p, W, data))
     if jacobians is not None:
         jacobians.extend(zip(A, B, G)) if single else jacobians.append((A, B, G))
@@ -821,10 +822,11 @@ class _Start:
     def __init__(self, p: DOProblem, w0: PrimalDualTrajectory, data: list):
         dims, N, P, end = p.dims, p.dims.N, len(data), p.dims.w_offsets[-2]
         self.W0, jac = w0.vector[None], []
-        # which of stages -1..N hold data that differ from point 0's
-        bits = np.array([d.stacked() for d in data]).view(np.int64)
-        seen, off = np.cumsum(np.pad(bits != bits[0], ((0, 0), (1, 0))), axis=1), np.cumsum([0, *dims.n_d])
-        differs = seen[:, off[1:]] > seen[:, off[:-1]]
+        # which of stages -1..N hold data that differ from point 0's (not its own vector objects)
+        ref = data[0].vectors
+        differs = np.array([[v is not r for v, r in zip(d.vectors, ref)] for d in data])
+        for k, i in np.argwhere(differs).tolist():
+            differs[k, i] = data[k].vectors[i].tobytes() != ref[i].tobytes()
         self.rows, own = np.tile(np.arange(N), (P, 1)), {}
         for k, i in np.argwhere(differs[:, 1:-1]).tolist():
             self.rows[k, i] = own.setdefault((i, data[k][i].tobytes()), (N + len(own), i, data[k][i]))[0]
@@ -952,6 +954,8 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
     the first iteration, shared across chunks."""
     dims, P, N = p.dims, len(data), p.dims.N
     W = np.repeat(start.W0, P, axis=0)
+    rows = None if dims.stage_nd is None else np.array([d.stage_rows() for d in data])  # built once
+    own = lambda ks: None if rows is None else rows[ks]
     R = start.residual(ks)
     # per point after iteration 0: the (A, B, G) of the residual call at its iterate, its index
     jacs = [None] * P
@@ -969,7 +973,7 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
             blocks = {k: start.ref if start.same[ks][k] else linearize(p, start.W0, [data[k]])[0] for k in live}
         else:
             jac = [_jacobian_rows([jacs[k] for k in live], N)]
-            blocks = dict(zip(live, linearize(p, W[live], [data[k] for k in live], jacobians=jac)))
+            blocks = dict(zip(live, linearize(p, W[live], [data[k] for k in live], jacobians=jac, rows=own(live))))
         phi0 = {k: 0.5 * float(R[k] @ R[k]) for k in live}
         reg = dict.fromkeys(live, 0.0)
         need, alpha, step = list(live), {}, {}
@@ -995,7 +999,7 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
             S = list(alpha)
             W_try = W[S] + np.array([alpha[k] for k in S])[:, None] * np.array([step[k] for k in S])
             jac = []
-            R_try = kkt_residual(p, W_try, [data[k] for k in S], jacobians=jac)
+            R_try = kkt_residual(p, W_try, [data[k] for k in S], jacobians=jac, rows=own(S))
             stats["residual_evals"] += 1
             for i, k in enumerate(S):
                 r = R_try[i]

@@ -216,15 +216,14 @@ class DOProblem:
 
 class DataTrajectory:
     """Stage data d_{-1}, d_0, ..., d_N.  Index with stage numbers:
-    `data[-1]` is the initial-constraint right-hand side."""
+    `data[-1]` is the initial-constraint right-hand side; the tuple
+    `vectors` holds them in that order."""
 
     def __init__(self, dims: Dimensions, vectors: Sequence):
         if len(vectors) != dims.N + 2:
             raise ConfigurationError(f"expected {dims.N + 2} data vectors, got {len(vectors)}")
-        self.dims = dims
-        self._d = [
-            _as_vector(v, dims.nd(i - 1), f"d[{i - 1}]") for i, v in enumerate(vectors)
-        ]
+        self.dims, self._shared = dims, None
+        self.vectors = tuple(_as_vector(v, dims.nd(i - 1), f"d[{i - 1}]") for i, v in enumerate(vectors))
 
     @classmethod
     def zeros(cls, dims: Dimensions) -> "DataTrajectory":
@@ -236,31 +235,32 @@ class DataTrajectory:
         return stage + 1
 
     def __getitem__(self, stage: int) -> Array:
-        return self._d[self._index(stage)]
+        return self.vectors[self._index(stage)]
+
+    def _of(self, vectors: tuple) -> "DataTrajectory":
+        """A trajectory of vectors that were validated already."""
+        out = DataTrajectory.__new__(DataTrajectory)
+        out.dims, out._shared, out.vectors = self.dims, None, vectors
+        return out
 
     def copy(self) -> "DataTrajectory":
-        """A copy of every vector; they were validated already, so they are
-        not checked again."""
-        out = DataTrajectory.__new__(DataTrajectory)
-        out.dims, out._d = self.dims, [v.copy() for v in self._d]
-        return out
+        """A copy of every vector."""
+        return self._of(tuple(v.copy() for v in self.vectors))
 
     def perturbed(self, stage: int, delta) -> "DataTrajectory":
         """New trajectory with `delta` added to the data at one stage; only
-        `delta` is validated."""
+        `delta` is validated.  The other stages are read-only views of this
+        one's vectors, shared by all its perturbations."""
         k = self._index(stage)
         delta = _as_vector(delta, self.dims.nd(stage), f"delta at stage {stage}")
-        out = self.copy()
-        out._d[k] = out._d[k] + delta
-        return out
-
-    def stacked(self) -> Array:
-        return np.concatenate(self._d) if self._d else np.zeros(0)
+        if self._shared is None:
+            self._shared = tuple(np.lib.stride_tricks.as_strided(v, writeable=False) for v in self.vectors)
+        return self._of((*self._shared[:k], self.vectors[k] + delta, *self._shared[k + 1 :]))
 
     def stage_rows(self) -> Array:
         """d_0, ..., d_{N-1} as the rows of an (N, n_d) array; only when
         `dims.stage_nd` is not None."""
-        return np.array(self._d[1 : self.dims.N + 1]).reshape(self.dims.N, self.dims.stage_nd)
+        return np.array(self.vectors[1 : self.dims.N + 1]).reshape(self.dims.N, self.dims.stage_nd)
 
 
 def _stage_order(dims: Dimensions) -> Array:

@@ -5,6 +5,7 @@ import types
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -582,6 +583,56 @@ class TestBandedModuli:
         assert mixed_hessian_norm(blocks) == pytest.approx(ref, rel=1e-10)
 
     @settings(max_examples=150, deadline=None)
+    @given(stage_blocks(varying_nd=True))
+    def test_mixed_norm_matches_dense_svd_with_varying_data_sizes(self, blocks):
+        ref = np.linalg.norm(assemble_mixed_hessian(blocks).toarray(), 2)
+        assert mixed_hessian_norm(blocks) == pytest.approx(ref, rel=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(stage_blocks(), stage_blocks(varying_nd=True)))
+    def test_block_band_matches_the_sparse_gram(self, blocks):
+        assert_block_band_matches_sparse(blocks)
+
+    @pytest.mark.parametrize(
+        "N, n_x, n_u, n_0, nds",
+        [
+            (1, 2, 0, 1, (2, 0)),  # N = 1, no inputs, n_0 < n_x, empty terminal data
+            (1, 3, 2, 3, (0, 0)),  # no data at all
+            (4, 3, 1, 0, (2, 0, 3, 1, 0)),  # empty stage and terminal data
+            (3, 2, 2, 2, (1, 1, 1, 0)),  # empty terminal data only
+            (5, 1, 0, 0, (0, 2, 0, 0, 2, 2)),  # scalar state without inputs
+        ],
+    )
+    def test_block_band_edge_shapes(self, N, n_x, n_u, n_0, nds):
+        rng = np.random.default_rng(N * 100 + n_x * 10 + n_u)
+        sym = lambda M: 0.5 * (M + M.swapaxes(-1, -2))
+        blocks = StageBlocks(
+            dims=Dimensions(N, n_x, n_u, (n_0, *nds), n_0),
+            T=np.linalg.qr(rng.standard_normal((n_x, n_x)))[0][:n_0],
+            Q=sym(rng.standard_normal((N + 1, n_x, n_x))),
+            R=sym(rng.standard_normal((N, n_u, n_u))),
+            S=rng.standard_normal((N, n_x, n_u)),
+            E=[rng.standard_normal((n_x, k)) for k in nds],
+            F=[rng.standard_normal((n_u, k)) for k in nds[:N]],
+            A=rng.standard_normal((N, n_x, n_x)),
+            B=rng.standard_normal((N, n_x, n_u)),
+            G=[rng.standard_normal((n_x, k)) for k in nds[:N]],
+        )
+        assert_block_band_matches_sparse(blocks)
+        ref = np.linalg.norm(assemble_mixed_hessian(blocks).toarray(), 2)
+        assert mixed_hessian_norm(blocks) == pytest.approx(ref, rel=1e-10)
+
+    @pytest.mark.parametrize("n_0, N", [(2, 1), (2, 3), (1, 2)])
+    def test_block_band_of_orthogonal_T_alone(self, n_0, N):
+        # T's rows are orthogonal by construction (a 2 x 2 reflection) and
+        # every other block is zero, so T T^T and T^T T alone decide the
+        # half-bandwidth: the sparse product cancels their off-diagonal
+        # entries exactly, and so must the block band
+        T = 1.3 * np.linalg.qr(np.random.default_rng(n_0 + N).standard_normal((2, 2)))[0][:n_0]
+        blocks = StageBlocks.time_invariant(np.zeros((2, 2)), np.zeros((2, 1)), np.zeros((2, 2)), np.zeros((1, 1)), N, T=T)
+        assert_block_band_matches_sparse(blocks)
+
+    @settings(max_examples=150, deadline=None)
     @given(stage_blocks())
     def test_licq_matches_svd_on_banded_jacobian(self, blocks):
         J = assemble_jacobian(blocks)
@@ -639,6 +690,112 @@ class TestBandedModuli:
         beta_short = np.linalg.svd(assemble_jacobian(short), compute_uv=False)[-1] ** 2
         assert L == pytest.approx(L_short, rel=1e-3)
         assert beta == pytest.approx(beta_short, rel=1e-3)
+
+
+def sparse_gram_band(M):
+    """Lower band of M M^T, from the sparse product, as `licq_modulus`
+    builds it for J."""
+    G = (M @ M.T).tocoo()
+    lower = G.row >= G.col
+    r, c = G.row[lower], G.col[lower]
+    band = np.zeros((int((r - c).max(initial=0)) + 1, G.shape[0]), order="F")
+    band[r - c, c] = G.data[lower]
+    return band
+
+
+def assert_block_band_matches_sparse(blocks):
+    band, ref = certify._mixed_gram_band(blocks), sparse_gram_band(assemble_mixed_hessian(blocks))
+    assert band.shape == ref.shape  # the same half-bandwidth
+    assert band.flags.f_contiguous
+    assert np.abs(band - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+
+
+def band_of(G):
+    """Lower band of a dense symmetric G with its nonzero diagonals."""
+    kd = max(i for i in range(len(G)) if np.diagonal(G, -i).any())
+    band = np.zeros((kd + 1, len(G)), order="F")
+    for i in range(kd + 1):
+        band[i, : len(G) - i] = np.diagonal(G, -i)
+    return band
+
+
+def plain_bisection(band):
+    """The search for the largest eigenvalue before inverse iteration: the
+    same bracket, every step a ?pbtrf test.  Returns the value and the
+    factorizations taken."""
+    rows = np.abs(band).sum(axis=0)
+    for i in range(1, len(band)):
+        rows[i:] += np.abs(band[i, :-i])
+    lo, hi, count = float(band[0].max()), float(rows.max()), 0
+    for _ in range(64):
+        if hi - lo <= np.finfo(float).eps * hi:
+            break
+        mid, W = 0.5 * (lo + hi), -band.copy(order="F")
+        W[0] += mid
+        count += 1
+        if certify._pbtrf(W, lower=1, overwrite_ab=1)[1] == 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), count
+
+
+def banded_gram(n, kd, rng):
+    """A random positive semidefinite G = A A^T with A of lower bandwidth kd."""
+    A = np.tril(np.triu(rng.standard_normal((n, n)), -kd))
+    return A @ A.T
+
+
+class TestGramSearch:
+    """The largest-eigenvalue search: bisection to _TAU, then inverse
+    iteration and a proof by two ?pbtrf tests, else bisection to the end."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(stage_blocks())
+    def test_at_most_two_factorizations_beyond_plain_bisection(self, blocks):
+        band, stats = certify._mixed_gram_band(blocks), {}
+        value = certify._gram_eigenvalue(band, True, stats)
+        ref, count = plain_bisection(band)
+        assert stats["factorizations"] <= count + 2
+        assert value == pytest.approx(ref, rel=4 * np.finfo(float).eps)
+        if stats["proved"] is False:  # then the bisection finished, every test kept
+            assert value == ref
+
+    def test_double_top_eigenvalue(self):
+        # two copies of one banded Gram matrix: every eigenvalue is double
+        G1 = banded_gram(60, 3, np.random.default_rng(1))
+        G = scipy.linalg.block_diag(G1, G1)
+        stats = {}
+        value = certify._gram_eigenvalue(band_of(G), True, stats)
+        top = np.linalg.eigvalsh(G)
+        assert top[-1] - top[-2] <= 1e-13 * top[-1]
+        assert value == pytest.approx(top[-1], rel=1e-14)
+        assert stats["proved"] is True and stats["solves"] >= 1
+        assert stats["factorizations"] <= plain_bisection(band_of(G))[1] + 2
+
+    def test_cluster_tighter_than_tau_falls_back_to_bisection(self):
+        # the second copy is scaled by 1 + 1e-9: the top two eigenvalues are
+        # 1e-9 apart, inverse iteration cannot split them, the proof fails
+        G1 = banded_gram(60, 3, np.random.default_rng(2))
+        G = scipy.linalg.block_diag(G1, (1 + 1e-9) * G1)
+        top = np.linalg.eigvalsh(G)
+        assert 0 < top[-1] - top[-2] < certify._TAU * top[-1]
+        band, stats = band_of(G), {}
+        value = certify._gram_eigenvalue(band, True, stats)
+        assert stats["proved"] is False
+        ref, count = plain_bisection(band)
+        assert value == ref and value == pytest.approx(top[-1], rel=1e-14)
+        assert count < stats["factorizations"] <= count + 2
+
+    def test_lq_horizon_takes_at_most_26_factorizations(self):
+        # the benchmark's lq_horizon chain (N = 120) at seed 0
+        b = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": 120, "stability": 0.9, "seed": 5})
+        res = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
+        gram = build_report(b.problem, res.trajectory, b.base_data, 2, 2).gram_provenance
+        assert gram["L_observed"]["proved"] is True
+        assert gram["L_observed"]["factorizations"] <= 26
+        # beta keeps plain bisection: no solves, no proof
+        assert gram["beta"]["solves"] == 0 and gram["beta"]["proved"] is None
 
 
 # ---------------------------------------------------------------------------

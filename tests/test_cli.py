@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from edslab import DecayFit, Dimensions, PrimalDualTrajectory, SensitivityProfile, report
 from edslab.cli import main, run
 from edslab.errors import ConfigurationError
-from edslab.eds import _pooled_points
+from edslab.eds import pooled_points
 from edslab.report import SCHEMAS, base_solution_rows, plot_decay, profile_rows
 
 
@@ -171,6 +171,33 @@ class TestRun:
             assert gamma["source"] == "factor" and gamma["factorizations"] >= 2 and gamma["steps"] >= 1
             assert "factorizations" not in read(out / f"certificate_{name}.txt").decode()
         assert "factor" not in certificates
+
+    def test_manifest_records_gram_provenance(self, tmp_path):
+        out = tmp_path / "out"
+        cfg = write_quad_pair_config(tmp_path / "cfg.json")
+        assert run(str(cfg), out_dir=str(out)) == 0
+        cases = json.loads(read(out / "manifest.json"))["cases"]
+        certificates = read(out / "certificates.csv").decode()
+        for name in ("case1", "case2"):
+            gram = cases[name]["gram"]
+            assert set(gram) == {"beta", "L_observed"}
+            for counts in gram.values():
+                assert set(counts) == {"factorizations", "solves", "proved"}
+                assert isinstance(counts["factorizations"], int) and counts["factorizations"] >= 1
+            # beta bisects to the end; L_observed turns to inverse iteration
+            assert gram["beta"]["solves"] == 0 and gram["beta"]["proved"] is None
+            assert gram["L_observed"]["solves"] >= 1 and isinstance(gram["L_observed"]["proved"], bool)
+            assert "proved" not in read(out / f"certificate_{name}.txt").decode()
+        assert "proved" not in certificates and "solves" not in certificates
+
+    def test_pipeline_fits_both_modes_from_one_pooling(self, tmp_path):
+        from edslab.cli import _case_pipeline, load_config
+        from edslab.eds import fit_decay
+
+        cfg = load_config(str(write_config(tmp_path / "cfg.json", stages=[4, 12], replicates=3)))
+        res = _case_pipeline(cfg, "base", {})
+        assert res["fit_ls"] == fit_decay(res["profiles"], mode="ls")
+        assert res["fit_env"] == fit_decay(res["profiles"], mode="envelope")
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -494,7 +521,7 @@ class TestBulkFormatting:
     @settings(max_examples=100, deadline=None)
     @given(profile_sets(special=True))
     def test_pooled_points_same_bits(self, profiles):
-        dists, logs, _ = _pooled_points(profiles)
+        dists, logs, _ = pooled_points(profiles)
         ref_dists, ref_logs = legacy_pooled_points(profiles)
         assert dists.dtype == logs.dtype == np.float64
         assert dists.tobytes() == ref_dists.tobytes() and logs.tobytes() == ref_logs.tobytes()
@@ -508,7 +535,7 @@ class TestBulkFormatting:
                                magnitude=float(rng.uniform(1e-3, 10.0)), converged=True, replicate=k)
             for k in range(60)
         ]
-        dists, logs, _ = _pooled_points(profiles)
+        dists, logs, _ = pooled_points(profiles)
         ref_dists, ref_logs = legacy_pooled_points(profiles)
         assert dists.size == 60 * 202
         assert dists.tobytes() == ref_dists.tobytes() and logs.tobytes() == ref_logs.tobytes()

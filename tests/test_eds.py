@@ -25,6 +25,7 @@ from edslab import (
     verify_eds_bound,
 )
 from edslab import kkt
+from edslab.eds import pooled_points
 from conftest import dense_newton_step, strongly_indefinite_problem, toy_nonlinear_problem
 
 
@@ -160,6 +161,15 @@ class TestFitDecay:
         check = verify_eds_bound([prof], fit, slack=1.0)
         assert check.violations == 0
         assert check.worst_ratio == pytest.approx(1.0, rel=1e-12)
+
+    def test_pooled_points_serve_both_modes(self):
+        rng = np.random.default_rng(3)
+        profiles = [synthetic_profile(20, j, 0.8, 0.55, replicate=r) for j in (4, 12) for r in range(2)]
+        for prof in profiles:
+            prof.s = prof.s * rng.uniform(0.7, 1.3, prof.s.size)
+        points = pooled_points(profiles)
+        for mode in ("ls", "envelope"):
+            assert fit_decay(profiles, mode, points) == fit_decay(profiles, mode)
 
     def test_noise_floor_excluded(self):
         # half the profile sits at solver-noise level; the fitted rate must

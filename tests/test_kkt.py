@@ -957,6 +957,21 @@ class TestSharedStart:
         for k, d in enumerate(data):
             assert np.array_equal(start.residual(slice(k, k + 1))[0], kkt_residual(p, w0, d))
 
+    def test_shared_and_copied_stage_vectors_give_one_start(self):
+        # perturbations share the unchanged stages with point 0 as objects;
+        # deep copies of the same data must be compared bit for bit instead
+        p = lq_chain(3, 2, 8, seed=5)
+        w0, base = random_point(p, seed=5)
+        deltas = np.random.default_rng(5).standard_normal((5, 3))
+        shared = [base.perturbed(j, dj) for j, dj in zip((2, 2, 5, 8, -1), deltas)]
+        shared.append(base.perturbed(2, deltas[0]))  # point 0's stage 2, another object
+        copied = [d.copy() for d in shared]
+        a, b = kkt._Start(p, w0, shared), kkt._Start(p, w0, copied)
+        assert np.array_equal(a.rows, b.rows) and np.array_equal(a.same, b.same) and a.n_rows == b.n_rows
+        assert np.array_equal(a.residual(slice(None)), b.residual(slice(None)))
+        for k, d in enumerate(copied):
+            assert np.array_equal(b.residual(slice(k, k + 1))[0], kkt_residual(p, w0, d))
+
     def test_lq_batch_evaluates_each_distinct_row_once(self):
         # point 0's 12 rows, then one own row per other point: the rows of
         # stage 3 that equal the base data are one row, evaluated once

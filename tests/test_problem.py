@@ -234,6 +234,24 @@ def smooth_problem(dims):
     return DOProblem(dims=dims, oracles=oracles, T=np.eye(dims.n_x)[: dims.n_0])
 
 
+class TestDataTrajectory:
+    def test_perturbed_shares_read_only_views(self):
+        dims = Dimensions.uniform(3, 2, 1, 2, 1)
+        base = DataTrajectory(dims, [np.arange(dims.nd(i), dtype=float) + i for i in range(-1, 4)])
+        before = [v.copy() for v in base.vectors]
+        a, b = base.perturbed(1, [1.0, 2.0]), base.perturbed(2, [3.0, 4.0])
+        assert np.array_equal(a[1], before[2] + [1.0, 2.0]) and np.array_equal(b[2], before[3] + [3.0, 4.0])
+        # the unchanged stages are one set of views, shared by both
+        assert a[0] is b[0] and a[-1] is b[-1] and a[2] is not b[2]
+        with pytest.raises(ValueError):
+            a[0][0] = 99.0
+        a[1][0] = 99.0  # the perturbed stage is the trajectory's own
+        assert all(np.array_equal(v, w) for v, w in zip(base.vectors, before))
+        # the base stays writable, and its writes show through the views
+        base[0][0] = -1.0
+        assert a[0][0] == -1.0 and base.copy()[0] is not base[0]
+
+
 class TestLayout:
     """One stage-ordered vector [w(-1); ...; w(N)] holds a primal-dual
     point; the accessors, the stacked conversions and the KKT residual all

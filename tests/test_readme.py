@@ -47,3 +47,27 @@ def test_quoted_lock_step_counts_match_the_manifest(tmp_path, monkeypatch):
         counts["start_rows"],
     )
     assert f"(7 of the N = {N} chain" in text and chunk == 7
+
+
+def test_quoted_gram_counts_match_the_manifest(tmp_path, monkeypatch):
+    # the benchmark's lq_horizon config, read from perfbench
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    cfg = importlib.import_module("workloads").config("lq_horizon", 0)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert run(str(tmp_path / "cfg.json"), out_dir=str(tmp_path / "out")) == 0
+    gram = json.loads((tmp_path / "out" / "manifest.json").read_text())["cases"]["base"]["gram"]
+    text = " ".join(README.read_text().split())
+    quoted = re.search(
+        r"On `lq_horizon` \(N = (\d+)\) `L_observed` takes (\d+) factorizations and (\d+) solves, "
+        r"and `beta` (\d+) factorizations",
+        text,
+    )
+    assert quoted, "the README no longer quotes the lq_horizon search counts"
+    N, factorizations, solves, beta = map(int, quoted.groups())
+    assert N == cfg["params"]["N"]
+    assert (factorizations, solves, beta) == (
+        gram["L_observed"]["factorizations"],
+        gram["L_observed"]["solves"],
+        gram["beta"]["factorizations"],
+    )
+    assert gram["L_observed"]["proved"] is True and gram["beta"]["proved"] is None
