@@ -9,13 +9,13 @@ from .certify import (
     blh_bound_from_K,
     blh_modulus,
     build_report,
-    condensed_sosc_modulus,
     controllability_matrix,
     duality_check,
     licq_modulus,
     max_block_norm,
     mixed_hessian_norm,
     observability_matrix,
+    riccati_sosc_modulus,
     scan_uniform_controllability,
     scan_uniform_observability,
     sosc_modulus,

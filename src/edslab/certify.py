@@ -11,15 +11,14 @@ Every modulus is a measured eigenvalue or singular value at one point:
   O(N b^2) time and O(N b) memory for half-bandwidth b; M M^T's band comes
   from the stage blocks, and inverse iteration finishes its bisection;
 - the second-order modulus gamma is the smallest eigenvalue of the reduced
-  Hessian Z^T H Z, estimated by block inverse iteration on the stage-block
-  KKT factor and proved by that factor's inertia, in O(N n^3) time and
-  O(N n^2) memory.  Where forward block elimination grows along unstable
-  modes the proof fails; a basis of null(J) condensed through the dynamics
-  under a stabilizing feedback then gives it in O(N^3 n_u^2 (n_x + n_u))
-  time and O(N^2 n_u (n_x + n_u)) memory, with neither H nor J assembled.
-  The dense `sosc_modulus`, from an SVD of J, is the reference the tests
-  compare against and the fallback when the condensed basis fails its
-  check.
+  Hessian Z^T H Z.  A backward Riccati recursion on the stage blocks
+  shifted by -sigma I decides sigma < gamma exactly, with one Cholesky
+  factorization per stage and no tolerance; block inverse iteration on its
+  solves estimates gamma and two such tests prove it, in O(N n^3) time and
+  O(N n^2) memory.  An unstable mode that T pins and no input reaches
+  overflows the recursion, which then reruns on the states reachable from
+  null(T).  The dense `sosc_modulus`, from an SVD of J, is the reference
+  the tests compare against and the last fallback.
 
 Windowed controllability/observability Gramians supply the
 system-theoretic side; the point of the window scans is that their minima
@@ -44,7 +43,6 @@ from .kkt import (
     assemble_hessian,
     assemble_jacobian,
     assemble_mixed_hessian,  # unused here: perfbench/tracer.py wraps it at this lookup site
-    factor_kkt,
     linearize,
     sparse_jacobian,
 )
@@ -295,13 +293,11 @@ def licq_modulus(J, stats: dict | None = None) -> float:
 
 
 def sosc_modulus(H: Array, J: Array) -> float:
-    """Dense reference for `condensed_sosc_modulus`, and its fallback when
-    the condensed basis fails its residual check: the smallest eigenvalue
-    of Z^T H Z for an orthonormal null-space basis Z of J (basis-independent)
-    from a full SVD of J, O(n^3) for n primal variables.  Returns +inf when
-    the null space is trivial (second-order condition vacuous); raises
-    RegularityError when J is rank deficient, in which case `licq_modulus`
-    is the meaningful diagnostic."""
+    """Dense reference for `riccati_sosc_modulus`, and its last fallback:
+    the smallest eigenvalue of Z^T H Z for an orthonormal null-space basis
+    Z of J from a full SVD of J, O(n^3) for n primal variables.  +inf when
+    the null space is trivial (second-order condition vacuous);
+    RegularityError when J is rank deficient (see `licq_modulus`)."""
     H = np.atleast_2d(np.asarray(H, dtype=float))
     J = np.atleast_2d(np.asarray(J, dtype=float))
     if J.shape[0] == 0:
@@ -320,102 +316,33 @@ def sosc_modulus(H: Array, J: Array) -> float:
     return smallest_eigenvalue(Z.T @ H @ Z)
 
 
-def _stabilizing_gains(blocks: StageBlocks) -> list:
-    """Gains K_0, ..., K_{N-1} of the finite-horizon LQR with unit state and
-    input weights: P_N = I, K_k = -(I + B_k^T P_{k+1} B_k)^{-1} B_k^T
-    P_{k+1} A_k and P_k = I + K_k^T K_k + (A_k + B_k K_k)^T P_{k+1}
-    (A_k + B_k K_k).  They depend on A and B only, and for a stabilizable
-    pair the closed loop A_k + B_k K_k is exponentially stable over all but
-    the last few stages.
-
-    An unstable mode that no input reaches grows P without bound; once P is
-    no longer finite, the earlier stages reuse the last finite gain."""
-    dims = blocks.dims
-    n_x, n_u = dims.n_x, dims.n_u
-    K = np.zeros((n_u, n_x))
-    gains = [K] * dims.N
-    if n_u == 0:
-        return gains
-    P = np.eye(n_x)
-    for k in range(dims.N - 1, -1, -1):
-        if np.isfinite(P).all():
-            A, B = blocks.A[k], blocks.B[k]
-            BtP = B.T @ P
-            K_k = -np.linalg.solve(np.eye(n_u) + BtP @ B, BtP @ A)
-            closed = A + B @ K_k
-            P = np.eye(n_x) + K_k.T @ K_k + closed.T @ P @ closed
-            if np.isfinite(K_k).all():
-                K = K_k
-        gains[k] = K
-    return gains
-
-
-def _initial_null_basis(blocks: StageBlocks) -> Array:
-    """Orthonormal basis of null(T), or I without an initial constraint;
-    RegularityError by the rank rule of `condensed_null_basis`."""
-    if blocks.dims.n_0 == 0:
-        return np.eye(blocks.dims.n_x)
-    _, s, Vt = np.linalg.svd(blocks.T)
-    rank = int(np.sum(s > max(blocks.T.shape) * np.finfo(float).eps * s[0]))
-    if rank < blocks.dims.n_0:
-        raise RegularityError("initial-state map T is rank deficient, so J is too")
-    return Vt[rank:].T
-
-
-def condensed_null_basis(blocks: StageBlocks) -> Array:
-    """Orthonormal basis Z of null(J), condensed through the dynamics.
-
-    J w = 0 leaves free x_0 in null(T) and u_0, ..., u_{N-1}.  The controls
-    are parametrized as u_k = K_k x_k + v_k with the stabilizing gains of
-    `_stabilizing_gains`, and an orthonormal basis of null(T) together with
-    unit v_k is run forward through x_{k+1} = A_k x_k + B_k u_k.  This gives
-    a basis Y of null(J) with (n_x - n_0) + N n_u columns, from which x_0's
-    free coordinates and v are read back with norm at most 1 + max_k
-    ||K_k||, so sigma_min(Y) >= 1 / (1 + max_k ||K_k||).  Without the
-    feedback, an unstable A makes the columns grow like ||A||^N and the
-    QR below loses their O(1) entries to rounding.  One economic QR of Y
-    gives Z.
-
-    Raises RegularityError when J is rank deficient.  Every dynamics row
-    block of J has an identity on x_{k+1}, so that happens exactly when T is
-    rank deficient, judged by the dense path's max(shape) eps sigma_max rank
-    rule on T's singular values."""
-    dims = blocks.dims
-    N, n_x, n_u, n_z = dims.N, dims.n_x, dims.n_u, dims.n_z
-    Z0 = _initial_null_basis(blocks)
-    cols = Z0.shape[1]
-    # stacked primal rows [x_0; u_0; x_1; ...; x_N]; x_k and u_k depend only
-    # on x_0's free directions and v_0, ..., v_k
-    Y = np.zeros((dims.n_primal, cols + N * n_u), order="F")
-    Y[:n_x, :cols] = Z0
-    # an unstable mode that no input reaches can overflow the Riccati
-    # recursion or the basis; Z is then non-finite and fails the residual
-    # check of `condensed_sosc_modulus`
-    with np.errstate(over="ignore", invalid="ignore"):
-        gains = _stabilizing_gains(blocks)
-        for k in range(N):
-            x = slice(k * n_z, k * n_z + n_x)
-            u = slice(k * n_z + n_x, (k + 1) * n_z)
-            Y[u, :cols] = gains[k] @ Y[x, :cols]
-            Y[u, cols : cols + n_u] = np.eye(n_u)
-            cols += n_u
-            Y[u.stop : u.stop + n_x, :cols] = blocks.A[k] @ Y[x, :cols] + blocks.B[k] @ Y[u, :cols]
-    if cols == 0:
-        return Y
-    # Householder QR in Y's own storage; only the orthonormal factor is kept
-    return scipy.linalg.qr(Y, mode="economic", overwrite_a=True, check_finite=False)[0]
-
-
-def _hessian_times(blocks: StageBlocks, Z: Array) -> Array:
-    """H Z as one stacked product of the stage blocks [[Q_k, S_k], [S_k^T,
-    R_k]] with Z's stage rows, without forming H."""
-    N, n_x, n_z = blocks.dims.N, blocks.dims.n_x, blocks.dims.n_z
+def _chain(blocks: StageBlocks) -> tuple:
+    """null(J) as a chain (AB, H, Q_N, X0): x_0 = X0 xi, x_{k+1} = AB_k [x_k;
+    u_k] for free xi and u_k, with H's stacked stage blocks and terminal Q_N.
+    X0 is an orthonormal basis of null(T) (I without T); RegularityError
+    when T, so J, is rank deficient by the dense path's rank rule."""
+    N, n_x, n_z, n_0 = blocks.dims.N, blocks.dims.n_x, blocks.dims.n_z, blocks.dims.n_0
+    X0 = np.eye(n_x)
+    if n_0:
+        _, s, Vt = np.linalg.svd(blocks.T)
+        rank = int(np.sum(s > max(blocks.T.shape) * np.finfo(float).eps * s[0]))
+        if rank < n_0:
+            raise RegularityError("initial-state map T is rank deficient, so J is too")
+        X0 = Vt[rank:].T
     H = np.empty((N, n_z, n_z))
     H[:, :n_x, :n_x], H[:, :n_x, n_x:], H[:, n_x:, n_x:] = blocks.Q[:-1], blocks.S, blocks.R
     H[:, n_x:, :n_x] = blocks.S.swapaxes(1, 2)
+    return np.concatenate([blocks.A, blocks.B], axis=2), H, blocks.Q[-1], X0
+
+
+def _hessian_times(chain: tuple, Z: Array) -> Array:
+    """H Z as one stacked product of the chain's stage blocks with Z's
+    stage rows, without forming H."""
+    _, H, Q_N, _ = chain
+    N, n_z = H.shape[:2]
     HZ = np.empty_like(Z)  # in Z's memory order, so that its reshape is a view
     np.matmul(H, Z[: N * n_z].reshape(N, n_z, -1), out=HZ[: N * n_z].reshape(N, n_z, -1))
-    HZ[N * n_z :] = blocks.Q[-1] @ Z[N * n_z :]
+    HZ[N * n_z :] = Q_N @ Z[N * n_z :]
     return HZ
 
 
@@ -433,96 +360,160 @@ def null_space_residual(blocks: StageBlocks, Z: Array) -> float:
     return math.sqrt(sq) / scale if scale > 0 else 0.0
 
 
-def condensed_sosc_modulus(blocks: StageBlocks, stats: dict | None = None) -> float:
-    """Smallest eigenvalue of the reduced Hessian Z^T H Z for the condensed
-    basis Z of `condensed_null_basis`, with H Z from `_hessian_times` and
-    neither H nor J assembled.
+def _band(n: int, m: int) -> Array:
+    """Flat indices that read the full lower band of the trailing n x n block
+    of an m x m matrix into band storage."""
+    d, j = np.ogrid[:n, :n]
+    return (m - n + np.minimum(j + d, n - 1)) * m + m - n + j
 
-    Same contract as the dense `sosc_modulus`: +inf when the null space is
-    trivial; RegularityError when J is rank deficient.  Z is accepted when
-    its `null_space_residual` is at most the dense path's max(shape) eps
-    rank tolerance, i.e. when it is as backward stable as the SVD's basis.
-    A sequence the feedback cannot stabilize can fail that test; gamma then
-    comes from the dense `sosc_modulus`.  `stats["source"]`, when given,
-    names the path taken: "condensed" or "dense"."""
+
+def _riccati(chain: tuple, sigma: float) -> tuple | None:
+    """Backward Riccati recursion of a `_chain` shifted by -sigma I: P_N =
+    Q_N - sigma I, M_k = AB_k^T P_{k+1} AB_k + H_k - sigma I, Rhat_k =
+    M_k[u, u], K_k = Rhat_k^{-1} M_k[u, x], P_k = M_k[x, x] - M_k[x, u]
+    K_k.  By Sylvester's law and Haynsworth additivity sigma < gamma iff
+    every Rhat_k and X0^T P_0 X0 is positive definite: one ?pbtrf each, no
+    tolerance.  Returns (K_k, Rhat_k^{-1}, A_k - B_k K_k, the factor of
+    X0^T P_0 X0) or None; FloatingPointError when not finite (?pbtrf passes
+    NaN)."""
+    AB, H, Q_N, X0 = chain
+    N, n_x, n_z = AB.shape
+    n_u = n_z - n_x
+    KR, band = np.zeros((N, n_u, n_z)), _band(n_u, n_z)  # KR_k = Rhat_k^{-1} [M_k[u, x] | I]
+    H, P, G = H - sigma * np.eye(n_z), Q_N - sigma * np.eye(n_x), np.eye(n_u, n_z, n_x)
+    for k in range(N - 1, -1, -1):
+        M = AB[k].T @ (P @ AB[k]) + H[k]
+        L, info = _pbtrf(M.take(band), lower=1) if n_u else (None, 0)
+        if info:
+            if np.isfinite(M).all():
+                return None
+            raise FloatingPointError
+        G[:, :n_x] = M[n_x:, :n_x]
+        KR[k] = _pbtrs(L, G, lower=1)[0] if n_u else G
+        P = M[:n_x, :n_x] - M[:n_x, n_x:] @ KR[k, :, :n_x]
+        P = 0.5 * (P + P.T)  # A^T P A grows its asymmetry by |A|^2 a stage
+    F0 = X0.T @ P @ X0
+    L0, info = _pbtrf(F0.take(_band(len(F0), len(F0))), lower=1) if len(F0) else (F0, 0)
+    if not (np.isfinite(P).all() and np.isfinite(KR).all()):
+        raise FloatingPointError
+    K, R_inv = KR[:, :, :n_x], KR[:, :, n_x:]
+    return None if info else (K, R_inv, AB[:, :, :n_x] - AB[:, :, n_x:] @ K, L0)
+
+
+def _riccati_solve(chain: tuple, factor: tuple, V: Array) -> Array:
+    """Primal part W of [[H - sigma I, J^T], [J, 0]]^{-1} [V; 0] from a
+    `_riccati` factor: backward p_k = v_k[x] - K_k^T v_k[u] + (A_k - B_k
+    K_k)^T p_{k+1}, kappa_k = Rhat_k^{-1} (v_k[u] + B_k^T p_{k+1}); forward
+    x_0 = X0 (X0^T P_0 X0)^{-1} X0^T p_0, u_k = kappa_k - K_k x_k, x_{k+1} =
+    A_k x_k + B_k u_k, so W is in null(J) to the rounding of J's rows.
+    FloatingPointError when not finite."""
+    (AB, _, _, X0), (K, R_inv, closed, L0) = chain, factor
+    N, n_x, n_z = AB.shape
+    B, Vs, c = AB[:, :, n_x:], V[: N * n_z].reshape(N, n_z, -1), V.shape[1]
+    # products with the stack y_k, [p_k; I] backward and [x_k; I; u_k] forward
+    back = np.concatenate([closed.swapaxes(1, 2), Vs[:, :n_x] - K.swapaxes(1, 2) @ Vs[:, n_x:]], axis=2)
+    y = np.zeros((N + 1, n_z + c, c))
+    y[:, n_x : n_x + c], y[N, :n_x] = np.eye(c), V[N * n_z :]
+    for k in range(N - 1, -1, -1):
+        np.matmul(back[k], y[k + 1, : n_x + c], out=y[k, :n_x])
+    kappa, p0 = R_inv @ (Vs[:, n_x:] + B.swapaxes(1, 2) @ y[1:, :n_x]), X0.T @ y[0, :n_x]
+    y[0, :n_x] = X0 @ (_pbtrs(L0, p0, lower=1)[0] if len(L0) else p0)
+    gain, dyn = np.concatenate([-K, kappa], axis=2), np.insert(AB, [n_x] * c, 0.0, axis=2)
+    for k in range(N):
+        np.matmul(gain[k], y[k, : n_x + c], out=y[k, n_x + c :])
+        np.matmul(dyn[k], y[k], out=y[k + 1, :n_x])
+    W = np.concatenate([np.concatenate([y[:N, :n_x], y[:N, n_x + c :]], axis=1).reshape(-1, c), y[N, :n_x]])
+    if not np.isfinite(W).all():
+        raise FloatingPointError
+    return W
+
+
+def _restricted(chain: tuple) -> tuple:
+    """The chain with A_k replaced by Phi_{k+1} Phi_{k+1}^T A_k Phi_k
+    Phi_k^T, where Phi_0 = X0 and Phi_{k+1}, by SVD and the dense rank rule,
+    spans [A_k Phi_k, B_k]: the states reachable from null(T).  x_k lies in
+    range(Phi_k), so the Riccati tests are unchanged, but P no longer grows
+    along an unstable mode that T pins and no input reaches."""
+    AB, H, Q_N, X0 = chain
+    AB, n_x, Phi = AB.copy(), AB.shape[1], X0
+    for k in range(len(AB)):
+        C = np.hstack([AB[k, :, :n_x] @ Phi, AB[k, :, n_x:]])
+        U, s, _ = np.linalg.svd(C, full_matrices=False)
+        Next = U[:, : int(np.sum(s > max(C.shape) * np.finfo(float).eps * s[0])) if s.size else 0]
+        AB[k, :, :n_x], Phi = Next @ (Next.T @ C[:, : Phi.shape[1]]) @ Phi.T, Next
+    return AB, H, Q_N, X0
+
+
+# block inverse iteration: columns (theta settles within as many eps, the rounding
+# of their Rayleigh-Ritz step), step cap, re-shift period and tries, proof gap
+_INVERSE_COLUMNS, _INVERSE_STEPS, _RESHIFT_EVERY, _RESHIFT_TRIES, _PROOF_GAP = 16, 30, 3, 4, 1e-10
+
+
+def _inverse_iteration(blocks: StageBlocks, chain: tuple, stats: dict) -> float | None:
+    """gamma, or None when its proof fails; see `riccati_sosc_modulus`."""
+    dims, eps = blocks.dims, np.finfo(float).eps
+
+    def factor(sigma):
+        stats["factorizations"] += 1
+        return _riccati(chain, sigma)
+
+    V = np.random.default_rng(0).standard_normal((dims.n_primal, min(_INVERSE_COLUMNS, dims.n_primal - dims.n_dual)))
+    sigma, F = 0.0, factor(0.0)
+    if F is None:  # start below every eigenvalue of H, by Gershgorin
+        rows = np.abs(chain[1]).sum(axis=2), np.abs(chain[2]).sum(axis=1)
+        sigma = -max(float(r.max(initial=0.0)) for r in rows) - 1.0
+        if (F := factor(sigma)) is None:
+            return None
+    theta = math.inf
+    for step in range(1, _INVERSE_STEPS + 1):
+        stats["steps"] = step
+        W = np.linalg.qr(_riccati_solve(chain, F, V))[0]
+        ritz, U = np.linalg.eigh(W.T @ _hessian_times(chain, W))
+        V = W @ U
+        last, theta = theta, float(ritz[0])
+        if abs(theta - last) <= _INVERSE_COLUMNS * eps * max(abs(theta), 1.0):
+            break
+        if step % _RESHIFT_EVERY == 0:  # a failed re-shift doubles its distance below theta
+            for d in (1e-2 * abs(theta - sigma) * 2**j for j in range(_RESHIFT_TRIES)):
+                if (shifted := factor(theta - d)) is not None:
+                    sigma, F = theta - d, shifted
+                    break
+    else:  # theta has not settled, so the gap below it may not close
+        return None
+    below = theta - _PROOF_GAP * max(abs(theta), 1.0)
+    return theta if null_space_residual(blocks, W) <= dims.n_primal * eps and factor(below) is not None else None
+
+
+def riccati_sosc_modulus(blocks: StageBlocks, stats: dict | None = None) -> float:
+    """gamma from backward Riccati factors in O(N n^3) time and O(N n^2)
+    memory, with the contract of the dense `sosc_modulus`: block inverse
+    iteration (16 columns; a solve for [V; 0], a QR, a Rayleigh-Ritz step)
+    on the factor at sigma < gamma, from sigma = 0 or else below H's
+    Gershgorin bound.  Every third step re-shifts to theta - d, d = 1e-2
+    |theta - sigma|, doubled while the test fails (4 tries).  Once theta
+    settles (30 steps at most) and passes `null_space_residual`, the test
+    at theta - 1e-10 max(|theta|, 1) proves it.  A factor or solve that is
+    not finite restarts on `_restricted`; if that overflows too, or a proof
+    fails, the dense path gives gamma.  `stats` gets "source" ("riccati",
+    "restricted" or "dense"), the factorizations and the block steps."""
     stats = {} if stats is None else stats
-    stats["source"] = "condensed"
-    Z = condensed_null_basis(blocks)
-    if Z.shape[1] == 0:
+    stats.update(source="riccati", factorizations=0, steps=0)
+    chain = _chain(blocks)
+    if blocks.dims.n_primal == blocks.dims.n_dual:
         return math.inf
-    if not null_space_residual(blocks, Z) <= blocks.dims.n_primal * np.finfo(float).eps:
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            gamma = _inverse_iteration(blocks, chain, stats)
+        except FloatingPointError:
+            stats["source"], chain = "restricted", _restricted(chain)
+            try:
+                gamma = _inverse_iteration(blocks, chain, stats)
+            except FloatingPointError:
+                gamma = None
+    if gamma is None:
         stats["source"] = "dense"
         return sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
-    HZ = _hessian_times(blocks, Z)
-    reduced = Z.T @ HZ
-    del Z, HZ  # O(N^2); only the reduced Hessian is needed now
-    return smallest_eigenvalue(reduced)
-
-
-# block inverse iteration: columns, step cap, re-shift period, proof gap
-_INVERSE_COLUMNS, _INVERSE_STEPS, _RESHIFT_EVERY, _PROOF_GAP = 4, 12, 3, 1e-10
-
-
-def factor_sosc_modulus(blocks: StageBlocks, stats: dict | None = None) -> float | None:
-    """gamma from the stage-block KKT factor in O(N n^3) time and O(N n^2)
-    memory, or None when its proof fails; otherwise the contract of
-    `condensed_sosc_modulus`.  [[H - sigma I, J^T], [J, 0]] has exactly
-    (n_primal, n_dual) positive and negative eigenvalues iff sigma < gamma
-    (the KKT inertia theorem), counted here with no tolerance.  Block inverse
-    iteration on that factor keeps its columns in null(J), so once the
-    smallest Ritz value theta of H settles and the columns pass the
-    `null_space_residual` rule, theta >= gamma, and the count at theta -
-    1e-10 max(|theta|, 1) proves gamma above that.  `stats` receives the
-    factorizations and block steps taken."""
-    dims = blocks.dims
-    stats = {} if stats is None else stats
-    stats.update(factorizations=0, steps=0)
-    _initial_null_basis(blocks)
-    if dims.n_primal == dims.n_dual:
-        return math.inf
-    eps = np.finfo(float).eps
-
-    def factor_below_gamma(sigma):
-        stats["factorizations"] += 1
-        F = factor_kkt(blocks, -sigma)
-        ok = F is not None and (np.sum(F.eigs > 0), np.sum(F.eigs < 0)) == (dims.n_primal, dims.n_dual)
-        return F if ok else None
-
-    # rows of x_0, u_0, ..., x_N in the stage-ordered vector
-    primal = (np.array(dims.w_offsets[1:-1])[:, None] + np.arange(dims.n_z)).ravel()[: dims.n_primal]
-    rhs = np.zeros((dims.n_w, min(_INVERSE_COLUMNS, dims.n_primal - dims.n_dual)))
-    rhs[primal] = np.random.default_rng(0).standard_normal((dims.n_primal, rhs.shape[1]))
-    # forward elimination grows along unstable modes: a factor or a solve
-    # that overflows is None, and so is the result
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma, F = 0.0, factor_below_gamma(0.0)
-        if F is None:  # start below every eigenvalue of H, by Gershgorin
-            Q, R, S = np.abs(blocks.Q), np.abs(blocks.R), np.abs(blocks.S)
-            rows = Q[:-1].sum(axis=2) + S.sum(axis=2), R.sum(axis=2) + S.sum(axis=1), Q[-1].sum(axis=1)
-            sigma = -max(float(r.max(initial=0.0)) for r in rows) - 1.0
-            F = factor_below_gamma(sigma)
-        theta = math.inf
-        for step in range(1, _INVERSE_STEPS + 1):
-            sol = None if F is None else F.solve(rhs)
-            if sol is None:
-                return None
-            stats["steps"] = step
-            W = np.linalg.qr(sol[primal])[0]
-            ritz, U = np.linalg.eigh(W.T @ _hessian_times(blocks, W))
-            rhs[primal] = W @ U
-            last, theta = theta, float(ritz[0])
-            if abs(theta - last) <= 4 * eps * max(abs(theta), 1.0):
-                break
-            if step % _RESHIFT_EVERY == 0:
-                shift = theta - 1e-2 * abs(theta - sigma)
-                if (F_shift := factor_below_gamma(shift)) is not None:
-                    sigma, F = shift, F_shift
-        else:  # theta has not settled, so the gap below it may not close
-            return None
-        below = theta - _PROOF_GAP * max(abs(theta), 1.0)
-        if null_space_residual(blocks, W) <= dims.n_primal * eps and factor_below_gamma(below) is not None:
-            return theta
-    return None
+    return gamma
 
 
 def _mixed_gram_band(blocks: StageBlocks) -> Array:
@@ -618,7 +609,7 @@ class CertificateReport:
     report entries, never exceptions.  `failures` names, for each failed
     flag among ctrl_uniform, obs_uniform, r_positive, q_psd and s_zero, the
     window start or stage that set it, `gamma_provenance` gamma's path
-    ("factor", "condensed" or "dense") and the fast path's counts, and
+    ("riccati", "restricted" or "dense") and the Riccati counts, and
     `gram_provenance`, for each of beta and L_observed, the counts of
     `_gram_eigenvalue`; all three are kept out of the text and CSV forms.
     """
@@ -702,11 +693,9 @@ def build_report(
     blocks = linearize(p, traj, data)
     gram = {"beta": {}, "L_observed": {}}
     beta = licq_modulus(sparse_jacobian(blocks), gram["beta"])
-    provenance = {"source": "factor"}
+    provenance = {}
     try:
-        gamma = factor_sosc_modulus(blocks, provenance)
-        if gamma is None:
-            gamma = condensed_sosc_modulus(blocks, provenance)
+        gamma = riccati_sosc_modulus(blocks, provenance)
     except RegularityError:
         gamma = None
     vacuous = gamma is not None and math.isinf(gamma)

@@ -322,10 +322,9 @@ def _cost_hessians(cost, grad, hess, x, u, d):
     return _from_gradient(Jg[:, :n_z], Jg[:, n_z:], n_x)
 
 
-def _stage_cost(orc, i: int):
-    """Stage i's (cost, grad, hess) as maps of (x, u, d), None where absent."""
-    at = lambda f: None if f is None else functools.partial(f, i)
-    return functools.partial(orc.stage_cost, i), at(orc.stage_cost_grad), at(orc.stage_cost_hess)
+def _at_stage(orc, i: int, *names: str) -> list:
+    """Stage i's oracles `names` as maps of (x, u, d), None where absent."""
+    return [None if getattr(orc, n) is None else functools.partial(getattr(orc, n), i) for n in names]
 
 
 def _terminal_terms(p: DOProblem, x_N: Array, D_N: Array, hess: bool = False) -> list:
@@ -344,13 +343,13 @@ def _terminal_terms(p: DOProblem, x_N: Array, D_N: Array, hess: bool = False) ->
     return [np.array([_shaped(m, s, name) for m in t]) for t, s in zip(zip(*out), shapes, strict=True)]
 
 
-def _dynamics_jacobians(orc, i: int, x, u, d):
-    """(A, B, G) of f_i: the analytic `dynamics_jac`, else central
-    differences."""
-    if orc.dynamics_jac is not None:
-        return orc.dynamics_jac(i, x, u, d)
+def _dynamics_jacobians(dynamics, jac, x, u, d):
+    """(A, B, G) of dynamics(x, u, d): the analytic `jac` when given, else
+    central differences."""
+    if jac is not None:
+        return jac(x, u, d)
     n_x, n_z = x.size, x.size + u.size
-    fun = lambda t: orc.dynamics(i, *np.split(t, [n_x, n_z]))
+    fun = lambda t: dynamics(*np.split(t, [n_x, n_z]))
     J = diff.jacobian(fun, np.concatenate([x, u, d]), diff.FIRST_ORDER)
     return J[:, :n_x], J[:, n_x:n_z], J[:, n_z:]
 
@@ -376,12 +375,13 @@ def _dynamics_curvature(orc, i: int, x, u, d, lam):
 
 
 # per-stage sourcing of each oracle name, called as (oracles, i, x, u, d[, lam])
+_COST_ORACLES = ("stage_cost", "stage_cost_grad", "stage_cost_hess")
 _PER_STAGE = {
     "dynamics": lambda orc, i, *z: orc.dynamics(i, *z),
-    "dynamics_jac": _dynamics_jacobians,
+    "dynamics_jac": lambda orc, i, *z: _dynamics_jacobians(*_at_stage(orc, i, "dynamics", "dynamics_jac"), *z),
     "dynamics_hess_vec": _dynamics_curvature,
-    "stage_cost_grad": lambda orc, i, *z: _cost_gradients(*_stage_cost(orc, i)[:2], *z),
-    "stage_cost_hess": lambda orc, i, *z: _cost_hessians(*_stage_cost(orc, i), *z),
+    "stage_cost_grad": lambda orc, i, *z: _cost_gradients(*_at_stage(orc, i, *_COST_ORACLES[:2]), *z),
+    "stage_cost_hess": lambda orc, i, *z: _cost_hessians(*_at_stage(orc, i, *_COST_ORACLES), *z),
 }
 _HESSIAN = ("xx", "xu", "uu", "xd", "ud")
 
@@ -645,11 +645,11 @@ class BlockFactor:
     are the ?sytrf factor of its Schur complement D_k.  For k < N, Cs[k]
     is its coupling C = [0, A_k, B_k] to block k + 1, the transposed view
     of the Fortran-ordered slab [C^T | .] of the factor pass, and Ys[k] =
-    D_k^{-1} C^T.  eigs are the eigenvalues of the D's, and inertia is the
-    number of them above and below the gate's tolerance
-    max(|eigs|.max(), 1) n eps (K's inertia, by Haynsworth additivity); the
-    rest count as zero.  forward, when the factor pass carried a
-    right-hand side, is its forward substitution, until `solve` finishes it.
+    D_k^{-1} C^T.  inertia is the number of the D's eigenvalues above and
+    below the gate's tolerance max(|eig|.max(), 1) n eps (K's inertia, by
+    Haynsworth additivity); the rest count as zero.  forward, when the
+    factor pass carried a right-hand side, is its forward substitution,
+    until `solve` finishes it.
     """
 
     n_x: int
@@ -658,7 +658,6 @@ class BlockFactor:
     ipivs: list
     Cs: list
     Ys: list
-    eigs: Array
     inertia: tuple
     forward: tuple | None = None
 
@@ -715,13 +714,13 @@ def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) 
     inertias of the blocks' D.  Costs O(N (2 n_x + n_u)^3) time and
     O(N (2 n_x + n_u)^2) memory.
 
-    The elimination runs forward in time.  Backward (Riccati) order lets
-    uncontrollable modes inflate the blocks: on the quadrotor with q = b =
-    0 their eigenvalues spread over 1e-8..5e8 while K's lie in 2e-10..7,
-    and the gate's tolerance then rejects K at every regularization.  The
-    price of forward order: a stage whose control has no curvature of its
-    own (R_k = S_k = 0) gives an exactly singular block, so K is rejected
-    at reg = 0 even when it is regular.
+    The elimination runs forward in time, as the gate's tolerance is
+    relative to the largest block eigenvalue: backward (Riccati) order lets
+    uncontrollable modes inflate the blocks (on the quadrotor with q = b =
+    0 to 1e-8..5e8 while K's eigenvalues lie in 2e-10..7) and the gate
+    reject K at every regularization; gamma's Riccati test in `certify` has
+    no such gate.  The price: a stage with R_k = S_k = 0 gives an exactly
+    singular block, so K is rejected at reg = 0 even when it is regular.
     """
     dims = blocks.dims
     n_x, n_u, N = dims.n_x, dims.n_u, dims.N
@@ -792,7 +791,7 @@ def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) 
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     tol = max(scale, 1.0) * a * np.finfo(float).eps
     inertia = (int(np.sum(eigs > tol)), int(np.sum(eigs < -tol)))
-    return BlockFactor(n_x, starts, ldus, ipivs, Cs, Ys, eigs, inertia, y)
+    return BlockFactor(n_x, starts, ldus, ipivs, Cs, Ys, inertia, y)
 
 
 def _jacobian_rows(jacs: list, N: int) -> tuple:

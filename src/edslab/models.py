@@ -27,6 +27,7 @@ import numpy as np
 
 from . import diff
 from .errors import ConfigurationError, EvaluationError, NonconvergenceError, RangeConditionError
+from .kkt import _cost_gradients, _dynamics_jacobians
 from .problem import (
     Array,
     DataTrajectory,
@@ -614,35 +615,20 @@ def solve_steady_state(
     n_x, n_u = x.size, u.size
     lam = np.zeros(n_x) if lam0 is None else np.atleast_1d(np.asarray(lam0, dtype=float)).copy()
 
-    def split(t):
-        return t[:n_x], t[n_x : n_x + n_u]
-
-    def grads(xx, uu):
-        if cost_grad is not None:
-            gx, gu = cost_grad(xx, uu, d_s)
-            return np.asarray(gx, dtype=float), np.asarray(gu, dtype=float)
-        g = diff.gradient(lambda t: stage_cost(*split(t), d_s), np.concatenate([xx, uu]))
-        return g[:n_x], g[n_x:]
-
+    # kkt's analytic-or-differences ladder; its d columns go unused
     def jacs(xx, uu):
-        if dyn_jac is not None:
-            A, B = dyn_jac(xx, uu, d_s)[:2]
-            return np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-        J = diff.jacobian(lambda t: dynamics(*split(t), d_s), np.concatenate([xx, uu]))
-        return J[:, :n_x], J[:, n_x:]
+        return tuple(np.asarray(M, dtype=float) for M in _dynamics_jacobians(dynamics, dyn_jac, xx, uu, d_s)[:2])
+
+    def stationarity(xx, uu, ll):
+        gx, gu = (np.asarray(g, dtype=float) for g in _cost_gradients(stage_cost, cost_grad, xx, uu, d_s))
+        A, B = jacs(xx, uu)
+        return np.concatenate([gx - ll + A.T @ ll, gu + B.T @ ll])
 
     def residual(xx, uu, ll):
-        gx, gu = grads(xx, uu)
-        A, B = jacs(xx, uu)
-        f = np.asarray(dynamics(xx, uu, d_s), dtype=float)
         # Lagrangian cost - lam @ (x - f): stationarity and feasibility
-        return np.concatenate([gx - ll + A.T @ ll, gu + B.T @ ll, -(xx - f)])
+        return np.concatenate([stationarity(xx, uu, ll), -(xx - np.asarray(dynamics(xx, uu, d_s), dtype=float))])
 
-    def grad_z(t):
-        xx, uu = split(t)
-        gx, gu = grads(xx, uu)
-        A, B = jacs(xx, uu)
-        return np.concatenate([gx - lam + A.T @ lam, gu + B.T @ lam])
+    grad_z = lambda t: stationarity(t[:n_x], t[n_x:], lam)  # at the current lam
 
     for _ in range(max_iter):
         r = residual(x, u, lam)

@@ -22,7 +22,6 @@ from edslab import (
     blh_modulus,
     build_model,
     build_report,
-    condensed_sosc_modulus,
     controllability_matrix,
     duality_check,
     licq_modulus,
@@ -30,6 +29,7 @@ from edslab import (
     max_block_norm,
     mixed_hessian_norm,
     observability_matrix,
+    riccati_sosc_modulus,
     scan_uniform_controllability,
     scan_uniform_observability,
     solve_equality_nlp,
@@ -421,7 +421,7 @@ class TestNUniformitySignatures:
         def dense(blocks):
             return sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
 
-        for modulus, horizons in ((dense, (10, 40)), (condensed_sosc_modulus, (10, 40, 80))):
+        for modulus, horizons in ((dense, (10, 40)), (riccati_sosc_modulus, (10, 40, 80))):
 
             def sosc_at(A, N):
                 return modulus(StageBlocks.time_invariant(A, np.eye(2), Q, np.eye(2), N, T=np.eye(2)))
@@ -799,62 +799,115 @@ class TestGramSearch:
 
 
 # ---------------------------------------------------------------------------
-# condensed gamma against the dense reference
+# gamma from the backward Riccati factor against the dense reference
+
+
+def counted_factors(monkeypatch):
+    """Monkeypatch `certify._riccati` to record each (sigma, factor)."""
+    calls, riccati = [], certify._riccati
+
+    def factor(chain, sigma):
+        F = riccati(chain, sigma)
+        calls.append((sigma, F))
+        return F
+
+    monkeypatch.setattr(certify, "_riccati", factor)
+    return calls
+
+
+def report_gamma(blocks, monkeypatch):
+    """`build_report` on given stage blocks: its gamma and provenance."""
+    monkeypatch.setattr(certify, "linearize", lambda *args, **kwargs: blocks)
+    p = types.SimpleNamespace(dims=blocks.dims)
+    rep = build_report(p, None, None, window_ctrl=1, window_obs=1)
+    return rep.gamma, rep.gamma_provenance
+
+
+def assert_matches_dense_reference(blocks):
+    """gamma against the dense SVD of J, within the bound of the dense
+    path's null-space error, which grows with kappa_2(J)."""
+    stats = {}
+    H, J = assemble_hessian(blocks), assemble_jacobian(blocks)
+    n = H.shape[0]
+    try:
+        gamma = riccati_sosc_modulus(blocks, stats)
+    except RegularityError:
+        # T has full rank, so only the dense fallback can raise
+        assert stats["source"] == "dense"
+        with pytest.raises(RegularityError):
+            sosc_modulus(H, J)
+        return
+    # per chain: two starting shifts, up to four tries every third step, the proof
+    per_chain = 2 + certify._RESHIFT_TRIES * (certify._INVERSE_STEPS // certify._RESHIFT_EVERY) + 1
+    assert stats["factorizations"] <= (1 if stats["source"] == "riccati" else 2) * per_chain
+    # the residual check reads the same as the dense product J W on an
+    # orthonormal W that is not a null-space basis
+    W = np.linalg.qr(np.random.default_rng(n).standard_normal((n, max(n - J.shape[0], 1))))[0]
+    I = np.eye(blocks.dims.n_x)
+    scale = np.linalg.norm(blocks.T)
+    for A, B in zip(blocks.A, blocks.B):
+        scale = max(scale, np.linalg.norm(np.hstack([A, B, I])))
+    residual = np.linalg.norm(J @ W) / scale
+    assert certify.null_space_residual(blocks, W) == pytest.approx(residual, rel=1e-10)
+    try:
+        ref = sosc_modulus(H, J)
+    except RegularityError:
+        # T has full rank, so only state growth can make the dense rank rule
+        # call J rank deficient; the Riccati test must then bracket gamma
+        chain = certify._chain(blocks)
+        chain = certify._restricted(chain) if stats["source"] == "restricted" else chain
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert certify._riccati(chain, gamma - 1e-6 * max(abs(gamma), 1.0)) is not None
+            assert certify._riccati(chain, gamma + 1e-6 * max(abs(gamma), 1.0)) is None
+        return
+    if math.isinf(ref):
+        assert gamma == math.inf
+        return
+    s = np.linalg.svd(J, compute_uv=False)
+    # the dense SVD's null-space error grows with kappa_2(J)
+    tol = 1e-10 * abs(ref) + n * np.finfo(float).eps * np.linalg.norm(H, 2) * s[0] / s[-1]
+    assert abs(gamma - ref) <= tol
+
+
+# where forward block elimination grows along unstable modes or stalls on a
+# clustered spectrum: two unstable lq_chain horizons, a coupled Jordan
+# block, a stable horizon whose bottom eigenvalues cluster, and a pinned
+# chain along an unreached mode at 10
+HARD_CASES = {
+    "lq_1.3_120": lambda: lq_blocks(1.3, 120),
+    "lq_2.0_60": lambda: lq_blocks(2.0, 60),
+    "jordan_80": lambda: ti_blocks([[1.3, 1.0], [0.0, 1.3]], [[0.0], [1.0]], Q=np.diag([1.0, 0.0]), N=80),
+    "lq_0.9_120": lambda: lq_blocks(0.9, 120),
+    "pinned_10I_400": lambda: ti_blocks(np.diag([10.0, 10.0]), [[1.0], [0.0]], N=400, T=np.eye(2)),
+}
 
 
 class TestCondensedSosc:
+    """gamma against the dense reference, on the blocks that defeat a basis
+    of null(J) condensed through the dynamics: unstable, unreached and
+    pinned modes."""
+
     @settings(max_examples=300, deadline=None)
     @given(stage_blocks())
     def test_matches_dense_reference(self, blocks):
-        gamma = condensed_sosc_modulus(blocks)
-        H, J = assemble_hessian(blocks), assemble_jacobian(blocks)
-        n = H.shape[0]
-        Z = certify.condensed_null_basis(blocks)
-        # orthonormal, with one column per degree of freedom
-        assert Z.shape == (n, n - J.shape[0])
-        assert np.allclose(Z.T @ Z, np.eye(Z.shape[1]), rtol=0, atol=n * 1e-15)
-        # the residual check reads the same as the dense product J W on an
-        # orthonormal W that is not a null-space basis
-        W = np.linalg.qr(np.random.default_rng(n).standard_normal((n, max(Z.shape[1], 1))))[0]
-        I = np.eye(blocks.dims.n_x)
-        scale = np.linalg.norm(blocks.T)
-        for A, B in zip(blocks.A, blocks.B):
-            scale = max(scale, np.linalg.norm(np.hstack([A, B, I])))
-        residual = np.linalg.norm(J @ W) / scale
-        assert certify.null_space_residual(blocks, W) == pytest.approx(residual, rel=1e-10)
-        try:
-            ref = sosc_modulus(H, J)
-        except RegularityError:
-            # T has full rank, so only state growth can make the dense SVD
-            # call J rank deficient; then gamma must come from a condensed
-            # basis as backward stable as the dense rank rule
-            assert np.linalg.norm(J @ Z) <= n * np.finfo(float).eps * np.linalg.norm(J, 2)
-            assert gamma == pytest.approx(smallest_eigenvalue(Z.T @ H @ Z), rel=1e-10)
-            return
-        if math.isinf(ref):
-            assert gamma == math.inf
-            return
-        s = np.linalg.svd(J, compute_uv=False)
-        # the dense SVD's null-space error grows with kappa_2(J)
-        tol = 1e-10 * abs(ref) + n * np.finfo(float).eps * np.linalg.norm(H, 2) * s[0] / s[-1]
-        assert abs(gamma - ref) <= tol
+        assert_matches_dense_reference(blocks)
 
     def test_trivial_null_space_is_inf(self):
         # T pins x_0 and there are no inputs: J is square and invertible
         blocks = ti_blocks(0.5 * np.eye(2), np.zeros((2, 0)), N=5, T=np.eye(2))
-        assert condensed_sosc_modulus(blocks) == math.inf
+        assert riccati_sosc_modulus(blocks) == math.inf
         assert sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks)) == math.inf
 
     def test_no_initial_constraint(self):
         blocks = ti_blocks([[1.1, 0.3], [0.0, 0.8]], [[0.0], [1.0]], Q=np.diag([1.0, -0.2]), N=7)
         assert blocks.dims.n_0 == 0
         ref = sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
-        assert condensed_sosc_modulus(blocks) == pytest.approx(ref, rel=1e-10)
+        assert riccati_sosc_modulus(blocks) == pytest.approx(ref, rel=1e-10)
 
     def test_rank_deficient_T(self):
         blocks = ti_blocks(0.5 * np.eye(2), [[1.0], [0.0]], N=4, T=[[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(RegularityError):
-            condensed_sosc_modulus(blocks)
+            riccati_sosc_modulus(blocks)
         with pytest.raises(RegularityError):
             sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
 
@@ -875,6 +928,7 @@ class TestCondensedSosc:
                 m.setattr(certify, "assemble_hessian", refuse)
                 rep = build_report(p, base.trajectory, data, 3, 3)
             assert rep.gamma == pytest.approx(ref, rel=1e-10)
+            assert rep.gamma_provenance["source"] == "riccati"
 
     def test_long_horizon_memory(self):
         # the dense path peaked at 354 MB here (dense H, J and the SVD of J)
@@ -891,45 +945,27 @@ class TestCondensedSosc:
         # unit state and input costs: the reduced Hessian is 2 I
         assert rep.gamma == pytest.approx(2.0, rel=1e-12)
 
-    def test_long_horizon_memory_of_the_condensed_path(self):
-        # build_report takes gamma from the block factor here, so the
-        # condensed basis is bounded on its own.  It peaked at 77.1 MiB (its
-        # 3606 x 1200 basis Z takes 33 MiB), against 354 MB for the dense
-        # path; the bound adds a 13 MiB margin, less than one more copy of Z
-        bundle = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": 400})
-        p, data = bundle.problem, bundle.base_data
-        blocks = linearize(p, solve_equality_nlp(p, data, w0=bundle.warm_start).trajectory, data)
-        stats = {}
-        tracemalloc.start()
-        try:
-            gamma = condensed_sosc_modulus(blocks, stats)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert stats["source"] == "condensed" and peak < 90 * 2**20
-        assert gamma == pytest.approx(2.0, rel=1e-12)
-
     def test_unstable_chain_matches_dense(self, monkeypatch):
-        # spectral radius 1.3 and 2: without feedback the basis columns grow
-        # like ||A||^N and the QR loses the controls' unit entries (gamma
-        # came out 1.4433974 against 1.4433986 at N = 120, 0.886 against
-        # 1.163 at radius 2 and N = 60)
+        # spectral radius 1.3 and 2: an open-loop basis grows like ||A||^N
+        # and loses the controls' unit entries (gamma came out 1.4433974
+        # against 1.4433986 at N = 120, 0.886 against 1.163 at radius 2 and
+        # N = 60); the Riccati factor needs no dense fallback
         def refuse(*args, **kwargs):
-            raise AssertionError("the condensed basis failed its residual check")
+            raise AssertionError("gamma fell back to the dense path")
 
         for stability, N in ((1.3, 120), (2.0, 60)):
             blocks = lq_blocks(stability, N)
             ref = sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
             with monkeypatch.context() as m:
                 m.setattr(certify, "sosc_modulus", refuse)
-                assert condensed_sosc_modulus(blocks) == pytest.approx(ref, rel=1e-10)
+                assert riccati_sosc_modulus(blocks) == pytest.approx(ref, rel=1e-10)
 
     def test_long_unstable_horizon_against_inertia(self):
         # too long for the dense reference: bracket gamma by the inertia of
         # the stage-block KKT factor of (H - sigma I, J), which has n_primal
         # positive and n_dual negative eigenvalues exactly when gamma > sigma
         blocks = lq_blocks(1.3, 400)
-        gamma = condensed_sosc_modulus(blocks)
+        gamma = riccati_sosc_modulus(blocks)
         dims = blocks.dims
 
         def inertia_ok(sigma):
@@ -940,174 +976,130 @@ class TestCondensedSosc:
         assert not inertia_ok(gamma * (1 + 1e-7))
 
     @pytest.mark.filterwarnings("error")
-    def test_overflowing_riccati_keeps_last_finite_gain(self, monkeypatch):
-        # the unit-weight Riccati recursion overflows along the unreached
-        # mode at 10 (100^k passes 1e308 near k = 155); the earlier stages
-        # reuse the last finite gain, so the basis stays finite and passes
-        # its residual check.  With T = I the reduced Hessian is exactly I.
-        # With x_0 free (no T) the unreached column grows like 10^k but
-        # stays finite at N = 160, and gamma matches the dense reference.
+    def test_overflowing_riccati_restricts_to_reachable_states(self, monkeypatch):
+        # P overflows along the unreached mode at 10 (100^k passes 1e308
+        # near k = 155).  With T = I that mode is pinned, the chain
+        # restricted to the reachable states stays finite, and the reduced
+        # Hessian is exactly I.  With x_0 free the restricted chain keeps
+        # that mode and overflows too, and gamma comes from the dense
+        # reference.
         def refuse(*args, **kwargs):
-            raise AssertionError("the condensed basis failed its residual check")
+            raise AssertionError("gamma fell back to the dense path")
 
         pinned = ti_blocks(np.diag([10.0, 10.0]), [[1.0], [0.0]], N=400, T=np.eye(2))
         free = ti_blocks(np.diag([10.0, 10.0]), [[1.0], [0.0]], N=160)
         ref = sosc_modulus(assemble_hessian(free), assemble_jacobian(free))
+        stats = {}
         with monkeypatch.context() as m:
             m.setattr(certify, "sosc_modulus", refuse)
-            assert condensed_sosc_modulus(pinned) == pytest.approx(1.0, rel=1e-12, abs=0.0)
-            assert condensed_sosc_modulus(free) == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert riccati_sosc_modulus(pinned, stats) == pytest.approx(1.0, rel=1e-12, abs=0.0)
+        assert stats["source"] == "restricted"
+        assert riccati_sosc_modulus(free, stats) == ref
+        assert stats["source"] == "dense"
 
     @pytest.mark.filterwarnings("error")
     def test_fallback_to_dense_reference(self, monkeypatch):
-        # unstable modes that no control reaches, so the feedback cannot
-        # hold the x_0 columns.  In the first case the coupling turns both
-        # towards the faster mode and the basis fails its residual check
-        # (3.3 times the bound).  In the second the free x_0 column along
-        # the unreached mode at 1000 overflows (1000^k passes 1e308 at
-        # k = 103) and the basis is not finite.  gamma comes from the dense
-        # reference both times, with no floating-point warning.
-        cases = [
-            ti_blocks([[3.0, 1.0], [0.0, 2.5]], [[0.0], [0.0]], Q=np.diag([1.0, 0.5]), N=30),
-            ti_blocks(np.diag([1e3, 1e3]), [[1.0], [0.0]], N=110),
-        ]
-        for blocks in cases:
-            Z = certify.condensed_null_basis(blocks)
-            assert not certify.null_space_residual(blocks, Z) <= blocks.dims.n_primal * np.finfo(float).eps
+        # unstable modes that no control reaches, with x_0 free.  At 3 and
+        # 2.5, P grows like 9^N but stays finite, and the Riccati factor
+        # proves gamma.  At 1000, P overflows near k = 52, and so does the
+        # restricted chain, which keeps every state a free x_0 reaches;
+        # gamma then comes from one dense SVD.  No floating-point warning
+        # either way.
+        grown = ti_blocks([[3.0, 1.0], [0.0, 2.5]], [[0.0], [0.0]], Q=np.diag([1.0, 0.5]), N=30)
+        overflowing = ti_blocks(np.diag([1e3, 1e3]), [[1.0], [0.0]], N=110)
+        for blocks, source in ((grown, "riccati"), (overflowing, "dense")):
             calls = []
 
             def dense(H, J):
                 calls.append(H.shape)
                 return sosc_modulus(H, J)
 
+            stats = {}
             with monkeypatch.context() as m:
                 m.setattr(certify, "sosc_modulus", dense)
-                gamma = condensed_sosc_modulus(blocks)
-            assert calls == [(blocks.dims.n_primal,) * 2]
-            assert gamma == sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
-
-
-# ---------------------------------------------------------------------------
-# gamma from the KKT factor, with the condensed basis as its fallback
-
-
-def report_gamma(blocks, monkeypatch):
-    """`build_report` on given stage blocks: its gamma and provenance."""
-    monkeypatch.setattr(certify, "linearize", lambda *args, **kwargs: blocks)
-    p = types.SimpleNamespace(dims=blocks.dims)
-    rep = build_report(p, None, None, window_ctrl=1, window_obs=1)
-    return rep.gamma, rep.gamma_provenance
-
-
-def counted_factors(monkeypatch):
-    """Monkeypatch `certify.factor_kkt` to record each (reg, factor)."""
-    calls = []
-
-    def factor(blocks, reg=0.0):
-        F = factor_kkt(blocks, reg)
-        calls.append((reg, F))
-        return F
-
-    monkeypatch.setattr(certify, "factor_kkt", factor)
-    return calls
-
-
-# where forward block elimination grows along unstable modes, so the fast
-# path cannot prove gamma: two unstable lq_chain horizons, a coupled Jordan
-# block and a pinned chain along an unreached mode at 10
-HARD_CASES = {
-    "lq_1.3_120": lambda: lq_blocks(1.3, 120),
-    "lq_2.0_60": lambda: lq_blocks(2.0, 60),
-    "jordan_80": lambda: ti_blocks([[1.3, 1.0], [0.0, 1.3]], [[0.0], [1.0]], Q=np.diag([1.0, 0.0]), N=80),
-    "pinned_10I_400": lambda: ti_blocks(np.diag([10.0, 10.0]), [[1.0], [0.0]], N=400, T=np.eye(2)),
-}
+                gamma = riccati_sosc_modulus(blocks, stats)
+            ref = sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
+            assert stats["source"] == source
+            if source == "dense":
+                assert calls == [(blocks.dims.n_primal,) * 2] and gamma == ref
+            else:
+                assert calls == [] and gamma == pytest.approx(ref, rel=1e-10)
+                assert_matches_dense_reference(blocks)
 
 
 class TestFactorSosc:
+    """gamma from the backward Riccati factor: its proof, its counts, and
+    the cases that forward block elimination could not certify."""
+
     @settings(max_examples=300, deadline=None)
-    @given(stage_blocks())
+    @given(stage_blocks(zero_families=""))
     def test_matches_dense_reference(self, blocks):
-        stats = {}
-        try:
-            gamma = certify.factor_sosc_modulus(blocks, stats)
-        except RegularityError:
-            with pytest.raises(RegularityError):
-                condensed_sosc_modulus(blocks)
-            return
-        if gamma is None:
-            return
-        # two starting shifts, one re-shift every third step, the proof
-        assert stats["factorizations"] <= 2 + certify._INVERSE_STEPS // 3 + 1
-        H, J = assemble_hessian(blocks), assemble_jacobian(blocks)
-        n = H.shape[0]
-        ref = sosc_modulus(H, J)
-        if math.isinf(ref):
-            assert gamma == math.inf
-            return
-        # the bound of TestCondensedSosc.test_matches_dense_reference
-        s = np.linalg.svd(J, compute_uv=False)
-        tol = 1e-10 * abs(ref) + n * np.finfo(float).eps * np.linalg.norm(H, 2) * s[0] / s[-1]
-        assert abs(gamma - ref) <= tol
+        assert_matches_dense_reference(blocks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stage_blocks(varying_nd=True))
+    def test_matches_dense_reference_with_varying_data_sizes(self, blocks):
+        assert_matches_dense_reference(blocks)
 
     def test_contract(self):
         trivial = ti_blocks(0.5 * np.eye(2), np.zeros((2, 0)), N=5, T=np.eye(2))
-        assert certify.factor_sosc_modulus(trivial) == math.inf
+        assert riccati_sosc_modulus(trivial) == math.inf
         deficient = ti_blocks(0.5 * np.eye(2), [[1.0], [0.0]], N=4, T=[[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(RegularityError):
-            certify.factor_sosc_modulus(deficient)
+            riccati_sosc_modulus(deficient)
 
     @pytest.mark.parametrize("name", sorted(HARD_CASES))
-    def test_hard_cases_fall_back_to_condensed(self, name, monkeypatch):
+    def test_hard_cases_take_the_riccati_factor(self, name, monkeypatch):
         blocks = HARD_CASES[name]()
-        assert certify.factor_sosc_modulus(blocks) is None
         gamma, provenance = report_gamma(blocks, monkeypatch)
-        assert provenance["source"] == "condensed"
-        assert gamma == condensed_sosc_modulus(blocks)
+        # the pinned chain overflows P and is certified on its reachable states
+        assert provenance["source"] == ("restricted" if name == "pinned_10I_400" else "riccati")
+        assert gamma == riccati_sosc_modulus(blocks)
+        assert_matches_dense_reference(blocks)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_factor_falls_back_without_warning(self, monkeypatch):
-        # factor_kkt overflows on the pinned chain along the mode at 10;
-        # gamma still comes out of the condensed basis as exactly I's
+        # P overflows on the pinned chain along the mode at 10; gamma still
+        # comes out of the restricted chain as exactly I's
         gamma, provenance = report_gamma(HARD_CASES["pinned_10I_400"](), monkeypatch)
-        assert provenance["source"] == "condensed"
+        assert provenance["source"] == "restricted"
         assert gamma == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
     def test_singular_stage_block_certifies_through_the_shifted_factor(self, monkeypatch):
         # a 3-stage double integrator with no control cost at stage 0
-        # (R_0 = S_0 = 0): its stage block is singular, so the factor at
-        # shift 0 is None although K is regular.  The iteration starts at
-        # minus the largest Gershgorin row sum of the stage blocks (1 here,
-        # with Q = I and R_k in {0, 1}) minus 1, i.e. at reg = 2
+        # (R_0 = S_0 = 0): its stage block is singular, so forward block
+        # elimination rejects K at shift 0 although K is regular.  The
+        # Riccati test passes at shift 0 (Rhat_0 = B^T P_1 B), and one more
+        # test proves gamma
         from edslab.models import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B
 
         blocks = ti_blocks(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, N=3, T=np.eye(2))
         blocks.R[0] = 0.0
+        assert factor_kkt(blocks, 0.0) is None
         calls = counted_factors(monkeypatch)
         stats = {}
-        gamma = certify.factor_sosc_modulus(blocks, stats)
-        assert calls[0][0] == 0.0 and calls[0][1] is None
-        assert calls[1][0] == 2.0 and calls[1][1] is not None
+        gamma = riccati_sosc_modulus(blocks, stats)
+        assert calls[0][0] == 0.0 and calls[0][1] is not None
         ref = sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
         assert gamma == pytest.approx(ref, rel=1e-10)
-        assert stats["factorizations"] == len(calls)
+        assert stats["factorizations"] == len(calls) == 2
 
     def test_lq_chain_takes_at_most_three_factorizations(self, monkeypatch):
         bundle = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": 120})
         p = bundle.problem
         blocks = linearize(p, PrimalDualTrajectory.zeros(p.dims), bundle.base_data)
         calls = counted_factors(monkeypatch)
-        gamma = certify.factor_sosc_modulus(blocks)
+        gamma = riccati_sosc_modulus(blocks)
         assert len(calls) <= 3
         assert gamma == pytest.approx(2.0, rel=1e-12)
 
     def test_reruns_are_identical(self):
         blocks = lq_blocks(0.9, 30)
         first, second = {}, {}
-        assert certify.factor_sosc_modulus(blocks, first) == certify.factor_sosc_modulus(blocks, second)
+        assert riccati_sosc_modulus(blocks, first) == riccati_sosc_modulus(blocks, second)
         assert first == second
 
     def test_build_report_memory_at_long_horizon(self):
-        # the condensed basis alone would hold a 15006 x 3006 Z here
         bundle = build_model("lq_chain", {"n_x": 6, "n_u": 3, "N": 1000})
         p, data = bundle.problem, bundle.base_data
         base = solve_equality_nlp(p, data, w0=bundle.warm_start)
@@ -1118,5 +1110,23 @@ class TestFactorSosc:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
-        assert rep.gamma_provenance["source"] == "factor"
+        assert rep.gamma_provenance["source"] == "riccati"
         assert rep.gamma == pytest.approx(2.0, rel=1e-12)
+
+    def test_clustered_long_horizon(self):
+        # lq_chain with input weights over two decades at N = 1000: a bottom
+        # spectrum clustered far from sigma = 0, too long for the dense
+        # reference.  The Riccati test brackets gamma at gamma (1 -+ 1e-9)
+        blocks = lq_blocks(0.9, 1000)
+        stats = {}
+        tracemalloc.start()
+        try:
+            gamma = riccati_sosc_modulus(blocks, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats["source"] == "riccati" and stats["factorizations"] <= 25
+        assert peak < 64 * 2**20
+        chain = certify._chain(blocks)
+        assert certify._riccati(chain, gamma * (1 - 1e-9)) is not None
+        assert certify._riccati(chain, gamma * (1 + 1e-9)) is None

@@ -164,13 +164,13 @@ class TestRun:
             assert list(where) == ["window_start"] and where["window_start"] in range(5)
         certificates = read(out / "certificates.csv").decode()
         assert "window_start" not in certificates and "timings" not in certificates
-        # both cases take gamma from the KKT factor; the provenance stays
+        # both cases take gamma from the Riccati factor; the provenance stays
         # out of the CSV and the certificate text
         for name in ("case1", "case2"):
             gamma = manifest["cases"][name]["gamma"]
-            assert gamma["source"] == "factor" and gamma["factorizations"] >= 2 and gamma["steps"] >= 1
+            assert gamma["source"] == "riccati" and gamma["factorizations"] >= 2 and gamma["steps"] >= 1
             assert "factorizations" not in read(out / f"certificate_{name}.txt").decode()
-        assert "factor" not in certificates
+        assert "riccati" not in certificates
 
     def test_manifest_records_gram_provenance(self, tmp_path):
         out = tmp_path / "out"

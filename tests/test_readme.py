@@ -50,12 +50,14 @@ def test_quoted_lock_step_counts_match_the_manifest(tmp_path, monkeypatch):
 
 
 def test_quoted_gram_counts_match_the_manifest(tmp_path, monkeypatch):
-    # the benchmark's lq_horizon config, read from perfbench
+    # the benchmark's lq_horizon config, read from perfbench; the beta,
+    # L_observed and gamma counts of one run
     monkeypatch.syspath_prepend(str(PERFBENCH))
     cfg = importlib.import_module("workloads").config("lq_horizon", 0)
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     assert run(str(tmp_path / "cfg.json"), out_dir=str(tmp_path / "out")) == 0
-    gram = json.loads((tmp_path / "out" / "manifest.json").read_text())["cases"]["base"]["gram"]
+    base = json.loads((tmp_path / "out" / "manifest.json").read_text())["cases"]["base"]
+    gram = base["gram"]
     text = " ".join(README.read_text().split())
     quoted = re.search(
         r"On `lq_horizon` \(N = (\d+)\) `L_observed` takes (\d+) factorizations and (\d+) solves, "
@@ -71,3 +73,9 @@ def test_quoted_gram_counts_match_the_manifest(tmp_path, monkeypatch):
         gram["beta"]["factorizations"],
     )
     assert gram["L_observed"]["proved"] is True and gram["beta"]["proved"] is None
+    # gamma's counts, from the same run
+    quoted = re.search(r"On `lq_horizon` \(N = (\d+)\) gamma takes (\d+) factorizations and (\d+) block steps", text)
+    assert quoted, "the README no longer quotes the lq_horizon gamma counts"
+    N, factorizations, steps = map(int, quoted.groups())
+    assert N == cfg["params"]["N"]
+    assert base["gamma"] == {"source": "riccati", "factorizations": factorizations, "steps": steps}
