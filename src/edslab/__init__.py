@@ -45,7 +45,7 @@ from .errors import (
     RegularityError,
 )
 from .kkt import (
-    BlockFactor,
+    RiccatiFactor,
     SolveOptions,
     SolveResult,
     StageBlocks,
@@ -57,6 +57,7 @@ from .kkt import (
     linearize,
     solve_batch,
     solve_equality_nlp,
+    solve_kkt,
 )
 from .models import (
     ModelBundle,

@@ -11,13 +11,13 @@ Every modulus is a measured eigenvalue or singular value at one point:
   O(N b^2) time and O(N b) memory for half-bandwidth b; M M^T's band comes
   from the stage blocks, and inverse iteration finishes its bisection;
 - the second-order modulus gamma is the smallest eigenvalue of the reduced
-  Hessian Z^T H Z.  A backward Riccati recursion on the stage blocks
-  shifted by -sigma I decides sigma < gamma exactly, with one Cholesky
-  factorization per stage and no tolerance; block inverse iteration on its
-  solves estimates gamma and two such tests prove it, in O(N n^3) time and
-  O(N n^2) memory.  An unstable mode that T pins and no input reaches
-  overflows the recursion, which then reruns on the states reachable from
-  null(T).  The dense `sosc_modulus`, from an SVD of J, is the reference
+  Hessian Z^T H Z.  The Newton step's backward Riccati factor (`kkt`) of
+  the stage blocks shifted by -sigma I decides sigma < gamma exactly, with
+  one Cholesky factorization per stage and no tolerance; block inverse
+  iteration on its solves estimates gamma and two such tests prove it, in
+  O(N n^3) time and O(N n^2) memory.  An unstable mode that T pins and no
+  input reaches overflows the recursion, which then reruns on the states
+  reachable from null(T).  The dense `sosc_modulus`, from an SVD of J, is the reference
   the tests compare against and the last fallback.
 
 Windowed controllability/observability Gramians supply the
@@ -34,16 +34,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigurationError, RegularityError
 from .kkt import (
+    RiccatiFactor,
     StageBlocks,
+    _chain,
+    _Chain,
+    _pbtrf,
+    _pbtrs,
+    _riccati,
     assemble_hessian,
     assemble_jacobian,
     assemble_mixed_hessian,  # unused here: perfbench/tracer.py wraps it at this lookup site
     linearize,
+    solve_kkt,
     sparse_jacobian,
 )
 from .problem import Array, DataTrajectory, DOProblem, PrimalDualTrajectory
@@ -202,8 +208,6 @@ def duality_check(blocks: StageBlocks, window: int, rel_tol: float = 1e-9):
 # NLP regularity moduli
 
 
-_pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
-
 # Cap on bisection steps.  A bracket that starts at zero (a singular Gram
 # matrix) never shrinks to one ulp; after 64 halvings it is far narrower
 # than the eps * ||G|| to which a Cholesky test can resolve an eigenvalue.
@@ -316,29 +320,10 @@ def sosc_modulus(H: Array, J: Array) -> float:
     return smallest_eigenvalue(Z.T @ H @ Z)
 
 
-def _chain(blocks: StageBlocks) -> tuple:
-    """null(J) as a chain (AB, H, Q_N, X0): x_0 = X0 xi, x_{k+1} = AB_k [x_k;
-    u_k] for free xi and u_k, with H's stacked stage blocks and terminal Q_N.
-    X0 is an orthonormal basis of null(T) (I without T); RegularityError
-    when T, so J, is rank deficient by the dense path's rank rule."""
-    N, n_x, n_z, n_0 = blocks.dims.N, blocks.dims.n_x, blocks.dims.n_z, blocks.dims.n_0
-    X0 = np.eye(n_x)
-    if n_0:
-        _, s, Vt = np.linalg.svd(blocks.T)
-        rank = int(np.sum(s > max(blocks.T.shape) * np.finfo(float).eps * s[0]))
-        if rank < n_0:
-            raise RegularityError("initial-state map T is rank deficient, so J is too")
-        X0 = Vt[rank:].T
-    H = np.empty((N, n_z, n_z))
-    H[:, :n_x, :n_x], H[:, :n_x, n_x:], H[:, n_x:, n_x:] = blocks.Q[:-1], blocks.S, blocks.R
-    H[:, n_x:, :n_x] = blocks.S.swapaxes(1, 2)
-    return np.concatenate([blocks.A, blocks.B], axis=2), H, blocks.Q[-1], X0
-
-
-def _hessian_times(chain: tuple, Z: Array) -> Array:
+def _hessian_times(chain: _Chain, Z: Array) -> Array:
     """H Z as one stacked product of the chain's stage blocks with Z's
     stage rows, without forming H."""
-    _, H, Q_N, _ = chain
+    H, Q_N = chain.H, chain.Q_N
     N, n_z = H.shape[:2]
     HZ = np.empty_like(Z)  # in Z's memory order, so that its reshape is a view
     np.matmul(H, Z[: N * n_z].reshape(N, n_z, -1), out=HZ[: N * n_z].reshape(N, n_z, -1))
@@ -360,88 +345,33 @@ def null_space_residual(blocks: StageBlocks, Z: Array) -> float:
     return math.sqrt(sq) / scale if scale > 0 else 0.0
 
 
-def _band(n: int, m: int) -> Array:
-    """Flat indices that read the full lower band of the trailing n x n block
-    of an m x m matrix into band storage."""
-    d, j = np.ogrid[:n, :n]
-    return (m - n + np.minimum(j + d, n - 1)) * m + m - n + j
-
-
-def _riccati(chain: tuple, sigma: float) -> tuple | None:
-    """Backward Riccati recursion of a `_chain` shifted by -sigma I: P_N =
-    Q_N - sigma I, M_k = AB_k^T P_{k+1} AB_k + H_k - sigma I, Rhat_k =
-    M_k[u, u], K_k = Rhat_k^{-1} M_k[u, x], P_k = M_k[x, x] - M_k[x, u]
-    K_k.  By Sylvester's law and Haynsworth additivity sigma < gamma iff
-    every Rhat_k and X0^T P_0 X0 is positive definite: one ?pbtrf each, no
-    tolerance.  Returns (K_k, Rhat_k^{-1}, A_k - B_k K_k, the factor of
-    X0^T P_0 X0) or None; FloatingPointError when not finite (?pbtrf passes
-    NaN)."""
-    AB, H, Q_N, X0 = chain
-    N, n_x, n_z = AB.shape
-    n_u = n_z - n_x
-    KR, band = np.zeros((N, n_u, n_z)), _band(n_u, n_z)  # KR_k = Rhat_k^{-1} [M_k[u, x] | I]
-    H, P, G = H - sigma * np.eye(n_z), Q_N - sigma * np.eye(n_x), np.eye(n_u, n_z, n_x)
-    for k in range(N - 1, -1, -1):
-        M = AB[k].T @ (P @ AB[k]) + H[k]
-        L, info = _pbtrf(M.take(band), lower=1) if n_u else (None, 0)
-        if info:
-            if np.isfinite(M).all():
-                return None
-            raise FloatingPointError
-        G[:, :n_x] = M[n_x:, :n_x]
-        KR[k] = _pbtrs(L, G, lower=1)[0] if n_u else G
-        P = M[:n_x, :n_x] - M[:n_x, n_x:] @ KR[k, :, :n_x]
-        P = 0.5 * (P + P.T)  # A^T P A grows its asymmetry by |A|^2 a stage
-    F0 = X0.T @ P @ X0
-    L0, info = _pbtrf(F0.take(_band(len(F0), len(F0))), lower=1) if len(F0) else (F0, 0)
-    if not (np.isfinite(P).all() and np.isfinite(KR).all()):
-        raise FloatingPointError
-    K, R_inv = KR[:, :, :n_x], KR[:, :, n_x:]
-    return None if info else (K, R_inv, AB[:, :, :n_x] - AB[:, :, n_x:] @ K, L0)
-
-
-def _riccati_solve(chain: tuple, factor: tuple, V: Array) -> Array:
-    """Primal part W of [[H - sigma I, J^T], [J, 0]]^{-1} [V; 0] from a
-    `_riccati` factor: backward p_k = v_k[x] - K_k^T v_k[u] + (A_k - B_k
-    K_k)^T p_{k+1}, kappa_k = Rhat_k^{-1} (v_k[u] + B_k^T p_{k+1}); forward
-    x_0 = X0 (X0^T P_0 X0)^{-1} X0^T p_0, u_k = kappa_k - K_k x_k, x_{k+1} =
-    A_k x_k + B_k u_k, so W is in null(J) to the rounding of J's rows.
-    FloatingPointError when not finite."""
-    (AB, _, _, X0), (K, R_inv, closed, L0) = chain, factor
-    N, n_x, n_z = AB.shape
-    B, Vs, c = AB[:, :, n_x:], V[: N * n_z].reshape(N, n_z, -1), V.shape[1]
-    # products with the stack y_k, [p_k; I] backward and [x_k; I; u_k] forward
-    back = np.concatenate([closed.swapaxes(1, 2), Vs[:, :n_x] - K.swapaxes(1, 2) @ Vs[:, n_x:]], axis=2)
-    y = np.zeros((N + 1, n_z + c, c))
-    y[:, n_x : n_x + c], y[N, :n_x] = np.eye(c), V[N * n_z :]
-    for k in range(N - 1, -1, -1):
-        np.matmul(back[k], y[k + 1, : n_x + c], out=y[k, :n_x])
-    kappa, p0 = R_inv @ (Vs[:, n_x:] + B.swapaxes(1, 2) @ y[1:, :n_x]), X0.T @ y[0, :n_x]
-    y[0, :n_x] = X0 @ (_pbtrs(L0, p0, lower=1)[0] if len(L0) else p0)
-    gain, dyn = np.concatenate([-K, kappa], axis=2), np.insert(AB, [n_x] * c, 0.0, axis=2)
-    for k in range(N):
-        np.matmul(gain[k], y[k, : n_x + c], out=y[k, n_x + c :])
-        np.matmul(dyn[k], y[k], out=y[k + 1, :n_x])
-    W = np.concatenate([np.concatenate([y[:N, :n_x], y[:N, n_x + c :]], axis=1).reshape(-1, c), y[N, :n_x]])
+def _null_space_solve(F: RiccatiFactor, V: Array) -> Array:
+    """Primal part W of the shifted KKT solve of [V; 0] by `solve_kkt`, for
+    V's columns in the stacked primal order: W is in null(J) to the rounding
+    of J's rows.  FloatingPointError when not finite."""
+    (N, n_x, n_z), n_0, c = F.chain.AB.shape, F.chain.T_pinv.shape[1], V.shape[1]
+    Y = np.zeros((n_0 + N * (n_z + n_x) + n_x, c))
+    Y[n_0:-n_x].reshape(N, -1, c)[:, :n_z], Y[-n_x:] = V[:-n_x].reshape(N, n_z, c), V[-n_x:]
+    X = solve_kkt(F, Y)
+    W = np.concatenate([X[n_0:-n_x].reshape(N, -1, c)[:, :n_z].reshape(-1, c), X[-n_x:]])
     if not np.isfinite(W).all():
         raise FloatingPointError
     return W
 
 
-def _restricted(chain: tuple) -> tuple:
+def _restricted(chain: _Chain) -> _Chain:
     """The chain with A_k replaced by Phi_{k+1} Phi_{k+1}^T A_k Phi_k
     Phi_k^T, where Phi_0 = X0 and Phi_{k+1}, by SVD and the dense rank rule,
     spans [A_k Phi_k, B_k]: the states reachable from null(T).  x_k lies in
     range(Phi_k), so the Riccati tests are unchanged, but P no longer grows
     along an unstable mode that T pins and no input reaches."""
-    AB, H, Q_N, X0 = chain
-    AB, n_x, Phi = AB.copy(), AB.shape[1], X0
+    AB, n_x, Phi = chain.AB.copy(), chain.AB.shape[1], chain.X0
     for k in range(len(AB)):
         C = np.hstack([AB[k, :, :n_x] @ Phi, AB[k, :, n_x:]])
         U, s, _ = np.linalg.svd(C, full_matrices=False)
         Next = U[:, : int(np.sum(s > max(C.shape) * np.finfo(float).eps * s[0])) if s.size else 0]
         AB[k, :, :n_x], Phi = Next @ (Next.T @ C[:, : Phi.shape[1]]) @ Phi.T, Next
-    return AB, H, Q_N, X0
+    return chain._replace(AB=AB)
 
 
 # block inverse iteration: columns (theta settles within as many eps, the rounding
@@ -449,7 +379,7 @@ def _restricted(chain: tuple) -> tuple:
 _INVERSE_COLUMNS, _INVERSE_STEPS, _RESHIFT_EVERY, _RESHIFT_TRIES, _PROOF_GAP = 16, 30, 3, 4, 1e-10
 
 
-def _inverse_iteration(blocks: StageBlocks, chain: tuple, stats: dict) -> float | None:
+def _inverse_iteration(blocks: StageBlocks, chain: _Chain, stats: dict) -> float | None:
     """gamma, or None when its proof fails; see `riccati_sosc_modulus`."""
     dims, eps = blocks.dims, np.finfo(float).eps
 
@@ -460,14 +390,14 @@ def _inverse_iteration(blocks: StageBlocks, chain: tuple, stats: dict) -> float 
     V = np.random.default_rng(0).standard_normal((dims.n_primal, min(_INVERSE_COLUMNS, dims.n_primal - dims.n_dual)))
     sigma, F = 0.0, factor(0.0)
     if F is None:  # start below every eigenvalue of H, by Gershgorin
-        rows = np.abs(chain[1]).sum(axis=2), np.abs(chain[2]).sum(axis=1)
+        rows = np.abs(chain.H).sum(axis=2), np.abs(chain.Q_N).sum(axis=1)
         sigma = -max(float(r.max(initial=0.0)) for r in rows) - 1.0
         if (F := factor(sigma)) is None:
             return None
     theta = math.inf
     for step in range(1, _INVERSE_STEPS + 1):
         stats["steps"] = step
-        W = np.linalg.qr(_riccati_solve(chain, F, V))[0]
+        W = np.linalg.qr(_null_space_solve(F, V))[0]
         ritz, U = np.linalg.eigh(W.T @ _hessian_times(chain, W))
         V = W @ U
         last, theta = theta, float(ritz[0])

@@ -68,6 +68,13 @@ _KNOWN_KEYS = {
 _CASE_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
+def _integer(value, key: str) -> int:
+    """An integral config value as an int (3 or 3.0, not 1.5, "3" or true)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path) as fh:
@@ -102,13 +109,13 @@ def load_config(path: str) -> ExperimentConfig:
             model=str(raw["model"]),
             params=dict(raw.get("params", {})),
             cases=cases,
-            stages=[int(s) for s in raw.get("stages", [-1])],
-            replicates=int(raw.get("replicates", 1)),
+            stages=[_integer(s, "stage") for s in raw.get("stages", [-1])],
+            replicates=_integer(raw.get("replicates", 1), "replicates"),
             magnitude=float(raw.get("magnitude", 0.1)),
-            seed=int(raw.get("seed", 0)),
+            seed=_integer(raw.get("seed", 0), "seed"),
             solver=solver,
-            window_ctrl=int(raw.get("window_ctrl", 1)),
-            window_obs=int(raw.get("window_obs", 1)),
+            window_ctrl=_integer(raw.get("window_ctrl", 1), "window_ctrl"),
+            window_obs=_integer(raw.get("window_obs", 1), "window_obs"),
             out_dir=str(raw.get("out_dir", "out")),
         )
     except (TypeError, ValueError, OverflowError) as exc:

@@ -23,21 +23,23 @@ results are stacked.  The terminal cost takes a two-term path of its own,
 `_terminal_terms`.  Both then assemble from those arrays in a few array
 operations, and `StageBlocks` keeps Q, R, S, A and B stacked.
 
-The Newton step never forms the KKT matrix.  Cut into the blocks
-[lam_{k-1}; x_k; u_k] of the stage-ordered vector, the matrix is block
-tridiagonal, so a block LDL^T (one small Bunch-Kaufman factor per stage)
-solves it and, by Haynsworth additivity, reads its inertia in
-O(N (2 n_x + n_u)^3) time and O(N (2 n_x + n_u)^2) memory per Newton
-iteration.  Every block but its Schur corner is assembled before the
-elimination, in one stacked array.  `factor_kkt` returns that factor as a
-`BlockFactor`, whose `solve` takes a vector or a matrix of columns.
-`solve_batch` runs Newton on many data sets from one warm start in lock
-step, the residual and linearization taking every point's stages at once
-and points with bit-equal KKT matrices sharing one factor: the perturbation
-experiments of an LQ problem, all re-solved from the base solution, take
-one factorization between them.  Their iteration 0 is taken once
-(`_Start`): each distinct (stage, data) row at w0 goes through the oracles
-once, and points with point 0's blocks share its `StageBlocks` object.
+The Newton step never forms the KKT matrix.  `factor_kkt` runs the
+backward Riccati recursion of Rao, Wright and Rawlings (JOTA 99, 1998) on
+the stage blocks, one Cholesky factor of Rhat_k = R_k + B_k^T P_{k+1} B_k
+per stage: the shifted KKT matrix has the saddle-point inertia (n_primal
+positive, n_dual negative eigenvalues) exactly when every pivot is positive
+definite, which is the Newton gate, with no tolerance.  `solve_kkt` takes a
+vector or a matrix of columns through one backward and one forward sweep.
+It costs O(N (n_x + n_u)^3) time and O(N (n_x + n_u)^2) memory per Newton
+iteration, and `certify`'s gamma runs the same factor and solve at shifts
+below the reduced Hessian's spectrum.  `solve_batch` runs Newton on many
+data sets from one warm start in lock step, the residual and linearization
+taking every point's stages at once and points with bit-equal KKT matrices
+sharing one factor: the perturbation experiments of an LQ problem, all
+re-solved from the base solution, take one factorization between them.
+Their iteration 0 is taken once (`_Start`): each distinct (stage, data) row
+at w0 goes through the oracles once, and points with point 0's blocks share
+its `StageBlocks` object.
 
 The KKT residual returned here is exactly the gradient of
 `problem.evaluate_lagrangian` in the entries of the trajectory's vector
@@ -301,12 +303,13 @@ def _from_gradient(Jz: Array, Jd: Array, n_x: int):
 
 def _cost_gradients(cost, grad, x, u, d):
     """(g_x, g_u) of cost(x, u, d): the analytic `grad` when given, else
-    central differences."""
+    central differences in (x, u) only."""
     if grad is not None:
         return grad(x, u, d)
     n_x, n_z = x.size, x.size + u.size
-    g = diff.gradient(lambda t: cost(*np.split(t, [n_x, n_z])), np.concatenate([x, u, d]), diff.FIRST_ORDER)
-    return g[:n_x], g[n_x:n_z]
+    fun = lambda t: np.array([cost(*np.split(t, [n_x, n_z]))])
+    g = diff.partial_jacobian(fun, np.concatenate([x, u, d]), np.arange(n_z), diff.FIRST_ORDER)[0]
+    return g[:n_x], g[n_x:]
 
 
 def _cost_hessians(cost, grad, hess, x, u, d):
@@ -595,203 +598,155 @@ def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None, row
 
 
 # ---------------------------------------------------------------------------
-# symmetric indefinite solve with inertia control
+# the stage-structured KKT factor: a backward Riccati recursion
 
 
-_sytrf, _sytrf_lwork, _sytrs = scipy.linalg.get_lapack_funcs(
-    ("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64
-)
+_pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
 
 
-@functools.lru_cache(maxsize=None)
-def _sytrf_lwork_of(n: int) -> int:
-    """Optimal ?sytrf workspace for order n; it depends on n only."""
-    return int(_sytrf_lwork(n, lower=1)[0])
+class _Chain(NamedTuple):
+    """Stage blocks as the chain x_{k+1} = AB_k [x_k; u_k] of null(J), with
+    H_k = [[Q_k, S_k], [S_k^T, R_k]], Q_N, a basis X0 of null(T), T^+."""
+
+    AB: Array
+    H: Array
+    Q_N: Array
+    X0: Array
+    T_pinv: Array
 
 
-def _bunch_kaufman(W: Array):
-    """Lower Bunch-Kaufman factor of the symmetric W as LAPACK ?sytrf packs
-    it: (ldu, ipiv, info).  Called as SciPy's ldl() calls it (optimal
-    workspace), so D is the same bit for bit.  A Fortran-ordered W is
-    overwritten."""
-    ldu, ipiv, info = _sytrf(W, lwork=_sytrf_lwork_of(W.shape[0]), lower=1, overwrite_a=1)
-    if info < 0:
-        raise ValueError(f"?sytrf: illegal value in argument {-info}")
-    return ldu, ipiv, info
+def _chain(blocks: StageBlocks) -> _Chain:
+    """The `_Chain` of `blocks`; RegularityError when T, so J, is rank
+    deficient by the dense path's rank rule."""
+    N, n_x, n_z, n_0 = blocks.dims.N, blocks.dims.n_x, blocks.dims.n_z, blocks.dims.n_0
+    X0, T_pinv = np.eye(n_x), np.zeros((n_x, 0))
+    if n_0:
+        U, s, Vt = np.linalg.svd(blocks.T)
+        rank = int(np.sum(s > max(blocks.T.shape) * np.finfo(float).eps * s[0]))
+        if rank < n_0:
+            raise RegularityError("initial-state map T is rank deficient, so J is too")
+        X0, T_pinv = Vt[rank:].T, Vt[:rank].T @ (U.T / s[:, None])
+    H = np.empty((N, n_z, n_z))
+    H[:, :n_x, :n_x], H[:, :n_x, n_x:], H[:, n_x:, n_x:] = blocks.Q[:-1], blocks.S, blocks.R
+    H[:, n_x:, :n_x] = blocks.S.swapaxes(1, 2)
+    return _Chain(np.concatenate([blocks.A, blocks.B], axis=2), H, blocks.Q[-1], X0, T_pinv)
 
 
-def _d_eigs(diag: Array, sub: Array, ipiv: Array) -> Array:
-    """Eigenvalues of the 1x1/2x2-block-diagonal D of a lower Bunch-Kaufman
-    factor from its diagonal, its first subdiagonal (sub[k] = D[k+1, k])
-    and LAPACK's ipiv, in O(n).  A 2x2 block on rows k, k+1 is marked by
-    ipiv[k] = ipiv[k+1] < 0, so the negative entries come in adjacent pairs
-    and every other one opens a block."""
-    two = np.flatnonzero(ipiv < 0)[::2]
-    one = np.ones(ipiv.size, dtype=bool)
-    one[two] = one[two + 1] = False
-    a, b, c = diag[two], sub[two], diag[two + 1]
-    # symmetric 2x2: discriminant (a-c)^2 + 4b^2 is exactly nonnegative
-    disc = np.hypot(a - c, 2.0 * b)
-    return np.concatenate([diag[one], 0.5 * (a + c + disc), 0.5 * (a + c - disc)])
+def _band(n: int, m: int) -> Array:
+    """Flat indices that read the full lower band of the trailing n x n block
+    of an m x m matrix into band storage."""
+    d, j = np.ogrid[:n, :n]
+    return (m - n + np.minimum(j + d, n - 1)) * m + m - n + j
 
 
-@dataclass
-class BlockFactor:
-    """Block LDL^T factor of the shifted KKT matrix K + reg * I_primal of
-    one `StageBlocks`, made by `factor_kkt`.
+class RiccatiFactor(NamedTuple):
+    """A `_riccati` factor: K_k, Rhat_k^{-1}, C_k = A_k - B_k K_k, C_k^T
+    P_{k+1}, P_0..P_N, and the ?pbtrf band factor L0 of X0^T P_0 X0."""
 
-    Block k of the stage-ordered vector holds its rows starts[k] to
-    starts[k + 1] (starts[-1] is the order n of K); ldus[k] and ipivs[k]
-    are the ?sytrf factor of its Schur complement D_k.  For k < N, Cs[k]
-    is its coupling C = [0, A_k, B_k] to block k + 1, the transposed view
-    of the Fortran-ordered slab [C^T | .] of the factor pass, and Ys[k] =
-    D_k^{-1} C^T.  inertia is the number of the D's eigenvalues above and
-    below the gate's tolerance max(|eig|.max(), 1) n eps (K's inertia, by
-    Haynsworth additivity); the rest count as zero.  forward, when the
-    factor pass carried a right-hand side, is its forward substitution,
-    until `solve` finishes it.
-    """
-
-    n_x: int
-    starts: list
-    ldus: list
-    ipivs: list
-    Cs: list
-    Ys: list
-    inertia: tuple
-    forward: tuple | None = None
-
-    def solve(self, rhs: Array | None = None) -> Array | None:
-        """(K + reg * I_primal)^{-1} rhs for a stage-ordered vector, or for
-        each column of an (n, c) matrix; None when rhs or the solution is
-        not finite.  Without rhs, the rhs carried by the factor pass is
-        finished; given here it takes the factor pass's (m_k, n_x + c) slab
-        shapes, so both agree bit for bit."""
-        if rhs is not None and not np.isfinite(rhs).all():
-            return None
-        y = self._solve(rhs)
-        return y if np.isfinite(y).all() else None
-
-    def _solve(self, rhs: Array | None) -> Array:
-        """`solve` without the finiteness checks."""
-        n_x, st = self.n_x, self.starts
-        if rhs is None:
-            y, self.forward = self.forward, None
-        else:
-            # forward substitution: z_k = D_k^{-1} y_k, y_{k+1}[lam_k] -= C z_k,
-            # on the columns of Y, a 2-D view of y
-            y = np.array(rhs, dtype=float)
-            Y = y.reshape(y.shape[0], -1)
-            width = n_x + Y.shape[1]
-            for ldu, ipiv, C, a, b in zip(self.ldus, self.ipivs, self.Cs, st, st[1:]):
-                slab = np.zeros((b - a, width), order="F")
-                slab[:, n_x:] = Y[a:b]
-                sol = _sytrs(ldu, ipiv, slab, lower=1)[0]
-                Y[a:b] = sol[:, n_x:]
-                Y[b : b + n_x] -= (C @ sol)[:, n_x:]
-            y[st[-2] :] = _sytrs(self.ldus[-1], self.ipivs[-1], y[st[-2] :], lower=1)[0]
-        # backward substitution: x_N = z_N, x_k = z_k - Y_k x_{k+1}[lam_k]
-        for Yk, a, b in zip(self.Ys[::-1], st[-3::-1], st[-2::-1]):
-            y[a:b] -= Yk @ y[b : b + n_x]
-        return y
+    chain: _Chain
+    K: Array
+    R_inv: Array
+    closed: Array
+    closed_P: Array
+    P: Array
+    L0: Array
 
 
-def factor_kkt(blocks: StageBlocks, reg: float = 0.0, rhs: Array | None = None) -> BlockFactor | None:
-    """Block LDL^T factor of K + reg * I_primal for the KKT matrix K of
-    `blocks`, the Hessian of the Lagrangian in the stage-ordered
-    primal-dual vector, without forming K; I_primal is one on the x and u
-    entries.  None when K has a non-finite entry or a block an exact zero
-    pivot.  A stage-ordered `rhs` (a vector or an (n, c) matrix of
-    columns), when given, rides along in the last columns of each slab,
-    and `solve()` then only runs its backward substitution.
-
-    Block k holds [lam_{k-1}; x_k; u_k]: block 0 opens with lam_{-1} and
-    its coupling -T to x_0, block N is [lam_{N-1}; x_N].  Block k+1
-    couples to block k only through the rows lam_k, by C = [0, A_k, B_k].
-    The Schur complements D_0 = K_00 and D_{k+1} = K_{k+1,k+1} - C D_k^{-1}
-    C^T (which changes only the lam_k corner) each get one Bunch-Kaufman
-    factor.  By Haynsworth additivity the inertia of K is the sum of the
-    inertias of the blocks' D.  Costs O(N (2 n_x + n_u)^3) time and
-    O(N (2 n_x + n_u)^2) memory.
-
-    The elimination runs forward in time, as the gate's tolerance is
-    relative to the largest block eigenvalue: backward (Riccati) order lets
-    uncontrollable modes inflate the blocks (on the quadrotor with q = b =
-    0 to 1e-8..5e8 while K's eigenvalues lie in 2e-10..7) and the gate
-    reject K at every regularization; gamma's Riccati test in `certify` has
-    no such gate.  The price: a stage with R_k = S_k = 0 gives an exactly
-    singular block, so K is rejected at reg = 0 even when it is regular.
-    """
-    dims = blocks.dims
-    n_x, n_u, N = dims.n_x, dims.n_u, dims.N
-    # Every block without its Schur corner, padded to the order
-    # m = 2 n_x + n_u of an interior block [lam; x; u]: block 0 keeps the
-    # last n_0 of the lam rows for lam_{-1}, block N the first 2 n_x rows.
-    # Each C^T = [0; A_k^T; B_k^T] of the forward substitution goes into
-    # a Fortran-ordered (m, n_x + c) slab, its last c columns kept for y_k.
-    m, s0 = 2 * n_x + n_u, n_x - dims.n_0
-    lam, x, u = slice(0, n_x), slice(n_x, 2 * n_x), slice(2 * n_x, m)
-    Ds = np.zeros((N + 1, m, m))
-    Ds[:, x, x] = blocks.Q
-    Ds[:N, x, u] = blocks.S
-    Ds[:N, u, x] = np.swapaxes(blocks.S, 1, 2)
-    Ds[:N, u, u] = blocks.R
-    Ds[1:, x, lam] = Ds[1:, lam, x] = -np.eye(n_x)
-    Ds[0, x, s0:n_x] = -blocks.T.T
-    Ds[0, s0:n_x, x] = -blocks.T
-    if reg != 0.0:
-        d = np.arange(n_x, m)
-        Ds[:, d, d] += reg
-    if not np.isfinite(Ds).all():
+def _riccati(chain: _Chain, sigma: float) -> RiccatiFactor | None:
+    """Backward Riccati recursion of a `_Chain` shifted by -sigma I: P_N =
+    Q_N - sigma I, M_k = AB_k^T P_{k+1} AB_k + H_k - sigma I, Rhat_k =
+    M_k[u, u], K_k = Rhat_k^{-1} M_k[u, x], P_k = M_k[x, x] - M_k[x, u]
+    K_k.  By Sylvester's law and Haynsworth additivity every Rhat_k and X0^T
+    P_0 X0 is positive definite iff the reduced Hessian of H - sigma I is,
+    iff the shifted KKT matrix has n_primal positive and n_dual negative
+    eigenvalues: one ?pbtrf each, no tolerance.  None when a test fails;
+    FloatingPointError when not finite (?pbtrf passes NaN)."""
+    AB, H, Q_N, X0, _ = chain
+    N, n_x, n_z = AB.shape
+    n_u = n_z - n_x
+    KR, band = np.zeros((N, n_u, n_z)), _band(n_u, n_z)  # KR_k = Rhat_k^{-1} [M_k[u, x] | I]
+    P = np.empty((N + 1, n_x, n_x))
+    H, P[N], G = H - sigma * np.eye(n_z), Q_N - sigma * np.eye(n_x), np.eye(n_u, n_z, n_x)
+    for k in range(N - 1, -1, -1):
+        M = AB[k].T @ (P[k + 1] @ AB[k]) + H[k]
+        L, info = _pbtrf(M.take(band), lower=1) if n_u else (None, 0)
+        if info:
+            if np.isfinite(M).all():
+                return None
+            raise FloatingPointError
+        G[:, :n_x] = M[n_x:, :n_x]
+        KR[k] = _pbtrs(L, G, lower=1)[0] if n_u else G
+        Pk = M[:n_x, :n_x] - M[:n_x, n_x:] @ KR[k, :, :n_x]
+        P[k] = 0.5 * (Pk + Pk.T)  # A^T P A grows its asymmetry by |A|^2 a stage
+    F0 = X0.T @ P[0] @ X0
+    L0, info = _pbtrf(F0.take(_band(len(F0), len(F0))), lower=1) if len(F0) else (F0, 0)
+    if not (np.isfinite(P).all() and np.isfinite(KR).all()):
+        raise FloatingPointError
+    if info:
         return None
-    y = None if rhs is None else np.array(rhs, dtype=float)
-    Y = None if y is None else y.reshape(y.shape[0], -1)  # a 2-D view of y
-    CTs = np.zeros((N, n_x + (1 if Y is None else Y.shape[1]), m)).transpose(0, 2, 1)
-    CTs[:, x, :n_x] = np.swapaxes(blocks.A, 1, 2)
-    CTs[:, u, :n_x] = np.swapaxes(blocks.B, 1, 2)
-    ldus, ipivs, diags, subs, starts, Cs, Ys = [], [], [], [], [], [], []
-    corners = np.empty((N, n_x, n_x))  # C D_k^{-1} C^T of each block k < N
-    a = 0
-    for k in range(N + 1):
-        rows = slice(s0, m) if k == 0 else slice(0, 2 * n_x) if k == N else slice(0, m)
-        D = np.array(Ds[k, rows, rows], order="F")
-        if k > 0:
-            D[:n_x, :n_x] = -corners[k - 1]
-        ldu, ipiv, info = _bunch_kaufman(D)
-        if info > 0:  # D has an exact zero pivot
-            return None
-        ldus.append(ldu)
-        ipivs.append(ipiv)
-        diags.append(ldu.diagonal())
-        subs += [ldu.diagonal(-1), np.zeros(1)]  # padded to the block size
-        starts.append(a)
-        b = a + D.shape[0]
-        # one ?sytrs gives Y = D_k^{-1} C^T and, for a carried rhs, z_k
-        if k < N:
-            CT_y = CTs[k, rows]
-            if y is not None:
-                CT_y[:, n_x:] = Y[a:b]
-            sol, _ = _sytrs(ldu, ipiv, CT_y, lower=1)
-            C = CT_y[:, :n_x].T
-            C_sol = C @ sol
-            Cs.append(C)
-            Ys.append(sol[:, :n_x])
-            corners[k] = C_sol[:, :n_x]
-            if y is not None:
-                Y[a:b] = sol[:, n_x:]
-                Y[b : b + n_x] -= C_sol[:, n_x:]
-        elif y is not None:
-            y[a:b], _ = _sytrs(ldu, ipiv, y[a:b], lower=1)
-        a = b
-    starts.append(a)
-    if not np.isfinite(corners).all():  # a non-finite D_{k+1} was factored
+    K, R_inv = KR[:, :, :n_x], KR[:, :, n_x:]
+    closed = AB[:, :, :n_x] - AB[:, :, n_x:] @ K
+    return RiccatiFactor(chain, K, R_inv, closed, closed.swapaxes(1, 2) @ P[1:], P, L0)
+
+
+def factor_kkt(blocks: StageBlocks, reg: float = 0.0) -> RiccatiFactor | None:
+    """`_riccati` at sigma = -reg: the factor of K + reg * I_primal for the
+    KKT matrix K = [[H, -J^T], [-J, 0]] of `blocks`, in O(N (n_x + n_u)^3)
+    time.  None when a pivot test fails (the shifted K has not n_primal
+    positive and n_dual negative eigenvalues), a block entry is not finite
+    or P overflows, as along an unstable mode that no input reaches
+    (`ti_blocks(10 I, [1; 0], N=400)` of the certificate tests; no Newton
+    solve of the tests or the benchmark); RegularityError when T is rank
+    deficient, which no shift mends."""
+    if not all(np.isfinite(getattr(blocks, f)).all() for f in "TQRSAB"):
         return None
-    # a 2x2 pivot never straddles two blocks, so one pass reads them all
-    eigs = _d_eigs(np.concatenate(diags), np.concatenate(subs), np.concatenate(ipivs))
-    scale = float(np.abs(eigs).max()) if eigs.size else 0.0
-    tol = max(scale, 1.0) * a * np.finfo(float).eps
-    inertia = (int(np.sum(eigs > tol)), int(np.sum(eigs < -tol)))
-    return BlockFactor(n_x, starts, ldus, ipivs, Cs, Ys, inertia, y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return _riccati(_chain(blocks), -reg)
+        except FloatingPointError:
+            return None
+
+
+def solve_kkt(F: RiccatiFactor, rhs: Array) -> Array:
+    """(K + reg * I_primal)^{-1} rhs from a `factor_kkt` factor, for a
+    stage-ordered vector or each column of an (n_w, c) matrix, unchecked.
+    For primal rhs g and dual rhs h, backward q_N = g_xN, q_k = g_x - K_k^T
+    g_u + C_k^T (P_{k+1} h_k + q_{k+1}) with C_k = A_k - B_k K_k; forward
+    x_0 = x_p + X0 xi with T x_p = -h_{-1} and X0^T P_0 X0 xi = X0^T (q_0 -
+    P_0 x_p), u_k = Rhat_k^{-1} (g_u + B_k^T (q_{k+1} + P_{k+1} h_k)) - K_k
+    x_k, x_{k+1} = A_k x_k + B_k u_k - h_k (so J x = -h to rounding), and
+    lam_k = P_{k+1} x_{k+1} - q_{k+1}, T^T lam_{-1} = P_0 x_0 - q_0.  A lone
+    column, for which BLAS takes another kernel, is solved beside a zero
+    one: rounded as the first of a pair of points that share a factor."""
+    (AB, _, _, X0, T_pinv), K, R_inv, closed, closed_P, P, L0 = F
+    N, n_x, n_z = AB.shape
+    Y = np.reshape(rhs, (len(rhs), -1))
+    width = Y.shape[1]
+    Y = np.ascontiguousarray(np.hstack([Y, np.zeros_like(Y)]) if width == 1 else Y, dtype=float)
+    n_0, end, c = T_pinv.shape[1], len(Y) - n_x, Y.shape[1]
+    rows = Y[n_0:end].reshape(N, -1, c)
+    g_x, g_u, h = rows[:, :n_x], rows[:, n_x:n_z], rows[:, n_z:]
+    B = AB[:, :, n_x:]
+    # products with the stack y_k, [q_k; I] backward and [x_k; I; u_k] forward
+    back = np.concatenate([closed.swapaxes(1, 2), g_x - K.swapaxes(1, 2) @ g_u + closed_P @ h], axis=2)
+    y = np.zeros((N + 1, n_z + c, c))
+    y[:, n_x : n_x + c], y[N, :n_x] = np.eye(c), Y[end:]
+    for k in range(N - 1, -1, -1):
+        np.matmul(back[k], y[k + 1, : n_x + c], out=y[k, :n_x])
+    q = y[:, :n_x].copy()
+    kappa = R_inv @ (g_u + B.swapaxes(1, 2) @ (q[1:] + P[1:] @ h))
+    x_p = -T_pinv @ Y[:n_0]
+    r0 = X0.T @ (q[0] - P[0] @ x_p)
+    y[0, :n_x] = x_p + X0 @ (_pbtrs(L0, r0, lower=1)[0] if len(L0) else r0)
+    gain, dyn = np.concatenate([-K, kappa], axis=2), np.concatenate([AB[:, :, :n_x], -h, B], axis=2)
+    for k in range(N):
+        np.matmul(gain[k], y[k, : n_x + c], out=y[k, n_x + c :])
+        np.matmul(dyn[k], y[k], out=y[k + 1, :n_x])
+    x, X = y[:, :n_x], np.empty_like(Y)
+    out = X[n_0:end].reshape(N, -1, c)
+    out[:, :n_x], out[:, n_x:n_z], out[:, n_z:] = x[:N], y[:N, n_x + c :], P[1:] @ x[1:] - q[1:]
+    X[:n_0], X[end:] = T_pinv.T @ (P[0] @ x[0] - q[0]), x[N]
+    return X[:, :width].reshape(np.shape(rhs))
 
 
 def _jacobian_rows(jacs: list, N: int) -> tuple:
@@ -868,12 +823,14 @@ def solve_equality_nlp(
     """Newton on the first-order conditions with a backtracking line search
     on the squared residual norm: the one-point call of `solve_batch`.
 
-    When the KKT factorization signals singularity or wrong inertia (or the
-    search direction fails to reduce the residual), eps * I is added to the
-    primal Hessian block, starting at opts.reg0 and escalating tenfold up to
+    When `factor_kkt` rejects the KKT matrix (a Riccati pivot is not
+    positive definite, so neither is the reduced Hessian) or the search
+    direction fails to reduce the residual, eps * I is added to the primal
+    Hessian block, starting at opts.reg0 and escalating tenfold up to
     opts.reg_max.  Raises RegularityError when no usable direction exists
-    at maximal regularization and NonconvergenceError when max_iter is
-    exhausted; both carry the last iterate.
+    at maximal regularization or T is rank deficient, and
+    NonconvergenceError when max_iter is exhausted; all carry the last
+    iterate.
     """
     ((result, error),) = solve_batch(p, [data], w0, opts)
     if error is not None:
@@ -889,12 +846,12 @@ def solve_batch(p: DOProblem, data, w0=None, opts: SolveOptions | None = None, s
 
     The points take their Newton iterations in lock step, each residual or
     linearization evaluating all their stages at once, and points whose
-    shifted KKT matrices are equal bit for bit share one `factor_kkt` that
-    carries all their right-hand sides.  Step length, regularization,
-    convergence and failure stay per point.  The points go in chunks, so
-    memory does not grow with their number; the first iteration, all at w0,
-    is taken once for all points (`_Start`), and its factors serve every
-    chunk.  `stats` gets the counts `newton_rounds` (chunk iterations),
+    shifted KKT matrices are equal bit for bit share one `factor_kkt` and
+    one `solve_kkt` of all their right-hand sides.  Step length,
+    regularization, convergence and failure stay per point.  The points go
+    in chunks, so memory does not grow with their number; the first
+    iteration, all at w0, is taken once for all points (`_Start`), and its
+    factors serve every chunk.  `stats` gets the counts `newton_rounds` (chunk iterations),
     `factorizations`, `solved_columns` and `residual_evals` (batched
     residual calls, the start one) added, and `chunk_points` (points per
     chunk) and `start_rows` (stage rows the start evaluated) set.
@@ -914,12 +871,12 @@ def solve_batch(p: DOProblem, data, w0=None, opts: SolveOptions | None = None, s
         yield from _lockstep(p, data[c : c + size], start, slice(c, c + size), opts, first, stats)
 
 
-def _steps(todo: list, R: Array, reg: dict, blocks: dict, pool: list, dims: Dimensions, stats: dict) -> dict:
+def _steps(todo: list, R: Array, reg: dict, blocks: dict, pool: list, stats: dict) -> dict:
     """Newton steps for -R[k] of the points k in `todo` at regularization
-    reg[k]; None where the inertia gate rejects the shifted K or the step
-    is not finite.  `pool` holds [reg, blocks, factor] entries (a rejected
-    factor as None); a new entry's factor pass carries the right-hand sides
-    of all points that need it."""
+    reg[k]: None where `factor_kkt` rejects the shifted K or the step is not
+    finite, the RegularityError of a rank-deficient T.  `pool` holds [reg,
+    blocks, factor] entries (a rejected factor as None or that error), each
+    factored once; one solve takes the columns of all points that share it."""
     groups, out = {}, {}
     for k in todo:
         if not np.isfinite(R[k]).all():
@@ -927,21 +884,20 @@ def _steps(todo: list, R: Array, reg: dict, blocks: dict, pool: list, dims: Dime
             continue
         entry = next((e for e in pool if e[0] == reg[k] and _same_matrix(e[1], blocks[k])), None)
         if entry is None:
-            entry = [reg[k], blocks[k], None]
+            try:
+                factor = factor_kkt(blocks[k], reg[k])
+            except RegularityError as exc:
+                factor = exc
+            entry = [reg[k], blocks[k], factor]
             pool.append(entry)
-            groups[id(entry)] = (entry, [], True)
-        groups.setdefault(id(entry), (entry, [], False))[1].append(k)
-        blocks[k] = entry[1]  # equal bits: the copy is dropped
-    for entry, ks, fresh in groups.values():
-        rhs = -R[ks[0]] if len(ks) == 1 else -R[ks].T
-        if fresh:
-            entry[2] = factor_kkt(entry[1], entry[0], rhs)
             stats["factorizations"] += 1
-        if entry[2] is None or entry[2].inertia != (dims.n_primal, dims.n_dual):
-            entry[2] = None
-            out.update(dict.fromkeys(ks))
+        groups.setdefault(id(entry), (entry[2], []))[1].append(k)
+        blocks[k] = entry[1]  # equal bits: the copy is dropped
+    for factor, ks in groups.values():
+        if not isinstance(factor, RiccatiFactor):
+            out.update(dict.fromkeys(ks, factor))
             continue
-        Y = entry[2]._solve(None if fresh else rhs).reshape(dims.n_w, -1)
+        Y = solve_kkt(factor, -R[ks].T)
         stats["solved_columns"] += len(ks)
         out.update((k, y if np.isfinite(y).all() else None) for k, y in zip(ks, Y.T))
     return out
@@ -987,8 +943,10 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
 
         while need or alpha:
             todo, need[:] = list(need), []
-            for k, y in _steps(todo, R, reg, blocks, first if it == 0 else [], dims, stats).items():
-                if y is None:
+            for k, y in _steps(todo, R, reg, blocks, first if it == 0 else [], stats).items():
+                if isinstance(y, RegularityError):
+                    finish(k, it, RegularityError, f"{y} (iteration {it})")
+                elif y is None:
                     escalate(k)
                 else:
                     alpha[k], step[k] = 1.0, y

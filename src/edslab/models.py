@@ -530,6 +530,8 @@ def lq_chain(
     """Seeded random time-invariant LQ problem; A is rescaled to the
     requested spectral radius, Q and R default to identity.  Deterministic
     per seed."""
+    if n_x < 1 or n_u < 0:
+        raise ConfigurationError(f"lq_chain needs n_x >= 1 and n_u >= 0, got n_x={n_x}, n_u={n_u}")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_x, n_x))
     radius = float(np.max(np.abs(np.linalg.eigvals(A))))

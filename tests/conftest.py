@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import strategies as st
 
@@ -166,15 +167,15 @@ def dense_kkt(blocks):
     return np.block([[H, -J.T], [-J, np.zeros((J.shape[0], J.shape[0]))]])
 
 
-def newton_step(blocks, rhs, n_pos, n_neg, reg=0.0):
+def newton_step(blocks, rhs, reg=0.0):
     """The gated solve of a Newton step: (K + reg * I_primal)^{-1} rhs from
-    `kkt.factor_kkt` when the shifted K has exactly (n_pos, n_neg, 0)
-    positive/negative/zero eigenvalues, None otherwise (non-finite input
-    included)."""
+    `kkt.factor_kkt` and `kkt.solve_kkt`, None when the factor rejects the
+    shifted K or the input or the step is not finite."""
     if not np.isfinite(rhs).all():
         return None
-    factor = kkt.factor_kkt(blocks, reg, rhs)
-    return factor.solve() if factor is not None and factor.inertia == (n_pos, n_neg) else None
+    factor = kkt.factor_kkt(blocks, reg)
+    x = None if factor is None else kkt.solve_kkt(factor, rhs)
+    return x if x is not None and np.isfinite(x).all() else None
 
 
 def dense_newton_step(p, traj, data):
@@ -188,31 +189,25 @@ def dense_newton_step(p, traj, data):
 
 
 def dense_factor_and_solve(K, rhs, n_pos, n_neg, reg=0.0):
-    """Reference for the block factor: solve (K + reg * diag(1_{n_pos},
-    0_{n_neg})) x = rhs through one dense Bunch-Kaufman factorization of
-    the whole K with the same inertia gate; x only when the shifted K has
+    """Dense reference for a gated Newton step: solve (K + reg *
+    diag(1_{n_pos}, 0_{n_neg})) x = rhs, the inertia read from the D of one
+    dense Bunch-Kaufman factorization (`scipy.linalg.ldl`) with the
+    relative tolerance max(|eig|, 1) n eps; x only when the shifted K has
     exactly (n_pos, n_neg, 0) positive/negative/zero eigenvalues, None
     otherwise (non-finite input included)."""
     if not (np.isfinite(K).all() and np.isfinite(rhs).all()):
         return None
-    W = np.array(K, order="F")
+    W = np.array(K, dtype=float)
     if reg != 0.0:
         d = np.arange(n_pos)
         W[d, d] += reg
-    ldu, ipiv, info = kkt._bunch_kaufman(W)
-    if info > 0:  # D has an exact zero pivot
-        return None
-    eigs = kkt._d_eigs(np.diagonal(ldu), np.diagonal(ldu, -1), ipiv)
+    eigs = np.linalg.eigvalsh(scipy.linalg.ldl(W, lower=True)[1])
     scale = float(np.abs(eigs).max()) if eigs.size else 0.0
     tol = max(scale, 1.0) * K.shape[0] * np.finfo(float).eps
-    pos = int(np.sum(eigs > tol))
-    neg = int(np.sum(eigs < -tol))
-    if pos != n_pos or neg != n_neg:
+    if (int(np.sum(eigs > tol)), int(np.sum(eigs < -tol))) != (n_pos, n_neg):
         return None
-    x, _ = kkt._sytrs(ldu, ipiv, rhs, lower=1)
-    if not np.all(np.isfinite(x)):
-        return None
-    return x
+    x = np.linalg.solve(W, rhs)
+    return x if np.isfinite(x).all() else None
 
 
 def w_offsets(dims):

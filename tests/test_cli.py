@@ -271,6 +271,25 @@ class TestRun:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"params": {"n_x": -1, "N": 8}}, "n_x >= 1"),
+            ({"params": {"n_u": -2, "N": 8}}, "n_u >= 0"),
+            ({"stages": [1.5]}, "stage must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+        ],
+        ids=["negative_n_x", "negative_n_u", "fractional_stage", "fractional_seed"],
+    )
+    def test_negative_sizes_and_fractional_indices_exit_3(self, tmp_path, capsys, overrides, message):
+        # numpy's "negative dimensions" error ended the run with exit 1, and
+        # int() truncated a fractional stage or seed to a run with exit 0
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **overrides)
+        assert main(["run", "--config", str(cfg)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_threads_key_is_unknown(self, tmp_path, capsys):
         # experiments run serially; a worker-pool size is no longer a setting
         out = tmp_path / "out"

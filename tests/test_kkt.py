@@ -1,5 +1,9 @@
 import copy
 import dataclasses
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -24,10 +28,11 @@ from edslab import (
     kkt_residual,
     linearize,
     solve_equality_nlp,
+    sosc_modulus,
 )
 from edslab import diff, kkt
 from edslab.errors import ConfigurationError, NonconvergenceError, RegularityError
-from edslab.models import lq_chain, make_lq_problem
+from edslab.models import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, lq_chain, make_lq_problem
 from conftest import (
     data_coupled_jac_problem,
     dense_factor_and_solve,
@@ -444,6 +449,25 @@ class TestTerminalSourcing:
         assert np.array_equal(blocks.E[N], E)
 
 
+    def test_cost_gradient_differences_x_and_u_only(self):
+        # the d coordinates of a cost without an analytic gradient are not
+        # differenced: 2 (n_x + n_u) cost calls, not 2 (n_x + n_u + n_d), and
+        # the same bits as the full central-difference gradient
+        rng = np.random.default_rng(3)
+        x, u, d = rng.standard_normal(6), rng.standard_normal(3), rng.standard_normal(6)
+        calls = [0]
+
+        def cost(x, u, d):
+            calls[0] += 1
+            return float(x @ x + np.sin(u).sum() * d[0] + x[:3] @ u * d[1] + np.cos(d).sum())
+
+        g_x, g_u = kkt._cost_gradients(cost, None, x, u, d)
+        assert calls[0] == 18
+        full = diff.gradient(lambda t: cost(t[:6], t[6:9], t[9:]), np.concatenate([x, u, d]))
+        assert calls[0] == 18 + 30
+        assert np.array_equal(g_x, full[:6]) and np.array_equal(g_u, full[6:9])
+
+
 class TestSolve:
     def test_oracle_hand_solution(self):
         b = build_model("scalar_oracle")
@@ -576,6 +600,32 @@ class TestSolve:
         assert not err.value.result.converged
         assert err.value.result.trajectory.dims == p.dims
 
+    def test_singular_stage_block_takes_one_exact_step(self):
+        # a 3-stage double integrator with no control cost at stage 0 (R_0 =
+        # S_0 = 0): its stage block is singular, but K is regular and its
+        # Riccati pivot Rhat_0 = B^T P_1 B is positive, so the first Newton
+        # step is exact at regularization 0 (forward block elimination
+        # needed 1e-7 and two iterations)
+        A, B = DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B
+        r = lambda i: 0.0 if i == 0 else 1.0
+        oracles = StageOracles(
+            stage_cost=lambda i, x, u, d: float(x @ x + r(i) * u @ u),
+            dynamics=lambda i, x, u, d: A @ x + B @ u,
+            terminal_cost=lambda x, d: float(x @ x),
+            stage_cost_grad=lambda i, x, u, d: (2.0 * x, 2.0 * r(i) * u),
+            stage_cost_hess=lambda i, x, u, d: (
+                2.0 * np.eye(2), np.zeros((2, 1)), 2.0 * r(i) * np.eye(1), np.zeros((2, 0)), np.zeros((1, 0))
+            ),
+            dynamics_jac=lambda i, x, u, d: (A, B, np.zeros((2, 0))),
+            terminal_cost_grad=lambda x, d: 2.0 * x,
+            terminal_cost_hess=lambda x, d: (2.0 * np.eye(2), np.zeros((2, 0))),
+        )
+        dims = Dimensions.uniform(3, 2, 1, 0, 2)
+        p = DOProblem(dims=dims, oracles=oracles, T=np.eye(2))
+        res = solve_equality_nlp(p, DataTrajectory(dims, [[1.0, 0.5], [], [], [], []]))
+        assert res.converged and res.iterations == 1 and res.regularization == 0.0
+        assert res.trajectory.u(0) == pytest.approx([-1.25], abs=1e-12)
+
     def test_no_control_problem_solvable(self):
         # n_u = 0: the trajectory is pinned by the constraints alone
         p = lq_chain(2, 0, 5, seed=2)
@@ -620,16 +670,6 @@ def inertia(K):
 
 
 class TestPackedFactor:
-    @settings(max_examples=150, deadline=None)
-    @given(kkt_matrices())
-    def test_packed_d_eigs_match_scipy_ldl(self, case):
-        K = case[0]
-        ldu, ipiv, info = kkt._bunch_kaufman(np.array(K, order="F"))
-        eigs = np.sort(kkt._d_eigs(np.diagonal(ldu), np.diagonal(ldu, -1), ipiv))
-        ref = np.linalg.eigvalsh(scipy.linalg.ldl(K, lower=True)[1])
-        assert eigs.shape == ref.shape
-        assert np.abs(eigs - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1e-300)
-
     @settings(max_examples=150, deadline=None)
     @given(kkt_matrices(), st.integers(0, 2**32 - 1))
     def test_inertia_gate_and_step(self, case, seed):
@@ -702,17 +742,13 @@ def shifted_inertia(K, n_primal, reg):
 
 
 class TestBlockFactor:
-    """The stage-block LDL^T of the Newton step against one dense
-    Bunch-Kaufman factorization of the assembled KKT matrix.  The random
-    blocks keep R and S nonzero: with R_k = S_k = 0 a stage block is
-    singular although K may be regular (see `kkt.factor_kkt`)."""
+    """The Riccati factor of the Newton step against a dense solve of the
+    assembled KKT matrix.  It accepts the shifted K exactly when K has n_primal
+    positive and n_dual negative eigenvalues, which `eigvalsh` decides where
+    the spectral gap allows; the random blocks may have R_k = S_k = 0."""
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        stage_blocks(zero_families="ABEFG"),
-        st.sampled_from([0.0, 1e-8, 1e-4]),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(stage_blocks(), st.sampled_from([0.0, 1e-8, 1e-4]), st.integers(0, 2**32 - 1))
     def test_matches_dense_oracle(self, blocks, reg, seed):
         dims = blocks.dims
         n_p, n_d = dims.n_primal, dims.n_dual
@@ -721,33 +757,32 @@ class TestBlockFactor:
         truth = shifted_inertia(K, n_p, reg)
         if truth is None:
             return
-        x = newton_step(blocks, to_stage_order(dims, rhs), n_p, n_d, reg)
+        x = newton_step(blocks, to_stage_order(dims, rhs), reg)
         ref = dense_factor_and_solve(K, rhs, n_p, n_d, reg)
         assert (x is not None) == (ref is not None) == (truth == (n_p, n_d))
         if x is not None:
             assert np.abs(x - to_stage_order(dims, ref)).max() <= 1e-8 * np.abs(ref).max()
 
     @settings(max_examples=100, deadline=None)
-    @given(stage_blocks(zero_families="ABEFG"), st.integers(0, 2**32 - 1))
+    @given(stage_blocks(), st.integers(0, 2**32 - 1))
     def test_gate_takes_exact_inertia(self, blocks, seed):
+        # no tolerance: the shift -gamma (1 -+ 1e-6), around the smallest
+        # eigenvalue gamma of the reduced Hessian, is accepted, then refused
+        dims = blocks.dims
         K = dense_kkt(blocks)
         rhs = np.random.default_rng(seed).standard_normal(K.shape[0])
-        truth = shifted_inertia(K, blocks.dims.n_primal, 0.0)
-        if truth is None:
-            return
-        pos, neg = truth
-        x = newton_step(blocks, to_stage_order(blocks.dims, rhs), pos, neg)
-        ref = dense_factor_and_solve(K, rhs, pos, neg)
-        assert x is not None
-        x = to_stacked_order(blocks.dims, x)
-        assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
-        assert np.linalg.norm(K @ x - rhs) <= 1e-8 * np.linalg.norm(K, 2) * np.linalg.norm(x)
-        if pos != neg:
-            assert newton_step(blocks, rhs, neg, pos) is None
-        if neg > 0:
-            assert newton_step(blocks, rhs, pos + 1, neg - 1) is None
-        if pos > 0:
-            assert newton_step(blocks, rhs, pos - 1, neg + 1) is None
+        truth = shifted_inertia(K, dims.n_primal, 0.0)
+        if truth is not None:
+            x = newton_step(blocks, to_stage_order(dims, rhs))
+            assert (x is not None) == (truth == (dims.n_primal, dims.n_dual))
+            if x is not None:
+                x = to_stacked_order(dims, x)
+                assert np.linalg.norm(K @ x - rhs) <= 1e-8 * np.linalg.norm(K, 2) * np.linalg.norm(x)
+        gamma = sosc_modulus(assemble_hessian(blocks), assemble_jacobian(blocks))
+        if math.isfinite(gamma):
+            margin = 1e-6 * max(abs(gamma), 1.0)
+            assert kkt.factor_kkt(blocks, -gamma + margin) is not None
+            assert kkt.factor_kkt(blocks, -gamma - margin) is None
 
     @settings(max_examples=100, deadline=None)
     @given(stage_blocks(), st.sampled_from([0.0, 1e-4]), st.integers(0, 2**32 - 1))
@@ -758,7 +793,7 @@ class TestBlockFactor:
         rhs = rng.standard_normal(n_p + n_d)
         bad_rhs = rhs.copy()
         bad_rhs[rng.integers(rhs.size)] = np.inf
-        assert newton_step(blocks, bad_rhs, n_p, n_d, reg) is None
+        assert newton_step(blocks, bad_rhs, reg) is None
         # NaN in one entry of one block of K
         families = [f for f in "QRSAB" if getattr(blocks, f)[0].size] + (["T"] if dims.n_0 else [])
         name = families[rng.integers(len(families))]
@@ -768,17 +803,16 @@ class TestBlockFactor:
         else:
             M = getattr(bad, name)[rng.integers(len(getattr(bad, name)))]
         M[tuple(rng.integers(s) for s in M.shape)] = np.nan
-        assert newton_step(bad, rhs, n_p, n_d, reg) is None
+        assert newton_step(bad, rhs, reg) is None
         if dims.n_u and reg == 0.0:
             # a control with no curvature and no dynamics coupling: a zero
-            # row of its stage block and of K, so both are exactly singular
+            # row of its Riccati pivot and of K, so both are exactly singular
             k, j = rng.integers(dims.N), rng.integers(dims.n_u)
             sing = copy.deepcopy(blocks)
             sing.R[k][j, :] = sing.R[k][:, j] = 0.0
             sing.S[k][:, j] = 0.0
             sing.B[k][:, j] = 0.0
-            for p in range(n_p + n_d + 1):
-                assert newton_step(sing, rhs, p, n_p + n_d - p) is None
+            assert kkt.factor_kkt(sing) is None
             assert dense_factor_and_solve(dense_kkt(sing), rhs, n_p, n_d) is None
 
     @pytest.mark.parametrize("reg", [0.0, 1e-4])
@@ -796,7 +830,7 @@ class TestBlockFactor:
             dims = blocks.dims
             K = dense_kkt(blocks)
             rhs = np.random.default_rng(1).standard_normal(K.shape[0])
-            x = newton_step(blocks, to_stage_order(dims, rhs), dims.n_primal, dims.n_dual, reg)
+            x = newton_step(blocks, to_stage_order(dims, rhs), reg)
             ref = dense_factor_and_solve(K, rhs, dims.n_primal, dims.n_dual, reg)
             assert x is not None and ref is not None
             assert np.abs(x - to_stage_order(dims, ref)).max() <= 1e-8 * np.abs(ref).max()
@@ -818,12 +852,7 @@ class TestBlockFactor:
 
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        stage_blocks(zero_families="ABEFG"),
-        st.sampled_from([0.0, 1e-4]),
-        st.integers(1, 4),
-        st.integers(0, 2**32 - 1),
-    )
+    @given(stage_blocks(), st.sampled_from([0.0, 1e-4]), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_solve_vector_and_columns(self, blocks, reg, n_cols, seed):
         dims = blocks.dims
         n_p = dims.n_primal
@@ -832,31 +861,21 @@ class TestBlockFactor:
         if truth is None:
             return
         factor = kkt.factor_kkt(blocks, reg)
-        assert factor is not None and factor.inertia == truth
+        assert (factor is not None) == (truth == (n_p, dims.n_dual))
+        if factor is None:
+            return
         rhs = np.random.default_rng(seed).standard_normal((K.shape[0], n_cols))
-        X = factor.solve(np.column_stack([to_stage_order(dims, b) for b in rhs.T]))
+        S = np.column_stack([to_stage_order(dims, b) for b in rhs.T])
+        X = kkt.solve_kkt(factor, S)
         assert X.shape == rhs.shape
         for j in range(n_cols):
-            ref = to_stage_order(dims, dense_factor_and_solve(K, rhs[:, j], *truth))
-            x = factor.solve(to_stage_order(dims, rhs[:, j]))
+            ref = to_stage_order(dims, np.linalg.solve(K, rhs[:, j]))
+            x = kkt.solve_kkt(factor, S[:, j])
             assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
             assert np.abs(X[:, j] - ref).max() <= 1e-8 * np.abs(ref).max()
-
-    @settings(max_examples=50, deadline=None)
-    @given(stage_blocks(zero_families="ABEFG"), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_carried_columns_match_a_later_solve(self, blocks, n_cols, seed):
-        # right-hand sides carried through the factor pass, finished by
-        # solve(), are the bits that solve(rhs) gives from the kept factor
-        rhs = np.random.default_rng(seed).standard_normal((blocks.dims.n_w, n_cols))
-        carried = kkt.factor_kkt(blocks, 1e-4, rhs)
-        kept = kkt.factor_kkt(blocks, 1e-4)
-        if carried is None:
-            assert kept is None
-            return
-        later = kept.solve(rhs)
-        done = carried.solve()
-        assert (done is None) == (later is None)
-        assert done is None or done.tobytes() == later.tobytes()
+            # a lone column is rounded as the first of a pair
+            pair = kkt.solve_kkt(factor, np.column_stack([S[:, j], S[:, j - 1]]))
+            assert x.tobytes() == pair[:, 0].tobytes()
 
 
 def varying_data_problem(N):
@@ -1000,3 +1019,26 @@ class TestSharedStart:
             alone = solve_equality_nlp(p, d, w0=w0)
             assert err is None and res.iterations == alone.iterations == 1
             assert np.abs(res.trajectory.vector - alone.trajectory.vector).max() <= 1e-12
+
+
+def test_src_asks_lapack_for_the_band_cholesky_only():
+    # one stage factor: a fresh `import edslab` asks LAPACK for ?pbtrf and
+    # ?pbtrs alone, and no module holds another LAPACK routine (no ?sytrf or
+    # ?sytrs of a symmetric indefinite factor)
+    script = """
+import sys, scipy.linalg
+asked, get = set(), scipy.linalg.get_lapack_funcs
+def record(names, *args, **kwargs):
+    if sys._getframe(1).f_globals.get("__name__", "").startswith("edslab"):
+        asked.update([names] if isinstance(names, str) else names)
+    return get(names, *args, **kwargs)
+scipy.linalg.get_lapack_funcs = record
+import edslab
+held = {v.__name__.split()[-1] for name, m in list(sys.modules.items()) if name.startswith("edslab")
+        for v in vars(m).values() if type(v).__name__ == "fortran"}
+print(" ".join(sorted(asked)), "|", " ".join(sorted(held)))
+"""
+    src = os.path.dirname(os.path.dirname(kkt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["pbtrf", "pbtrs", "|", "dpbtrf", "dpbtrs"]
