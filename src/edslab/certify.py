@@ -6,10 +6,12 @@ Every modulus is a measured eigenvalue or singular value at one point:
   J J^T, and the coupling modulus L_observed is the spectral norm of the
   Lagrangian's full mixed second derivative M in (primal-dual, data)
   variables, i.e. the square root of the largest eigenvalue of M M^T.  Both
-  Gram matrices are banded in the stage-interleaved ordering, so each
-  eigenvalue is found by bisection on banded Cholesky factorizations, in
-  O(N b^2) time and O(N b) memory for half-bandwidth b; M M^T's band comes
-  from the stage blocks, and inverse iteration finishes its bisection;
+  Gram matrices are block tridiagonal in the stage-interleaved ordering,
+  and both bands come from the stage blocks through one builder,
+  `_gram_band`, with no sparse matrix.  Each eigenvalue is found by
+  bisection on banded Cholesky factorizations, in O(N b^2) time and
+  O(N b) memory for half-bandwidth b; inverse iteration finishes the
+  bisection of M M^T;
 - the second-order modulus gamma is the smallest eigenvalue of the reduced
   Hessian Z^T H Z.  The Newton step's backward Riccati factor (`kkt`) of
   the stage blocks shifted by -sigma I decides sigma < gamma exactly, with
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .errors import ConfigurationError, RegularityError
 from .kkt import (
@@ -50,7 +51,6 @@ from .kkt import (
     assemble_mixed_hessian,  # unused here: perfbench/tracer.py wraps it at this lookup site
     linearize,
     solve_kkt,
-    sparse_jacobian,
 )
 from .problem import Array, DataTrajectory, DOProblem, PrimalDualTrajectory
 
@@ -280,19 +280,19 @@ def _gram_eigenvalue(band: Array, largest: bool, stats: dict | None = None) -> f
     return 0.5 * (a + b)
 
 
-def licq_modulus(J, stats: dict | None = None) -> float:
-    """Smallest eigenvalue of J J^T for a dense or sparse J, from the band of
-    the sparse product by `_gram_eigenvalue`."""
-    J = scipy.sparse.csr_array(J if scipy.sparse.issparse(J) else np.atleast_2d(J), dtype=float)
-    if J.shape[0] == 0:
-        return math.inf
-    if J.shape[0] > J.shape[1]:
-        return 0.0
-    G = (J @ J.T).tocoo()
-    lower = G.row >= G.col
-    r, c = G.row[lower], G.col[lower]
-    band = np.zeros((int((r - c).max(initial=0)) + 1, G.shape[0]), order="F")
-    band[r - c, c] = G.data[lower]
+def licq_modulus(J: StageBlocks | Array, stats: dict | None = None) -> float:
+    """Smallest eigenvalue of J J^T by `_gram_eigenvalue`, for the J of the
+    stage blocks (its band from `_jacobian_gram_band`) or a dense J (from
+    the dense product)."""
+    if isinstance(J, StageBlocks):
+        band = _jacobian_gram_band(J)
+    else:
+        J = np.atleast_2d(np.asarray(J, dtype=float))
+        if J.shape[0] == 0:
+            return math.inf
+        if J.shape[0] > J.shape[1]:
+            return 0.0
+        band = _gram_band(J @ J.T, np.zeros((0, 0, 0)), len(J))
     return _gram_eigenvalue(band, False, stats)
 
 
@@ -446,16 +446,51 @@ def riccati_sosc_modulus(blocks: StageBlocks, stats: dict | None = None) -> floa
     return gamma
 
 
+def _gram(M: Array) -> Array:
+    """M M^T summed term by term, exactly zero where rows of M are
+    orthogonal by construction (a fused multiply-add leaves a residue)."""
+    return (M[:, None] * M[None]).sum(axis=2)
+
+
+def _gram_band(head: Array, V: Array, n: int) -> Array:
+    """Lower band (LAPACK's band storage) of the symmetric G of order n:
+    column c < h = head.shape[1] holds head[c:, c] from the diagonal down,
+    and the rest fall into groups of s, group k coupled only to k + 1 by
+    V[k], its diagonal block over its block with k + 1 (2 s x s).  Columns
+    past n (a padded last group) and trailing zero diagonals are dropped."""
+    h, (groups, _, s) = head.shape[1], V.shape
+    band = np.zeros((max(len(head), 2 * s), h + groups * s), order="F")
+    for i in range(2 * s):
+        band[i, h:].reshape(groups, s)[:, : 2 * s - i] = np.diagonal(V, -i, 1, 2)
+    for c in range(h):
+        band[: len(head) - c, c] = head[c:, c]
+    band = band[:, :n]
+    return np.asfortranarray(band[: int(np.flatnonzero(band.any(axis=1)).max(initial=0)) + 1])
+
+
+def _jacobian_gram_band(blocks: StageBlocks) -> Array:
+    """Lower band of J J^T for the J of `assemble_jacobian`, from the stage
+    blocks alone.  The rows of J fall into the groups [T] and, for each
+    stage k, [-A_k, -B_k, I] on (x_k, u_k, x_{k+1}); consecutive groups
+    share one state's columns.  So J J^T is block tridiagonal in them, with
+    diagonal blocks A_k A_k^T + B_k B_k^T + I and -A_{k+1} below them."""
+    A, B, n_x = blocks.A, blocks.B, blocks.dims.n_x
+    V = np.zeros((len(A), 2 * n_x, n_x))
+    V[:, :n_x] = A @ A.swapaxes(1, 2) + B @ B.swapaxes(1, 2) + np.eye(n_x)
+    V[:-1, n_x:] = -A[1:]
+    head = np.vstack([_gram(blocks.T), -A[0] @ blocks.T.T])
+    return _gram_band(head, V, blocks.dims.n_dual)
+
+
 def _mixed_gram_band(blocks: StageBlocks) -> Array:
-    """Lower band (LAPACK's band storage) of M M^T for the mixed Hessian M of
+    """Lower band of M M^T for the mixed Hessian M of
     `assemble_mixed_hessian`, from the stage blocks alone.  The rows of M
     fall into the groups lam_{-1}, [x_k; u_k; lam_k] and x_N; group k meets
     only the columns lam_{k-1} (-I on x_k, -T^T at k = 0), (x_k, u_k, lam_k)
     (Y_k = [[Q, S, A^T], [S^T, R, B^T], [A, B, 0]]), d_k ([E; F; G]) and
-    x_{k+1} (-I on lam_k).  So M M^T is block tridiagonal in the groups;
-    trailing zero diagonals of its band are dropped."""
+    x_{k+1} (-I on lam_k).  So M M^T is block tridiagonal in the groups."""
     dims = blocks.dims
-    N, n_x, n_z, n_0, s = dims.N, dims.n_x, dims.n_z, dims.n_0, dims.n_z + dims.n_x
+    N, n_x, n_z, s = dims.N, dims.n_x, dims.n_z, dims.n_z + dims.n_x
     x, u, l = slice(0, n_x), slice(n_x, n_z), slice(n_z, s)
     Y, D = np.zeros((N + 1, s, s)), np.zeros((N + 1, s, max(dims.n_d[1:])))
     Y[:, x, x], Y[:N, u, u] = blocks.Q, blocks.R
@@ -464,25 +499,15 @@ def _mixed_gram_band(blocks: StageBlocks) -> Array:
     for r, Ms in ((x, blocks.E), (u, blocks.F), (l, blocks.G)):
         for k, M in enumerate(Ms):
             D[k, r, : M.shape[1]] = M
-    # V[k]: group k's diagonal block over its block with group k + 1 (x_N padded
-    # to a full group); T's Gram products term by term, as a fused multiply-add
-    # leaves a residue where rows of T are orthogonal by construction
-    gram = lambda M: (M[:, None] * M[None]).sum(axis=2)
-    V = np.zeros((N + 1, 2 * s, s))
+    V = np.zeros((N + 1, 2 * s, s))  # x_N padded to a full group
     V[:, :s] = Y @ Y.swapaxes(1, 2) + D @ D.swapaxes(1, 2)
-    V[0, x, x] += gram(blocks.T.T)
+    V[0, x, x] += _gram(blocks.T.T)
     V[1:, x, x] += np.eye(n_x)
     V[:N, l, l] += np.eye(n_x)
     V[:N, s : s + n_x] = -Y[:N, :, l].swapaxes(1, 2)
     V[:N, s:, l] -= Y[1:, :, x]
-    band = np.zeros((s + n_x, n_0 + (N + 1) * s), order="F")
-    for i in range(s + n_x):
-        band[i, n_0:].reshape(N + 1, s)[:, : 2 * s - i] = np.diagonal(V, -i, 1, 2)
-    head = np.vstack([gram(blocks.T) + np.eye(n_0), -Y[0, :, x] @ blocks.T.T])  # lam_{-1}'s column
-    for c in range(n_0):
-        band[: n_0 + s - c, c] = head[c:, c]
-    band = band[:, : dims.n_w]
-    return np.asfortranarray(band[: np.flatnonzero(band.any(axis=1))[-1] + 1])
+    head = np.vstack([_gram(blocks.T) + np.eye(dims.n_0), -Y[0, :, x] @ blocks.T.T])  # lam_{-1}'s column
+    return _gram_band(head, V, dims.n_w)
 
 
 def mixed_hessian_norm(blocks: StageBlocks, stats: dict | None = None) -> float:
@@ -622,7 +647,7 @@ def build_report(
     """Populate every certificate at a converged primal-dual point."""
     blocks = linearize(p, traj, data)
     gram = {"beta": {}, "L_observed": {}}
-    beta = licq_modulus(sparse_jacobian(blocks), gram["beta"])
+    beta = licq_modulus(blocks, gram["beta"])
     provenance = {}
     try:
         gamma = riccati_sosc_modulus(blocks, provenance)

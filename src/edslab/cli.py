@@ -29,7 +29,7 @@ from .certify import build_report
 from .eds import decay_contrast, fit_decay, pooled_points, run_experiments
 from .errors import ConfigurationError, EdslabError
 from .kkt import SolveOptions, solve_equality_nlp
-from .models import build_model, list_models
+from .models import _integer, build_model, list_models
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -66,13 +66,6 @@ _KNOWN_KEYS = {
 }
 
 _CASE_NAME = re.compile(r"[A-Za-z0-9_.-]+")
-
-
-def _integer(value, key: str) -> int:
-    """An integral config value as an int (3 or 3.0, not 1.5, "3" or true)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -125,15 +125,16 @@ def random_perturbation(n: int, magnitude: float, rng: np.random.Generator) -> A
 
 def _profile(stage: int, delta: Array, w_star, result, error, primal_only: bool) -> SensitivityProfile:
     """The profile of one solve: its result, or the last iterate that its
-    error carries."""
-    return SensitivityProfile(
-        stage=stage,
-        s=stage_deviations(result.trajectory, w_star, primal_only=primal_only),
-        magnitude=float(np.linalg.norm(delta)),
-        converged=error is None,
-        error=None if error is None else f"{type(error).__name__}: {error}",
-        iterations=result.iterations,
-    )
+    error carries.  Norms that overflow read inf."""
+    with np.errstate(over="ignore"):
+        return SensitivityProfile(
+            stage=stage,
+            s=stage_deviations(result.trajectory, w_star, primal_only=primal_only),
+            magnitude=float(np.linalg.norm(delta)),
+            converged=error is None,
+            error=None if error is None else f"{type(error).__name__}: {error}",
+            iterations=result.iterations,
+        )
 
 
 def run_perturbation_experiment(

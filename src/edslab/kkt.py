@@ -3,10 +3,9 @@
 The KKT residual, the Newton step and the rows of the mixed Hessian use the
 stage-ordered primal-dual vector of `problem.PrimalDualTrajectory`,
 [lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1}; x_N].  The dense J and H, kept
-as test references and the dense gamma fallback, and the sparse J of the
-constraint-qualification modulus use the stacked orderings: primal
-variables [x_0; u_0; x_1; u_1; ...; x_N], multipliers [lam_{-1}; lam_0;
-...; lam_{N-1}].  The constraint Jacobian is block bidiagonal with a
+as test references and the dense gamma fallback, use the stacked
+orderings: primal variables [x_0; u_0; x_1; u_1; ...; x_N], multipliers
+[lam_{-1}; lam_0; ...; lam_{N-1}].  The constraint Jacobian is block bidiagonal with a
 leading T row block; stage row block i is [-A_i, -B_i, I].  The primal
 Hessian is block diagonal in (Q_i, R_i) with S_i coupling x_i to u_i inside
 each stage.
@@ -56,7 +55,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from . import diff
 from .errors import ConfigurationError, NonconvergenceError, RegularityError
@@ -422,76 +420,32 @@ def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None, rows: 
 
 
 # ---------------------------------------------------------------------------
-# assembly: dense H and J (for certificates), sparse mixed Hessian
-
-
-def primal_offsets(dims: Dimensions):
-    """Column offsets of x_i (i in [0, N]) and u_i (i in [0, N-1]) in the
-    stacked primal ordering."""
-    x_off = [i * dims.n_z for i in range(dims.N + 1)]
-    u_off = [i * dims.n_z + dims.n_x for i in range(dims.N)]
-    return x_off, u_off
+# assembly: dense H and J (for certificates), sparse mixed Hessian (for tests)
 
 
 def assemble_jacobian(blocks: StageBlocks) -> Array:
     """Constraint Jacobian: leading T row block, then stage rows
-    [-A_i, -B_i, I] in the primal column ordering."""
+    [-A_i, -B_i, I] on the columns of (x_i, u_i, x_{i+1}) in the stacked
+    primal ordering."""
     dims = blocks.dims
+    N, n_x, n_z, n_0 = dims.N, dims.n_x, dims.n_z, dims.n_0
     J = np.zeros((dims.n_dual, dims.n_primal))
-    x_off, u_off = primal_offsets(dims)
-    if dims.n_0 > 0:
-        J[: dims.n_0, x_off[0] : x_off[0] + dims.n_x] = blocks.T
-    for i in range(dims.N):
-        r = dims.n_0 + i * dims.n_x
-        J[r : r + dims.n_x, x_off[i] : x_off[i] + dims.n_x] = -blocks.A[i]
-        if dims.n_u > 0:
-            J[r : r + dims.n_x, u_off[i] : u_off[i] + dims.n_u] = -blocks.B[i]
-        J[r : r + dims.n_x, x_off[i + 1] : x_off[i + 1] + dims.n_x] = np.eye(dims.n_x)
-    return J
-
-
-def sparse_jacobian(blocks: StageBlocks) -> scipy.sparse.csr_array:
-    """The constraint Jacobian of `assemble_jacobian` as a sparse CSR
-    matrix with only its nonzero entries stored, built from the stacked
-    blocks in O(N n_x (n_x + n_u)) memory."""
-    dims = blocks.dims
-    N, n_x, n_u, n_z, n_0 = dims.N, dims.n_x, dims.n_u, dims.n_z, dims.n_0
-    k = np.arange(N)[:, None, None]
-    row = n_0 + k * n_x + np.arange(n_x)[:, None]  # (N, n_x, 1)
-    jx, ju = np.arange(n_x), np.arange(n_u)
-    parts = (
-        # row block i: [-A_i, -B_i, I] on columns x_i, u_i, x_{i+1}
-        (np.arange(n_0)[:, None], jx, blocks.T),
-        (row, k * n_z + jx, -blocks.A),
-        (row, k * n_z + n_x + ju, -blocks.B),
-        (row[:, :, 0], (k[:, :, 0] + 1) * n_z + jx, np.ones((N, n_x))),
-    )
-    rows, cols, vals = zip(*(np.broadcast_arrays(r, c, v) for r, c, v in parts))
-    J = scipy.sparse.coo_array(
-        (np.concatenate([v.ravel() for v in vals]),
-         (np.concatenate([r.ravel() for r in rows]), np.concatenate([c.ravel() for c in cols]))),
-        shape=(dims.n_dual, dims.n_primal),
-    ).tocsr()
-    J.eliminate_zeros()
+    J[:n_0, :n_x] = blocks.T
+    rows = np.concatenate([-blocks.A, -blocks.B, np.broadcast_to(np.eye(n_x), blocks.A.shape)], axis=2)
+    for i in range(N):
+        J[n_0 + i * n_x : n_0 + (i + 1) * n_x, i * n_z : (i + 1) * n_z + n_x] = rows[i]
     return J
 
 
 def assemble_hessian(blocks: StageBlocks) -> Array:
-    """Primal Hessian: block diagonal in (Q_i, R_i) with S_i coupling inside
-    each stage, terminal Q_N last."""
-    dims = blocks.dims
-    H = np.zeros((dims.n_primal, dims.n_primal))
-    x_off, u_off = primal_offsets(dims)
-    for i in range(dims.N):
-        xs = slice(x_off[i], x_off[i] + dims.n_x)
-        us = slice(u_off[i], u_off[i] + dims.n_u)
-        H[xs, xs] = blocks.Q[i]
-        if dims.n_u > 0:
-            H[us, us] = blocks.R[i]
-            H[xs, us] = blocks.S[i]
-            H[us, xs] = blocks.S[i].T
-    xs = slice(x_off[dims.N], x_off[dims.N] + dims.n_x)
-    H[xs, xs] = blocks.Q[dims.N]
+    """Primal Hessian: block diagonal in the stage blocks [[Q_i, S_i],
+    [S_i^T, R_i]], terminal Q_N last."""
+    N, n_z = blocks.dims.N, blocks.dims.n_z
+    H = np.zeros((blocks.dims.n_primal, blocks.dims.n_primal))
+    stages = np.block([[blocks.Q[:N], blocks.S], [blocks.S.swapaxes(1, 2), blocks.R]])
+    for i in range(N):
+        H[i * n_z : (i + 1) * n_z, i * n_z : (i + 1) * n_z] = stages[i]
+    H[N * n_z :, N * n_z :] = blocks.Q[N]
     return H
 
 
@@ -513,6 +467,8 @@ def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
     stage Hessian blocks, the constraint-Jacobian couplings, and the data
     couplings E_i, F_i, G_i plus the identity pairing lam(-1) with d_{-1}.
     Zero entries inside a block are stored too."""
+    import scipy.sparse  # a test reference: the run path loads no scipy.sparse
+
     dims = blocks.dims
     N, n_x, n_u, n_z, n_0 = dims.N, dims.n_x, dims.n_u, dims.n_z, dims.n_0
     nd = np.array(dims.n_d)  # d_{-1}, ..., d_N
@@ -982,4 +938,5 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
         if not live:
             return out
         stats["newton_rounds"] += 1
-        iterate(it, live)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual or step fails its point
+            iterate(it, live)

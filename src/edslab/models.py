@@ -789,7 +789,7 @@ def _bundle_lq_chain(params: dict) -> ModelBundle:
 
 
 def _bundle_double_integrator(params: dict) -> ModelBundle:
-    N = int(params.get("N", 20))
+    N = params.get("N", 20)
     problem = double_integrator(N)
     dims = problem.dims
     x0 = np.asarray(params.get("x0", [1.0, 0.0]), dtype=float)
@@ -818,11 +818,21 @@ def list_models():
     return sorted(_DESCRIPTIONS.items())
 
 
+def _integer(value, key: str) -> int:
+    """An integral config value as an int (3 or 3.0, not 1.5, inf, "3" or true)."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_model(name: str, params: dict | None = None) -> ModelBundle:
+    """The preset `name` with `params`; its sizes N, n_x and n_u must be integral."""
     if name not in MODEL_BUILDERS:
         known = ", ".join(sorted(MODEL_BUILDERS))
         raise ConfigurationError(f"unknown model '{name}' (known: {known})")
+    params = dict(params or {})
+    params.update({key: _integer(params[key], key) for key in ("N", "n_x", "n_u") if key in params})
     try:
-        return MODEL_BUILDERS[name](dict(params or {}))
+        return MODEL_BUILDERS[name](params)
     except TypeError as exc:
         raise ConfigurationError(f"bad parameters for model '{name}': {exc}") from exc

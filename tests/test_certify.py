@@ -35,7 +35,7 @@ from edslab import (
     solve_equality_nlp,
     sosc_modulus,
 )
-from edslab import certify, kkt
+from edslab import certify
 from edslab.certify import (
     dual_sequences,
     scan_controllability_seq,
@@ -515,7 +515,7 @@ class TestReport:
         }
 
     def test_build_report_assembles_no_dense_jacobian(self, monkeypatch):
-        # beta comes from the sparse J of the stage blocks, and matches the
+        # beta comes from the stage blocks' band of J J^T, and matches the
         # dense J's beta (the benchmark's lq_chain sizes and a quadrotor case)
         def refuse(*args, **kwargs):
             raise AssertionError("build_report assembled the dense J")
@@ -548,13 +548,18 @@ class TestReport:
 # banded moduli against the dense oracle
 
 
-def assert_licq_matches_svd(J):
-    """beta against the squared smallest singular value, dense and sparse."""
+def assert_licq_matches_svd(J, blocks=None):
+    """beta of the dense J, and of the stage blocks of J when given, against
+    the squared smallest singular value and against each other."""
     s = np.linalg.svd(J, compute_uv=False)
     ref = s[-1] ** 2
     tol = 1e-10 * ref + 100 * max(J.shape) * np.finfo(float).eps * s[0] ** 2
-    assert abs(licq_modulus(J) - ref) <= tol
-    assert abs(licq_modulus(scipy.sparse.csr_array(J)) - ref) <= tol
+    dense = licq_modulus(J)
+    assert abs(dense - ref) <= tol
+    if blocks is not None:
+        beta = licq_modulus(blocks)
+        assert abs(beta - ref) <= tol
+        assert abs(beta - dense) <= tol
 
 
 def sparse_jacobian(blocks):
@@ -637,10 +642,7 @@ class TestBandedModuli:
     def test_licq_matches_svd_on_banded_jacobian(self, blocks):
         J = assemble_jacobian(blocks)
         assert np.array_equal(sparse_jacobian(blocks).toarray(), J)
-        stored = kkt.sparse_jacobian(blocks)
-        assert np.array_equal(stored.toarray(), J)
-        assert stored.nnz == np.count_nonzero(J)  # no explicit zeros
-        assert_licq_matches_svd(J)
+        assert_licq_matches_svd(J, blocks)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 12), st.integers(0, 12), st.integers(0, 2**32 - 1))
@@ -655,9 +657,8 @@ class TestBandedModuli:
 
     def test_licq_edge_cases(self):
         assert licq_modulus(np.zeros((0, 3))) == math.inf
-        assert licq_modulus(scipy.sparse.csr_array((0, 3))) == math.inf
         assert licq_modulus(np.ones((3, 2))) == 0.0
-        assert licq_modulus(scipy.sparse.csr_array(np.ones((3, 2)))) == 0.0
+        assert licq_modulus(np.zeros((2, 3))) == 0.0
 
     def test_no_dense_path_at_long_horizon(self):
         # lq_chain-sized blocks (n_x = 6, n_u = 3, n_d = 6) over N = 1000: a
@@ -672,11 +673,10 @@ class TestBandedModuli:
             T=np.eye(6),
             E=-2.0 * np.eye(6),
         )
-        J = sparse_jacobian(blocks)
         tracemalloc.start()
         try:
             L = mixed_hessian_norm(blocks)
-            beta = licq_modulus(J)
+            beta = licq_modulus(blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -693,8 +693,8 @@ class TestBandedModuli:
 
 
 def sparse_gram_band(M):
-    """Lower band of M M^T, from the sparse product, as `licq_modulus`
-    builds it for J."""
+    """Lower band of M M^T from the sparse product: the reference for the
+    stage blocks' bands, its half-bandwidth set by the nonzero entries."""
     G = (M @ M.T).tocoo()
     lower = G.row >= G.col
     r, c = G.row[lower], G.col[lower]
@@ -704,10 +704,16 @@ def sparse_gram_band(M):
 
 
 def assert_block_band_matches_sparse(blocks):
-    band, ref = certify._mixed_gram_band(blocks), sparse_gram_band(assemble_mixed_hessian(blocks))
-    assert band.shape == ref.shape  # the same half-bandwidth
-    assert band.flags.f_contiguous
-    assert np.abs(band - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
+    """Both Gram bands of the stage blocks, M M^T's and J J^T's, against
+    the sparse products of the mixed Hessian and of J taken from it."""
+    M = assemble_mixed_hessian(blocks)
+    for band, ref in (
+        (certify._mixed_gram_band(blocks), sparse_gram_band(M)),
+        (certify._jacobian_gram_band(blocks), sparse_gram_band(sparse_jacobian(blocks))),
+    ):
+        assert band.shape == ref.shape  # the same half-bandwidth
+        assert band.flags.f_contiguous
+        assert np.abs(band - ref).max() <= 4 * np.finfo(float).eps * np.abs(ref).max()
 
 
 def band_of(G):

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -278,17 +279,42 @@ class TestRun:
             ({"params": {"n_u": -2, "N": 8}}, "n_u >= 0"),
             ({"stages": [1.5]}, "stage must be an integer"),
             ({"seed": 1.5}, "seed must be an integer"),
+            ({"model": "double_integrator", "params": {"N": 2.5}}, "N must be an integer, got 2.5"),
+            ({"model": "double_integrator", "params": {"N": "8"}}, "N must be an integer, got '8'"),
+            ({"model": "quadrotor", "params": {"N": 2.5}}, "N must be an integer, got 2.5"),
+            ({"params": {"n_x": 2.5, "N": 8}}, "n_x must be an integer, got 2.5"),
+            ({"params": {"n_u": 1.5, "N": 8}}, "n_u must be an integer, got 1.5"),
         ],
-        ids=["negative_n_x", "negative_n_u", "fractional_stage", "fractional_seed"],
+        ids=[
+            "negative_n_x",
+            "negative_n_u",
+            "fractional_stage",
+            "fractional_seed",
+            "fractional_double_integrator_N",
+            "string_double_integrator_N",
+            "fractional_quadrotor_N",
+            "fractional_n_x",
+            "fractional_n_u",
+        ],
     )
     def test_negative_sizes_and_fractional_indices_exit_3(self, tmp_path, capsys, overrides, message):
-        # numpy's "negative dimensions" error ended the run with exit 1, and
-        # int() truncated a fractional stage or seed to a run with exit 0
+        # numpy's "negative dimensions" error ended the run with exit 1,
+        # int() truncated a fractional stage, seed or preset N to a run with
+        # exit 0, and a fractional n_x failed in numpy with no key named
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **overrides)
         assert main(["run", "--config", str(cfg)]) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_magnitude_exits_2_without_warnings(self, tmp_path, capsys):
+        # every perturbed solve overflows and fails its profile; no numpy
+        # RuntimeWarning is raised or printed on the way to exit 2
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), magnitude=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", str(cfg)]) == 2
+        assert "Warning" not in capsys.readouterr().err
 
     def test_threads_key_is_unknown(self, tmp_path, capsys):
         # experiments run serially; a worker-pool size is no longer a setting

@@ -1024,7 +1024,8 @@ class TestSharedStart:
 def test_src_asks_lapack_for_the_band_cholesky_only():
     # one stage factor: a fresh `import edslab` asks LAPACK for ?pbtrf and
     # ?pbtrs alone, and no module holds another LAPACK routine (no ?sytrf or
-    # ?sytrs of a symmetric indefinite factor)
+    # ?sytrs of a symmetric indefinite factor); both Gram bands come from the
+    # stage blocks, so no scipy.sparse module is loaded either
     script = """
 import sys, scipy.linalg
 asked, get = set(), scipy.linalg.get_lapack_funcs
@@ -1036,9 +1037,10 @@ scipy.linalg.get_lapack_funcs = record
 import edslab
 held = {v.__name__.split()[-1] for name, m in list(sys.modules.items()) if name.startswith("edslab")
         for v in vars(m).values() if type(v).__name__ == "fortran"}
-print(" ".join(sorted(asked)), "|", " ".join(sorted(held)))
+sparse = [name for name in sys.modules if name.startswith("scipy.sparse")]
+print(" ".join(sorted(asked)), "|", " ".join(sorted(held)), "|", *sparse)
 """
     src = os.path.dirname(os.path.dirname(kkt.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["pbtrf", "pbtrs", "|", "dpbtrf", "dpbtrs"]
+    assert out.stdout.split() == ["pbtrf", "pbtrs", "|", "dpbtrf", "dpbtrs", "|"]

@@ -482,3 +482,17 @@ class TestRegistry:
     @pytest.mark.parametrize("name", ["quadrotor", "lq_chain", "double_integrator", "scalar_oracle"])
     def test_description_is_the_list_models_entry(self, name):
         assert build_model(name).description == dict(list_models())[name]
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("lq_chain", {"n_x": 3.0, "n_u": 2.0, "N": 8.0}),
+            ("double_integrator", {"N": 8.0}),
+            ("quadrotor", {"N": 8.0}),
+        ],
+    )
+    def test_integral_float_sizes_build_as_ints(self, name, params):
+        # 8.0 is the size 8, as an integral config value is everywhere else
+        as_float = build_model(name, params).problem.dims
+        as_int = build_model(name, {key: int(value) for key, value in params.items()}).problem.dims
+        assert as_float == as_int and type(as_float.N) is int
