@@ -49,12 +49,17 @@ reproduces it.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
+import numpy.random  # noqa: F401  numpy 2 loads it lazily, else inside a run, on its first default_rng
+import scipy
 
 from . import diff
 from .errors import ConfigurationError, NonconvergenceError, RegularityError
@@ -557,7 +562,31 @@ def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None, row
 # the stage-structured KKT factor: a backward Riccati recursion
 
 
-_pbtrf, _pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+def _band_cholesky():
+    """LAPACK's dpbtrf and dpbtrs from scipy's compiled `scipy.linalg._flapack`,
+    loaded from its file without running `scipy/linalg/__init__.py` (most of
+    a run's start-up time and memory) and registered under its own name, so
+    a later `import scipy.linalg` shares the module; `get_lapack_funcs`,
+    which returns the same routines, where the file does not load."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        linalg = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        try:
+            spec = importlib.util.spec_from_file_location(
+                name, os.path.join(linalg, "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0])
+            )
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except ImportError:
+            from scipy.linalg import get_lapack_funcs
+
+            return get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+        sys.modules[name] = module
+    return module.dpbtrf, module.dpbtrs
+
+
+_pbtrf, _pbtrs = _band_cholesky()
 
 
 class _Chain(NamedTuple):

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import edslab
 from edslab import DecayFit, Dimensions, PrimalDualTrajectory, SensitivityProfile, report
 from edslab.cli import main, run
 from edslab.errors import ConfigurationError
@@ -636,3 +640,59 @@ def test_manifest_reports_chunk_size_and_start_rows(tmp_path):
     assert counts["chunk_points"] == 12 * 2**20 // (8 * (6 + 10 * 15 + 6) * 15**2)
     assert counts["start_rows"] == 10 + 4
     assert counts["factorizations"] == 1 and counts["solved_columns"] == 4
+
+
+# `edslab run` then `edslab certify` on each (config, out dir) pair in a
+# fresh process, each into its own subdirectory; it prints their exit
+# codes, the modules the commands imported and whether scipy.linalg is
+# loaded; "fallback" makes the file load of scipy's compiled LAPACK module
+# fail first
+FRESH_RUN = """
+import importlib.util, json, sys
+if sys.argv[1] == "fallback":
+    def refuse(*args, **kwargs):
+        raise ImportError("refused")
+    importlib.util.spec_from_file_location = refuse
+import edslab
+from edslab import cli
+before, codes = set(sys.modules), []
+for config, out in zip(sys.argv[2::2], sys.argv[3::2]):
+    codes += [cli.main([command, "--config", config, "--out", f"{out}/{command}"]) for command in ("run", "certify")]
+print(json.dumps({"codes": codes, "added": sorted(set(sys.modules) - before), "linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+def fresh_run(tmp_path, mode):
+    """FRESH_RUN on a small lq_chain and the short quadrotor pair: its
+    summary, the commands' stdout, and the bytes of every output file but
+    the manifest, which holds timings."""
+    configs = [write_config(tmp_path / "lq.json"), write_quad_pair_config(tmp_path / "quad.json")]
+    out = tmp_path / mode
+    args = [str(a) for c in configs for a in (c, out / c.stem)]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(edslab.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, mode, *args], capture_output=True, text=True, env=env, check=True
+    )
+    *stdout, summary = proc.stdout.splitlines()
+    files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*.*")) if f.name != "manifest.json"}
+    return json.loads(summary), stdout, files
+
+
+class TestFreshProcess:
+    def test_nothing_is_imported_inside_a_run(self, tmp_path):
+        # a module first imported inside a command is timed as its work
+        # (numpy 2 loads numpy.random on the first default_rng), and edslab
+        # loads scipy's LAPACK routines without the scipy.linalg package
+        summary, _, _ = fresh_run(tmp_path, "direct")
+        assert summary == {"codes": [0, 0, 0, 0], "added": [], "linalg": False}
+
+    def test_lapack_fallback_is_bit_for_bit(self, tmp_path):
+        # where the compiled module does not load from its file,
+        # get_lapack_funcs hands over the same routines: every CSV, SVG and
+        # certificate and all stdout are the same bytes
+        direct, direct_stdout, direct_files = fresh_run(tmp_path, "direct")
+        fallback, fallback_stdout, fallback_files = fresh_run(tmp_path, "fallback")
+        assert fallback == {"codes": [0, 0, 0, 0], "added": [], "linalg": True} and not direct["linalg"]
+        assert [sum(name.endswith(ext) for name in direct_files) for ext in (".csv", ".txt")] == [8, 6]
+        assert fallback_files == direct_files
+        assert fallback_stdout == direct_stdout and direct_stdout

@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import inspect
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import typing
 
 import numpy as np
 import pytest
@@ -30,6 +33,7 @@ from edslab import (
     solve_equality_nlp,
     sosc_modulus,
 )
+import edslab
 from edslab import diff, kkt
 from edslab.errors import ConfigurationError, NonconvergenceError, RegularityError
 from edslab.models import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, lq_chain, make_lq_problem
@@ -1022,25 +1026,50 @@ class TestSharedStart:
 
 
 def test_src_asks_lapack_for_the_band_cholesky_only():
-    # one stage factor: a fresh `import edslab` asks LAPACK for ?pbtrf and
+    # one stage factor: a fresh `import edslab` holds LAPACK's ?pbtrf and
     # ?pbtrs alone, and no module holds another LAPACK routine (no ?sytrf or
-    # ?sytrs of a symmetric indefinite factor); both Gram bands come from the
-    # stage blocks, so no scipy.sparse module is loaded either
+    # ?sytrs of a symmetric indefinite factor); it loads them from scipy's
+    # compiled LAPACK module without the scipy.linalg package, and both Gram
+    # bands come from the stage blocks, so no scipy.sparse module is loaded
+    # either; a later `import scipy.linalg` shares that module, so
+    # get_lapack_funcs hands back edslab's own routines, and scipy's public
+    # factorizations still work
     script = """
-import sys, scipy.linalg
-asked, get = set(), scipy.linalg.get_lapack_funcs
-def record(names, *args, **kwargs):
-    if sys._getframe(1).f_globals.get("__name__", "").startswith("edslab"):
-        asked.update([names] if isinstance(names, str) else names)
-    return get(names, *args, **kwargs)
-scipy.linalg.get_lapack_funcs = record
+import json, sys
 import edslab
 held = {v.__name__.split()[-1] for name, m in list(sys.modules.items()) if name.startswith("edslab")
         for v in vars(m).values() if type(v).__name__ == "fortran"}
-sparse = [name for name in sys.modules if name.startswith("scipy.sparse")]
-print(" ".join(sorted(asked)), "|", " ".join(sorted(held)), "|", *sparse)
+loaded = [name for name in sys.modules if name == "scipy.linalg" or name.startswith("scipy.sparse")]
+import numpy as np, scipy.linalg
+pbtrf, pbtrs = scipy.linalg.get_lapack_funcs(("pbtrf", "pbtrs"), dtype=np.float64)
+A, b = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, 0.2], [0.5, 0.2, 2.0]]), np.array([1.0, 2.0, 3.0])
+lu, d, perm = scipy.linalg.ldl(A)
+public = [
+    np.allclose(scipy.linalg.cho_solve(scipy.linalg.cho_factor(A), b), np.linalg.solve(A, b)),
+    np.allclose(lu @ d @ lu.T, A),
+    np.allclose(scipy.linalg.eigh(A, eigvals_only=True), np.linalg.eigvalsh(A)),
+]
+print(json.dumps({"held": sorted(held), "loaded": loaded, "public": public,
+                  "shared": [pbtrf is edslab.kkt._pbtrf, pbtrs is edslab.kkt._pbtrs]}))
 """
     src = os.path.dirname(os.path.dirname(kkt.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["pbtrf", "pbtrs", "|", "dpbtrf", "dpbtrs", "|"]
+    assert json.loads(out.stdout) == {
+        "held": ["dpbtrf", "dpbtrs"],
+        "loaded": [],
+        "public": [True, True, True],
+        "shared": [True, True],
+    }
+
+
+def test_public_annotations_resolve():
+    # every public function and class of the package, its annotations
+    # evaluated in its own module: a trimmed import cannot leave one unresolved
+    public = [
+        v for name, v in vars(edslab).items()
+        if not name.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v))
+    ]
+    assert len(public) >= 70
+    for v in public:
+        typing.get_type_hints(v)
