@@ -29,7 +29,8 @@ from .certify import build_report
 from .eds import decay_contrast, fit_decay, pooled_points, run_experiments
 from .errors import ConfigurationError, EdslabError
 from .kkt import SolveOptions, solve_equality_nlp
-from .models import _integer, build_model, list_models
+from .models import build_model, list_models
+from .problem import _integer
 
 EXIT_OK = 0
 EXIT_SOLVER = 2

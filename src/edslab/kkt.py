@@ -69,6 +69,8 @@ from .problem import (
     Dimensions,
     DOProblem,
     PrimalDualTrajectory,
+    _integer,
+    _real,
     check_dimensions,
 )
 
@@ -181,7 +183,10 @@ class SolveOptions:
     ls_sigma: float = 1e-4
 
     def __post_init__(self):
-        if not self.tol_kkt > 0:  # NaN included
+        object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
+        for key in ("tol_kkt", "reg0", "reg_max", "ls_beta", "ls_sigma"):
+            _real(getattr(self, key), key)
+        if not self.tol_kkt > 0:
             raise ConfigurationError("tol_kkt must be positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
@@ -850,7 +855,8 @@ def solve_batch(p: DOProblem, data, w0=None, opts: SolveOptions | None = None, s
     first, data = [], list(data)
     if not data:
         return
-    start = _Start(p, w0, data)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in `_lockstep`: a non-finite residual fails its point
+        start = _Start(p, w0, data)
     stats.update(chunk_points=size, start_rows=start.n_rows, residual_evals=stats["residual_evals"] + 1)
     for c in range(0, len(data), size):
         yield from _lockstep(p, data[c : c + size], start, slice(c, c + size), opts, first, stats)

@@ -1,25 +1,28 @@
 """Model zoo: quadrotor motion planning, LQ test chains, and steady-state
 tooling for the time-invariant setting.
 
-Every preset is addressable by name through `build_model`; builders return a
-ModelBundle carrying the problem, its base data, and a warm start inside the
-convergence basin.  Constructors are pure and the generated problems
-immutable, so bundles are safe to share.
+Every preset is a quadratic tracking problem built by `_tracking_problem`,
+which holds the stage and terminal costs, their derivatives and the oracle
+registration once; a preset supplies only its stage dynamics
+x_{i+1} = f(x_i, u_i), their Jacobians and, when nonlinear, the Hessian of
+lam @ f, all stage-batched, and its per-stage oracles are one-row calls of
+the batched forms.  The quadrotor's dynamics Jacobians come from the forward
+chain rule through its RK4 step, and its multiplier-contracted dynamics
+Hessians from a second-order adjoint through the same stages; both run over
+a stack of stages with batched matrix products.  Finite differences serve
+only oracles that register neither, such as the time-invariant problems
+built here from plain cost and dynamics callables.
 
-Every preset registers exact derivatives, and every preset registers the
-stage-batched forms of its stage oracles, which evaluate all stages in one
-call; each preset writes its model math once, in those batched forms, and
-its per-stage oracles are one-row calls of them.  The quadrotor's dynamics
-Jacobians come from the forward chain rule through its RK4 step, and its
-multiplier-contracted dynamics Hessians from a second-order adjoint through
-the same stages; both run over a stack of stages with batched matrix
-products.  Finite differences serve only oracles that register neither,
-such as the time-invariant problems built here from plain cost and
-dynamics callables.  One table describes each preset, for `list_models`
-and for its bundle.
+One table, `PRESETS`, declares each preset once: its description, which
+`list_models` prints, and its builder, which `build_model` calls with the
+config's parameters as keywords, so an unknown key is an error.  Builders
+return the problem, its base data and a warm start inside the convergence
+basin.  Constructors are pure and the generated problems immutable, so
+bundles are safe to share.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -35,6 +38,8 @@ from .problem import (
     DOProblem,
     PrimalDualTrajectory,
     StageOracles,
+    _integer,
+    _real,
 )
 
 
@@ -154,6 +159,8 @@ class QuadrotorParams:
     altitude: float = 0.0
 
     def __post_init__(self):
+        for key in ("q", "b", "g", "dt", "altitude"):
+            _real(getattr(self, key), key)
         if self.dt <= 0:
             raise ConfigurationError("dt must be positive")
         if self.N < 2:
@@ -329,73 +336,66 @@ def _one_row(batched: Callable) -> Callable:
     return per_stage
 
 
-def quadrotor_problem(params: QuadrotorParams):
-    """The tracking problem built from the quadrotor: quadratic state
-    deviation plus control effort per stage, quadratic terminal deviation,
-    identity initial-state map, and one RK4 step of the continuous dynamics
-    as the stage mapping.  Controls are trim offsets.
+def _tracking_problem(
+    dims: Dimensions, T: Array, Q: Array, R: Array, Qf: Array, track: bool,
+    f: Callable, f_jac: Callable, f_hess_vec: Callable | None,
+) -> DOProblem:
+    """The quadratic tracking problem of the stage dynamics x_{i+1} =
+    f(x_i, u_i): stage cost (x - d) Q (x - d) + u R u, terminal cost
+    (x - d) Qf (x - d) and initial constraint T x_0 = d_{-1}.  Without
+    `track` the costs penalize x itself and the stages carry no data.
 
-    Returns (problem, base data); the base data put the reference and the
-    initial state at hover, so the hover trajectory with zero multipliers is
-    the base solution.
-    """
-    Q, R, Qf = quadrotor_cost_weights(params)
-    trim = quadrotor_trim(params)
-    dt = params.dt
-
-    def rhs(x, u_raw):
-        return quadrotor_continuous_rhs(x, u_raw, params)
-
-    def rhs_jac(x, u_raw):
-        return quadrotor_rhs_jacobians(x, u_raw, params)
-
-    def rhs_hess_vec(x, u_raw, mu):
-        return quadrotor_rhs_hess_vec(x, u_raw, mu, params)
-
-    # stage-batched forms: rows of X, U, D, Lam are stages.  The data enter
-    # only through the cost, so G and the (x, u)-d curvature blocks vanish;
-    # constant cost blocks are broadcast along the stage axis
-    def dynamics_batch(X, U, D):
-        return rk4_step(rhs, X, U + trim, dt)
-
-    def dynamics_jac_batch(X, U, D):
-        A, B = rk4_step_jacobians(rhs, rhs_jac, X, U + trim, dt)
-        return A, B, np.zeros((len(X), N_X_QUAD, N_X_QUAD))
-
-    def dynamics_hess_vec_batch(X, U, D, Lam):
-        H = rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, X, U + trim, dt, Lam)
-        n, k = N_X_QUAD, len(X)
-        zero_xd, zero_ud = np.broadcast_to(0.0, (k, n, n)), np.broadcast_to(0.0, (k, N_U_QUAD, n))
-        return H[:, :n, :n], H[:, :n, n:], H[:, n:, n:], zero_xd, zero_ud
-
-    def stage_cost_grad_batch(X, U, D):
-        return (X - D) @ (2.0 * Q).T, U @ (2.0 * R).T
-
-    def stage_cost_hess_batch(X, U, D):
-        n = len(X)
-        return (
-            np.broadcast_to(2.0 * Q, (n, N_X_QUAD, N_X_QUAD)),
-            np.broadcast_to(0.0, (n, N_X_QUAD, N_U_QUAD)),
-            np.broadcast_to(2.0 * R, (n, N_U_QUAD, N_U_QUAD)),
-            np.broadcast_to(-2.0 * Q, (n, N_X_QUAD, N_X_QUAD)),
-            np.broadcast_to(0.0, (n, N_U_QUAD, N_X_QUAD)),
-        )
+    f, f_jac and f_hess_vec take row-stacked stages X, U (and Lam): f gives
+    the next states, f_jac (A, B) and f_hess_vec the Hessian of Lam @ f in
+    (x, u); None stands for linear dynamics.  The data enter only through
+    the cost, so G and the (x, u)-d curvature blocks vanish; constant blocks
+    are broadcast along the stage axis rather than copied."""
+    n_x, n_u = dims.n_x, dims.n_u
+    n_d = n_x if track else 0
+    dev = (lambda x, d: x - d) if track else (lambda x, d: x)
+    cross = lambda M: -2.0 * M if track else np.zeros((n_x, 0))  # the (x, d) block of a cost Hessian
 
     def stage_cost(i, x, u, d):
-        e = x - d
+        e = dev(x, d)
         return float(e @ Q @ e + u @ R @ u)
 
     def terminal_cost(x, d):
-        e = x - d
+        e = dev(x, d)
         return float(e @ Qf @ e)
 
     def terminal_cost_grad(x, d):
-        return 2.0 * Qf @ (x - d)
+        return 2.0 * Qf @ dev(x, d)
 
     def terminal_cost_hess(x, d):
-        return 2.0 * Qf, -2.0 * Qf
+        return 2.0 * Qf, cross(Qf)
 
-    dims = Dimensions.uniform(params.N, N_X_QUAD, N_U_QUAD, N_X_QUAD, N_X_QUAD)
+    # stage-batched forms, whose one-row calls are the per-stage forms: rows
+    # of X, U, D and Lam are stages
+    def dynamics_batch(X, U, D):
+        return f(X, U)
+
+    def dynamics_jac_batch(X, U, D):
+        return *f_jac(X, U), np.zeros((len(X), n_x, n_d))
+
+    def stage_cost_grad_batch(X, U, D):
+        return dev(X, D) @ (2.0 * Q).T, U @ (2.0 * R).T
+
+    def stage_cost_hess_batch(X, U, D):
+        k = len(X)
+        return (
+            np.broadcast_to(2.0 * Q, (k, n_x, n_x)),
+            np.broadcast_to(0.0, (k, n_x, n_u)),
+            np.broadcast_to(2.0 * R, (k, n_u, n_u)),
+            np.broadcast_to(cross(Q), (k, n_x, n_d)),
+            np.broadcast_to(0.0, (k, n_u, n_d)),
+        )
+
+    def dynamics_hess_vec_batch(X, U, D, Lam):
+        k, n_z = len(X), n_x + n_u
+        H = np.broadcast_to(0.0, (k, n_z, n_z)) if f_hess_vec is None else f_hess_vec(X, U, Lam)
+        zero = np.broadcast_to(0.0, (k, n_z, n_d))
+        return H[:, :n_x, :n_x], H[:, :n_x, n_x:], H[:, n_x:, n_x:], zero[:, :n_x], zero[:, n_x:]
+
     oracles = StageOracles(
         stage_cost=stage_cost,
         dynamics=_one_row(dynamics_batch),
@@ -412,10 +412,35 @@ def quadrotor_problem(params: QuadrotorParams):
         stage_cost_hess_batch=stage_cost_hess_batch,
         dynamics_hess_vec_batch=dynamics_hess_vec_batch,
     )
-    problem = DOProblem(dims=dims, oracles=oracles, T=np.eye(N_X_QUAD))
+    return DOProblem(dims=dims, oracles=oracles, T=T)
+
+
+def quadrotor_problem(params: QuadrotorParams):
+    """The tracking problem built from the quadrotor: quadratic state
+    deviation plus control effort per stage, quadratic terminal deviation,
+    identity initial-state map, and one RK4 step of the continuous dynamics
+    as the stage mapping.  Controls are trim offsets.
+
+    Returns (problem, base data); the base data put the reference and the
+    initial state at hover, so the hover trajectory with zero multipliers is
+    the base solution.
+    """
+    trim, dt = quadrotor_trim(params), params.dt
+    rhs = functools.partial(quadrotor_continuous_rhs, params=params)
+    rhs_jac = functools.partial(quadrotor_rhs_jacobians, params=params)
+    rhs_hess_vec = functools.partial(quadrotor_rhs_hess_vec, params=params)
+    dims = Dimensions.uniform(params.N, N_X_QUAD, N_U_QUAD, N_X_QUAD, N_X_QUAD)
+    problem = _tracking_problem(
+        dims,
+        np.eye(N_X_QUAD),
+        *quadrotor_cost_weights(params),
+        True,
+        lambda X, U: rk4_step(rhs, X, U + trim, dt),
+        lambda X, U: rk4_step_jacobians(rhs, rhs_jac, X, U + trim, dt),
+        lambda X, U, Lam: rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, X, U + trim, dt, Lam),
+    )
     hover = quadrotor_hover_state(params)
-    data = DataTrajectory(dims, [hover.copy() for _ in range(params.N + 2)])
-    return problem, data
+    return problem, DataTrajectory(dims, [hover.copy() for _ in range(params.N + 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -439,83 +464,14 @@ def make_lq_problem(
     n_x = A.shape[0]
     B = np.asarray(B, dtype=float).reshape(n_x, -1)
     n_u = B.shape[1]
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
+    Q = np.asarray(Q, dtype=float).reshape(n_x, n_x)
     R = np.asarray(R, dtype=float).reshape(n_u, n_u)
-    Qf = np.atleast_2d(np.asarray(Qf, dtype=float))
+    Qf = np.asarray(Qf, dtype=float).reshape(n_x, n_x)
     T = np.eye(n_x) if T is None else np.atleast_2d(np.asarray(T, dtype=float))
     n_0 = T.shape[0]
-    n_d = n_x if track_reference else 0
-    dims = Dimensions(N, n_x, n_u, (n_0,) + (n_d,) * (N + 1), n_0)
-
-    def stage_cost(i, x, u, d):
-        e = x - d if track_reference else x
-        return float(e @ Q @ e + u @ R @ u)
-
-    def terminal_cost(x, d):
-        e = x - d if track_reference else x
-        return float(e @ Qf @ e)
-
-    def terminal_cost_grad(x, d):
-        e = x - d if track_reference else x
-        return 2.0 * Qf @ e
-
-    def terminal_cost_hess(x, d):
-        E = -2.0 * Qf if track_reference else np.zeros((n_x, 0))
-        return 2.0 * Qf, E
-
-    # stage-batched forms, whose one-row calls are the per-stage forms: rows
-    # of X, U, D are stages; constant blocks are broadcast along the stage
-    # axis rather than copied
-    def dynamics_batch(X, U, D):
-        return X @ A.T + U @ B.T
-
-    def dynamics_jac_batch(X, U, D):
-        n = X.shape[0]
-        return (
-            np.broadcast_to(A, (n, n_x, n_x)),
-            np.broadcast_to(B, (n, n_x, n_u)),
-            np.zeros((n, n_x, D.shape[1])),
-        )
-
-    def stage_cost_grad_batch(X, U, D):
-        e = X - D if track_reference else X
-        return e @ (2.0 * Q).T, U @ (2.0 * R).T
-
-    def stage_cost_hess_batch(X, U, D):
-        n = X.shape[0]
-        E = -2.0 * Q if track_reference else np.zeros((n_x, 0))
-        return (
-            np.broadcast_to(2.0 * Q, (n, n_x, n_x)),
-            np.broadcast_to(0.0, (n, n_x, n_u)),
-            np.broadcast_to(2.0 * R, (n, n_u, n_u)),
-            np.broadcast_to(E, (n, n_x, n_d)),
-            np.broadcast_to(0.0, (n, n_u, n_d)),
-        )
-
-    def dynamics_hess_vec_batch(X, U, D, Lam):
-        n = X.shape[0]
-        return tuple(
-            np.broadcast_to(0.0, shape)
-            for shape in ((n, n_x, n_x), (n, n_x, n_u), (n, n_u, n_u), (n, n_x, n_d), (n, n_u, n_d))
-        )
-
-    oracles = StageOracles(
-        stage_cost=stage_cost,
-        dynamics=_one_row(dynamics_batch),
-        terminal_cost=terminal_cost,
-        stage_cost_grad=_one_row(stage_cost_grad_batch),
-        stage_cost_hess=_one_row(stage_cost_hess_batch),
-        terminal_cost_grad=terminal_cost_grad,
-        terminal_cost_hess=terminal_cost_hess,
-        dynamics_jac=_one_row(dynamics_jac_batch),
-        dynamics_hess_vec=_one_row(dynamics_hess_vec_batch),
-        dynamics_batch=dynamics_batch,
-        dynamics_jac_batch=dynamics_jac_batch,
-        stage_cost_grad_batch=stage_cost_grad_batch,
-        stage_cost_hess_batch=stage_cost_hess_batch,
-        dynamics_hess_vec_batch=dynamics_hess_vec_batch,
-    )
-    return DOProblem(dims=dims, oracles=oracles, T=T)
+    dims = Dimensions(N, n_x, n_u, (n_0,) + (n_x if track_reference else 0,) * (N + 1), n_0)
+    jac = lambda X, U: (np.broadcast_to(A, (len(X), n_x, n_x)), np.broadcast_to(B, (len(X), n_x, n_u)))
+    return _tracking_problem(dims, T, Q, R, Qf, track_reference, lambda X, U: X @ A.T + U @ B.T, jac, None)
 
 
 def lq_chain(
@@ -532,15 +488,16 @@ def lq_chain(
     per seed."""
     if n_x < 1 or n_u < 0:
         raise ConfigurationError(f"lq_chain needs n_x >= 1 and n_u >= 0, got n_x={n_x}, n_u={n_u}")
+    stability = _real(stability, "stability")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n_x, n_x))
     radius = float(np.max(np.abs(np.linalg.eigvals(A))))
     if radius > 0:
         A *= stability / radius
     B = rng.standard_normal((n_x, n_u)) if n_u > 0 else np.zeros((n_x, 0))
-    Q = np.eye(n_x) if Q is None else np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.eye(n_u) if R is None else np.asarray(R, dtype=float).reshape(n_u, n_u)
-    return make_lq_problem(A, B, Q, R, Q.copy(), np.eye(n_x), N, track_reference=True)
+    Q = np.eye(n_x) if Q is None else Q
+    R = np.eye(n_u) if R is None else R
+    return make_lq_problem(A, B, Q, R, Q, None, N)
 
 
 DOUBLE_INTEGRATOR_A = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -548,16 +505,7 @@ DOUBLE_INTEGRATOR_B = np.array([[0.0], [1.0]])
 
 
 def double_integrator(N: int = 20) -> DOProblem:
-    return make_lq_problem(
-        DOUBLE_INTEGRATOR_A,
-        DOUBLE_INTEGRATOR_B,
-        np.eye(2),
-        np.eye(1),
-        np.eye(2),
-        np.eye(2),
-        N,
-        track_reference=True,
-    )
+    return make_lq_problem(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, np.eye(2), np.eye(1), np.eye(2), None, N)
 
 
 def scalar_oracle() -> DOProblem:
@@ -565,16 +513,7 @@ def scalar_oracle() -> DOProblem:
     subject to x_0 = d_{-1} and x_1 = x_0 + u_0.  At d_{-1} = 1 the solution
     is (x_0, u_0, x_1) = (1, -0.5, 0.5) with multipliers (3, 1) under this
     package's sign convention."""
-    return make_lq_problem(
-        np.array([[1.0]]),
-        np.array([[1.0]]),
-        np.eye(1),
-        np.eye(1),
-        np.eye(1),
-        np.array([[1.0]]),
-        1,
-        track_reference=False,
-    )
+    return make_lq_problem(1.0, 1.0, 1.0, 1.0, 1.0, None, 1, track_reference=False)
 
 
 # ---------------------------------------------------------------------------
@@ -752,87 +691,69 @@ def constant_trajectory(dims: Dimensions, ss: SteadyState) -> PrimalDualTrajecto
 
 
 # ---------------------------------------------------------------------------
-# registry
+# presets
 
 
-_DESCRIPTIONS = {
-    "quadrotor": "9-state quadrotor tracking; knobs q (cost visibility) and b (roll authority)",
-    "lq_chain": "seeded random time-invariant LQ tracking chain",
-    "double_integrator": "position/velocity chain with single force input",
-    "scalar_oracle": "hand-solvable single-stage golden problem",
-}
+def _bundle(problem: DOProblem, d_init, ref: Array | None = None):
+    """(problem, data, warm start) of a preset: d_init at stage -1 and the
+    state reference `ref` at stages 0..N (zero data without it), and a warm
+    start resting at `ref` (at zero without it) with zero controls and
+    multipliers."""
+    dims = problem.dims
+    stage = np.zeros(dims.stage_nd) if ref is None else ref
+    data = DataTrajectory(dims, [d_init] + [stage.copy() for _ in range(dims.N + 1)])
+    warm = PrimalDualTrajectory.zeros(dims)
+    if ref is not None:
+        for i in range(dims.N + 1):
+            warm.x(i)[:] = ref
+    return problem, data, warm
 
 
-def _bundle_quadrotor(params: dict) -> ModelBundle:
+def _quadrotor(**params):
     qp = QuadrotorParams(**params)
-    problem, data = quadrotor_problem(qp)
-    warm = PrimalDualTrajectory(
-        problem.dims,
-        [quadrotor_hover_state(qp) for _ in range(qp.N + 1)],
-        [np.zeros(N_U_QUAD) for _ in range(qp.N)],
-        [np.zeros(N_X_QUAD)] + [np.zeros(N_X_QUAD) for _ in range(qp.N)],
-    )
-    return ModelBundle("quadrotor", problem, data, warm, _DESCRIPTIONS["quadrotor"])
+    hover = quadrotor_hover_state(qp)
+    return _bundle(quadrotor_problem(qp)[0], hover, hover)
 
 
-def _bundle_lq_chain(params: dict) -> ModelBundle:
-    defaults = {"n_x": 3, "n_u": 2, "N": 40, "stability": 0.9, "seed": 0}
-    defaults.update(params)
-    x0_scale = float(defaults.pop("x0_scale", 1.0))
-    problem = lq_chain(**defaults)
-    dims = problem.dims
-    x0 = np.zeros(dims.n_x)
-    x0[0] = x0_scale
-    data = DataTrajectory(dims, [x0] + [np.zeros(dims.n_x) for _ in range(dims.N + 1)])
-    warm = PrimalDualTrajectory.zeros(dims)
-    return ModelBundle("lq_chain", problem, data, warm, _DESCRIPTIONS["lq_chain"])
+def _lq_chain(n_x=3, n_u=2, N=40, stability=0.9, seed=0, Q=None, R=None, x0_scale=1.0):
+    problem = lq_chain(n_x, n_u, N, stability, seed, Q, R)
+    x0 = np.zeros(n_x)
+    x0[0] = _real(x0_scale, "x0_scale")
+    return _bundle(problem, x0)
 
 
-def _bundle_double_integrator(params: dict) -> ModelBundle:
-    N = params.get("N", 20)
-    problem = double_integrator(N)
-    dims = problem.dims
-    x0 = np.asarray(params.get("x0", [1.0, 0.0]), dtype=float)
-    data = DataTrajectory(dims, [x0] + [np.zeros(2) for _ in range(N + 1)])
-    warm = PrimalDualTrajectory.zeros(dims)
-    return ModelBundle("double_integrator", problem, data, warm, _DESCRIPTIONS["double_integrator"])
+def _double_integrator(N=20, x0=(1.0, 0.0)):
+    return _bundle(double_integrator(N), x0)
 
 
-def _bundle_scalar_oracle(params: dict) -> ModelBundle:
-    problem = scalar_oracle()
-    dims = problem.dims
-    data = DataTrajectory(dims, [np.array([1.0]), np.zeros(0), np.zeros(0)])
-    warm = PrimalDualTrajectory.zeros(dims)
-    return ModelBundle("scalar_oracle", problem, data, warm, _DESCRIPTIONS["scalar_oracle"])
+def _scalar_oracle():
+    return _bundle(scalar_oracle(), [1.0])
 
 
-MODEL_BUILDERS = {
-    "quadrotor": _bundle_quadrotor,
-    "lq_chain": _bundle_lq_chain,
-    "double_integrator": _bundle_double_integrator,
-    "scalar_oracle": _bundle_scalar_oracle,
+# name: (description, builder); `build_model` calls builder(**params)
+PRESETS = {
+    "quadrotor": ("9-state quadrotor tracking; knobs q (cost visibility) and b (roll authority)", _quadrotor),
+    "lq_chain": ("seeded random time-invariant LQ tracking chain", _lq_chain),
+    "double_integrator": ("position/velocity chain with single force input", _double_integrator),
+    "scalar_oracle": ("hand-solvable single-stage golden problem", _scalar_oracle),
 }
 
 
 def list_models():
-    return sorted(_DESCRIPTIONS.items())
-
-
-def _integer(value, key: str) -> int:
-    """An integral config value as an int (3 or 3.0, not 1.5, inf, "3" or true)."""
-    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return sorted((name, description) for name, (description, _) in PRESETS.items())
 
 
 def build_model(name: str, params: dict | None = None) -> ModelBundle:
-    """The preset `name` with `params`; its sizes N, n_x and n_u must be integral."""
-    if name not in MODEL_BUILDERS:
-        known = ", ".join(sorted(MODEL_BUILDERS))
+    """The preset `name` built with `params` as its builder's keywords; its
+    sizes N, n_x and n_u must be integral, and an unknown key or malformed
+    value (the builder's TypeError or ValueError) is a ConfigurationError."""
+    if name not in PRESETS:
+        known = ", ".join(sorted(PRESETS))
         raise ConfigurationError(f"unknown model '{name}' (known: {known})")
     params = dict(params or {})
     params.update({key: _integer(params[key], key) for key in ("N", "n_x", "n_u") if key in params})
+    description, builder = PRESETS[name]
     try:
-        return MODEL_BUILDERS[name](params)
-    except TypeError as exc:
+        return ModelBundle(name, *builder(**params), description)
+    except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad parameters for model '{name}': {exc}") from exc

@@ -27,6 +27,8 @@ this choice.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -43,6 +45,25 @@ def _as_vector(value, n: int, what: str) -> Array:
     if arr.ndim != 1 or arr.shape != (n,):
         raise ConfigurationError(f"{what}: expected a vector of length {n}, got shape {arr.shape}")
     return arr
+
+
+def _integer(value, key: str) -> int:
+    """An integral config value as an int (3 or 3.0, not 1.5, inf, "3" or
+    true); a float counts only up to 2**53, past which it tells no
+    neighbouring integers apart (1e300 is rejected)."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer() and abs(value) <= 2**53
+    ):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, key: str) -> float:
+    """A finite real config value as a float (2 or 0.5, not nan, inf, "1"
+    or true)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

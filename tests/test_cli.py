@@ -266,13 +266,31 @@ class TestRun:
             {"solver": {"tol_kkt": float("nan")}},
             {"magnitude": 0},
             {"magnitude": -0.1},
+            # preset parameters: unknown keys, malformed and non-finite values
+            {"model": "double_integrator", "params": {"N": 24, "n": 5}},
+            {"model": "scalar_oracle", "params": {"n": 5}, "stages": [-1], "window_ctrl": 0, "window_obs": 0},
+            {"params": {"N": 24, "x0_scale": "abc"}},
+            {"params": {"N": 24, "seed": -1}},
+            {"params": {"N": 24, "Q": "x"}},
+            {"params": {"N": 24, "R": "x"}},
+            {"params": {"N": 24, "Q": [[1, 2]]}},
+            {"model": "double_integrator", "params": {"N": 24, "x0": "ab"}},
+            {"model": "quadrotor", "params": {"N": 24, "altitude": "x"}},
+            *({"model": "quadrotor", "params": {"N": 24, key: math.inf}} for key in ("q", "b", "g", "dt", "altitude")),
+            {"params": {"N": 24, "stability": -math.inf}},
+            {"params": {"N": 24, "x0_scale": math.inf}},
+            {"solver": {"max_iter": 2.5}},
+            {"solver": {"max_iter": 1e300}},
+            {"solver": {"ls_sigma": "x"}},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "certify"])
     def test_malformed_values_exit_3_no_outputs(self, tmp_path, capsys, command, overrides):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **overrides)
-        assert main([command, "--config", str(cfg)]) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg)]) == 3
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
@@ -288,6 +306,11 @@ class TestRun:
             ({"model": "quadrotor", "params": {"N": 2.5}}, "N must be an integer, got 2.5"),
             ({"params": {"n_x": 2.5, "N": 8}}, "n_x must be an integer, got 2.5"),
             ({"params": {"n_u": 1.5, "N": 8}}, "n_u must be an integer, got 1.5"),
+            ({"model": "double_integrator", "params": {"N": 8, "n": 5}}, "unexpected keyword argument 'n'"),
+            ({"model": "scalar_oracle", "params": {"n": 5}}, "unexpected keyword argument 'n'"),
+            ({"params": {"N": 8, "Q": [[1, 2]]}}, "bad parameters for model 'lq_chain': cannot reshape"),
+            ({"model": "quadrotor", "params": {"N": 8, "g": math.inf}}, "g must be a finite number, got inf"),
+            ({"solver": {"max_iter": 1e300}}, "max_iter must be an integer, got 1e+300"),
         ],
         ids=[
             "negative_n_x",
@@ -299,12 +322,18 @@ class TestRun:
             "fractional_quadrotor_N",
             "fractional_n_x",
             "fractional_n_u",
+            "unknown_double_integrator_key",
+            "unknown_scalar_oracle_key",
+            "short_lq_chain_Q",
+            "infinite_quadrotor_g",
+            "huge_max_iter",
         ],
     )
     def test_negative_sizes_and_fractional_indices_exit_3(self, tmp_path, capsys, overrides, message):
         # numpy's "negative dimensions" error ended the run with exit 1,
         # int() truncated a fractional stage, seed or preset N to a run with
-        # exit 0, and a fractional n_x failed in numpy with no key named
+        # exit 0, a fractional n_x failed in numpy with no key named, and
+        # double_integrator and scalar_oracle ran with unknown keys ignored
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **overrides)
         assert main(["run", "--config", str(cfg)]) == 3
@@ -319,6 +348,22 @@ class TestRun:
             warnings.simplefilter("error")
             assert main(["run", "--config", str(cfg)]) == 2
         assert "Warning" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_overflowing_quadrotor_gravity_exits_2_without_warnings(self, tmp_path, capsys, command):
+        # the trim thrust overflows the first linearization of the base solve
+        cfg = write_config(
+            tmp_path / "cfg.json",
+            out_dir=str(tmp_path / "out"),
+            model="quadrotor",
+            params={"N": 8, "dt": 0.5, "g": -1e308},
+            stages=[4],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "solver error" in err and "Warning" not in err
 
     def test_threads_key_is_unknown(self, tmp_path, capsys):
         # experiments run serially; a worker-pool size is no longer a setting
