@@ -492,13 +492,11 @@ def _mixed_gram_band(blocks: StageBlocks) -> Array:
     dims = blocks.dims
     N, n_x, n_z, s = dims.N, dims.n_x, dims.n_z, dims.n_z + dims.n_x
     x, u, l = slice(0, n_x), slice(n_x, n_z), slice(n_z, s)
-    Y, D = np.zeros((N + 1, s, s)), np.zeros((N + 1, s, max(dims.n_d[1:])))
+    Y, D = np.zeros((N + 1, s, s)), np.zeros((N + 1, s, dims.n_d))
     Y[:, x, x], Y[:N, u, u] = blocks.Q, blocks.R
     for r, c, M in ((x, u, blocks.S), (l, x, blocks.A), (l, u, blocks.B)):
         Y[:N, r, c], Y[:N, c, r] = M, np.swapaxes(M, 1, 2)
-    for r, Ms in ((x, blocks.E), (u, blocks.F), (l, blocks.G)):
-        for k, M in enumerate(Ms):
-            D[k, r, : M.shape[1]] = M
+    D[:, x], D[:N, u], D[:N, l] = blocks.E, blocks.F, blocks.G
     V = np.zeros((N + 1, 2 * s, s))  # x_N padded to a full group
     V[:, :s] = Y @ Y.swapaxes(1, 2) + D @ D.swapaxes(1, 2)
     V[0, x, x] += _gram(blocks.T.T)
@@ -533,13 +531,8 @@ def blh_bound_from_K(K: float) -> float:
 
 def max_block_norm(blocks: StageBlocks) -> float:
     """Largest spectral norm over every stage block and T, one batched norm
-    per stack of equally shaped blocks."""
-    stacks = [blocks.Q, blocks.R, blocks.S, blocks.A, blocks.B, blocks.T[None]]
-    for group in (blocks.E, blocks.F, blocks.G):  # per-stage lists
-        by_shape = {}
-        for M in group:
-            by_shape.setdefault(M.shape, []).append(M)
-        stacks.extend(np.array(same) for same in by_shape.values())
+    per family."""
+    stacks = [blocks.Q, blocks.R, blocks.S, blocks.A, blocks.B, blocks.T[None], blocks.E, blocks.F, blocks.G]
     return max((float(np.linalg.norm(s, 2, axis=(1, 2)).max()) for s in stacks if s.size), default=0.0)
 
 

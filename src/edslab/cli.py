@@ -91,8 +91,11 @@ def load_config(path: str) -> ExperimentConfig:
         solver = SolveOptions(**solver_raw)
     except TypeError as exc:
         raise ConfigurationError(f"bad solver options: {exc}") from exc
-    if not isinstance(raw.get("stages", []), list):
-        raise ConfigurationError("stages must be a list of stage indices")
+    stages = raw.get("stages", [-1])
+    if not isinstance(stages, list) or not stages:
+        raise ConfigurationError("stages must be a nonempty list of stage indices")
+    if not isinstance(raw.get("out_dir", "out"), str):
+        raise ConfigurationError("out_dir must be a string")
     try:
         cases = []
         for entry in raw.get("cases") or [{"name": "base", "params": {}}]:
@@ -103,14 +106,14 @@ def load_config(path: str) -> ExperimentConfig:
             model=str(raw["model"]),
             params=dict(raw.get("params", {})),
             cases=cases,
-            stages=[_integer(s, "stage") for s in raw.get("stages", [-1])],
+            stages=[_integer(s, "stage") for s in stages],
             replicates=_integer(raw.get("replicates", 1), "replicates"),
             magnitude=float(raw.get("magnitude", 0.1)),
             seed=_integer(raw.get("seed", 0), "seed"),
             solver=solver,
             window_ctrl=_integer(raw.get("window_ctrl", 1), "window_ctrl"),
             window_obs=_integer(raw.get("window_obs", 1), "window_obs"),
-            out_dir=str(raw.get("out_dir", "out")),
+            out_dir=raw.get("out_dir", "out"),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"malformed config value: {exc}") from exc

@@ -15,12 +15,13 @@ blocks w(0), ..., w(N-1) of the stage-ordered vector form one contiguous
 (N, 2 n_x + n_u) array, whose columns give the stacked X, U and Lam
 without a copy.  One sourcing helper, `_stage_terms`, keyed by oracle
 name, returns each oracle's terms with a leading stage axis and checks
-their sizes: from the problem's stage-batched oracle when it registers one
-and the stage data share one size, otherwise from `_PER_STAGE[name]` at
-each stage (the per-stage analytic oracle, or finite differences), whose
-results are stacked.  The terminal cost takes a two-term path of its own,
-`_terminal_terms`.  Both then assemble from those arrays in a few array
-operations, and `StageBlocks` keeps Q, R, S, A and B stacked.
+their sizes: from the problem's stage-batched oracle when it registers one,
+otherwise from `_PER_STAGE[name]` at each stage (the per-stage analytic
+oracle, or finite differences), whose results are stacked.  Stages 0..N
+share one data size, so the data rows stack into one (N, n_d) array too.
+The terminal cost takes a two-term path of its own, `_terminal_terms`.
+Both then assemble from those arrays in a few array operations, and
+`StageBlocks` keeps every block family stacked.
 
 The Newton step never forms the KKT matrix.  `factor_kkt` runs the
 backward Riccati recursion of Rao, Wright and Rawlings (JOTA 99, 1998) on
@@ -91,11 +92,11 @@ class StageBlocks:
     terminal included) and F[i] (i in [0, N-1]) couple primals to stage
     data.  T is the initial-state map.
 
-    Q, R, S, A and B are stacked arrays with a leading stage axis, of
-    shapes (N + 1, n_x, n_x), (N, n_u, n_u), (N, n_x, n_u), (N, n_x, n_x)
-    and (N, n_x, n_u); the constructor stacks lists of per-stage blocks
-    into copies.  E, F and G stay per-stage lists, because the data size
-    may differ by stage.
+    Every family is a stacked array with a leading stage axis, of shape
+    (N + 1, n_x, n_x) for Q, (N, n_u, n_u) for R, (N, n_x, n_u) for S and
+    B, (N, n_x, n_x) for A, (N + 1, n_x, n_d) for E, (N, n_u, n_d) for F
+    and (N, n_x, n_d) for G; the constructor stacks lists of per-stage
+    blocks into copies.
     """
 
     dims: Dimensions
@@ -103,26 +104,28 @@ class StageBlocks:
     Q: Array
     R: Array
     S: Array
-    E: list
-    F: list
+    E: Array
+    F: Array
     A: Array
     B: Array
-    G: list
+    G: Array
 
     def __post_init__(self):
-        N, n_x, n_u = self.dims.N, self.dims.n_x, self.dims.n_u
+        N, n_x, n_u, n_d = self.dims.N, self.dims.n_x, self.dims.n_u, self.dims.n_d
         for name, shape in (
             ("Q", (N + 1, n_x, n_x)),
             ("R", (N, n_u, n_u)),
             ("S", (N, n_x, n_u)),
+            ("E", (N + 1, n_x, n_d)),
+            ("F", (N, n_u, n_d)),
             ("A", (N, n_x, n_x)),
             ("B", (N, n_x, n_u)),
+            ("G", (N, n_x, n_d)),
         ):
             M = np.array(getattr(self, name), dtype=float)
             if M.shape != shape:
                 raise ConfigurationError(f"StageBlocks.{name}: expected shape {shape}, got {M.shape}")
             setattr(self, name, M)
-        self.E, self.F, self.G = list(self.E), list(self.F), list(self.G)
 
     @classmethod
     def time_invariant(
@@ -158,18 +161,17 @@ class StageBlocks:
         E = np.zeros((n_x, n_d)) if E is None else np.asarray(E, dtype=float).reshape(n_x, n_d)
         F = np.zeros((n_u, n_d)) if F is None else np.asarray(F, dtype=float).reshape(n_u, n_d)
         G = np.zeros((n_x, n_d)) if G is None else np.asarray(G, dtype=float).reshape(n_x, n_d)
-        dims = Dimensions(N, n_x, n_u, (n_0,) + (n_d,) * (N + 1), n_0)
         return cls(
-            dims=dims,
+            dims=Dimensions(N, n_x, n_u, n_d, n_0),
             T=T,
             Q=np.concatenate([np.broadcast_to(Q, (N, n_x, n_x)), Qf[None]]),
             R=np.broadcast_to(R, (N, n_u, n_u)),
             S=np.broadcast_to(S, (N, n_x, n_u)),
-            E=[E.copy() for _ in range(N)] + [np.zeros((n_x, n_d))],
-            F=[F.copy() for _ in range(N)],
+            E=np.concatenate([np.broadcast_to(E, (N, n_x, n_d)), np.zeros((1, n_x, n_d))]),
+            F=np.broadcast_to(F, (N, n_u, n_d)),
             A=np.broadcast_to(A, (N, n_x, n_x)),
             B=np.broadcast_to(B, (N, n_x, n_u)),
-            G=[G.copy() for _ in range(N)],
+            G=np.broadcast_to(G, (N, n_x, n_d)),
         )
 
 
@@ -190,6 +192,10 @@ class SolveOptions:
             raise ConfigurationError("tol_kkt must be positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
+        # the line search ends only when alpha shrinks below 1e-12, and
+        # regularization grows only from a positive reg0
+        if not (0 < self.ls_beta < 1 and 0 < self.ls_sigma < 0.5 and 0 < self.reg0 <= self.reg_max):
+            raise ConfigurationError("need 0 < ls_beta < 1, 0 < ls_sigma < 1/2 and 0 < reg0 <= reg_max")
 
 
 @dataclass
@@ -209,23 +215,20 @@ class SolveResult:
 class _Stages(NamedTuple):
     """Rows of stages: row r of X, U, Lam and D holds x_i, u_i, lam_i and
     d_i of stage i = I[r] (`_stages` gives row k N + i to stage i of point
-    k).  D is an array when every row's data has one size, else a per-row
-    list of vectors."""
+    k)."""
 
     X: Array
     U: Array
     Lam: Array
-    D: Array | list
+    D: Array
     I: list
 
 
 def _stages(p: DOProblem, W: Array, data: list, D: Array | None = None) -> _Stages:
     dims = p.dims
     rows = W[:, dims.n_0 : dims.w_offsets[-2]].reshape(-1, 2 * dims.n_x + dims.n_u)
-    if dims.stage_nd is not None:  # D: the points' stage_rows(), when the caller holds them
-        D = np.concatenate([d.stage_rows() for d in data]) if D is None else D.reshape(len(rows), -1)
-    else:
-        D = [d[i] for d in data for i in range(dims.N)]
+    # D: the points' stage_rows(), when the caller holds them
+    D = np.concatenate([d.stage_rows() for d in data]) if D is None else D.reshape(len(rows), dims.n_d)
     return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], D, [*range(dims.N)] * len(W))
 
 
@@ -262,37 +265,25 @@ def _stage_terms(p: DOProblem, st: _Stages, name: str, shapes, with_lam: bool = 
     row axis.
 
     The registered stage-batched form `<name>_batch(X, U, D[, Lam])` gives
-    them in one call when every row's data has one size; otherwise
-    `_PER_STAGE[name]` (the per-stage oracle, or finite differences) runs at
-    each row and its results are stacked.  `shapes` spells each term's
-    per-stage shape in the sizes of x, u and d, "xd" for (n_x, n_d); a term
-    with a "d" stays a per-row list when the data size differs by row.  A
-    single term is returned in a one-element list."""
+    them in one call; without one, `_PER_STAGE[name]` (the per-stage
+    oracle, or finite differences) runs at each row and its results are
+    stacked.  `shapes` spells each term's per-stage shape in the sizes of
+    x, u and d, "xd" for (n_x, n_d).  A single term is returned in a
+    one-element list."""
     rest = (st.Lam,) if with_lam else ()
     batched = getattr(p.oracles, f"{name}_batch", None)
-    uniform = isinstance(st.D, np.ndarray)
-    sizes = {"x": st.X.shape[1], "u": st.U.shape[1], "d": st.D.shape[1] if uniform else None}
+    sizes = {"x": st.X.shape[1], "u": st.U.shape[1], "d": st.D.shape[1]}
     per_stage = [tuple(sizes[k] for k in shape) for shape in shapes]
     if not st.I:  # no rows: no call
-        return [[] if None in s else np.zeros((0, *s)) for s in per_stage]
-    if batched is not None and uniform:
+        return [np.zeros((0, *s)) for s in per_stage]
+    if batched is not None:
         out = batched(st.X, st.U, st.D, *rest)
         terms = zip([out] if len(shapes) == 1 else out, per_stage, strict=True)
         return [_shaped(t, s, f"{name}_batch", (len(st.X),)) for t, s in terms]
     entry = _PER_STAGE[name]
     out = [entry(p.oracles, i, st.X[r], st.U[r], st.D[r], *(t[r] for t in rest)) for r, i in enumerate(st.I)]
-    terms = []
-    for t, s in zip([out] if len(shapes) == 1 else zip(*out), per_stage, strict=True):
-        if None in s:  # a per-row list, each term of its row's data size
-            terms.append([_shaped(m, tuple(len(d) if k is None else k for k in s), name) for m, d in zip(t, st.D)])
-        else:
-            terms.append(np.array([_shaped(m, s, name) for m in t]))
-    return terms
-
-
-def _add(a, b):
-    """a + b for stacked terms, or stage by stage for per-stage lists."""
-    return a + b if isinstance(a, np.ndarray) else [x + y for x, y in zip(a, b, strict=True)]
+    terms = zip([out] if len(shapes) == 1 else zip(*out), per_stage, strict=True)
+    return [np.array([_shaped(m, s, name) for m in t]) for t, s in terms]
 
 
 def _hessian_blocks(fun, n_x: int, n_z: int, t: Array):
@@ -402,7 +393,7 @@ def _block_terms(p: DOProblem, st: _Stages, x_N: Array, D_N: Array) -> tuple:
     Qc, Sc, Rc, Ec, Fc = _stage_terms(p, st, "stage_cost_hess", _HESSIAN)
     Hxx, Hxu, Huu, Hxd, Hud = _stage_terms(p, st, "dynamics_hess_vec", _HESSIAN, with_lam=True)
     QN, EN = _terminal_terms(p, x_N, D_N, hess=True)
-    return _sym(Qc + Hxx), _sym(Rc + Huu), Sc + Hxu, _add(Ec, Hxd), _add(Fc, Hud), _sym(QN), EN
+    return _sym(Qc + Hxx), _sym(Rc + Huu), Sc + Hxu, Ec + Hxd, Fc + Hud, _sym(QN), EN
 
 
 def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None, rows: Array | None = None):
@@ -424,8 +415,8 @@ def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None, rows: 
     blocks = []
     for k in range(len(W)):
         s = slice(k * N, (k + 1) * N)
-        Qk = np.concatenate([Q[s], QN[k][None]])
-        blocks.append(StageBlocks(dims, p.T.copy(), Qk, R[s], S[s], [*E[s], EN[k]], F[s], A[s], B[s], G[s]))
+        Qk, Ek = np.concatenate([Q[s], QN[k][None]]), np.concatenate([E[s], EN[k][None]])
+        blocks.append(StageBlocks(dims, p.T.copy(), Qk, R[s], S[s], Ek, F[s], A[s], B[s], G[s]))
     return blocks[0] if single else blocks
 
 
@@ -480,14 +471,13 @@ def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
     import scipy.sparse  # a test reference: the run path loads no scipy.sparse
 
     dims = blocks.dims
-    N, n_x, n_u, n_z, n_0 = dims.N, dims.n_x, dims.n_u, dims.n_z, dims.n_0
-    nd = np.array(dims.n_d)  # d_{-1}, ..., d_N
+    N, n_x, n_u, n_z, n_0, n_d = dims.N, dims.n_x, dims.n_u, dims.n_z, dims.n_0, dims.n_d
     # rows of x_i (i in [0, N]), u_i and lam_i in the stage-ordered vector
     rx = np.array(dims.w_offsets[1:-1])
     ru, rl = rx[:N] + n_x, rx[:N] + n_z
     # columns of x_i, u_i, lam_i and d_i in [lam_{-1}; d_{-1}; x_0; u_0;
     # lam_0; d_0; ...; x_N; d_N]
-    cx = n_0 + nd[0] + np.arange(N + 1) * (2 * n_x + n_u) + np.r_[0, np.cumsum(nd[1:-1])]
+    cx = 2 * n_0 + np.arange(N + 1) * (2 * n_x + n_u + n_d)
     cu, cl = cx[:N] + n_x, cx[:N] + n_z
     cd = np.r_[cl + n_x, cx[N] + n_x]
     minus_I = np.broadcast_to(-np.eye(n_x), (N, n_x, n_x))
@@ -509,18 +499,14 @@ def assemble_mixed_hessian(blocks: StageBlocks) -> scipy.sparse.csr_array:
         (rx[1:], cl, n_x, n_x, minus_I),
         (rl, cx[1:], n_x, n_x, minus_I),
         # data couplings, terminal E_N included
-        (rx, cd, n_x, nd[1:], blocks.E),
-        (ru, cd[:N], n_u, nd[1:-1], blocks.F),
-        (rl, cd[:N], n_x, nd[1:-1], blocks.G),
+        (rx, cd, n_x, n_d, blocks.E),
+        (ru, cd[:N], n_u, n_d, blocks.F),
+        (rl, cd[:N], n_x, n_d, blocks.G),
     )
     rows, cols = zip(*(_block_indices(*part[:4]) for part in parts))
-    vals = [
-        V.ravel() if isinstance(V, np.ndarray) else np.concatenate([M.ravel() for M in V])
-        for *_, V in parts
-    ]
     return scipy.sparse.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dims.n_w, cd[N] + nd[-1]),
+        (np.concatenate([V.ravel() for *_, V in parts]), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dims.n_w, cd[N] + n_d),
     ).tocsr()
 
 
@@ -745,8 +731,7 @@ def _jacobian_rows(jacs: list, N: int) -> tuple:
     src, start = jacs[0]
     if all(s is src and i == start + n for n, (s, i) in enumerate(jacs)):
         return tuple(t[start * N : (start + len(jacs)) * N] for t in src)
-    parts = [[s[t][i * N : (i + 1) * N] for s, i in jacs] for t in range(3)]
-    return tuple(np.concatenate(p) if isinstance(p[0], np.ndarray) else [m for r in p for m in r] for p in parts)
+    return tuple(np.concatenate([s[t][i * N : (i + 1) * N] for s, i in jacs]) for t in range(3))
 
 
 def _same_matrix(a: StageBlocks, b: StageBlocks) -> bool:
@@ -776,7 +761,7 @@ class _Start:
             self.rows[k, i] = own.setdefault((i, data[k][i].tobytes()), (N + len(own), i, data[k][i]))[0]
         self.n_rows, I, D = N + len(own), [i for _, i, _ in own.values()], [d for *_, d in own.values()]
         I, D = (I * 2, D * 2) if len(I) == 1 else (I, D)  # a batched oracle rounds a lone row differently
-        D = np.reshape(D, (len(I), dims.stage_nd)) if dims.stage_nd is not None else D
+        D = np.reshape(D, (len(I), dims.n_d))
         st = _Stages(*np.split(dims.w_rows(w0.vector)[I], [dims.n_x, dims.n_z], axis=1), D, I)
         last = np.flatnonzero(differs[:, -1])  # the points with terminal data of their own
         terminal = _terminal(p, np.repeat(self.W0, len(last) + 1, axis=0), [data[0], *(data[k] for k in last)])
@@ -900,8 +885,7 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
     the first iteration, shared across chunks."""
     dims, P, N = p.dims, len(data), p.dims.N
     W = np.repeat(start.W0, P, axis=0)
-    rows = None if dims.stage_nd is None else np.array([d.stage_rows() for d in data])  # built once
-    own = lambda ks: None if rows is None else rows[ks]
+    rows = np.array([d.stage_rows() for d in data])  # built once
     R = start.residual(ks)
     # per point after iteration 0: the (A, B, G) of the residual call at its iterate, its index
     jacs = [None] * P
@@ -919,7 +903,7 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
             blocks = {k: start.ref if start.same[ks][k] else linearize(p, start.W0, [data[k]])[0] for k in live}
         else:
             jac = [_jacobian_rows([jacs[k] for k in live], N)]
-            blocks = dict(zip(live, linearize(p, W[live], [data[k] for k in live], jacobians=jac, rows=own(live))))
+            blocks = dict(zip(live, linearize(p, W[live], [data[k] for k in live], jacobians=jac, rows=rows[live])))
         phi0 = {k: 0.5 * float(R[k] @ R[k]) for k in live}
         reg = dict.fromkeys(live, 0.0)
         need, alpha, step = list(live), {}, {}
@@ -947,7 +931,7 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
             S = list(alpha)
             W_try = W[S] + np.array([alpha[k] for k in S])[:, None] * np.array([step[k] for k in S])
             jac = []
-            R_try = kkt_residual(p, W_try, [data[k] for k in S], jacobians=jac, rows=own(S))
+            R_try = kkt_residual(p, W_try, [data[k] for k in S], jacobians=jac, rows=rows[S])
             stats["residual_evals"] += 1
             for i, k in enumerate(S):
                 r = R_try[i]

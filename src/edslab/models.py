@@ -429,7 +429,7 @@ def quadrotor_problem(params: QuadrotorParams):
     rhs = functools.partial(quadrotor_continuous_rhs, params=params)
     rhs_jac = functools.partial(quadrotor_rhs_jacobians, params=params)
     rhs_hess_vec = functools.partial(quadrotor_rhs_hess_vec, params=params)
-    dims = Dimensions.uniform(params.N, N_X_QUAD, N_U_QUAD, N_X_QUAD, N_X_QUAD)
+    dims = Dimensions(params.N, N_X_QUAD, N_U_QUAD, N_X_QUAD, N_X_QUAD)
     problem = _tracking_problem(
         dims,
         np.eye(N_X_QUAD),
@@ -469,7 +469,7 @@ def make_lq_problem(
     Qf = np.asarray(Qf, dtype=float).reshape(n_x, n_x)
     T = np.eye(n_x) if T is None else np.atleast_2d(np.asarray(T, dtype=float))
     n_0 = T.shape[0]
-    dims = Dimensions(N, n_x, n_u, (n_0,) + (n_x if track_reference else 0,) * (N + 1), n_0)
+    dims = Dimensions(N, n_x, n_u, n_x if track_reference else 0, n_0)
     jac = lambda X, U: (np.broadcast_to(A, (len(X), n_x, n_x)), np.broadcast_to(B, (len(X), n_x, n_u)))
     return _tracking_problem(dims, T, Q, R, Qf, track_reference, lambda X, U: X @ A.T + U @ B.T, jac, None)
 
@@ -671,7 +671,7 @@ def time_invariant_problem(
     def terminal(x, d):
         return ti.ell_f(x, d)
 
-    dims = Dimensions(N, n_x, n_u, (T.shape[0],) + (n_d,) * (N + 1), T.shape[0])
+    dims = Dimensions(N, n_x, n_u, n_d, T.shape[0])
     oracles = StageOracles(stage_cost=cost, dynamics=dyn, terminal_cost=terminal)
     return DOProblem(dims=dims, oracles=oracles, T=T)
 
@@ -700,7 +700,7 @@ def _bundle(problem: DOProblem, d_init, ref: Array | None = None):
     start resting at `ref` (at zero without it) with zero controls and
     multipliers."""
     dims = problem.dims
-    stage = np.zeros(dims.stage_nd) if ref is None else ref
+    stage = np.zeros(dims.n_d) if ref is None else ref
     data = DataTrajectory(dims, [d_init] + [stage.copy() for _ in range(dims.N + 1)])
     warm = PrimalDualTrajectory.zeros(dims)
     if ref is not None:

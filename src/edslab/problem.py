@@ -3,10 +3,10 @@
 A problem couples states x_i (i = 0..N) and controls u_i (i = 0..N-1)
 through stage costs, a terminal cost, dynamics equality constraints
 x_{i+1} = f_i(x_i, u_i; d_i), and an optional initial-state constraint
-T x_0 = d_{-1}.  Every stage carries a data vector d_i; the stage -1 data
-is the right-hand side of the initial constraint.  Receding-horizon control
-problems use T = I, estimation-style problems drop the initial constraint
-entirely (n_0 = 0, empty T).
+T x_0 = d_{-1}.  Stages 0..N carry data vectors d_i of one size n_d; the
+stage -1 data is the right-hand side of the initial constraint.
+Receding-horizon control problems use T = I, estimation-style problems
+drop the initial constraint entirely (n_0 = 0, empty T).
 
 Multiplier bookkeeping: lam(-1) multiplies the initial constraint, lam(i)
 multiplies x_{i+1} = f_i.  x_{-1}, u_{-1}, u_N, lam(N) are empty vectors by
@@ -52,7 +52,7 @@ def _integer(value, key: str) -> int:
     true); a float counts only up to 2**53, past which it tells no
     neighbouring integers apart (1e300 is rejected)."""
     if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer() and abs(value) <= 2**53
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer() and abs(value) <= 2**53
     ):
         raise ConfigurationError(f"{key} must be an integer, got {value!r}")
     return int(value)
@@ -70,18 +70,19 @@ def _real(value, key: str) -> float:
 class Dimensions:
     """Problem sizes.
 
-    `n_d` holds the data size of every stage from -1 to N (N + 2 entries);
-    read it through `nd(i)` with stage numbers.  The stage -1 data size must
-    equal n_0, the row count of the initial-state map.
+    `n_d` is the data size of every stage 0..N; the stage -1 data, the
+    right-hand side of the initial constraint, has n_0 entries.  `nd(i)`
+    reads the data size of stage i.
     """
 
     N: int
     n_x: int
     n_u: int
-    n_d: tuple
+    n_d: int
     n_0: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n_d", _integer(self.n_d, "n_d"))
         if self.N < 1:
             raise ConfigurationError("horizon N must be >= 1")
         if self.n_x < 1:
@@ -90,23 +91,13 @@ class Dimensions:
             raise ConfigurationError("control size n_u must be >= 0")
         if not 0 <= self.n_0 <= self.n_x:
             raise ConfigurationError("n_0 must lie in [0, n_x]")
-        object.__setattr__(self, "n_d", tuple(int(k) for k in self.n_d))
-        if len(self.n_d) != self.N + 2:
-            raise ConfigurationError(f"n_d must list stages -1..N ({self.N + 2} entries)")
-        if any(k < 0 for k in self.n_d):
-            raise ConfigurationError("data sizes must be nonnegative")
-        if self.n_d[0] != self.n_0:
-            raise ConfigurationError("data size at stage -1 must equal n_0")
-
-    @classmethod
-    def uniform(cls, N: int, n_x: int, n_u: int, n_d: int, n_0: int) -> "Dimensions":
-        """Same data size at every stage 0..N; stage -1 gets n_0."""
-        return cls(N, n_x, n_u, (n_0,) + (n_d,) * (N + 1), n_0)
+        if self.n_d < 0:
+            raise ConfigurationError("data size n_d must be >= 0")
 
     def nd(self, i: int) -> int:
         if not -1 <= i <= self.N:
             raise ConfigurationError(f"stage {i} outside [-1, {self.N}]")
-        return self.n_d[i + 1]
+        return self.n_0 if i == -1 else self.n_d
 
     @property
     def n_z(self) -> int:
@@ -137,13 +128,6 @@ class Dimensions:
         (N, 2 n_x + n_u) view: they are contiguous and equally long."""
         return v[self.n_0 : self.w_offsets[-2]].reshape(self.N, 2 * self.n_x + self.n_u)
 
-    @cached_property
-    def stage_nd(self) -> int | None:
-        """The data size shared by stages 0..N-1, or None when it differs
-        between them."""
-        sizes = set(self.n_d[1 : self.N + 1])
-        return sizes.pop() if len(sizes) == 1 else None
-
 
 @dataclass(frozen=True)
 class StageOracles:
@@ -163,27 +147,28 @@ class StageOracles:
       dynamics_hess_vec(i, x, u, d, lam) -> (H_xx, H_xu, H_uu, H_xd, H_ud)
           second-derivative blocks of lam @ dynamics
 
-    Optional stage-batched forms of the stage oracles.  Each evaluates
-    stages 0..N-1 in one call, from the stacked X (N, n_x), U (N, n_u),
-    D (N, n_d) and Lam (N, n_x), where row i is x_i, u_i, d_i, lam_i; each
-    returned array has a leading stage axis, so row i is what the per-stage
-    form returns at stage i:
-      dynamics_batch(X, U, D)        -> F (N, n_x)
+    Optional stage-batched forms of the stage oracles.  Each evaluates m
+    stage rows in one call, from the stacked X (m, n_x), U (m, n_u), D (m,
+    n_d) and Lam (m, n_x), whose row r holds the x, u, d and lam of one
+    stage; each returned array has a leading row axis, row r being what the
+    per-stage form returns at row r's stage:
+      dynamics_batch(X, U, D)        -> F (m, n_x)
       dynamics_jac_batch(X, U, D)    -> (A, B, G)
       stage_cost_grad_batch(X, U, D) -> (G_x, G_u)
       stage_cost_hess_batch(X, U, D) -> (Q_xx, S_xu, R_uu, E_xd, F_ud)
       dynamics_hess_vec_batch(X, U, D, Lam) -> (H_xx, H_xu, H_uu, H_xd, H_ud)
-    The KKT residual and the linearization call a batched form instead of
-    its per-stage form whenever it is registered and every stage 0..N-1
-    carries data of one size; otherwise they loop over the stages.  The
-    per-stage forms stay required (stage_cost, dynamics) or in use (the
-    objective, the constraints and any problem whose data size differs by
-    stage read them), and a batched form must agree with its per-stage form.
-    A batched dynamics_hess_vec is also called at stages whose multiplier
-    is zero, where the per-stage path skips the call.  A term whose size
-    does not match its stage's shape raises ConfigurationError.  Every
-    preset of `models` registers all five, and its per-stage forms are
-    one-row calls of them.
+    The rows are arbitrary stage rows, not stages 0..N-1 in order (the N
+    stages of each of several points, or any subset of distinct stage
+    rows), so a batched form must not depend on a row's position.  The KKT
+    residual and the linearization call a batched form instead of its
+    per-stage form whenever it is registered.  The per-stage forms stay
+    required (stage_cost, dynamics) or in use (the objective, the
+    constraints and any oracle without a batched form), and a batched form
+    must agree with its per-stage form.  A batched dynamics_hess_vec is
+    also called at stages whose multiplier is zero, where the per-stage
+    path skips the call.  A term whose size does not match its stage's
+    shape raises ConfigurationError.  Every preset of `models` registers
+    all five, and its per-stage forms are one-row calls of them.
 
     All maps must be twice continuously differentiable on the evaluation
     domain.
@@ -279,9 +264,8 @@ class DataTrajectory:
         return self._of((*self._shared[:k], self.vectors[k] + delta, *self._shared[k + 1 :]))
 
     def stage_rows(self) -> Array:
-        """d_0, ..., d_{N-1} as the rows of an (N, n_d) array; only when
-        `dims.stage_nd` is not None."""
-        return np.array(self.vectors[1 : self.dims.N + 1]).reshape(self.dims.N, self.dims.stage_nd)
+        """d_0, ..., d_{N-1} as the rows of an (N, n_d) array."""
+        return np.array(self.vectors[1 : self.dims.N + 1]).reshape(self.dims.N, self.dims.n_d)
 
 
 def _stage_order(dims: Dimensions) -> Array:

@@ -24,7 +24,7 @@ from edslab import certify, kkt
 def toy_nonlinear_problem(N=3):
     """Small smooth nonconvex problem with no analytic derivatives
     registered, exercising every finite-difference fallback."""
-    dims = Dimensions.uniform(N, 2, 1, 2, 2)
+    dims = Dimensions(N, 2, 1, 2, 2)
 
     def stage_cost(i, x, u, d):
         return float(
@@ -50,7 +50,7 @@ def strongly_indefinite_problem():
     """One-stage problem whose terminal curvature deficit (-3 cos x) exceeds
     the regularization cap near the origin, so Newton raises
     RegularityError."""
-    dims = Dimensions.uniform(1, 1, 1, 0, 1)
+    dims = Dimensions(1, 1, 1, 0, 1)
     oracles = StageOracles(
         stage_cost=lambda i, x, u, d: float(u @ u),
         dynamics=lambda i, x, u, d: np.atleast_1d(x[0] + u[0]),
@@ -64,7 +64,7 @@ def data_coupled_jac_problem(N=2):
     dynamics_hess_vec, whose data Jacobian G depends on x and u: the
     dynamics curvature, its mixed (x, u)-d blocks included, comes from
     differencing the analytic Jacobian."""
-    dims = Dimensions.uniform(N, 2, 1, 2, 2)
+    dims = Dimensions(N, 2, 1, 2, 2)
 
     def dynamics(i, x, u, d):
         return np.array(
@@ -111,17 +111,16 @@ def toy():
 
 
 @st.composite
-def stage_blocks(draw, zero_families="QRSEFABG", varying_nd=False):
+def stage_blocks(draw, zero_families="QRSEFABG"):
     """Random time-varying StageBlocks (N <= 10, n_x <= 4, n_u <= 3,
     n_0 <= n_x with a full-row-rank T, n_d <= 3); Q and R are symmetric
     and indefinite, and any block family named in `zero_families` may be
-    all zero.  With `varying_nd` each stage draws its own data size."""
+    all zero."""
     N = draw(st.integers(1, 10))
     n_x = draw(st.integers(1, 4))
     n_u = draw(st.integers(0, 3))
     n_0 = draw(st.integers(0, n_x))
     n_d = draw(st.integers(0, 3))
-    nds = [draw(st.integers(0, 3)) for _ in range(N + 1)] if varying_nd else [n_d] * (N + 1)
     zero = draw(st.sets(st.sampled_from(zero_families))) if zero_families else set()
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -135,16 +134,16 @@ def stage_blocks(draw, zero_families="QRSEFABG", varying_nd=False):
     # orthonormal rows scaled by a random factor: full row rank
     T = rng.uniform(0.5, 2.0) * np.linalg.qr(rng.standard_normal((n_x, n_x)))[0][:n_0]
     return StageBlocks(
-        dims=Dimensions(N, n_x, n_u, (n_0, *nds), n_0),
+        dims=Dimensions(N, n_x, n_u, n_d, n_0),
         T=T,
         Q=family("Q", [(n_x, n_x)] * (N + 1), sym=True),
         R=family("R", [(n_u, n_u)] * N, sym=True),
         S=family("S", [(n_x, n_u)] * N),
-        E=family("E", [(n_x, k) for k in nds]),
-        F=family("F", [(n_u, k) for k in nds[:N]]),
+        E=family("E", [(n_x, n_d)] * (N + 1)),
+        F=family("F", [(n_u, n_d)] * N),
         A=family("A", [(n_x, n_x)] * N),
         B=family("B", [(n_x, n_u)] * N),
-        G=family("G", [(n_x, k) for k in nds[:N]]),
+        G=family("G", [(n_x, n_d)] * N),
     )
 
 

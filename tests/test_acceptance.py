@@ -111,7 +111,7 @@ def test_ublh_bound():
             fam["Q"].append(0.5 * (Q + Q.T))
             fam["E"].append(scaled((n_x, n_d), K))
             blocks = StageBlocks(
-                dims=Dimensions(N, n_x, n_u, (n_0,) + (n_d,) * (N + 1), n_0), T=T, **fam
+                dims=Dimensions(N, n_x, n_u, n_d, n_0), T=T, **fam
             )
             assert mixed_hessian_norm(blocks) <= blh_bound_from_K(K)
             count += 1

@@ -445,17 +445,17 @@ class TestNUniformitySignatures:
             return max((float(np.linalg.norm(M, 2)) for M in every if M.size), default=0.0)
 
         assert max_block_norm(blocks) == per_block(blocks)
-        # data sizes that differ by stage: E, F and G mix block shapes
+        # E, F and G redrawn at another data size
         dims, rng = blocks.dims, np.random.default_rng(seed)
-        nd = [int(k) for k in rng.integers(0, 4, dims.N + 1)]
-        mixed = dataclasses.replace(
+        n_d = int(rng.integers(0, 4))
+        other = dataclasses.replace(
             blocks,
-            dims=Dimensions(dims.N, dims.n_x, dims.n_u, (dims.n_0, *nd), dims.n_0),
-            E=[rng.standard_normal((dims.n_x, k)) for k in nd],
-            F=[rng.standard_normal((dims.n_u, k)) for k in nd[:-1]],
-            G=[rng.standard_normal((dims.n_x, k)) for k in nd[:-1]],
+            dims=Dimensions(dims.N, dims.n_x, dims.n_u, n_d, dims.n_0),
+            E=rng.standard_normal((dims.N + 1, dims.n_x, n_d)),
+            F=rng.standard_normal((dims.N, dims.n_u, n_d)),
+            G=rng.standard_normal((dims.N, dims.n_x, n_d)),
         )
-        assert max_block_norm(mixed) == per_block(mixed)
+        assert max_block_norm(other) == per_block(other)
 
 
 class TestReport:
@@ -587,41 +587,36 @@ class TestBandedModuli:
         ref = np.linalg.norm(M.toarray(), 2)
         assert mixed_hessian_norm(blocks) == pytest.approx(ref, rel=1e-10)
 
-    @settings(max_examples=150, deadline=None)
-    @given(stage_blocks(varying_nd=True))
-    def test_mixed_norm_matches_dense_svd_with_varying_data_sizes(self, blocks):
-        ref = np.linalg.norm(assemble_mixed_hessian(blocks).toarray(), 2)
-        assert mixed_hessian_norm(blocks) == pytest.approx(ref, rel=1e-10)
-
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(stage_blocks(), stage_blocks(varying_nd=True)))
+    @given(stage_blocks())
     def test_block_band_matches_the_sparse_gram(self, blocks):
         assert_block_band_matches_sparse(blocks)
 
     @pytest.mark.parametrize(
         "N, n_x, n_u, n_0, nds",
         [
-            (1, 2, 0, 1, (2, 0)),  # N = 1, no inputs, n_0 < n_x, empty terminal data
+            (1, 2, 0, 1, (2, 2)),  # N = 1, no inputs, n_0 < n_x
             (1, 3, 2, 3, (0, 0)),  # no data at all
-            (4, 3, 1, 0, (2, 0, 3, 1, 0)),  # empty stage and terminal data
-            (3, 2, 2, 2, (1, 1, 1, 0)),  # empty terminal data only
-            (5, 1, 0, 0, (0, 2, 0, 0, 2, 2)),  # scalar state without inputs
+            (4, 3, 1, 0, (3,) * 5),  # no initial constraint, more data than inputs
+            (3, 2, 2, 2, (1,) * 4),  # one datum per stage
+            (5, 1, 0, 0, (2,) * 6),  # scalar state without inputs
         ],
     )
     def test_block_band_edge_shapes(self, N, n_x, n_u, n_0, nds):
+        (n_d,) = set(nds)  # the data size of each stage 0..N: one size
         rng = np.random.default_rng(N * 100 + n_x * 10 + n_u)
         sym = lambda M: 0.5 * (M + M.swapaxes(-1, -2))
         blocks = StageBlocks(
-            dims=Dimensions(N, n_x, n_u, (n_0, *nds), n_0),
+            dims=Dimensions(N, n_x, n_u, n_d, n_0),
             T=np.linalg.qr(rng.standard_normal((n_x, n_x)))[0][:n_0],
             Q=sym(rng.standard_normal((N + 1, n_x, n_x))),
             R=sym(rng.standard_normal((N, n_u, n_u))),
             S=rng.standard_normal((N, n_x, n_u)),
-            E=[rng.standard_normal((n_x, k)) for k in nds],
-            F=[rng.standard_normal((n_u, k)) for k in nds[:N]],
+            E=rng.standard_normal((N + 1, n_x, n_d)),
+            F=rng.standard_normal((N, n_u, n_d)),
             A=rng.standard_normal((N, n_x, n_x)),
             B=rng.standard_normal((N, n_x, n_u)),
-            G=[rng.standard_normal((n_x, k)) for k in nds[:N]],
+            G=rng.standard_normal((N, n_x, n_d)),
         )
         assert_block_band_matches_sparse(blocks)
         ref = np.linalg.norm(assemble_mixed_hessian(blocks).toarray(), 2)
@@ -1035,11 +1030,6 @@ class TestFactorSosc:
     @settings(max_examples=300, deadline=None)
     @given(stage_blocks(zero_families=""))
     def test_matches_dense_reference(self, blocks):
-        assert_matches_dense_reference(blocks)
-
-    @settings(max_examples=150, deadline=None)
-    @given(stage_blocks(varying_nd=True))
-    def test_matches_dense_reference_with_varying_data_sizes(self, blocks):
         assert_matches_dense_reference(blocks)
 
     def test_contract(self):

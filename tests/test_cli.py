@@ -282,17 +282,25 @@ class TestRun:
             {"solver": {"max_iter": 2.5}},
             {"solver": {"max_iter": 1e300}},
             {"solver": {"ls_sigma": "x"}},
+            # option ranges outside which Newton may never end
+            *({"solver": opts} for opts in (
+                {"ls_beta": 1.0}, {"ls_beta": 0}, {"ls_sigma": 0.5}, {"ls_sigma": -1e-4},
+                {"reg0": 0}, {"reg0": -1e-8}, {"reg0": 0.1, "reg_max": 0.01},
+            )),
+            {"stages": []},
+            {"out_dir": [1]},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "certify"])
-    def test_malformed_values_exit_3_no_outputs(self, tmp_path, capsys, command, overrides):
-        out = tmp_path / "out"
-        cfg = write_config(tmp_path / "cfg.json", out_dir=str(out), **overrides)
+    def test_malformed_values_exit_3_no_outputs(self, tmp_path, capsys, monkeypatch, command, overrides):
+        cfg = write_config(tmp_path / "cfg.json", **{"out_dir": str(tmp_path / "out"), **overrides})
+        monkeypatch.chdir(tmp_path)  # where a relative out dir would go
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main([command, "--config", str(cfg)]) == 3
-        assert "config error" in capsys.readouterr().err
-        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -596,7 +604,7 @@ def trajectories(draw):
     """A primal-dual trajectory of random sizes (n_u and n_0 may be 0) whose
     entries include zeros of both signs, infinities and NaN."""
     N, n_x, n_u = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
-    dims = Dimensions.uniform(N, n_x, n_u, 1, draw(st.integers(0, n_x)))
+    dims = Dimensions(N, n_x, n_u, 1, draw(st.integers(0, n_x)))
     values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0, 0.1])
     v = draw(st.lists(values, min_size=dims.n_w, max_size=dims.n_w))
     return PrimalDualTrajectory.from_vector(dims, np.array(v, dtype=float))
@@ -721,6 +729,27 @@ def fresh_run(tmp_path, mode):
     *stdout, summary = proc.stdout.splitlines()
     files = {str(f.relative_to(out)): f.read_bytes() for f in sorted(out.rglob("*.*")) if f.name != "manifest.json"}
     return json.loads(summary), stdout, files
+
+
+def test_options_that_stalled_newton_exit_3_in_time(tmp_path):
+    # without the option range checks `edslab run` does not end on this
+    # quadrotor case with ls_beta = 1 (the line search never ends) or
+    # reg0 <= 0 (regularization never grows); the timeout turns such a hang
+    # into a failure.  With default options run exits 2 and certify 0.
+    case = {"model": "quadrotor", "params": {"N": 20, "dt": 0.5, "q": 0, "b": 0}}
+    case.update(stages=[10], replicates=3, magnitude=30, seed=0)
+    configs = []
+    for k, solver in enumerate(({}, {"ls_beta": 1.0}, {"reg0": 0}, {"reg0": -1e-8})):
+        configs.append(tmp_path / f"cfg{k}.json")
+        configs[-1].write_text(json.dumps({**case, "solver": solver, "out_dir": str(tmp_path / f"out{k}")}))
+    script = "import sys; from edslab import cli; "
+    script += "print([cli.main([c, '--config', f]) for f in sys.argv[1:] for c in ('run', 'certify')])"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(edslab.__file__))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *map(str, configs)], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stdout.splitlines()[-1] == "[2, 0, 3, 3, 3, 3, 3, 3]"
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 class TestFreshProcess:

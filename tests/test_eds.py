@@ -250,7 +250,7 @@ class TestStageDeviations:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 3), st.data(), st.booleans())
     def test_matches_per_stage_norms(self, N, n_x, n_u, draw, primal_only):
-        dims = Dimensions.uniform(N, n_x, n_u, 0, draw.draw(st.integers(0, n_x)))
+        dims = Dimensions(N, n_x, n_u, 0, draw.draw(st.integers(0, n_x)))
         rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
         a = PrimalDualTrajectory.from_vector(dims, rng.standard_normal(dims.n_w))
         b = PrimalDualTrajectory.from_vector(dims, rng.standard_normal(dims.n_w))

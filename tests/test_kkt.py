@@ -101,7 +101,7 @@ class TestLinearize:
     def test_bilinear_dynamics_curvature_lands_in_S(self):
         # f_0 = x * u with multiplier 2: cross block of lam @ f is the
         # multiplier itself
-        dims = Dimensions.uniform(1, 1, 1, 0, 1)
+        dims = Dimensions(1, 1, 1, 0, 1)
         oracles = StageOracles(
             stage_cost=lambda i, x, u, d: 0.0,
             dynamics=lambda i, x, u, d: np.atleast_1d(x[0] * u[0]),
@@ -121,6 +121,17 @@ class TestLinearize:
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("name", "QRSEFABG")
+    def test_blocks_reject_wrong_shapes(self, name):
+        # every family is one stacked array, checked against the sizes: a
+        # stage short, or (E, F and G) a data column short
+        ti = StageBlocks.time_invariant(np.eye(2), np.ones((2, 1)), np.eye(2), np.eye(1), 3, n_d=2)
+        M = getattr(ti, name)
+        for bad in (M[:-1], M[..., :1] if name in "EFG" else M[None]):
+            with pytest.raises(ConfigurationError, match=rf"StageBlocks.{name}: expected shape"):
+                dataclasses.replace(ti, **{name: bad})
+        assert (ti.E.shape, ti.F.shape, ti.G.shape) == ((4, 2, 2), (3, 1, 2), (3, 2, 2))
+
     def test_jacobian_hand_example(self):
         blocks = StageBlocks.time_invariant(
             np.array([[1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1), 1, T=np.array([[1.0]])
@@ -185,7 +196,7 @@ class TestAssembly:
 
 
     @settings(max_examples=100, deadline=None)
-    @given(st.booleans().flatmap(lambda varying: stage_blocks(varying_nd=varying)))
+    @given(stage_blocks())
     def test_mixed_hessian_matches_block_by_block_assembly(self, blocks):
         # the COO indices come from array operations; the CSR arrays are
         # the same as from putting one stage block at a time
@@ -336,10 +347,10 @@ class TestStageBatchedOracles:
         assert res.converged and res.iterations == ref.iterations
         assert relative_diff(res.trajectory.vector, ref.trajectory.vector) <= 1e-13
 
-    def test_data_size_differing_by_stage_loops_over_stages(self):
-        # stage data of sizes 1, 0, 2 at stages 0..2: the batched forms
-        # cannot take stacked data, so they are never called
-        dims = Dimensions(3, 2, 1, (2, 1, 0, 2, 1), 2)
+    def test_oracles_without_batched_forms_loop_over_stages(self):
+        # no batched form registered: every term comes from the per-stage
+        # oracles, or from finite differences, stage by stage
+        dims = Dimensions(3, 2, 1, 2, 2)
 
         def stage_cost(i, x, u, d):
             return float(x @ x + 0.5 * u @ u + np.sin(x[0]) * d.sum() + 0.1 * x[1] * u[0])
@@ -348,7 +359,7 @@ class TestStageBatchedOracles:
             return 0.9 * x + 0.2 * np.sin(x[::-1]) + 0.3 * u[0] + 0.1 * x[0] * d.sum()
 
         # analytic derivatives, G, E and F given flat or as nested lists so
-        # that each stage's term is reshaped to its own data size
+        # that each stage's term is reshaped to (., n_d)
         def dynamics_jac(i, x, u, d):
             A = np.array([[0.9 + 0.1 * d.sum(), 0.2 * np.cos(x[1])], [0.2 * np.cos(x[0]) + 0.1 * d.sum(), 0.9]])
             return A, [0.3, 0.3], np.full(2 * d.size, 0.1 * x[0])
@@ -364,7 +375,6 @@ class TestStageBatchedOracles:
                 stage_cost=stage_cost,
                 dynamics=dynamics,
                 terminal_cost=lambda x, d: float(x @ x + 0.3 * np.cos(x[0]) * d.sum()),
-                **dict.fromkeys(BATCHED_FIELDS, refuse),
             ),
             T=np.eye(2),
         )
@@ -373,16 +383,9 @@ class TestStageBatchedOracles:
         )
         traj, data = random_point(fd, seed=3)
         for p in (fd, analytic):
-            loop = per_stage_only(p)
-            assert np.array_equal(kkt_residual(p, traj, data), kkt_residual(loop, traj, data))
             blocks = linearize(p, traj, data)
-            assert blocks_relative_diff(blocks, linearize(loop, traj, data)) == 0.0
-            assert [G.shape for G in blocks.G] == [(2, dims.nd(i)) for i in range(3)]
-            assert [F.shape for F in blocks.F] == [(1, dims.nd(i)) for i in range(3)]
-            assert [E.shape for E in blocks.E] == [(2, dims.nd(i)) for i in range(4)]
-            res = solve_equality_nlp(p, data)
-            assert res.converged
-            assert np.array_equal(res.trajectory.vector, solve_equality_nlp(loop, data).trajectory.vector)
+            assert (blocks.G.shape, blocks.F.shape, blocks.E.shape) == ((3, 2, 2), (3, 1, 2), (4, 2, 2))
+            assert solve_equality_nlp(p, data).converged
         assert relative_diff(kkt_residual(analytic, traj, data), kkt_residual(fd, traj, data)) <= 1e-8
         exact, approx = linearize(analytic, traj, data), linearize(fd, traj, data)
         for name in "QRSEFABG":
@@ -580,7 +583,7 @@ class TestSolve:
         # zero cost: the KKT matrix is singular along the free direction and
         # the inertia gate must push the ladder off zero; any feasible point
         # is stationary and Newton still converges
-        dims = Dimensions.uniform(1, 1, 1, 0, 1)
+        dims = Dimensions(1, 1, 1, 0, 1)
         oracles = StageOracles(
             stage_cost=lambda i, x, u, d: 0.0,
             dynamics=lambda i, x, u, d: np.atleast_1d(x[0] + u[0]),
@@ -624,7 +627,7 @@ class TestSolve:
             terminal_cost_grad=lambda x, d: 2.0 * x,
             terminal_cost_hess=lambda x, d: (2.0 * np.eye(2), np.zeros((2, 0))),
         )
-        dims = Dimensions.uniform(3, 2, 1, 0, 2)
+        dims = Dimensions(3, 2, 1, 0, 2)
         p = DOProblem(dims=dims, oracles=oracles, T=np.eye(2))
         res = solve_equality_nlp(p, DataTrajectory(dims, [[1.0, 0.5], [], [], [], []]))
         assert res.converged and res.iterations == 1 and res.regularization == 0.0
@@ -882,11 +885,11 @@ class TestBlockFactor:
             assert x.tobytes() == pair[:, 0].tobytes()
 
 
-def varying_data_problem(N):
-    """A nonlinear problem without derivatives whose stage data sizes
-    cycle through 1, 2 and 3, so stages cannot be stacked and every term
-    comes from finite differences stage by stage."""
-    dims = Dimensions(N, 2, 1, (2,) + tuple(1 + i % 3 for i in range(N)) + (2,), 2)
+def time_varying_fd_problem(N):
+    """A nonlinear problem without derivatives or batched forms whose stage
+    cost depends on the stage number, so every term comes from finite
+    differences stage by stage."""
+    dims = Dimensions(N, 2, 1, 3, 2)
     oracles = StageOracles(
         stage_cost=lambda i, x, u, d: float(x @ x + 0.5 * u @ u + np.sin(x[0]) * d.sum() + 0.1 * i * x[1] * d[-1]),
         dynamics=lambda i, x, u, d: 0.9 * x + 0.2 * np.sin(x[::-1]) + 0.3 * u[0] + 0.1 * x[0] * d.sum(),
@@ -898,7 +901,7 @@ def varying_data_problem(N):
 def data_in_B_problem(N):
     """Analytic per-stage oracles in which d[1] enters B and d[0] only the
     linear cost terms, so Q, R and S never depend on the data."""
-    dims = Dimensions.uniform(N, 2, 1, 2, 2)
+    dims = Dimensions(N, 2, 1, 2, 2)
     A = np.array([[0.9, 0.2], [0.0, 0.8]])
     B = lambda d: np.array([[0.3], [0.2 * d[1]]])
     zeros = lambda *shapes: tuple(np.zeros(s) for s in shapes)
@@ -935,7 +938,7 @@ class TestSharedStart:
     those of its own `kkt_residual` and `linearize`, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
-    @given(st.sampled_from(["lq_chain", "quadrotor", "toy", "varying", "data_in_B"]), st.integers(2, 6), st.data())
+    @given(st.sampled_from(["lq_chain", "quadrotor", "toy", "time_varying", "data_in_B"]), st.integers(2, 6), st.data())
     def test_start_matches_each_point_bit_for_bit(self, name, N, draw):
         seed = draw.draw(st.integers(0, 999))
         if name == "lq_chain":
@@ -943,7 +946,7 @@ class TestSharedStart:
         elif name == "quadrotor":
             p = build_model("quadrotor", {"N": N, "dt": 0.1}).problem
         else:
-            p = {"toy": toy_nonlinear_problem, "varying": varying_data_problem, "data_in_B": data_in_B_problem}[name](N)
+            p = dict(toy=toy_nonlinear_problem, time_varying=time_varying_fd_problem, data_in_B=data_in_B_problem)[name](N)
         w0, base = random_point(p, seed=seed)
         # a random set of perturbed stages, the ends -1 and N included or not
         stages = draw.draw(st.sets(st.integers(-1, N), min_size=1, max_size=4))

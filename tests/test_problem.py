@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from conftest import random_point
 
 
 def quadratic_problem(N=2, n_x=2, n_u=1):
-    dims = Dimensions.uniform(N, n_x, n_u, 0, n_x)
+    dims = Dimensions(N, n_x, n_u, 0, n_x)
     oracles = StageOracles(
         stage_cost=lambda i, x, u, d: float(x @ x + u @ u),
         dynamics=lambda i, x, u, d: np.zeros(n_x),
@@ -44,7 +46,7 @@ def lagrangian_gradient_by_fd(p, traj, data, h=1e-6):
 
 
 def scalar_n1(f0, l0, l1, n0_data=1):
-    dims = Dimensions(1, 1, 1, (n0_data, 0, 0), n0_data)
+    dims = Dimensions(1, 1, 1, 0, n0_data)
     oracles = StageOracles(
         stage_cost=lambda i, x, u, d: l0(x, u),
         dynamics=lambda i, x, u, d: np.atleast_1d(f0(x, u)),
@@ -69,7 +71,7 @@ class TestObjective:
 
     def test_linear_cost_in_data(self):
         N = 3
-        dims = Dimensions.uniform(N, 1, 1, 1, 1)
+        dims = Dimensions(N, 1, 1, 1, 1)
         oracles = StageOracles(
             stage_cost=lambda i, x, u, d: float(d[0]),
             dynamics=lambda i, x, u, d: np.zeros(1),
@@ -89,7 +91,7 @@ class TestObjective:
 
 class TestConstraints:
     def test_all_zero(self):
-        dims = Dimensions.uniform(2, 2, 1, 0, 2)
+        dims = Dimensions(2, 2, 1, 0, 2)
         oracles = StageOracles(
             stage_cost=lambda i, x, u, d: 0.0,
             dynamics=lambda i, x, u, d: np.zeros(2),
@@ -131,7 +133,7 @@ class TestLagrangian:
     def test_initial_constraint_pairing_sign(self):
         # f == 0, costs == 0, T = I: only the initial pairing remains and the
         # chosen convention makes it -lam @ (x0 - d)
-        dims = Dimensions.uniform(1, 1, 0, 0, 1)
+        dims = Dimensions(1, 1, 0, 0, 1)
         oracles = StageOracles(
             stage_cost=lambda i, x, u, d: 0.0,
             dynamics=lambda i, x, u, d: np.zeros(1),
@@ -171,7 +173,7 @@ class TestInvariants:
 
     def test_empty_initial_map_conventions(self):
         # estimation-style problem: n_0 = 0, no initial constraint block
-        dims = Dimensions(2, 2, 1, (0, 1, 1, 1), 0)
+        dims = Dimensions(2, 2, 1, 1, 0)
         oracles = StageOracles(
             stage_cost=lambda i, x, u, d: float(x @ x + u @ u),
             dynamics=lambda i, x, u, d: 0.5 * x,
@@ -189,16 +191,21 @@ class TestInvariants:
 class TestDimensions:
     def test_invariants_enforced(self):
         with pytest.raises(ConfigurationError):
-            Dimensions.uniform(0, 1, 1, 0, 1)
+            Dimensions(0, 1, 1, 0, 1)
         with pytest.raises(ConfigurationError):
-            Dimensions.uniform(1, 0, 1, 0, 0)
+            Dimensions(1, 0, 1, 0, 0)
         with pytest.raises(ConfigurationError):
-            Dimensions.uniform(1, 1, 1, 0, 2)
-        with pytest.raises(ConfigurationError):
-            Dimensions(1, 1, 1, (0, 0), 1)  # wrong n_d length and n_d[-1] != n_0
+            Dimensions(1, 1, 1, 0, 2)
+        # one integer data size for stages 0..N: not negative, fractional,
+        # a per-stage tuple, a string, a bool or inf
+        for n_d in (-1, 2.5, (1, 2.5, 2.5), (1, 2, 2), "2", True, math.inf):
+            with pytest.raises(ConfigurationError, match="n_d must"):
+                Dimensions(1, 1, 1, n_d, 1)
+        dims = Dimensions(3, 2, 1, 4.0, 1)
+        assert type(dims.n_d) is int and [dims.nd(i) for i in range(-1, 4)] == [1, 4, 4, 4, 4]
 
     def test_rank_deficient_T_rejected(self):
-        dims = Dimensions.uniform(1, 2, 1, 0, 2)
+        dims = Dimensions(1, 2, 1, 0, 2)
         oracles = StageOracles(
             stage_cost=lambda i, x, u, d: 0.0,
             dynamics=lambda i, x, u, d: np.zeros(2),
@@ -214,8 +221,8 @@ def dimensions(draw):
     N = draw(st.integers(1, 5))
     n_x = draw(st.integers(1, 3))
     n_0 = draw(st.integers(0, n_x))
-    n_d = draw(st.lists(st.integers(0, 2), min_size=N + 1, max_size=N + 1))
-    return Dimensions(N, n_x, draw(st.integers(0, 2)), (n_0, *n_d), n_0)
+    n_d = draw(st.integers(0, 2))
+    return Dimensions(N, n_x, draw(st.integers(0, 2)), n_d, n_0)
 
 
 def smooth_problem(dims):
@@ -236,7 +243,7 @@ def smooth_problem(dims):
 
 class TestDataTrajectory:
     def test_perturbed_shares_read_only_views(self):
-        dims = Dimensions.uniform(3, 2, 1, 2, 1)
+        dims = Dimensions(3, 2, 1, 2, 1)
         base = DataTrajectory(dims, [np.arange(dims.nd(i), dtype=float) + i for i in range(-1, 4)])
         before = [v.copy() for v in base.vectors]
         a, b = base.perturbed(1, [1.0, 2.0]), base.perturbed(2, [3.0, 4.0])
