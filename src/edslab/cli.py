@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import report
 from .certify import build_report
@@ -30,7 +29,7 @@ from .eds import decay_contrast, fit_decay, pooled_points, run_experiments
 from .errors import ConfigurationError, EdslabError
 from .kkt import SolveOptions, solve_equality_nlp
 from .models import build_model, list_models
-from .problem import _integer
+from .problem import _integer, _real
 
 EXIT_OK = 0
 EXIT_SOLVER = 2
@@ -52,19 +51,7 @@ class ExperimentConfig:
     out_dir: str = "out"
 
 
-_KNOWN_KEYS = {
-    "model",
-    "params",
-    "cases",
-    "stages",
-    "replicates",
-    "magnitude",
-    "seed",
-    "solver",
-    "window_ctrl",
-    "window_obs",
-    "out_dir",
-}
+_KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 _CASE_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
@@ -108,7 +95,7 @@ def load_config(path: str) -> ExperimentConfig:
             cases=cases,
             stages=[_integer(s, "stage") for s in stages],
             replicates=_integer(raw.get("replicates", 1), "replicates"),
-            magnitude=float(raw.get("magnitude", 0.1)),
+            magnitude=_real(raw.get("magnitude", 0.1), "magnitude"),
             seed=_integer(raw.get("seed", 0), "seed"),
             solver=solver,
             window_ctrl=_integer(raw.get("window_ctrl", 1), "window_ctrl"),
@@ -126,7 +113,7 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigurationError("case names must be unique")
     if cfg.replicates < 1:
         raise ConfigurationError("replicates must be >= 1")
-    if not math.isfinite(cfg.magnitude) or cfg.magnitude <= 0:
+    if cfg.magnitude <= 0:
         # a zero perturbation leaves every deviation at the noise floor
         raise ConfigurationError("magnitude must be finite and positive")
     return cfg

@@ -17,8 +17,8 @@ without a copy.  One sourcing helper, `_stage_terms`, keyed by oracle
 name, returns each oracle's terms with a leading stage axis and checks
 their sizes: from the problem's stage-batched oracle when it registers one,
 otherwise from `_PER_STAGE[name]` at each stage (the per-stage analytic
-oracle, or finite differences), whose results are stacked.  Stages 0..N
-share one data size, so the data rows stack into one (N, n_d) array too.
+oracle, or finite differences), whose results are stacked.  The data
+rows are the view `DataTrajectory.stages[:N]` of each point.
 The terminal cost takes a two-term path of its own, `_terminal_terms`.
 Both then assemble from those arrays in a few array operations, and
 `StageBlocks` keeps every block family stacked.
@@ -224,17 +224,16 @@ class _Stages(NamedTuple):
     I: list
 
 
-def _stages(p: DOProblem, W: Array, data: list, D: Array | None = None) -> _Stages:
+def _stages(p: DOProblem, W: Array, data: list) -> _Stages:
     dims = p.dims
     rows = W[:, dims.n_0 : dims.w_offsets[-2]].reshape(-1, 2 * dims.n_x + dims.n_u)
-    # D: the points' stage_rows(), when the caller holds them
-    D = np.concatenate([d.stage_rows() for d in data]) if D is None else D.reshape(len(rows), dims.n_d)
+    D = np.concatenate([d.stages[: dims.N] for d in data])
     return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], D, [*range(dims.N)] * len(W))
 
 
 def _terminal(p: DOProblem, W: Array, data: list) -> tuple:
     """x_N and d_N of every point, as the rows of two arrays."""
-    return W[:, p.dims.w_offsets[-2] :], np.array([d[p.dims.N] for d in data])
+    return W[:, p.dims.w_offsets[-2] :], np.array([d.stages[-1] for d in data])
 
 
 def _points(p: DOProblem, traj, data):
@@ -396,17 +395,17 @@ def _block_terms(p: DOProblem, st: _Stages, x_N: Array, D_N: Array) -> tuple:
     return _sym(Qc + Hxx), _sym(Rc + Huu), Sc + Hxu, Ec + Hxd, Fc + Hud, _sym(QN), EN
 
 
-def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None, rows: Array | None = None):
+def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None):
     """All per-stage derivative blocks at (traj, data).  The Q/S/R/E/F blocks
     differentiate the stage Lagrangians, so they include the
     multiplier-weighted dynamics curvature.  `jacobians`, when given, holds
     the per-stage (A, B, G) that `kkt_residual` evaluated at this same
     (traj, data); they are used instead of evaluating the dynamics Jacobian
-    again.  A batch of points (see `kkt_residual`, also for `rows`) gives a
-    list with one `StageBlocks` per point."""
+    again.  A batch of points (see `kkt_residual`) gives a list with one
+    `StageBlocks` per point."""
     W, data, single = _points(p, traj, data)
     dims, N = p.dims, p.dims.N
-    st = _stages(p, W, data, rows)
+    st = _stages(p, W, data)
     if jacobians is None:
         A, B, G = _stage_terms(p, st, "dynamics_jac", ("xx", "xu", "xd"))
     else:
@@ -526,7 +525,7 @@ def _stage_residuals(p: DOProblem, W: Array, st: _Stages, at=slice(None)) -> tup
     return np.hstack([gx + LA[:, 0] - lam_prev, gu + LB[:, 0], f - x_next]), (A, B, G)
 
 
-def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None, rows: Array | None = None) -> Array:
+def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None) -> Array:
     """Gradient of the Lagrangian in `traj.vector`, so in the same stage
     order; zero exactly at stationary points.  The multiplier entries are
     the negated constraint residuals.  Each stage's dynamics Jacobians
@@ -536,15 +535,14 @@ def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None, row
     For a batch of P points, the rows of a (P, n_w) array `traj` with P
     data trajectories, all P N stages go through each batched oracle at
     once, the residuals are rows too, and one (A, B, G) stacked over the
-    P N stage rows is appended to `jacobians`.  `rows`, when given, stacks
-    the points' `DataTrajectory.stage_rows()`, for a caller that holds them."""
+    P N stage rows is appended to `jacobians`."""
     W, data, single = _points(p, traj, data)
-    stages, (A, B, G) = _stage_residuals(p, W, _stages(p, W, data, rows))
+    stages, (A, B, G) = _stage_residuals(p, W, _stages(p, W, data))
     (gN,) = _terminal_terms(p, *_terminal(p, W, data))
     if jacobians is not None:
         jacobians.extend(zip(A, B, G)) if single else jacobians.append((A, B, G))
     dims, end = p.dims, p.dims.w_offsets[-2]
-    init = [d[-1] - p.T @ x_0 for d, x_0 in zip(data, W[:, dims.n_0 : dims.n_0 + dims.n_x])]
+    init = [d.init - p.T @ x_0 for d, x_0 in zip(data, W[:, dims.n_0 : dims.n_0 + dims.n_x])]
     r = np.hstack([np.reshape(init, (len(W), dims.n_0)), stages.reshape(len(W), -1), gN - W[:, end - dims.n_x : end]])
     return r[0] if single else r
 
@@ -743,32 +741,31 @@ def _same_matrix(a: StageBlocks, b: StageBlocks) -> bool:
 class _Start:
     """Iteration 0 of `solve_batch` for all its points, all at w0.  Point 0
     goes through `kkt_residual` and `linearize`; of the others, only the
-    stages whose data differ from point 0's go through the oracles, each
-    distinct (stage, data) row once, row rows[k, i] of `table` holding point
-    k's stage i.  Points whose rows leave Q, R, S, A and B bit-equal (`same`)
-    take point 0's `StageBlocks` object `ref`."""
+    stages whose data differ from point 0's in their bits (-0.0 is not 0.0)
+    go through the oracles, each distinct (stage, data) row once, row
+    rows[k, i] of `table` holding point k's stage i.  Points whose rows
+    leave Q, R, S, A and B bit-equal (`same`) take point 0's `StageBlocks`
+    object `ref`."""
 
     def __init__(self, p: DOProblem, w0: PrimalDualTrajectory, data: list):
         dims, N, P, end = p.dims, p.dims.N, len(data), p.dims.w_offsets[-2]
         self.W0, jac = w0.vector[None], []
-        # which of stages -1..N hold data that differ from point 0's (not its own vector objects)
-        ref = data[0].vectors
-        differs = np.array([[v is not r for v, r in zip(d.vectors, ref)] for d in data])
-        for k, i in np.argwhere(differs).tolist():
-            differs[k, i] = data[k].vectors[i].tobytes() != ref[i].tobytes()
+        stages = np.array([d.stages for d in data])
+        bits = stages.view(np.int64)
+        differs = (bits != bits[:1]).any(axis=2)  # stages 0..N whose data differ from point 0's
         self.rows, own = np.tile(np.arange(N), (P, 1)), {}
-        for k, i in np.argwhere(differs[:, 1:-1]).tolist():
-            self.rows[k, i] = own.setdefault((i, data[k][i].tobytes()), (N + len(own), i, data[k][i]))[0]
+        for k, i in np.argwhere(differs[:, :N]).tolist():
+            self.rows[k, i] = own.setdefault((i, stages[k, i].tobytes()), (N + len(own), i, stages[k, i]))[0]
         self.n_rows, I, D = N + len(own), [i for _, i, _ in own.values()], [d for *_, d in own.values()]
         I, D = (I * 2, D * 2) if len(I) == 1 else (I, D)  # a batched oracle rounds a lone row differently
         D = np.reshape(D, (len(I), dims.n_d))
         st = _Stages(*np.split(dims.w_rows(w0.vector)[I], [dims.n_x, dims.n_z], axis=1), D, I)
-        last = np.flatnonzero(differs[:, -1])  # the points with terminal data of their own
+        last = np.flatnonzero(differs[:, N])  # the points with terminal data of their own
         terminal = _terminal(p, np.repeat(self.W0, len(last) + 1, axis=0), [data[0], *(data[k] for k in last)])
         r0 = kkt_residual(p, self.W0, data[:1], jacobians=jac)[0]
         own_rows, (A, B, _) = _stage_residuals(p, self.W0, st, I)
         self.table = np.concatenate([r0[dims.n_0 : end].reshape(N, -1), own_rows])
-        self.init = np.reshape([d[-1] for d in data], (P, dims.n_0)) - p.T @ w0.vector[dims.n_0 : dims.n_0 + dims.n_x]
+        self.init = np.reshape([d.init for d in data], (P, dims.n_0)) - p.T @ w0.vector[dims.n_0 : dims.n_0 + dims.n_x]
         self.tail = np.repeat(r0[None, end:], P, axis=0)
         self.tail[last] = _terminal_terms(p, *terminal)[0][1:] - w0.vector[end - dims.n_x : end]
         self.ref = linearize(p, self.W0, data[:1], jacobians=jac)[0]
@@ -784,8 +781,11 @@ class _Start:
         return np.hstack([self.init[ks], stages.reshape(len(stages), -1), self.tail[ks]])
 
 
-# Bound on 8 n_w (2 n_x + n_u)^2 bytes per point over a chunk of `solve_batch`:
-# 7 points of the N = 60 lq_chain, 2 of the quadrotor, near one-point peaks.
+# Points per chunk of `solve_batch`: these bytes over 8 n_w (2 n_x + n_u)^2, the
+# size of a dense per-point KKT factor, which Newton no longer forms; so 7
+# points of the N = 60 lq_chain and 2 of the quadrotor.  The value stays: the
+# chunk decides which points share a batched oracle call, and so the last bits
+# of profiles.csv.
 _CHUNK_BYTES = 12 * 2**20
 
 
@@ -842,7 +842,7 @@ def solve_batch(p: DOProblem, data, w0=None, opts: SolveOptions | None = None, s
         return
     with np.errstate(over="ignore", invalid="ignore"):  # as in `_lockstep`: a non-finite residual fails its point
         start = _Start(p, w0, data)
-    stats.update(chunk_points=size, start_rows=start.n_rows, residual_evals=stats["residual_evals"] + 1)
+    stats.update({"chunk_points": size, "start_rows": start.n_rows, "residual_evals": stats["residual_evals"] + 1})
     for c in range(0, len(data), size):
         yield from _lockstep(p, data[c : c + size], start, slice(c, c + size), opts, first, stats)
 
@@ -885,7 +885,6 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
     the first iteration, shared across chunks."""
     dims, P, N = p.dims, len(data), p.dims.N
     W = np.repeat(start.W0, P, axis=0)
-    rows = np.array([d.stage_rows() for d in data])  # built once
     R = start.residual(ks)
     # per point after iteration 0: the (A, B, G) of the residual call at its iterate, its index
     jacs = [None] * P
@@ -903,7 +902,7 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
             blocks = {k: start.ref if start.same[ks][k] else linearize(p, start.W0, [data[k]])[0] for k in live}
         else:
             jac = [_jacobian_rows([jacs[k] for k in live], N)]
-            blocks = dict(zip(live, linearize(p, W[live], [data[k] for k in live], jacobians=jac, rows=rows[live])))
+            blocks = dict(zip(live, linearize(p, W[live], [data[k] for k in live], jacobians=jac)))
         phi0 = {k: 0.5 * float(R[k] @ R[k]) for k in live}
         reg = dict.fromkeys(live, 0.0)
         need, alpha, step = list(live), {}, {}
@@ -931,7 +930,7 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
             S = list(alpha)
             W_try = W[S] + np.array([alpha[k] for k in S])[:, None] * np.array([step[k] for k in S])
             jac = []
-            R_try = kkt_residual(p, W_try, [data[k] for k in S], jacobians=jac, rows=rows[S])
+            R_try = kkt_residual(p, W_try, [data[k] for k in S], jacobians=jac)
             stats["residual_evals"] += 1
             for i, k in enumerate(S):
                 r = R_try[i]

@@ -415,22 +415,20 @@ def _tracking_problem(
     return DOProblem(dims=dims, oracles=oracles, T=T)
 
 
-def quadrotor_problem(params: QuadrotorParams):
+def quadrotor_problem(params: QuadrotorParams) -> DOProblem:
     """The tracking problem built from the quadrotor: quadratic state
     deviation plus control effort per stage, quadratic terminal deviation,
     identity initial-state map, and one RK4 step of the continuous dynamics
-    as the stage mapping.  Controls are trim offsets.
-
-    Returns (problem, base data); the base data put the reference and the
-    initial state at hover, so the hover trajectory with zero multipliers is
-    the base solution.
+    as the stage mapping.  Controls are trim offsets.  The preset's base
+    data put the reference and the initial state at hover, so the hover
+    trajectory with zero multipliers is the base solution.
     """
     trim, dt = quadrotor_trim(params), params.dt
     rhs = functools.partial(quadrotor_continuous_rhs, params=params)
     rhs_jac = functools.partial(quadrotor_rhs_jacobians, params=params)
     rhs_hess_vec = functools.partial(quadrotor_rhs_hess_vec, params=params)
     dims = Dimensions(params.N, N_X_QUAD, N_U_QUAD, N_X_QUAD, N_X_QUAD)
-    problem = _tracking_problem(
+    return _tracking_problem(
         dims,
         np.eye(N_X_QUAD),
         *quadrotor_cost_weights(params),
@@ -439,8 +437,6 @@ def quadrotor_problem(params: QuadrotorParams):
         lambda X, U: rk4_step_jacobians(rhs, rhs_jac, X, U + trim, dt),
         lambda X, U, Lam: rk4_step_hess_vec(rhs, rhs_jac, rhs_hess_vec, X, U + trim, dt, Lam),
     )
-    hover = quadrotor_hover_state(params)
-    return problem, DataTrajectory(dims, [hover.copy() for _ in range(params.N + 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -700,8 +696,7 @@ def _bundle(problem: DOProblem, d_init, ref: Array | None = None):
     start resting at `ref` (at zero without it) with zero controls and
     multipliers."""
     dims = problem.dims
-    stage = np.zeros(dims.n_d) if ref is None else ref
-    data = DataTrajectory(dims, [d_init] + [stage.copy() for _ in range(dims.N + 1)])
+    data = DataTrajectory(dims, [d_init] + [np.zeros(dims.n_d) if ref is None else ref] * (dims.N + 1))
     warm = PrimalDualTrajectory.zeros(dims)
     if ref is not None:
         for i in range(dims.N + 1):
@@ -712,7 +707,7 @@ def _bundle(problem: DOProblem, d_init, ref: Array | None = None):
 def _quadrotor(**params):
     qp = QuadrotorParams(**params)
     hover = quadrotor_hover_state(qp)
-    return _bundle(quadrotor_problem(qp)[0], hover, hover)
+    return _bundle(quadrotor_problem(qp), hover, hover)
 
 
 def _lq_chain(n_x=3, n_u=2, N=40, stability=0.9, seed=0, Q=None, R=None, x0_scale=1.0):

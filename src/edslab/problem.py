@@ -17,7 +17,10 @@ Layout: a primal-dual point is one stage-ordered vector [w(-1); ...; w(N)]
 = [lam_{-1}; x_0; u_0; lam_0; ...; lam_{N-1}; x_N], placed by
 `Dimensions.w_offsets` and read by the KKT residual, the Newton step, the
 mixed-Hessian rows and the stage deviations.  Only the dense H and J use
-the stacked orders [x_0; u_0; ...; x_N] and [lam_{-1}; lam_0; ...].
+the stacked orders [x_0; u_0; ...; x_N] and [lam_{-1}; lam_0; ...].  The
+data are two arrays, `DataTrajectory.init` = d_{-1} and the (N + 1, n_d)
+rows `DataTrajectory.stages` = d_0, ..., d_N, so the data of stages 0..N-1
+are the view `stages[:N]`.
 
 Sign convention: the Lagrangian is `objective - lam @ c` where c stacks the
 constraint residuals [T x_0 - d_{-1}; x_1 - f_0; ...; x_N - f_{N-1}].  Its
@@ -221,51 +224,41 @@ class DOProblem:
 
 
 class DataTrajectory:
-    """Stage data d_{-1}, d_0, ..., d_N.  Index with stage numbers:
-    `data[-1]` is the initial-constraint right-hand side; the tuple
-    `vectors` holds them in that order."""
+    """Stage data as two arrays: `init` (n_0,) holds d_{-1}, the
+    right-hand side of the initial constraint, and `stages` (N + 1, n_d)
+    holds d_0, ..., d_N as rows.  Index with stage numbers: `data[-1]` is
+    `init` and `data[i]` a view of row i of `stages`."""
 
     def __init__(self, dims: Dimensions, vectors: Sequence):
         if len(vectors) != dims.N + 2:
             raise ConfigurationError(f"expected {dims.N + 2} data vectors, got {len(vectors)}")
-        self.dims, self._shared = dims, None
-        self.vectors = tuple(_as_vector(v, dims.nd(i - 1), f"d[{i - 1}]") for i, v in enumerate(vectors))
+        self.dims, self.init = dims, _as_vector(vectors[0], dims.n_0, "d[-1]")
+        self.stages = np.empty((dims.N + 1, dims.n_d))
+        for i, v in enumerate(vectors[1:]):
+            self.stages[i] = _as_vector(v, dims.n_d, f"d[{i}]")
 
     @classmethod
     def zeros(cls, dims: Dimensions) -> "DataTrajectory":
         return cls(dims, [np.zeros(dims.nd(i)) for i in range(-1, dims.N + 1)])
 
-    def _index(self, stage: int) -> int:
+    def __getitem__(self, stage: int) -> Array:
         if not -1 <= stage <= self.dims.N:
             raise ConfigurationError(f"stage {stage} outside [-1, {self.dims.N}]")
-        return stage + 1
-
-    def __getitem__(self, stage: int) -> Array:
-        return self.vectors[self._index(stage)]
-
-    def _of(self, vectors: tuple) -> "DataTrajectory":
-        """A trajectory of vectors that were validated already."""
-        out = DataTrajectory.__new__(DataTrajectory)
-        out.dims, out._shared, out.vectors = self.dims, None, vectors
-        return out
+        return self.init if stage == -1 else self.stages[stage]
 
     def copy(self) -> "DataTrajectory":
-        """A copy of every vector."""
-        return self._of(tuple(v.copy() for v in self.vectors))
+        """A copy of both arrays."""
+        out = DataTrajectory.__new__(DataTrajectory)
+        out.dims, out.init, out.stages = self.dims, self.init.copy(), self.stages.copy()
+        return out
 
     def perturbed(self, stage: int, delta) -> "DataTrajectory":
-        """New trajectory with `delta` added to the data at one stage; only
-        `delta` is validated.  The other stages are read-only views of this
-        one's vectors, shared by all its perturbations."""
-        k = self._index(stage)
+        """A copy with `delta` added to the data at one stage; only `delta`
+        is validated."""
         delta = _as_vector(delta, self.dims.nd(stage), f"delta at stage {stage}")
-        if self._shared is None:
-            self._shared = tuple(np.lib.stride_tricks.as_strided(v, writeable=False) for v in self.vectors)
-        return self._of((*self._shared[:k], self.vectors[k] + delta, *self._shared[k + 1 :]))
-
-    def stage_rows(self) -> Array:
-        """d_0, ..., d_{N-1} as the rows of an (N, n_d) array."""
-        return np.array(self.vectors[1 : self.dims.N + 1]).reshape(self.dims.N, self.dims.n_d)
+        out = self.copy()
+        out[stage][:] += delta
+        return out
 
 
 def _stage_order(dims: Dimensions) -> Array:

@@ -258,6 +258,8 @@ class TestRun:
             {"magnitude": float("nan")},
             {"magnitude": float("inf")},
             {"magnitude": "big"},
+            {"magnitude": "0.1"},
+            {"magnitude": True},
             {"replicates": "two"},
             {"seed": None},
             {"seed": float("inf")},

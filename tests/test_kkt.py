@@ -998,6 +998,21 @@ class TestSharedStart:
         for k, d in enumerate(copied):
             assert np.array_equal(b.residual(slice(k, k + 1))[0], kkt_residual(p, w0, d))
 
+    def test_negative_zero_data_get_their_own_start_row(self):
+        # -0.0 == 0.0 in value, so only a comparison of the bits tells the
+        # point's stage 3 from point 0's; it must go through the oracles itself
+        p = lq_chain(3, 2, 8, seed=7)
+        w0, base = random_point(p, seed=7)
+        base.stages[3] = 0.0
+        neg = base.copy()
+        neg.stages[3, 1] = -0.0
+        assert np.array_equal(neg.stages, base.stages)
+        start = kkt._Start(p, w0, [base, base.perturbed(5, [1.0, 0.0, 0.0]), neg])
+        assert start.n_rows == 8 + 2 and start.rows[2, 3] == 9
+        assert (np.delete(start.rows[2], 3) == np.delete(np.arange(8), 3)).all()
+        R = start.residual(slice(2, 3))[0]
+        assert np.array_equal(R.view(np.int64), kkt_residual(p, w0, neg).view(np.int64))
+
     def test_lq_batch_evaluates_each_distinct_row_once(self):
         # point 0's 12 rows, then one own row per other point: the rows of
         # stage 3 that equal the base data are one row, evaluated once

@@ -242,21 +242,30 @@ def smooth_problem(dims):
 
 
 class TestDataTrajectory:
-    def test_perturbed_shares_read_only_views(self):
+    def test_perturbed_copies_both_arrays_and_changes_one_stage(self):
         dims = Dimensions(3, 2, 1, 2, 1)
         base = DataTrajectory(dims, [np.arange(dims.nd(i), dtype=float) + i for i in range(-1, 4)])
-        before = [v.copy() for v in base.vectors]
-        a, b = base.perturbed(1, [1.0, 2.0]), base.perturbed(2, [3.0, 4.0])
-        assert np.array_equal(a[1], before[2] + [1.0, 2.0]) and np.array_equal(b[2], before[3] + [3.0, 4.0])
-        # the unchanged stages are one set of views, shared by both
-        assert a[0] is b[0] and a[-1] is b[-1] and a[2] is not b[2]
-        with pytest.raises(ValueError):
-            a[0][0] = 99.0
-        a[1][0] = 99.0  # the perturbed stage is the trajectory's own
-        assert all(np.array_equal(v, w) for v, w in zip(base.vectors, before))
-        # the base stays writable, and its writes show through the views
-        base[0][0] = -1.0
-        assert a[0][0] == -1.0 and base.copy()[0] is not base[0]
+        assert base.init.shape == (1,) and base.stages.shape == (4, 2)
+        bits = lambda v: np.asarray(v).view(np.int64)
+        init, stages = base.init.copy(), base.stages.copy()
+        deltas = {-1: [0.1], 1: [1.0, 2.0], 3: [-0.3, 1e-17]}
+        for j, dj in deltas.items():
+            d = base.perturbed(j, dj)
+            # stage j is base + delta bit for bit, every other stage the base's bits
+            for i in range(-1, 4):
+                want = base[i] + dj if i == j else base[i]
+                assert np.array_equal(bits(d[i]), bits(want)), (j, i)
+            # neither aliases the other, whichever is written
+            d.init[0], d.stages[0, 0] = 99.0, 99.0
+            assert np.array_equal(base.init, init) and np.array_equal(base.stages, stages)
+            base.stages[2, 1] = -5.0
+            assert d[2][1] == stages[2, 1]
+            base.stages[2, 1] = stages[2, 1]
+        # the first N rows are a view of `stages`, as is each data[i]
+        assert np.shares_memory(base.stages[: dims.N], base.stages) and base.stages[: dims.N].base is base.stages
+        assert np.shares_memory(base[1], base.stages) and base[-1] is base.init
+        copy = base.copy()
+        assert not np.shares_memory(copy.stages, base.stages) and not np.shares_memory(copy.init, base.init)
 
 
 class TestLayout:
