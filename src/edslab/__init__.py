@@ -20,7 +20,7 @@ from .certify import (
     scan_uniform_observability,
     sosc_modulus,
 )
-from .diff import FDConfig, gradient, hessian_block, jacobian
+from .diff import gradient, hessian_block, jacobian
 from .eds import (
     BoundCheck,
     DecayContrast,

@@ -190,17 +190,17 @@ def dual_sequences(A_seq, B_seq):
     return [a.T.copy() for a in reversed(A_seq)], [b.T.copy() for b in reversed(B_seq)]
 
 
-def duality_check(blocks: StageBlocks, window: int, rel_tol: float = 1e-9):
+def duality_check(blocks: StageBlocks, window: int):
     """Compare the controllability scan of (A, B) against the observability
     scan of the reversed, transposed sequences.  Returns (agree, max
     per-window discrepancy); agreement is judged on the window minima at
-    relative tolerance."""
+    relative tolerance 1e-9."""
     ctrl = scan_controllability_seq(blocks.A, blocks.B, window)
     A_dual, Q_dual = dual_sequences(blocks.A, blocks.B)
     obs = scan_observability_seq(A_dual, Q_dual, window)
     # window [i, i+w] reflects onto the dual window starting at M-1-(i+w)
     disc = max([0.0] + [abs(v - w) for v, w in zip(ctrl.values, reversed(obs.values))])
-    agree = abs(ctrl.minimum - obs.minimum) <= rel_tol * max(1.0, abs(ctrl.minimum))
+    agree = abs(ctrl.minimum - obs.minimum) <= 1e-9 * max(1.0, abs(ctrl.minimum))
     return agree, disc
 
 

@@ -53,7 +53,7 @@ class ExperimentConfig:
 
 _KNOWN_KEYS = {f.name for f in fields(ExperimentConfig)}
 
-_CASE_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+_CASE_NAME = re.compile(r"[A-Za-z0-9_.-]{1,64}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -81,17 +81,19 @@ def load_config(path: str) -> ExperimentConfig:
     stages = raw.get("stages", [-1])
     if not isinstance(stages, list) or not stages:
         raise ConfigurationError("stages must be a nonempty list of stage indices")
-    if not isinstance(raw.get("out_dir", "out"), str):
-        raise ConfigurationError("out_dir must be a string")
+    if not isinstance(raw.get("out_dir", "out"), str) or not raw.get("out_dir", "out"):
+        raise ConfigurationError("out_dir must be a nonempty string")
     try:
         cases = []
         for entry in raw.get("cases") or [{"name": "base", "params": {}}]:
-            if not isinstance(entry, dict) or "name" not in entry:
-                raise ConfigurationError("each case needs a name")
-            cases.append((str(entry["name"]), dict(entry.get("params", {}))))
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise ConfigurationError("each case needs a string name")
+            cases.append((entry["name"], entry.get("params", {})))
+        if not all(isinstance(params, dict) for params in [raw.get("params", {}), *(ps for _, ps in cases)]):
+            raise ConfigurationError("params must be a JSON object")
         cfg = ExperimentConfig(
             model=str(raw["model"]),
-            params=dict(raw.get("params", {})),
+            params=raw.get("params", {}),
             cases=cases,
             stages=[_integer(s, "stage") for s in stages],
             replicates=_integer(raw.get("replicates", 1), "replicates"),

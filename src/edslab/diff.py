@@ -1,14 +1,14 @@
 """Finite-difference first and second derivatives.
 
-Central differences with per-coordinate steps h_k = rel_step * max(|x_k|, 1)
-+ abs_floor, so steps are scale-invariant in the large and bounded away from
-zero near the origin.  Second derivatives prefer differencing an analytic
-gradient when one is available (recovers one order of accuracy); nested
-central differences otherwise.
+Central differences with per-coordinate steps h_k = rel * max(|x_k|, 1)
++ 1e-8, so steps are scale-invariant in the large and bounded away from
+zero near the origin.  First derivatives, and second derivatives taken as
+the difference of an analytic gradient (which recovers one order of
+accuracy), use rel = 1e-5; nested central differences, used when no
+gradient is available, use rel = 1e-4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -17,23 +17,13 @@ from .errors import EvaluationError
 
 Array = np.ndarray
 
-
-@dataclass(frozen=True)
-class FDConfig:
-    rel_step: float = 1e-5
-    abs_floor: float = 1e-8
-
-    def __post_init__(self):
-        if self.rel_step <= 0 or self.abs_floor <= 0:
-            raise ValueError("rel_step and abs_floor must be positive")
+REL_STEP = 1e-5
+REL_STEP_NESTED = 1e-4
+ABS_FLOOR = 1e-8
 
 
-FIRST_ORDER = FDConfig(rel_step=1e-5)
-SECOND_ORDER = FDConfig(rel_step=1e-4)
-
-
-def steps(at: Array, cfg: FDConfig) -> Array:
-    return cfg.rel_step * np.maximum(np.abs(at), 1.0) + cfg.abs_floor
+def steps(at: Array, rel_step: float) -> Array:
+    return rel_step * np.maximum(np.abs(at), 1.0) + ABS_FLOOR
 
 
 def _eval_vector(fun: Callable, point: Array, coordinate) -> Array:
@@ -55,11 +45,11 @@ def _eval_scalar(fun: Callable, point: Array, coordinate) -> float:
     return out
 
 
-def partial_jacobian(fun: Callable, at, idx: Sequence[int], cfg: FDConfig = FIRST_ORDER) -> Array:
+def partial_jacobian(fun: Callable, at, idx: Sequence[int]) -> Array:
     """Central-difference derivative of a vector map w.r.t. selected
     coordinates of its argument.  Columns follow the order of `idx`."""
     at = np.asarray(at, dtype=float)
-    h = steps(at, cfg)
+    h = steps(at, REL_STEP)
     idx = np.asarray(idx, dtype=int)
     if idx.size == 0:
         return np.zeros((_eval_vector(fun, at, "-").size, 0))
@@ -73,30 +63,24 @@ def partial_jacobian(fun: Callable, at, idx: Sequence[int], cfg: FDConfig = FIRS
     return np.column_stack(cols)
 
 
-def jacobian(fun: Callable, at, cfg: FDConfig = FIRST_ORDER) -> Array:
+def jacobian(fun: Callable, at) -> Array:
     """Central-difference Jacobian, exact to O(h^2)."""
     at = np.asarray(at, dtype=float)
-    return partial_jacobian(fun, at, np.arange(at.size), cfg)
+    return partial_jacobian(fun, at, np.arange(at.size))
 
 
-def gradient(fun: Callable, at, cfg: FDConfig = FIRST_ORDER) -> Array:
+def gradient(fun: Callable, at) -> Array:
     """Central-difference gradient of a scalar map."""
     scalar = lambda t: np.array([fun(t)])
-    return jacobian(scalar, at, cfg)[0]
+    return jacobian(scalar, at)[0]
 
 
-def hessian_block(
-    fun: Callable,
-    idx_a: Sequence[int],
-    idx_b: Sequence[int],
-    at,
-    cfg: FDConfig = SECOND_ORDER,
-) -> Array:
+def hessian_block(fun: Callable, idx_a: Sequence[int], idx_b: Sequence[int], at) -> Array:
     """Mixed second-derivative block of a scalar map by nested central
     differences.  Symmetric blocks (idx_a == idx_b) are symmetrized as
     (M + M^T) / 2."""
     at = np.asarray(at, dtype=float)
-    h = steps(at, cfg)
+    h = steps(at, REL_STEP_NESTED)
     idx_a = np.asarray(idx_a, dtype=int)
     idx_b = np.asarray(idx_b, dtype=int)
     out = np.zeros((idx_a.size, idx_b.size))
@@ -124,12 +108,7 @@ def hessian_block(
     return out
 
 
-def hessian_via_gradient(
-    grad_fun: Callable,
-    idx_b: Sequence[int],
-    at,
-    cfg: FDConfig = FIRST_ORDER,
-) -> Array:
+def hessian_via_gradient(grad_fun: Callable, idx_b: Sequence[int], at) -> Array:
     """Second derivatives as the central difference of an analytic gradient:
     column q is d(grad)/d(at[idx_b[q]])."""
-    return partial_jacobian(grad_fun, at, idx_b, cfg)
+    return partial_jacobian(grad_fun, at, idx_b)

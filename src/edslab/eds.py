@@ -30,6 +30,8 @@ from .problem import (
 FLOOR_ABS = 1e-12
 FLOOR_REL = 1e-9
 
+CONTRAST_MARGIN = 0.05  # by which `decay_contrast` asks rho_a to undercut rho_b
+
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -93,20 +95,16 @@ class SensitivityProfile:
         return (keep - 1).tolist(), self.s[keep].tolist()
 
 
-def stage_deviations(
-    a: PrimalDualTrajectory, b: PrimalDualTrajectory, primal_only: bool = False
-) -> Array:
-    """Euclidean norm of w_i(a) - w_i(b) for every stage -1..N; with
-    `primal_only` the multiplier blocks are dropped (plotting parity with
-    state/control trajectories)."""
+def stage_deviations(a: PrimalDualTrajectory, b: PrimalDualTrajectory) -> Array:
+    """Euclidean norm of w_i(a) - w_i(b) for every stage -1..N."""
     if a.dims != b.dims:
         raise ConfigurationError("trajectories have mismatched dimensions")
     dims = a.dims
     diff = a.vector - b.vector
     W = dims.w_rows(diff)
     out = np.empty(dims.N + 2)
-    out[0] = 0.0 if primal_only else np.linalg.norm(diff[: dims.n_0])
-    out[1:-1] = np.linalg.norm(W[:, : dims.n_z] if primal_only else W, axis=1)
+    out[0] = np.linalg.norm(diff[: dims.n_0])
+    out[1:-1] = np.linalg.norm(W, axis=1)
     out[-1] = np.linalg.norm(diff[dims.w_offsets[-2] :])  # w(N) = x_N
     return out
 
@@ -123,13 +121,13 @@ def random_perturbation(n: int, magnitude: float, rng: np.random.Generator) -> A
     return (magnitude / norm) * v
 
 
-def _profile(stage: int, delta: Array, w_star, result, error, primal_only: bool) -> SensitivityProfile:
+def _profile(stage: int, delta: Array, w_star, result, error) -> SensitivityProfile:
     """The profile of one solve: its result, or the last iterate that its
     error carries.  Norms that overflow read inf."""
     with np.errstate(over="ignore"):
         return SensitivityProfile(
             stage=stage,
-            s=stage_deviations(result.trajectory, w_star, primal_only=primal_only),
+            s=stage_deviations(result.trajectory, w_star),
             magnitude=float(np.linalg.norm(delta)),
             converged=error is None,
             error=None if error is None else f"{type(error).__name__}: {error}",
@@ -143,7 +141,6 @@ def run_perturbation_experiment(
     w_star: PrimalDualTrajectory,
     spec: PerturbationSpec,
     opts: SolveOptions | None = None,
-    primal_only: bool = False,
 ) -> SensitivityProfile:
     """Solve the problem with the data perturbed at one stage, warm-started
     from the base solution, and record stage-wise deviations.  A solve that
@@ -156,7 +153,7 @@ def run_perturbation_experiment(
         result = solve_equality_nlp(p, d_star.perturbed(spec.stage, delta), w0=w_star, opts=opts)
     except (NonconvergenceError, RegularityError) as exc:
         error, result = exc, exc.result
-    return _profile(spec.stage, delta, w_star, result, error, primal_only)
+    return _profile(spec.stage, delta, w_star, result, error)
 
 
 def run_experiments(
@@ -168,7 +165,6 @@ def run_experiments(
     magnitude: float,
     seed: int,
     opts: SolveOptions | None = None,
-    primal_only: bool = False,
     stats: dict | None = None,
 ):
     """Batch of seeded experiments over (stage, replicate) pairs, all solved
@@ -191,7 +187,7 @@ def run_experiments(
     solved = solve_batch(p, (d_star.perturbed(j, delta) for j, _, delta in tasks), w_star, opts, stats)
     profiles = []
     for (j, rep, delta), (result, error) in zip(tasks, solved, strict=True):
-        profile = _profile(j, delta, w_star, result, error, primal_only)
+        profile = _profile(j, delta, w_star, result, error)
         profile.replicate, profile.seed = rep, (seed, j, rep)
         profiles.append(profile)
     profiles.sort(key=lambda pr: (pr.stage, pr.replicate))
@@ -313,6 +309,6 @@ class DecayContrast:
         return self.rho_a + self.margin < self.rho_b
 
 
-def decay_contrast(fit_a: DecayFit, fit_b: DecayFit, margin: float = 0.05) -> DecayContrast:
-    """Is case A's decay rate decisively faster (smaller) than case B's?"""
-    return DecayContrast(rho_a=fit_a.rho, rho_b=fit_b.rho, margin=margin)
+def decay_contrast(fit_a: DecayFit, fit_b: DecayFit) -> DecayContrast:
+    """Is case A's decay rate smaller than case B's by more than CONTRAST_MARGIN?"""
+    return DecayContrast(rho_a=fit_a.rho, rho_b=fit_b.rho, margin=CONTRAST_MARGIN)

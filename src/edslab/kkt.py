@@ -138,14 +138,11 @@ class StageBlocks:
         *,
         S: Array | None = None,
         T: Array | None = None,
-        Q_terminal: Array | None = None,
         E: Array | None = None,
-        F: Array | None = None,
-        G: Array | None = None,
         n_d: int = 0,
     ) -> "StageBlocks":
-        """Replicate constant blocks along a horizon; handy for certificate
-        studies that never touch oracles."""
+        """Replicate constant blocks along a horizon (Q also terminal, F and
+        G zero); handy for certificate studies that never touch oracles."""
         A = np.atleast_2d(np.asarray(A, dtype=float))
         n_x = A.shape[0]
         B = np.asarray(B, dtype=float).reshape(n_x, -1)
@@ -153,49 +150,45 @@ class StageBlocks:
         Q = _sym(np.atleast_2d(np.asarray(Q, dtype=float)))
         R = _sym(np.asarray(R, dtype=float).reshape(n_u, n_u))
         S = np.zeros((n_x, n_u)) if S is None else np.asarray(S, dtype=float).reshape(n_x, n_u)
-        Qf = Q if Q_terminal is None else _sym(np.atleast_2d(np.asarray(Q_terminal, dtype=float)))
         T = np.zeros((0, n_x)) if T is None else np.atleast_2d(np.asarray(T, dtype=float))
         n_0 = T.shape[0]
         if E is not None:
             n_d = np.asarray(E).shape[1]
         E = np.zeros((n_x, n_d)) if E is None else np.asarray(E, dtype=float).reshape(n_x, n_d)
-        F = np.zeros((n_u, n_d)) if F is None else np.asarray(F, dtype=float).reshape(n_u, n_d)
-        G = np.zeros((n_x, n_d)) if G is None else np.asarray(G, dtype=float).reshape(n_x, n_d)
         return cls(
             dims=Dimensions(N, n_x, n_u, n_d, n_0),
             T=T,
-            Q=np.concatenate([np.broadcast_to(Q, (N, n_x, n_x)), Qf[None]]),
+            Q=np.broadcast_to(Q, (N + 1, n_x, n_x)),
             R=np.broadcast_to(R, (N, n_u, n_u)),
             S=np.broadcast_to(S, (N, n_x, n_u)),
             E=np.concatenate([np.broadcast_to(E, (N, n_x, n_d)), np.zeros((1, n_x, n_d))]),
-            F=np.broadcast_to(F, (N, n_u, n_d)),
+            F=np.zeros((N, n_u, n_d)),
             A=np.broadcast_to(A, (N, n_x, n_x)),
             B=np.broadcast_to(B, (N, n_x, n_u)),
-            G=np.broadcast_to(G, (N, n_x, n_d)),
+            G=np.zeros((N, n_x, n_d)),
         )
+
+
+# Newton's regularization, from REG0 tenfold up to REG_MAX, and its line
+# search's backtracking factor and Armijo constant (Nocedal and Wright, ch. 3)
+REG0, REG_MAX = 1e-8, 1e-2
+LS_BETA, LS_SIGMA = 0.5, 1e-4
 
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """Newton stops at a KKT residual inf-norm of `tol_kkt` or after
+    `max_iter` iterations; REG0, REG_MAX, LS_BETA and LS_SIGMA are fixed."""
+
     tol_kkt: float = 1e-9
     max_iter: int = 100
-    reg0: float = 1e-8
-    reg_max: float = 1e-2
-    ls_beta: float = 0.5
-    ls_sigma: float = 1e-4
 
     def __post_init__(self):
         object.__setattr__(self, "max_iter", _integer(self.max_iter, "max_iter"))
-        for key in ("tol_kkt", "reg0", "reg_max", "ls_beta", "ls_sigma"):
-            _real(getattr(self, key), key)
-        if not self.tol_kkt > 0:
+        if not _real(self.tol_kkt, "tol_kkt") > 0:
             raise ConfigurationError("tol_kkt must be positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
-        # the line search ends only when alpha shrinks below 1e-12, and
-        # regularization grows only from a positive reg0
-        if not (0 < self.ls_beta < 1 and 0 < self.ls_sigma < 0.5 and 0 < self.reg0 <= self.reg_max):
-            raise ConfigurationError("need 0 < ls_beta < 1, 0 < ls_sigma < 1/2 and 0 < reg0 <= reg_max")
 
 
 @dataclass
@@ -306,7 +299,7 @@ def _cost_gradients(cost, grad, x, u, d):
         return grad(x, u, d)
     n_x, n_z = x.size, x.size + u.size
     fun = lambda t: np.array([cost(*np.split(t, [n_x, n_z]))])
-    g = diff.partial_jacobian(fun, np.concatenate([x, u, d]), np.arange(n_z), diff.FIRST_ORDER)[0]
+    g = diff.partial_jacobian(fun, np.concatenate([x, u, d]), np.arange(n_z))[0]
     return g[:n_x], g[n_x:]
 
 
@@ -351,7 +344,7 @@ def _dynamics_jacobians(dynamics, jac, x, u, d):
         return jac(x, u, d)
     n_x, n_z = x.size, x.size + u.size
     fun = lambda t: dynamics(*np.split(t, [n_x, n_z]))
-    J = diff.jacobian(fun, np.concatenate([x, u, d]), diff.FIRST_ORDER)
+    J = diff.jacobian(fun, np.concatenate([x, u, d]))
     return J[:, :n_x], J[:, n_x:n_z], J[:, n_z:]
 
 
@@ -801,9 +794,10 @@ def solve_equality_nlp(
     When `factor_kkt` rejects the KKT matrix (a Riccati pivot is not
     positive definite, so neither is the reduced Hessian) or the search
     direction fails to reduce the residual, eps * I is added to the primal
-    Hessian block, starting at opts.reg0 and escalating tenfold up to
-    opts.reg_max.  Raises RegularityError when no usable direction exists
-    at maximal regularization or T is rank deficient, and
+    Hessian block, starting at REG0 and escalating tenfold up to REG_MAX.
+    Backtracking shrinks the step by LS_BETA until the Armijo test with
+    LS_SIGMA passes.  Raises RegularityError when no usable direction
+    exists at maximal regularization or T is rank deficient, and
     NonconvergenceError when max_iter is exhausted; all carry the last
     iterate.
     """
@@ -908,11 +902,11 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
         need, alpha, step = list(live), {}, {}
 
         def escalate(k):
-            reg[k] = opts.reg0 if reg[k] == 0.0 else reg[k] * 10.0
-            if reg[k] <= opts.reg_max:
+            reg[k] = REG0 if reg[k] == 0.0 else reg[k] * 10.0
+            if reg[k] <= REG_MAX:
                 need.append(k)
             else:
-                msg = f"KKT system unusable at iteration {it} despite regularization up to {opts.reg_max:g}"
+                msg = f"KKT system unusable at iteration {it} despite regularization up to {REG_MAX:g}"
                 finish(k, it, RegularityError, msg)
 
         while need or alpha:
@@ -934,13 +928,13 @@ def _lockstep(p: DOProblem, data: list, start: _Start, ks: slice, opts: SolveOpt
             stats["residual_evals"] += 1
             for i, k in enumerate(S):
                 r = R_try[i]
-                if 0.5 * float(r @ r) <= (1.0 - 2.0 * opts.ls_sigma * alpha[k]) * phi0[k]:
+                if 0.5 * float(r @ r) <= (1.0 - 2.0 * LS_SIGMA * alpha[k]) * phi0[k]:
                     W[k], R[k] = W_try[i], r
                     jacs[k] = (jac[0], i)
                     rnorm[k], reg_seen[k] = np.abs(r).max(), max(reg_seen[k], reg[k])
                     del alpha[k]
                 else:
-                    alpha[k] *= opts.ls_beta
+                    alpha[k] *= LS_BETA
                     if alpha[k] < 1e-12:
                         del alpha[k]
                         escalate(k)

@@ -535,22 +535,20 @@ def solve_steady_state(
     d_s: Array,
     x0: Array,
     u0: Array,
-    lam0: Array | None = None,
     *,
     cost_grad: Callable | None = None,
     dyn_jac: Callable | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 50,
 ) -> SteadyState:
-    """Newton on the steady-state first-order conditions.  `stage_cost` and
-    `dynamics` take (x, u, d); optional analytic derivatives follow the
-    conventions of StageOracles without the stage index.  The result is
-    horizon independent by construction."""
+    """Newton on the steady-state first-order conditions from (x0, u0) and
+    zero multipliers, to a residual inf-norm of 1e-10 in at most 50
+    iterations.  `stage_cost` and `dynamics` take (x, u, d); optional
+    analytic derivatives follow the conventions of StageOracles without the
+    stage index.  The result is horizon independent by construction."""
     d_s = np.atleast_1d(np.asarray(d_s, dtype=float))
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
     n_x, n_u = x.size, u.size
-    lam = np.zeros(n_x) if lam0 is None else np.atleast_1d(np.asarray(lam0, dtype=float)).copy()
+    lam = np.zeros(n_x)
 
     # kkt's analytic-or-differences ladder; its d columns go unused
     def jacs(xx, uu):
@@ -567,10 +565,10 @@ def solve_steady_state(
 
     grad_z = lambda t: stationarity(t[:n_x], t[n_x:], lam)  # at the current lam
 
-    for _ in range(max_iter):
+    for _ in range(50):
         r = residual(x, u, lam)
         rnorm = float(np.abs(r).max())
-        if rnorm <= tol:
+        if rnorm <= 1e-10:
             return SteadyState(x=x, u=u, lam=lam, residual=rnorm)
         W = diff.hessian_via_gradient(grad_z, np.arange(n_x + n_u), np.concatenate([x, u]))
         W = 0.5 * (W + W.T)
@@ -590,7 +588,7 @@ def solve_steady_state(
         lam = lam + step[n_x + n_u :]
     r = residual(x, u, lam)
     raise NonconvergenceError(
-        f"steady-state Newton did not reach tol {tol:g} (residual {float(np.abs(r).max()):.3e})"
+        f"steady-state Newton did not reach tol 1e-10 (residual {float(np.abs(r).max()):.3e})"
     )
 
 

@@ -85,7 +85,8 @@ class Dimensions:
     n_0: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n_d", _integer(self.n_d, "n_d"))
+        for key in ("N", "n_x", "n_u", "n_d", "n_0"):
+            object.__setattr__(self, key, _integer(getattr(self, key), key))
         if self.N < 1:
             raise ConfigurationError("horizon N must be >= 1")
         if self.n_x < 1:

@@ -223,7 +223,7 @@ def test_quadrotor_contrast():
         results[label] = (rep, profiles, fit_decay(profiles, mode="ls"))
     rep1, profs1, fit1 = results["case1"]
     rep2, profs2, fit2 = results["case2"]
-    contrast = decay_contrast(fit1, fit2, margin=0.05)
+    contrast = decay_contrast(fit1, fit2)
     assert contrast.separated, f"rho1={fit1.rho:.3f} rho2={fit2.rho:.3f}"
     # far-field tails: case 1 dies below 5% of its peak, case 2 does not
     for prof in profs1:

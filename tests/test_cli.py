@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import edslab
-from edslab import DecayFit, Dimensions, PrimalDualTrajectory, SensitivityProfile, report
+from edslab import DecayFit, Dimensions, PrimalDualTrajectory, SensitivityProfile, SolveOptions, report
 from edslab.cli import main, run
 from edslab.errors import ConfigurationError
 from edslab.eds import pooled_points
@@ -284,13 +285,21 @@ class TestRun:
             {"solver": {"max_iter": 2.5}},
             {"solver": {"max_iter": 1e300}},
             {"solver": {"ls_sigma": "x"}},
-            # option ranges outside which Newton may never end
+            # retired Newton options, now unknown solver keys
             *({"solver": opts} for opts in (
                 {"ls_beta": 1.0}, {"ls_beta": 0}, {"ls_sigma": 0.5}, {"ls_sigma": -1e-4},
                 {"reg0": 0}, {"reg0": -1e-8}, {"reg0": 0.1, "reg_max": 0.01},
             )),
             {"stages": []},
             {"out_dir": [1]},
+            # params must be JSON objects, not arrays of pairs, and case
+            # names strings
+            {"params": [["n_x", 3], ["n_u", 2], ["N", 8]]},
+            {"cases": [{"name": "a", "params": [["N", 8]]}]},
+            {"cases": [{"name": 5}]},
+            # a case name too long for a file name, and an empty out dir
+            {"cases": [{"name": "x" * 300}, {"name": "b"}]},
+            {"out_dir": ""},
         ],
     )
     @pytest.mark.parametrize("command", ["run", "certify"])
@@ -303,6 +312,18 @@ class TestRun:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("key", ["ls_beta", "ls_sigma", "reg0", "reg_max"])
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_retired_solver_options_are_unknown(self, tmp_path, capsys, command, key):
+        # Newton's line search and regularization are constants of `kkt`;
+        # tol_kkt and max_iter are the only solver options
+        assert [f.name for f in dataclasses.fields(SolveOptions)] == ["tol_kkt", "max_iter"]
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), solver={key: 0.5})
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"bad solver options: SolveOptions.__init__() got an unexpected keyword argument '{key}'" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -734,10 +755,11 @@ def fresh_run(tmp_path, mode):
 
 
 def test_options_that_stalled_newton_exit_3_in_time(tmp_path):
-    # without the option range checks `edslab run` does not end on this
-    # quadrotor case with ls_beta = 1 (the line search never ends) or
-    # reg0 <= 0 (regularization never grows); the timeout turns such a hang
-    # into a failure.  With default options run exits 2 and certify 0.
+    # these options once made `edslab run` hang on this quadrotor case:
+    # ls_beta = 1 (the line search never ended) or reg0 <= 0 (regularization
+    # never grew).  They are now fixed constants, so a config that names
+    # them exits 3 as an unknown solver option; the timeout still turns a
+    # hang into a failure.  With default options run exits 2 and certify 0.
     case = {"model": "quadrotor", "params": {"N": 20, "dt": 0.5, "q": 0, "b": 0}}
     case.update(stages=[10], replicates=3, magnitude=30, seed=0)
     configs = []

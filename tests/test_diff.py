@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from edslab import EvaluationError, build_model
-from edslab.diff import FDConfig, gradient, hessian_block, hessian_via_gradient, jacobian
+from edslab.diff import gradient, hessian_block, hessian_via_gradient, jacobian
 
 
 class TestJacobian:
@@ -119,10 +119,3 @@ class TestAnalyticAgreement:
         gN = p.oracles.terminal_cost_grad(x, d)
         gN_fd = gradient(lambda t: p.oracles.terminal_cost(t, d), x)
         assert np.abs(gN - gN_fd).max() <= 1e-5 * max(1.0, np.abs(gN_fd).max())
-
-
-def test_fd_config_validation():
-    with pytest.raises(ValueError):
-        FDConfig(rel_step=0.0)
-    with pytest.raises(ValueError):
-        FDConfig(abs_floor=-1.0)

@@ -97,17 +97,6 @@ class TestPerturbationExperiment:
         prof = run_perturbation_experiment(p, d_star, w_star, spec, opts=opts)
         assert not prof.converged and prof.iterations == 2
 
-    def test_primal_only_norms_smaller(self, oracle_solved):
-        b, base = oracle_solved
-        full = run_perturbation_experiment(
-            b.problem, b.base_data, base.trajectory, PerturbationSpec(-1, [0.1])
-        )
-        primal = run_perturbation_experiment(
-            b.problem, b.base_data, base.trajectory, PerturbationSpec(-1, [0.1]), primal_only=True
-        )
-        assert np.all(primal.s <= full.s + 1e-15)
-        assert primal.deviation(-1) == 0.0  # stage -1 block is all multiplier
-
     def test_batch_runner_deterministic_and_seeded(self):
         b = build_model("lq_chain", {"n_x": 2, "n_u": 1, "N": 12, "seed": 3})
         base = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
@@ -211,7 +200,7 @@ class TestContrast:
     def test_separated(self):
         fa = DecayFit(1.0, 0.6, 1.0, 1e-12, "ls", False, 10)
         fb = DecayFit(1.0, 0.99, 1.0, 1e-12, "ls", False, 10)
-        assert decay_contrast(fa, fb, margin=0.05).separated
+        assert decay_contrast(fa, fb).separated
 
     def test_equal_not_separated(self):
         f = DecayFit(1.0, 0.8, 1.0, 1e-12, "ls", False, 10)
@@ -248,19 +237,16 @@ class TestTwoSidedDecay:
 
 class TestStageDeviations:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 3), st.data(), st.booleans())
-    def test_matches_per_stage_norms(self, N, n_x, n_u, draw, primal_only):
+    @given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 3), st.data())
+    def test_matches_per_stage_norms(self, N, n_x, n_u, draw):
         dims = Dimensions(N, n_x, n_u, 0, draw.draw(st.integers(0, n_x)))
         rng = np.random.default_rng(draw.draw(st.integers(0, 2**32 - 1)))
         a = PrimalDualTrajectory.from_vector(dims, rng.standard_normal(dims.n_w))
         b = PrimalDualTrajectory.from_vector(dims, rng.standard_normal(dims.n_w))
         ref = np.zeros(N + 2)
         for i in range(-1, N + 1):
-            w = a.w(i) - b.w(i)
-            if primal_only:
-                w = w[: dims.n_z] if i >= 0 else w[:0]
-            ref[i + 1] = np.linalg.norm(w)
-        s = stage_deviations(a, b, primal_only=primal_only)
+            ref[i + 1] = np.linalg.norm(a.w(i) - b.w(i))
+        s = stage_deviations(a, b)
         assert np.abs(s - ref).max() <= 1e-15 * ref.max()
 
 

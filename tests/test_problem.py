@@ -203,6 +203,19 @@ class TestDimensions:
                 Dimensions(1, 1, 1, n_d, 1)
         dims = Dimensions(3, 2, 1, 4.0, 1)
         assert type(dims.n_d) is int and [dims.nd(i) for i in range(-1, 4)] == [1, 4, 4, 4, 4]
+        # every size is checked the same way: a fractional horizon, a bool
+        # horizon and a string size are rejected, not coerced or compared
+        for args, key in (
+            ((2.5, 2, 1, 0, 2), "N"),
+            ((True, 2, 1, 0, 2), "N"),
+            ((3, 2.5, 1, 0, 2), "n_x"),
+            ((3, 2, "1", 0, 2), "n_u"),
+            ((3, 2, 1, 0, "2"), "n_0"),
+        ):
+            with pytest.raises(ConfigurationError, match=f"{key} must be an integer"):
+                Dimensions(*args)
+        dims = Dimensions(np.int64(3), 2.0, np.int32(1), 0, 2)
+        assert all(type(getattr(dims, key)) is int for key in ("N", "n_x", "n_u", "n_d", "n_0"))
 
     def test_rank_deficient_T_rejected(self):
         dims = Dimensions(1, 2, 1, 0, 2)
