@@ -7,7 +7,6 @@ from .certify import (
     CertificateReport,
     WindowScan,
     blh_bound_from_K,
-    blh_modulus,
     build_report,
     controllability_matrix,
     duality_check,
@@ -25,7 +24,6 @@ from .eds import (
     BoundCheck,
     DecayContrast,
     DecayFit,
-    PerturbationSpec,
     SensitivityProfile,
     decay_contrast,
     fit_decay,

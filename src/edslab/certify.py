@@ -515,12 +515,6 @@ def mixed_hessian_norm(blocks: StageBlocks, stats: dict | None = None) -> float:
     return math.sqrt(_gram_eigenvalue(_mixed_gram_band(blocks), True, stats))
 
 
-def blh_modulus(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> float:
-    """Observed bound on the Lagrangian's mixed second derivatives at one
-    point: linearize, assemble, take the spectral norm."""
-    return mixed_hessian_norm(linearize(p, traj, data))
-
-
 def blh_bound_from_K(K: float) -> float:
     """Worst-case coupling norm implied by a uniform block-norm bound K:
     4 * max(4K, 1)."""
@@ -624,8 +618,6 @@ def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
 

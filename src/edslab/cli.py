@@ -2,15 +2,16 @@
 
 `edslab run --config cfg.json [--out DIR] [--seed S]` solves the base
 problem for every configured case, runs the perturbation experiments, fits
-decay envelopes, and writes base_solution.csv, profiles.csv, fit.csv,
-certificate text/CSV, one decay SVG per case, and a run manifest.  With two
-or more cases it also prints a decay-rate contrast line.  Exit codes:
-0 success, 2 solver failure, 3 configuration error.
+one decay envelope per case, and writes base_solution.csv, profiles.csv,
+fit.csv, certificate text/CSV, one decay SVG per case, and a run manifest.
+With two or more cases it also prints a decay-rate contrast line.
 
-`edslab certify --config cfg.json` emits only the certificate report;
-`edslab models` lists the available presets.  The perturbation experiments
-of a case are solved together, in lock step (`kkt.solve_batch`), and
-their solver counts go to the manifest.
+`edslab certify --config cfg.json [--out DIR]` takes the same path without
+the experiments and writes only the certificate reports; `edslab models`
+lists the presets.  Exit codes: 0 success, 2 solver failure, 3 configuration
+error or an output directory that cannot be made or written.  A case's
+perturbation experiments are solved together, in lock step
+(`kkt.solve_batch`), and their solver counts go to the manifest.
 """
 from __future__ import annotations
 
@@ -20,12 +21,12 @@ import os
 import re
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 
 from . import report
 from .certify import build_report
-from .eds import decay_contrast, fit_decay, pooled_points, run_experiments
+from .eds import decay_contrast, fit_decay, run_experiments
 from .errors import ConfigurationError, EdslabError
 from .kkt import SolveOptions, solve_equality_nlp
 from .models import build_model, list_models
@@ -113,6 +114,8 @@ def load_config(path: str) -> ExperimentConfig:
             raise ConfigurationError(f"case name {name!r} must match {_CASE_NAME.pattern}")
     if len(set(names)) != len(names):
         raise ConfigurationError("case names must be unique")
+    if len(set(cfg.stages)) != len(cfg.stages):
+        raise ConfigurationError("stages must be distinct")
     if cfg.replicates < 1:
         raise ConfigurationError("replicates must be >= 1")
     if cfg.magnitude <= 0:
@@ -133,7 +136,7 @@ def _timed(timings: dict, key: str):
 
 def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiments: bool = True):
     """Build, solve and certify one case; with `experiments` also run the
-    perturbation experiments and fit their decay envelopes.  The wall
+    perturbation experiments and fit their decay envelope.  The wall
     seconds of each phase go to `result["timings"]`."""
     params = dict(cfg.params)
     params.update(overrides)
@@ -144,6 +147,9 @@ def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiment
     for j in cfg.stages:
         if not -1 <= j <= p.dims.N:
             raise ConfigurationError(f"perturbation stage {j} outside [-1, {p.dims.N}]")
+    for window in (cfg.window_ctrl, cfg.window_obs):
+        if not 0 <= window <= p.dims.N - 1:
+            raise ConfigurationError(f"window length {window} out of range [0, {p.dims.N - 1}]")
     with _timed(timings, "base_solve_s"):
         base = solve_equality_nlp(p, bundle.base_data, w0=bundle.warm_start, opts=cfg.solver)
     with _timed(timings, "certify_s"):
@@ -166,9 +172,7 @@ def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiment
             )
         result["profiles"] = profiles
         with _timed(timings, "fit_s"):
-            points = pooled_points(profiles)
-            result["fit_ls"] = fit_decay(profiles, "ls", points)
-            result["fit_env"] = fit_decay(profiles, "envelope", points)
+            result["fit"] = fit_decay(profiles)
     return result
 
 
@@ -178,40 +182,61 @@ def _artifact_name(stem: str, ext: str, case: str, n_cases: int) -> str:
     return f"{stem}_{case}.{ext}" if n_cases > 1 else f"{stem}.{ext}"
 
 
-def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -> int:
-    """Full pipeline; returns a process exit code."""
+def _command(config_path: str, out_dir: str | None, seed: int | None, experiments: bool) -> int:
+    """The path `run` (with `experiments`) and `certify` share: load the
+    config, apply `--out` and `--seed`, solve every case, then write the
+    outputs.  Returns the exit code; configuration and output-directory
+    errors exit 3, solver errors 2."""
     try:
         cfg = load_config(config_path)
         if out_dir is not None:
             cfg.out_dir = out_dir
         if seed is not None:
             cfg.seed = seed
-        if cfg.seed < 0:
+        if experiments and cfg.seed < 0:  # only the experiments draw from the seed
             raise ConfigurationError("seed must be nonnegative")
         # validate every case's model parameters before touching the out dir
-        results = [_case_pipeline(cfg, name, overrides) for name, overrides in cfg.cases]
+        results = [_case_pipeline(cfg, name, overrides, experiments) for name, overrides in cfg.cases]
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except EdslabError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        # solves run before any artifact is written, so a failed run leaves
-        # only a manifest recording that nothing was produced
-        try:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
-                json.dump(
-                    {"status": "failed", "error": str(exc), "files": []},
-                    fh,
-                    indent=2,
-                    sort_keys=True,
-                )
-                fh.write("\n")
-        except OSError:
-            pass
+        if experiments:  # solves precede all output: a failed run leaves only this manifest
+            with suppress(OSError):
+                os.makedirs(cfg.out_dir, exist_ok=True)
+                _write_manifest(cfg.out_dir, {"status": "failed", "error": str(exc), "files": []})
         return EXIT_SOLVER
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        for res in results:  # each case's certificate, which `certify` also prints
+            text = res["certificate"].to_text()
+            name = _artifact_name("certificate", "txt", res["name"], len(results))
+            with open(os.path.join(cfg.out_dir, name), "w") as fh:
+                fh.write(text)
+            if not experiments:
+                print(f"[{res['name']}]\n{text}" if len(results) > 1 else text, end="")
+        if experiments:
+            _write_run(config_path, cfg, results)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
 
-    os.makedirs(cfg.out_dir, exist_ok=True)
+
+def _write_manifest(out_dir: str, manifest: dict):
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -> int:
+    """Full pipeline; returns a process exit code."""
+    return _command(config_path, out_dir, seed, experiments=True)
+
+
+def _write_run(config_path: str, cfg: ExperimentConfig, results: list):
+    """Write a run's tables, plots and manifest, and print the contrast line."""
     base_rows, prof_rows, fit_rows_all, cert_rows = [], [], [], []
     manifest = {
         "config": os.path.abspath(config_path),
@@ -227,22 +252,19 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
         name = res["name"]
         base_rows.extend(report.base_solution_rows(name, res["base"].trajectory))
         prof_rows.extend(report.profile_rows(name, res["profiles"]))
-        fit_rows_all.extend(report.fit_rows(name, res["fit_env"], res["fit_ls"]))
+        fit_rows_all.extend(report.fit_rows(name, res["fit"]))
         cert_rows.extend((name, key, value) for key, value in res["certificate"].to_csv_rows())
-        cert_name = _artifact_name("certificate", "txt", name, len(results))
-        with open(os.path.join(cfg.out_dir, cert_name), "w") as fh:
-            fh.write(res["certificate"].to_text())
-        manifest["files"].append(cert_name)
+        manifest["files"].append(_artifact_name("certificate", "txt", name, len(results)))
         svg_name = _artifact_name("decay", "svg", name, len(results))
         with open(os.path.join(cfg.out_dir, svg_name), "w") as fh:
-            fh.write(report.plot_decay(res["profiles"], res["fit_env"]))
+            fh.write(report.plot_decay(res["profiles"], res["fit"]))
         manifest["files"].append(svg_name)
         manifest["cases"][name] = {
             "iterations": res["base"].iterations,
             "residual": res["base"].residual_norm,
-            "rho_ls": res["fit_ls"].rho,
-            "r2_ls": res["fit_ls"].r2,
-            "upsilon_env": res["fit_env"].upsilon,
+            "rho_ls": res["fit"].rho,
+            "r2_ls": res["fit"].r2,
+            "upsilon_env": res["fit"].upsilon,
             "profile_seeds": [list(p.seed) for p in res["profiles"]],
             "profile_iterations": [[p.stage, p.replicate, p.iterations] for p in res["profiles"]],
             "unconverged": [
@@ -267,7 +289,7 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
     manifest["timings"] = {"write_s": time.perf_counter() - write_start}
     if len(results) >= 2:
         a, b = results[0], results[1]
-        contrast = decay_contrast(a["fit_ls"], b["fit_ls"])
+        contrast = decay_contrast(a["fit"], b["fit"])
         line = f"rho_{a['name']} < rho_{b['name']}: {str(contrast.separated).lower()}"
         print(line)
         manifest["contrast"] = {
@@ -277,37 +299,12 @@ def run(config_path: str, out_dir: str | None = None, seed: int | None = None) -
             "separated": contrast.separated,
             "line": line,
         }
-    with open(os.path.join(cfg.out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return EXIT_OK
+    _write_manifest(cfg.out_dir, manifest)
 
 
 def certify(config_path: str, out_dir: str | None = None) -> int:
     """Solve the base problem per case and emit certificate reports only."""
-    try:
-        cfg = load_config(config_path)
-        if out_dir is not None:
-            cfg.out_dir = out_dir
-        results = [
-            _case_pipeline(cfg, name, overrides, experiments=False) for name, overrides in cfg.cases
-        ]
-    except ConfigurationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EdslabError as exc:
-        print(f"solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    for res in results:
-        text = res["certificate"].to_text()
-        if len(results) > 1:
-            print(f"[{res['name']}]")
-        print(text, end="")
-        fname = _artifact_name("certificate", "txt", res["name"], len(results))
-        with open(os.path.join(cfg.out_dir, fname), "w") as fh:
-            fh.write(text)
-    return EXIT_OK
+    return _command(config_path, out_dir, None, experiments=False)
 
 
 def models_cmd() -> int:

@@ -3,10 +3,10 @@
 One experiment perturbs the data at a single stage j, re-solves warm-started
 from the base solution, and records the stage-wise deviation norms
 s_i = ||w_i(perturbed) - w_i(base)|| over i = -1..N.  Profiles pooled over
-stages and replicates are fitted with an exponential envelope
-s_i <= Upsilon * rho^{|i-j|} * ||perturbation||, either by least squares on
-the log (reported with r^2) or as the minimal upper envelope sharing the
-least-squares decay rate.
+stages and replicates are fitted with one exponential envelope
+s_i <= Upsilon * rho^{|i-j|} * ||perturbation||: the rate rho and r^2 come
+from least squares on the log, and Upsilon is the smallest constant at that
+rate that no fitted point exceeds.
 """
 from __future__ import annotations
 
@@ -31,21 +31,6 @@ FLOOR_ABS = 1e-12
 FLOOR_REL = 1e-9
 
 CONTRAST_MARGIN = 0.05  # by which `decay_contrast` asks rho_a to undercut rho_b
-
-
-@dataclass(frozen=True)
-class PerturbationSpec:
-    """A single-stage data perturbation: all other stages are untouched."""
-
-    stage: int
-    delta: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "delta", np.atleast_1d(np.asarray(self.delta, dtype=float)))
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.delta))
 
 
 @dataclass
@@ -139,21 +124,22 @@ def run_perturbation_experiment(
     p: DOProblem,
     d_star: DataTrajectory,
     w_star: PrimalDualTrajectory,
-    spec: PerturbationSpec,
+    stage: int,
+    delta,
     opts: SolveOptions | None = None,
 ) -> SensitivityProfile:
-    """Solve the problem with the data perturbed at one stage, warm-started
-    from the base solution, and record stage-wise deviations.  A solve that
-    does not converge or loses regularity yields a profile flagged
-    converged=False (computed from the last iterate), carrying the error,
-    which fits exclude."""
-    delta = _as_vector(spec.delta, p.dims.nd(spec.stage), f"perturbation at stage {spec.stage}")
+    """Solve the problem with the data perturbed by `delta` at `stage`
+    alone, warm-started from the base solution, and record stage-wise
+    deviations.  A solve that does not converge or loses regularity yields
+    a profile flagged converged=False (computed from the last iterate),
+    carrying the error, which fits exclude."""
+    delta = _as_vector(delta, p.dims.nd(stage), f"perturbation at stage {stage}")
     error = None
     try:
-        result = solve_equality_nlp(p, d_star.perturbed(spec.stage, delta), w0=w_star, opts=opts)
+        result = solve_equality_nlp(p, d_star.perturbed(stage, delta), w0=w_star, opts=opts)
     except (NonconvergenceError, RegularityError) as exc:
         error, result = exc, exc.result
-    return _profile(spec.stage, delta, w_star, result, error)
+    return _profile(stage, delta, w_star, result, error)
 
 
 def run_experiments(
@@ -175,6 +161,8 @@ def run_experiments(
     their derivation seeds recorded."""
     if replicates < 1:
         raise ConfigurationError("replicates must be >= 1")
+    if len(set(stages)) < len(stages):
+        raise ConfigurationError("stages must be distinct")
     tasks = []
     for j in stages:
         if not -1 <= j <= p.dims.N:
@@ -200,19 +188,18 @@ def run_experiments(
 
 @dataclass
 class DecayFit:
-    """Exponential envelope s_i ~ upsilon * rho^{|i-j|} * magnitude.
+    """Exponential envelope s_i <= upsilon * rho^{|i-j|} * magnitude.
 
-    `mode` is "ls" (log least squares, reported with r^2) or "envelope"
-    (same decay rate, upsilon inflated minimally so no fitted point exceeds
-    the bound).  `clamped` marks a fitted rate above one that was clipped;
-    `floor` records the largest noise floor used when selecting points.
+    `rho` and `r2` come from the least-squares line through the log of the
+    fitted points, `upsilon` is the smallest constant at that rate that no
+    fitted point exceeds.  `clamped` marks a fitted rate above one that was
+    clipped; `floor` records the largest noise floor used to select points.
     """
 
     upsilon: float
     rho: float
     r2: float
     floor: float
-    mode: str
     clamped: bool
     n_points: int
 
@@ -233,13 +220,11 @@ def pooled_points(profiles):
     return np.concatenate(dists), np.asarray(logs, dtype=float), (max(floors) if floors else FLOOR_ABS)
 
 
-def fit_decay(profiles, mode: str = "ls", points: tuple | None = None) -> DecayFit:
-    """Least-squares line through (|i - j|, log(s_i / magnitude)) pooled
-    over converged profiles, entries above the noise floor only; `points`
-    is `pooled_points(profiles)` when the caller holds them."""
-    if mode not in ("ls", "envelope"):
-        raise ConfigurationError(f"unknown fit mode '{mode}'")
-    dists, logs, floor = pooled_points(profiles) if points is None else points
+def fit_decay(profiles) -> DecayFit:
+    """The envelope of the points (|i - j|, log(s_i / magnitude)) pooled
+    over usable profiles, entries above the noise floor only: the rate of
+    their least-squares line, and the smallest constant at that rate."""
+    dists, logs, floor = pooled_points(profiles)
     if dists.size < 3:
         raise FitError(f"need at least 3 points above the noise floor, have {dists.size}")
     if np.ptp(dists) == 0.0:
@@ -251,18 +236,12 @@ def fit_decay(profiles, mode: str = "ls", points: tuple | None = None) -> DecayF
     r2 = 1.0 if ss_tot <= 1e-300 else 1.0 - ss_res / ss_tot
     rho = math.exp(slope)
     clamped = rho > 1.0
-    if clamped:
-        rho = 1.0
-    upsilon = math.exp(intercept)
-    if mode == "envelope":
-        log_rho = math.log(rho) if rho < 1.0 else 0.0
-        upsilon = float(np.exp(np.max(logs - dists * log_rho)))
+    rho = min(rho, 1.0)
     return DecayFit(
-        upsilon=upsilon,
+        upsilon=float(np.exp(np.max(logs - dists * math.log(rho)))),
         rho=rho,
         r2=r2,
         floor=floor,
-        mode=mode,
         clamped=clamped,
         n_points=int(dists.size),
     )

@@ -392,7 +392,7 @@ def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None):
     """All per-stage derivative blocks at (traj, data).  The Q/S/R/E/F blocks
     differentiate the stage Lagrangians, so they include the
     multiplier-weighted dynamics curvature.  `jacobians`, when given, holds
-    the per-stage (A, B, G) that `kkt_residual` evaluated at this same
+    the stacked (A, B, G) that `kkt_residual` evaluated at this same
     (traj, data); they are used instead of evaluating the dynamics Jacobian
     again.  A batch of points (see `kkt_residual`) gives a list with one
     `StageBlocks` per point."""
@@ -402,7 +402,7 @@ def linearize(p: DOProblem, traj, data, *, jacobians: list | None = None):
     if jacobians is None:
         A, B, G = _stage_terms(p, st, "dynamics_jac", ("xx", "xu", "xd"))
     else:
-        A, B, G = zip(*jacobians) if single else jacobians[0]
+        A, B, G = jacobians[0]
     Q, R, S, E, F, QN, EN = _block_terms(p, st, *_terminal(p, W, data))
     blocks = []
     for k in range(len(W)):
@@ -521,19 +521,19 @@ def _stage_residuals(p: DOProblem, W: Array, st: _Stages, at=slice(None)) -> tup
 def kkt_residual(p: DOProblem, traj, data, *, jacobians: list | None = None) -> Array:
     """Gradient of the Lagrangian in `traj.vector`, so in the same stage
     order; zero exactly at stationary points.  The multiplier entries are
-    the negated constraint residuals.  Each stage's dynamics Jacobians
-    (A, B, G) are appended to `jacobians` when it is given, for `linearize`
-    at the same point.
+    the negated constraint residuals.  The dynamics Jacobians (A, B, G),
+    stacked over the stages, are appended to `jacobians` when it is given,
+    for `linearize` at the same point.
 
     For a batch of P points, the rows of a (P, n_w) array `traj` with P
     data trajectories, all P N stages go through each batched oracle at
-    once, the residuals are rows too, and one (A, B, G) stacked over the
-    P N stage rows is appended to `jacobians`."""
+    once, the residuals are rows too, and (A, B, G) are stacked over the
+    P N stage rows."""
     W, data, single = _points(p, traj, data)
     stages, (A, B, G) = _stage_residuals(p, W, _stages(p, W, data))
     (gN,) = _terminal_terms(p, *_terminal(p, W, data))
     if jacobians is not None:
-        jacobians.extend(zip(A, B, G)) if single else jacobians.append((A, B, G))
+        jacobians.append((A, B, G))
     dims, end = p.dims, p.dims.w_offsets[-2]
     init = [d.init - p.T @ x_0 for d, x_0 in zip(data, W[:, dims.n_0 : dims.n_0 + dims.n_x])]
     r = np.hstack([np.reshape(init, (len(W), dims.n_0)), stages.reshape(len(W), -1), gN - W[:, end - dims.n_x : end]])

@@ -464,6 +464,8 @@ def make_lq_problem(
     R = np.asarray(R, dtype=float).reshape(n_u, n_u)
     Qf = np.asarray(Qf, dtype=float).reshape(n_x, n_x)
     T = np.eye(n_x) if T is None else np.atleast_2d(np.asarray(T, dtype=float))
+    if not all(np.isfinite(M).all() for M in (A, B, Q, R, Qf, T)):
+        raise ValueError("A, B, Q, R, Qf and T must be finite")
     n_0 = T.shape[0]
     dims = Dimensions(N, n_x, n_u, n_x if track_reference else 0, n_0)
     jac = lambda X, U: (np.broadcast_to(A, (len(X), n_x, n_x)), np.broadcast_to(B, (len(X), n_x, n_u)))
@@ -695,6 +697,8 @@ def _bundle(problem: DOProblem, d_init, ref: Array | None = None):
     multipliers."""
     dims = problem.dims
     data = DataTrajectory(dims, [d_init] + [np.zeros(dims.n_d) if ref is None else ref] * (dims.N + 1))
+    if not np.isfinite(data.init).all():
+        raise ValueError(f"initial data {d_init} must be finite")
     warm = PrimalDualTrajectory.zeros(dims)
     if ref is not None:
         for i in range(dims.N + 1):

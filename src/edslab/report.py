@@ -49,9 +49,9 @@ def profile_rows(case: str, profiles):
     return rows
 
 
-def fit_rows(case: str, fit_env, fit_ls):
-    # one row per case: envelope bound constants plus the LS goodness of fit
-    return [(case, fit_env.mode, fmt(fit_env.upsilon), fmt(fit_env.rho), fmt(fit_ls.r2))]
+def fit_rows(case: str, fit):
+    # one row per case; `mode` names the one kind of fit, the envelope
+    return [(case, "envelope", fmt(fit.upsilon), fmt(fit.rho), fmt(fit.r2))]
 
 
 def write_csv(path, name: str, rows):

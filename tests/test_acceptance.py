@@ -197,17 +197,16 @@ def test_eds_on_certified_lq():
     profiles = run_experiments(
         b.problem, b.base_data, base.trajectory, [10, 30, 50], 5, 0.1, seed=99
     )
-    fit_ls = fit_decay(profiles, mode="ls")
-    fit_env = fit_decay(profiles, mode="envelope")
-    assert fit_env.rho <= 0.95
-    assert fit_ls.r2 >= 0.8
-    check = verify_eds_bound(profiles, fit_env, slack=1.0)
+    fit = fit_decay(profiles)
+    assert fit.rho <= 0.95
+    assert fit.r2 >= 0.8
+    check = verify_eds_bound(profiles, fit, slack=1.0)
     assert check.passed
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     _report(
         "exponential decay on certified LQ chain",
-        f"(rho={fit_env.rho:.3f}, r2={fit_ls.r2:.3f}, {check.n_checked} bound checks, {elapsed:.1f}s)",
+        f"(rho={fit.rho:.3f}, r2={fit.r2:.3f}, {check.n_checked} bound checks, {elapsed:.1f}s)",
     )
 
 
@@ -220,7 +219,7 @@ def test_quadrotor_contrast():
         base = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
         rep = build_report(b.problem, base.trajectory, b.base_data, window_ctrl=3, window_obs=3)
         profiles = run_experiments(b.problem, b.base_data, base.trajectory, [j], 3, 0.1, seed=42)
-        results[label] = (rep, profiles, fit_decay(profiles, mode="ls"))
+        results[label] = (rep, profiles, fit_decay(profiles))
     rep1, profs1, fit1 = results["case1"]
     rep2, profs2, fit2 = results["case2"]
     contrast = decay_contrast(fit1, fit2)

@@ -19,7 +19,6 @@ from edslab import (
     assemble_jacobian,
     assemble_mixed_hessian,
     blh_bound_from_K,
-    blh_modulus,
     build_model,
     build_report,
     controllability_matrix,
@@ -349,7 +348,7 @@ class TestMixedHessian:
             M_fd = mixed_hessian_by_fd(p, w, d)
             M_an = assemble_mixed_hessian(linearize(p, w, d)).toarray()
             assert np.abs(M_an - M_fd).max() <= 1e-4
-            assert blh_modulus(p, w, d) == pytest.approx(np.linalg.norm(M_fd, 2), abs=1e-4)
+            assert mixed_hessian_norm(linearize(p, w, d)) == pytest.approx(np.linalg.norm(M_fd, 2), abs=1e-4)
 
 
 def mixed_hessian_by_fd(p, w, d):
@@ -491,6 +490,14 @@ class TestReport:
         rows = dict(rep.to_csv_rows())
         assert float(rows["beta"]) == pytest.approx(rep.beta)
         assert rows["flag_ctrl_uniform"] == "true"
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [(math.inf, "inf"), (-math.inf, "-inf"), (0.1, "0.10000000000000001"), (None, ""), (True, "true"), (3, "3")],
+    )
+    def test_report_value_format(self, value, text):
+        # an infinite modulus (r without controls, a vacuous gamma) reads inf
+        assert certify._fmt_value(value) == text
 
     def test_failures_name_the_worst_stage(self, monkeypatch):
         # a controllable, observable double integrator whose blocks break

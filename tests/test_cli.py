@@ -102,6 +102,38 @@ class TestRun:
         cfg = write_config(tmp_path / "cfg.json", stages=[99], out_dir=str(tmp_path / "out"))
         assert main(["run", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # the config keys' defaults: windows of 1 on a horizon of 1
+            ({"model": "scalar_oracle", "params": {}, "stages": [-1], "window_ctrl": 1, "window_obs": 1},
+             "window length 1 out of range [0, 0]"),
+            ({"window_ctrl": 24}, "window length 24 out of range [0, 23]"),
+            ({"window_obs": -1}, "window length -1 out of range [0, 23]"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_window_out_of_range_exits_3_before_solving(self, tmp_path, capsys, monkeypatch, command, overrides, message):
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the windows were checked")
+
+        monkeypatch.setattr("edslab.cli.solve_equality_nlp", solve)
+        cfg = write_config(tmp_path / "cfg.json", out_dir=str(tmp_path / "out"), **overrides)
+        assert main([command, "--config", str(cfg)]) == 3
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/x"])
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_unwritable_out_exits_3(self, tmp_path, capsys, command, out):
+        # an output directory that cannot be made ended in a traceback
+        (tmp_path / "afile").write_text("kept")
+        cfg = write_config(tmp_path / "cfg.json")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == "kept"
+
     def test_outputs_and_schemas(self, tmp_path):
         out = tmp_path / "out"
         cfg = write_config(tmp_path / "cfg.json", out_dir=str(out))
@@ -196,14 +228,13 @@ class TestRun:
             assert "proved" not in read(out / f"certificate_{name}.txt").decode()
         assert "proved" not in certificates and "solves" not in certificates
 
-    def test_pipeline_fits_both_modes_from_one_pooling(self, tmp_path):
+    def test_pipeline_fit_is_fit_decay(self, tmp_path):
         from edslab.cli import _case_pipeline, load_config
         from edslab.eds import fit_decay
 
         cfg = load_config(str(write_config(tmp_path / "cfg.json", stages=[4, 12], replicates=3)))
         res = _case_pipeline(cfg, "base", {})
-        assert res["fit_ls"] == fit_decay(res["profiles"], mode="ls")
-        assert res["fit_env"] == fit_decay(res["profiles"], mode="envelope")
+        assert res["fit"] == fit_decay(res["profiles"])
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path / "cfg.json")
@@ -282,6 +313,12 @@ class TestRun:
             *({"model": "quadrotor", "params": {"N": 24, key: math.inf}} for key in ("q", "b", "g", "dt", "altitude")),
             {"params": {"N": 24, "stability": -math.inf}},
             {"params": {"N": 24, "x0_scale": math.inf}},
+            # non-finite entries of array-valued preset parameters
+            {"params": {"n_x": 2, "n_u": 1, "N": 24, "Q": [[math.nan, 0], [0, 1]]}},
+            {"params": {"n_x": 2, "n_u": 1, "N": 24, "R": [[math.inf]]}},
+            *({"model": "double_integrator", "params": {"N": 24, "x0": [v, 0]}} for v in (math.inf, math.nan)),
+            # a repeated stage would solve one (stage, replicate, seed) twice
+            {"stages": [4, 4, 16]},
             {"solver": {"max_iter": 2.5}},
             {"solver": {"max_iter": 1e300}},
             {"solver": {"ls_sigma": "x"}},
@@ -448,8 +485,7 @@ class TestPlot:
     def synthetic(self, N=20, j=3, ups=0.5, rho=0.5):
         s = np.array([ups * rho ** abs(i - j) for i in range(-1, N + 1)])
         prof = SensitivityProfile(stage=j, s=s, magnitude=1.0, converged=True)
-        fit = DecayFit(upsilon=ups, rho=rho, r2=1.0, floor=1e-12, mode="envelope",
-                       clamped=False, n_points=N + 2)
+        fit = DecayFit(upsilon=ups, rho=rho, r2=1.0, floor=1e-12, clamped=False, n_points=N + 2)
         return prof, fit
 
     def test_empty_profiles_error(self):
@@ -677,7 +713,7 @@ class TestBulkFormatting:
         st.one_of(st.just(0.0), st.floats(1e-6, 1.5)),
     )
     def test_plot_decay_same_bytes(self, profiles, upsilon, rho):
-        fit = DecayFit(upsilon=upsilon, rho=rho, r2=1.0, floor=1e-12, mode="envelope", clamped=False, n_points=1)
+        fit = DecayFit(upsilon=upsilon, rho=rho, r2=1.0, floor=1e-12, clamped=False, n_points=1)
         assert outcome(plot_decay, profiles, fit) == outcome(legacy_plot_decay, profiles, fit)
 
 

@@ -3,10 +3,12 @@
 warning, and write nothing outside `--out`.
 
 Each draw starts from a small valid config of one preset and applies a few
-mutations: wrong types, NaN and inf, unknown keys, hostile case names,
-retired solver options, relocated `out_dir`s and deleted keys.  It runs in
-a fresh process under a wall-clock timeout, so a hang fails the test
-instead of stalling the suite.
+mutations: wrong types, NaN and inf (inside array-valued parameters too),
+unknown keys, hostile case names, retired solver options, relocated
+`out_dir`s, repeated stages, windows as long as the horizon or longer, and
+deleted keys; `--out` may name an existing regular file.  It runs in a
+fresh process under a wall-clock timeout, so a hang fails the test instead
+of stalling the suite.
 """
 import json
 import math
@@ -51,6 +53,12 @@ NUMBERS = st.one_of(
     st.integers(-3, 8),
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.5, 0.5, 2.5, 1e-300, 1e300, 2.0**60]),
 )
+# arrays with non-finite entries, for the presets' Q, R and x0
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 1.0])
+ARRAYS = st.one_of(
+    st.lists(NONFINITE, min_size=1, max_size=3),
+    st.lists(st.lists(NONFINITE, min_size=1, max_size=2), min_size=1, max_size=2),
+)
 VALUES = st.one_of(
     NUMBERS,
     st.text(max_size=4),
@@ -66,7 +74,8 @@ VALUES = st.one_of(
 def configs(draw):
     cfg = json.loads(json.dumps(draw(st.sampled_from(BASES))))
     for _ in range(draw(st.integers(0, 2))):
-        kind = draw(st.sampled_from(["top", "number", "param", "param", "solver", "case", "case", "out_dir", "delete"]))
+        kind = draw(st.sampled_from(["top", "number", "param", "param", "array", "solver", "case", "case",
+                                     "out_dir", "stages", "window", "delete"]))
         if kind == "top":
             cfg[draw(st.sampled_from(TOP_KEYS))] = draw(VALUES)
         elif kind == "number":
@@ -74,6 +83,13 @@ def configs(draw):
             cfg[key] = [draw(NUMBERS)] if key == "stages" else draw(NUMBERS)
         elif kind == "param" and isinstance(cfg.get("params", {}), dict):
             cfg.setdefault("params", {})[draw(st.sampled_from(PARAM_KEYS))] = draw(NUMBERS | VALUES)
+        elif kind == "array" and isinstance(cfg.get("params", {}), dict):
+            cfg.setdefault("params", {})[draw(st.sampled_from(["Q", "R", "x0"]))] = draw(ARRAYS)
+        elif kind == "stages" and isinstance(cfg.get("stages"), list) and cfg["stages"]:
+            cfg["stages"] = cfg["stages"] + cfg["stages"][:1]
+        elif kind == "window":
+            # every base horizon is at most 6 stages long
+            cfg[draw(st.sampled_from(["window_ctrl", "window_obs"]))] = draw(st.integers(6, 8))
         elif kind == "solver":
             cfg["solver"] = {draw(st.sampled_from(SOLVER_KEYS)): draw(VALUES | st.sampled_from([1e-12, 1, 3]))}
         elif kind == "case":
@@ -96,11 +112,13 @@ print(json.dumps([cli.main([command, "--config", config, "--out", out]) for comm
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(configs())
-def test_generated_configs_exit_cleanly_in_time(cfg):
+@given(configs(), st.booleans())
+def test_generated_configs_exit_cleanly_in_time(cfg, out_is_file):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "cwd").mkdir()
+        if out_is_file:
+            (root / "out").write_text("")
         text = json.dumps(cfg).replace("@ROOT@", str(root))
         (root / "cfg.json").write_text(text)
         env = {

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edslab import (
+    ConfigurationError,
     DataTrajectory,
     DecayFit,
     Dimensions,
     FitError,
-    PerturbationSpec,
     PrimalDualTrajectory,
     SensitivityProfile,
     SolveOptions,
@@ -25,7 +25,6 @@ from edslab import (
     verify_eds_bound,
 )
 from edslab import kkt
-from edslab.eds import pooled_points
 from conftest import dense_newton_step, strongly_indefinite_problem, toy_nonlinear_problem
 
 
@@ -45,7 +44,7 @@ class TestPerturbationExperiment:
     def test_zero_magnitude_yields_zero_profile(self, oracle_solved):
         b, base = oracle_solved
         prof = run_perturbation_experiment(
-            b.problem, b.base_data, base.trajectory, PerturbationSpec(-1, [0.0])
+            b.problem, b.base_data, base.trajectory, -1, [0.0]
         )
         assert prof.magnitude == 0.0
         assert np.all(prof.s == 0.0)
@@ -55,7 +54,7 @@ class TestPerturbationExperiment:
         # solution (1, -0.5, 0.5), duals (3, 1)
         b, base = oracle_solved
         prof = run_perturbation_experiment(
-            b.problem, b.base_data, base.trajectory, PerturbationSpec(-1, [0.1])
+            b.problem, b.base_data, base.trajectory, -1, [0.1]
         )
         assert prof.deviation(-1) == pytest.approx(0.3, abs=1e-8)
         assert prof.deviation(0) == pytest.approx(0.1 * np.linalg.norm([1.0, -0.5, 1.0]), abs=1e-8)
@@ -67,9 +66,9 @@ class TestPerturbationExperiment:
         base = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
         delta = np.array([0.1, -0.05, 0.02])
         p1 = run_perturbation_experiment(b.problem, b.base_data, base.trajectory,
-                                         PerturbationSpec(10, delta))
+                                         10, delta)
         p2 = run_perturbation_experiment(b.problem, b.base_data, base.trajectory,
-                                         PerturbationSpec(10, 2 * delta))
+                                         10, 2 * delta)
         assert np.abs(p2.s - 2 * p1.s).max() <= 1e-8
 
     def test_regularity_failure_marks_profile(self):
@@ -78,7 +77,7 @@ class TestPerturbationExperiment:
         p = strongly_indefinite_problem()
         d_star = DataTrajectory(p.dims, [[0.3], [], []])
         w_star = PrimalDualTrajectory.zeros(p.dims)
-        prof = run_perturbation_experiment(p, d_star, w_star, PerturbationSpec(-1, [0.1]))
+        prof = run_perturbation_experiment(p, d_star, w_star, -1, [0.1])
         assert not prof.converged
         assert prof.error.startswith("RegularityError: KKT system unusable")
         assert prof.s.shape == (p.dims.N + 2,)
@@ -88,14 +87,22 @@ class TestPerturbationExperiment:
         p = toy_nonlinear_problem(N=3)
         d_star = DataTrajectory(p.dims, [0.1 * np.ones(p.dims.nd(i)) for i in range(-1, 4)])
         w_star = solve_equality_nlp(p, d_star).trajectory
-        spec = PerturbationSpec(1, [0.2, -0.1])
-        solved = solve_equality_nlp(p, d_star.perturbed(1, spec.delta), w0=w_star)
-        prof = run_perturbation_experiment(p, d_star, w_star, spec)
+        delta = np.array([0.2, -0.1])
+        solved = solve_equality_nlp(p, d_star.perturbed(1, delta), w0=w_star)
+        prof = run_perturbation_experiment(p, d_star, w_star, 1, delta)
         assert prof.converged and prof.iterations == solved.iterations >= 1
         # a failed solve reports the iterations its error carries
         opts = SolveOptions(max_iter=2, tol_kkt=1e-300)
-        prof = run_perturbation_experiment(p, d_star, w_star, spec, opts=opts)
+        prof = run_perturbation_experiment(p, d_star, w_star, 1, delta, opts=opts)
         assert not prof.converged and prof.iterations == 2
+
+    def test_batch_runner_rejects_repeated_stages(self):
+        # a repeated stage would solve one (stage, replicate, seed) twice and
+        # count its points twice in the fit
+        b = build_model("lq_chain", {"n_x": 2, "n_u": 1, "N": 12, "seed": 3})
+        base = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
+        with pytest.raises(ConfigurationError, match="stages must be distinct"):
+            run_experiments(b.problem, b.base_data, base.trajectory, [4, 4, 8], 1, 0.1, seed=11)
 
     def test_batch_runner_deterministic_and_seeded(self):
         b = build_model("lq_chain", {"n_x": 2, "n_u": 1, "N": 12, "seed": 3})
@@ -146,19 +153,10 @@ class TestFitDecay:
         rng = np.random.default_rng(2)
         s = np.array([0.5 * 0.6 ** abs(i - 7) * rng.uniform(0.5, 1.5) for i in range(-1, 25)])
         prof = SensitivityProfile(stage=7, s=s, magnitude=1.0, converged=True)
-        fit = fit_decay([prof], mode="envelope")
+        fit = fit_decay([prof])
         check = verify_eds_bound([prof], fit, slack=1.0)
         assert check.violations == 0
         assert check.worst_ratio == pytest.approx(1.0, rel=1e-12)
-
-    def test_pooled_points_serve_both_modes(self):
-        rng = np.random.default_rng(3)
-        profiles = [synthetic_profile(20, j, 0.8, 0.55, replicate=r) for j in (4, 12) for r in range(2)]
-        for prof in profiles:
-            prof.s = prof.s * rng.uniform(0.7, 1.3, prof.s.size)
-        points = pooled_points(profiles)
-        for mode in ("ls", "envelope"):
-            assert fit_decay(profiles, mode, points) == fit_decay(profiles, mode)
 
     def test_noise_floor_excluded(self):
         # half the profile sits at solver-noise level; the fitted rate must
@@ -173,7 +171,7 @@ class TestFitDecay:
 class TestVerifyBound:
     def test_exact_envelope_zero_violations(self):
         prof = synthetic_profile(20, 3, 0.5, 0.5)
-        fit = DecayFit(upsilon=0.5, rho=0.5, r2=1.0, floor=1e-12, mode="envelope",
+        fit = DecayFit(upsilon=0.5, rho=0.5, r2=1.0, floor=1e-12,
                        clamped=False, n_points=22)
         check = verify_eds_bound([prof], fit, slack=1.0)
         assert check.violations == 0
@@ -182,7 +180,7 @@ class TestVerifyBound:
     def test_single_violation_reported_with_ratio(self):
         prof = synthetic_profile(20, 3, 0.5, 0.5)
         prof.s[10] *= 2.0
-        fit = DecayFit(upsilon=0.5, rho=0.5, r2=1.0, floor=1e-12, mode="envelope",
+        fit = DecayFit(upsilon=0.5, rho=0.5, r2=1.0, floor=1e-12,
                        clamped=False, n_points=22)
         check = verify_eds_bound([prof], fit, slack=1.0)
         assert check.violations == 1
@@ -191,19 +189,19 @@ class TestVerifyBound:
     def test_slack_scales_bound(self):
         prof = synthetic_profile(20, 3, 0.5, 0.5)
         prof.s[10] *= 2.0
-        fit = DecayFit(upsilon=0.5, rho=0.5, r2=1.0, floor=1e-12, mode="envelope",
+        fit = DecayFit(upsilon=0.5, rho=0.5, r2=1.0, floor=1e-12,
                        clamped=False, n_points=22)
         assert verify_eds_bound([prof], fit, slack=2.0).violations == 0
 
 
 class TestContrast:
     def test_separated(self):
-        fa = DecayFit(1.0, 0.6, 1.0, 1e-12, "ls", False, 10)
-        fb = DecayFit(1.0, 0.99, 1.0, 1e-12, "ls", False, 10)
+        fa = DecayFit(1.0, 0.6, 1.0, 1e-12, False, 10)
+        fb = DecayFit(1.0, 0.99, 1.0, 1e-12, False, 10)
         assert decay_contrast(fa, fb).separated
 
     def test_equal_not_separated(self):
-        f = DecayFit(1.0, 0.8, 1.0, 1e-12, "ls", False, 10)
+        f = DecayFit(1.0, 0.8, 1.0, 1e-12, False, 10)
         assert not decay_contrast(f, f).separated
 
 
@@ -212,7 +210,7 @@ class TestTwoSidedDecay:
         b = build_model("lq_chain", {"n_x": 3, "n_u": 2, "N": 40, "stability": 0.7, "seed": 5})
         base = solve_equality_nlp(b.problem, b.base_data, w0=b.warm_start)
         profs = run_experiments(b.problem, b.base_data, base.trajectory, [20], 3, 0.1, seed=1)
-        fit = fit_decay(profs, mode="envelope")
+        fit = fit_decay(profs)
         for prof in profs:
             floor = prof.floor()
             for i in prof.stage_range():
@@ -270,8 +268,8 @@ def assert_batch_matches_alone(p, d_star, w_star, stages, replicates, magnitude,
     deltas = experiment_deltas(p, stages, replicates, magnitude, seed)
     assert [(pr.stage, pr.replicate) for pr in batch] == sorted(deltas)
     for prof in batch:
-        spec = PerturbationSpec(prof.stage, deltas[prof.stage, prof.replicate])
-        alone = run_perturbation_experiment(p, d_star, w_star, spec, opts=opts)
+        delta = deltas[prof.stage, prof.replicate]
+        alone = run_perturbation_experiment(p, d_star, w_star, prof.stage, delta, opts=opts)
         assert (prof.converged, prof.error, prof.iterations) == (alone.converged, alone.error, alone.iterations)
         assert np.abs(prof.s - alone.s).max() <= 1e-12 * alone.s.max()
     return batch, stats

@@ -280,7 +280,7 @@ def assert_batched_matches_loop(p, traj, data, solve_data, w0=None):
     assert blocks_relative_diff(linearize(p, traj, data), linearize(loop, traj, data)) <= 1e-13
     jac = []
     kkt_residual(p, traj, data, jacobians=jac)
-    assert len(jac) == p.dims.N
+    assert [M.shape[0] for (M, *_) in jac] == [p.dims.N]  # one (A, B, G), stacked over the stages
     assert blocks_relative_diff(linearize(p, traj, data, jacobians=jac), linearize(loop, traj, data)) <= 1e-13
     batched, looped = solve_equality_nlp(p, solve_data, w0=w0), solve_equality_nlp(loop, solve_data, w0=w0)
     assert batched.converged and looped.converged
@@ -498,7 +498,7 @@ class TestSolve:
         traj, data = random_point(p, seed=4)
         jac = []
         kkt_residual(p, traj, data, jacobians=jac)
-        assert len(jac) == p.dims.N
+        assert [M.shape[0] for (M, *_) in jac] == [p.dims.N]  # one (A, B, G), stacked over the stages
         fresh, reused = linearize(p, traj, data), linearize(p, traj, data, jacobians=jac)
         for name in "QRSEFABG":
             for a, b in zip(getattr(fresh, name), getattr(reused, name), strict=True):
