@@ -19,7 +19,6 @@ from .certify import (
     scan_uniform_observability,
     sosc_modulus,
 )
-from .diff import gradient, hessian_block, jacobian
 from .eds import (
     BoundCheck,
     DecayContrast,
@@ -39,7 +38,6 @@ from .errors import (
     EvaluationError,
     FitError,
     NonconvergenceError,
-    RangeConditionError,
     RegularityError,
 )
 from .kkt import (
@@ -60,18 +58,13 @@ from .kkt import (
 from .models import (
     ModelBundle,
     QuadrotorParams,
-    SteadyState,
     build_model,
-    build_ti_costs,
-    constant_trajectory,
     double_integrator,
     list_models,
     lq_chain,
     quadrotor_continuous_rhs,
     quadrotor_problem,
     scalar_oracle,
-    solve_steady_state,
-    time_invariant_problem,
 )
 from .problem import (
     DataTrajectory,

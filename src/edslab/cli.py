@@ -147,6 +147,8 @@ def _case_pipeline(cfg: ExperimentConfig, name: str, overrides: dict, experiment
     for j in cfg.stages:
         if not -1 <= j <= p.dims.N:
             raise ConfigurationError(f"perturbation stage {j} outside [-1, {p.dims.N}]")
+        if p.dims.nd(j) == 0:
+            raise ConfigurationError(f"stage {j} has empty data; nothing to perturb")
     for window in (cfg.window_ctrl, cfg.window_obs):
         if not 0 <= window <= p.dims.N - 1:
             raise ConfigurationError(f"window length {window} out of range [0, {p.dims.N - 1}]")

@@ -30,9 +30,5 @@ class NonconvergenceError(EdslabError):
         self.result = result
 
 
-class RangeConditionError(EdslabError):
-    """A linear system that must be consistent is not."""
-
-
 class FitError(EdslabError):
     """Not enough usable data to fit a decay envelope."""

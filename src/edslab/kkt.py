@@ -14,12 +14,11 @@ The residual and the linearization evaluate every stage at once.  The
 blocks w(0), ..., w(N-1) of the stage-ordered vector form one contiguous
 (N, 2 n_x + n_u) array, whose columns give the stacked X, U and Lam
 without a copy.  One sourcing helper, `_stage_terms`, keyed by oracle
-name, returns each oracle's terms with a leading stage axis and checks
-their sizes: from the problem's stage-batched oracle when it registers one,
-otherwise from `_PER_STAGE[name]` at each stage (the per-stage analytic
-oracle, or finite differences), whose results are stacked.  The data
-rows are the view `DataTrajectory.stages[:N]` of each point.
-The terminal cost takes a two-term path of its own, `_terminal_terms`.
+name, calls the problem's stage-batched oracle once on all the rows and
+checks each term's size; the oracles supply their derivatives
+analytically, and nothing is differenced.  The data rows are the view
+`DataTrajectory.stages[:N]` of each point.  The terminal cost's gradient
+and Hessian come from its analytic oracles, through `_terminal_terms`.
 Both then assemble from those arrays in a few array operations, and
 `StageBlocks` keeps every block family stacked.
 
@@ -49,7 +48,6 @@ reproduces it.
 """
 from __future__ import annotations
 
-import functools
 import importlib.machinery
 import importlib.util
 import math
@@ -62,7 +60,6 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it lazily, else inside a run, on its first default_rng
 import scipy
 
-from . import diff
 from .errors import ConfigurationError, NonconvergenceError, RegularityError
 from .problem import (
     Array,
@@ -201,27 +198,24 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# derivative sourcing: stage-batched oracles when registered, else per-stage
-# analytic oracles, else finite differences
+# derivative sourcing: the stage-batched oracles and the terminal oracles
 
 
 class _Stages(NamedTuple):
-    """Rows of stages: row r of X, U, Lam and D holds x_i, u_i, lam_i and
-    d_i of stage i = I[r] (`_stages` gives row k N + i to stage i of point
-    k)."""
+    """Rows of stages: row r of X, U, Lam and D holds the x, u, lam and d
+    of one stage (`_stages` gives row k N + i to stage i of point k)."""
 
     X: Array
     U: Array
     Lam: Array
     D: Array
-    I: list
 
 
 def _stages(p: DOProblem, W: Array, data: list) -> _Stages:
     dims = p.dims
     rows = W[:, dims.n_0 : dims.w_offsets[-2]].reshape(-1, 2 * dims.n_x + dims.n_u)
     D = np.concatenate([d.stages[: dims.N] for d in data])
-    return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], D, [*range(dims.N)] * len(W))
+    return _Stages(rows[:, : dims.n_x], rows[:, dims.n_x : dims.n_z], rows[:, dims.n_z :], D)
 
 
 def _terminal(p: DOProblem, W: Array, data: list) -> tuple:
@@ -253,130 +247,30 @@ def _shaped(t, shape: tuple, what: str, rows: tuple = ()) -> Array:
 
 
 def _stage_terms(p: DOProblem, st: _Stages, name: str, shapes, with_lam: bool = False):
-    """The terms of oracle `name` at the rows of `st`, each with a leading
-    row axis.
-
-    The registered stage-batched form `<name>_batch(X, U, D[, Lam])` gives
-    them in one call; without one, `_PER_STAGE[name]` (the per-stage
-    oracle, or finite differences) runs at each row and its results are
-    stacked.  `shapes` spells each term's per-stage shape in the sizes of
-    x, u and d, "xd" for (n_x, n_d).  A single term is returned in a
-    one-element list."""
-    rest = (st.Lam,) if with_lam else ()
-    batched = getattr(p.oracles, f"{name}_batch", None)
+    """The terms of the stage-batched oracle `<name>_batch(X, U, D[, Lam])`
+    at the rows of `st`, in one call, each with a leading row axis.
+    `shapes` spells each term's per-stage shape in the sizes of x, u and d,
+    "xd" for (n_x, n_d).  A single term is returned in a one-element
+    list."""
     sizes = {"x": st.X.shape[1], "u": st.U.shape[1], "d": st.D.shape[1]}
     per_stage = [tuple(sizes[k] for k in shape) for shape in shapes]
-    if not st.I:  # no rows: no call
+    if not len(st.X):  # no rows: no call
         return [np.zeros((0, *s)) for s in per_stage]
-    if batched is not None:
-        out = batched(st.X, st.U, st.D, *rest)
-        terms = zip([out] if len(shapes) == 1 else out, per_stage, strict=True)
-        return [_shaped(t, s, f"{name}_batch", (len(st.X),)) for t, s in terms]
-    entry = _PER_STAGE[name]
-    out = [entry(p.oracles, i, st.X[r], st.U[r], st.D[r], *(t[r] for t in rest)) for r, i in enumerate(st.I)]
-    terms = zip([out] if len(shapes) == 1 else zip(*out), per_stage, strict=True)
-    return [np.array([_shaped(m, s, name) for m in t]) for t, s in terms]
-
-
-def _hessian_blocks(fun, n_x: int, n_z: int, t: Array):
-    """(Q, S, R, E, F) of a scalar map of t = (x, u, d) by nested central
-    differences."""
-    ix, iu, idd = np.arange(n_x), np.arange(n_x, n_z), np.arange(n_z, t.size)
-    return tuple(diff.hessian_block(fun, *ab, t) for ab in ((ix, ix), (ix, iu), (iu, iu), (ix, idd), (iu, idd)))
-
-
-def _from_gradient(Jz: Array, Jd: Array, n_x: int):
-    """(Q, S, R, E, F) from the differences of a gradient in (x, u): Jz its
-    (x, u) square, symmetrized here, and Jd its (x, u)-d block."""
-    S = 0.5 * (Jz[:n_x, n_x:] + Jz[n_x:, :n_x].T)
-    return _sym(Jz[:n_x, :n_x]), S, _sym(Jz[n_x:, n_x:]), Jd[:n_x], Jd[n_x:]
-
-
-def _cost_gradients(cost, grad, x, u, d):
-    """(g_x, g_u) of cost(x, u, d): the analytic `grad` when given, else
-    central differences in (x, u) only."""
-    if grad is not None:
-        return grad(x, u, d)
-    n_x, n_z = x.size, x.size + u.size
-    fun = lambda t: np.array([cost(*np.split(t, [n_x, n_z]))])
-    g = diff.partial_jacobian(fun, np.concatenate([x, u, d]), np.arange(n_z))[0]
-    return g[:n_x], g[n_x:]
-
-
-def _cost_hessians(cost, grad, hess, x, u, d):
-    """(Q, S, R, E, F) of cost(x, u, d): the analytic `hess` when given,
-    else differences of `grad`, else nested differences of `cost`."""
-    if hess is not None:
-        return hess(x, u, d)
-    n_x, n_z = x.size, x.size + u.size
-    t = np.concatenate([x, u, d])
-    if grad is None:
-        return _hessian_blocks(lambda tt: cost(*np.split(tt, [n_x, n_z])), n_x, n_z, t)
-    Jg = diff.hessian_via_gradient(lambda tt: np.concatenate(grad(*np.split(tt, [n_x, n_z]))), np.arange(t.size), t)
-    return _from_gradient(Jg[:, :n_z], Jg[:, n_z:], n_x)
-
-
-def _at_stage(orc, i: int, *names: str) -> list:
-    """Stage i's oracles `names` as maps of (x, u, d), None where absent."""
-    return [None if getattr(orc, n) is None else functools.partial(getattr(orc, n), i) for n in names]
+    out = getattr(p.oracles, f"{name}_batch")(st.X, st.U, st.D, *((st.Lam,) if with_lam else ()))
+    terms = zip([out] if len(shapes) == 1 else out, per_stage, strict=True)
+    return [_shaped(t, s, f"{name}_batch", (len(st.X),)) for t, s in terms]
 
 
 def _terminal_terms(p: DOProblem, x_N: Array, D_N: Array, hess: bool = False) -> list:
     """[g] of the terminal cost, or with `hess` [Q, E], at each row of x_N
-    and D_N, stacked: from the analytic oracle when given, else by the
-    differences of a stage whose control u is empty."""
-    orc, u, n_x = p.oracles, np.zeros(0), x_N.shape[1]
-    g, h = orc.terminal_cost_grad, orc.terminal_cost_hess
-    if (h if hess else g) is None:
-        cost, grad = lambda x, _, d: orc.terminal_cost(x, d), g and (lambda x, _, d: (orc.terminal_cost_grad(x, d), u))
-        g = lambda x, d: _cost_gradients(cost, None, x, u, d)[0]
-        h = lambda x, d: _cost_hessians(cost, grad, None, x, u, d)[::3]
+    and D_N, stacked."""
+    n_x, name = x_N.shape[1], "terminal_cost_hess" if hess else "terminal_cost_grad"
+    oracle = getattr(p.oracles, name)
     shapes = [(n_x, n_x), (n_x, D_N.shape[1])] if hess else [(n_x,)]
-    name = "terminal_cost_hess" if hess else "terminal_cost_grad"
-    out = [h(x, d) if hess else (g(x, d),) for x, d in zip(x_N, D_N)]
+    out = [oracle(x, d) if hess else (oracle(x, d),) for x, d in zip(x_N, D_N)]
     return [np.array([_shaped(m, s, name) for m in t]) for t, s in zip(zip(*out), shapes, strict=True)]
 
 
-def _dynamics_jacobians(dynamics, jac, x, u, d):
-    """(A, B, G) of dynamics(x, u, d): the analytic `jac` when given, else
-    central differences."""
-    if jac is not None:
-        return jac(x, u, d)
-    n_x, n_z = x.size, x.size + u.size
-    fun = lambda t: dynamics(*np.split(t, [n_x, n_z]))
-    J = diff.jacobian(fun, np.concatenate([x, u, d]))
-    return J[:, :n_x], J[:, n_x:n_z], J[:, n_z:]
-
-
-def _dynamics_curvature(orc, i: int, x, u, d, lam):
-    """Second-derivative blocks (H_xx, H_xu, H_uu, H_xd, H_ud) of lam @ f_i
-    in (x, u, d); zero, without a call, when lam is."""
-    n_x, n_u, n_d = x.size, u.size, d.size
-    n_z = n_x + n_u
-    if not np.any(lam):
-        return tuple(np.zeros(s) for s in ((n_x, n_x), (n_x, n_u), (n_u, n_u), (n_x, n_d), (n_u, n_d)))
-    if orc.dynamics_hess_vec is not None:
-        return orc.dynamics_hess_vec(i, x, u, d, lam)
-    t, split = np.concatenate([x, u, d]), lambda tt: np.split(tt, [n_x, n_z])
-    if orc.dynamics_jac is None:
-        return _hessian_blocks(lambda tt: float(lam @ np.asarray(orc.dynamics(i, *split(tt)))), n_x, n_z, t)
-    # FD of the analytic gradient map d(lam @ f)/d(x, u, d) = [A; B; G]^T lam
-    # in (x, u) only: its d rows hold the mixed (x, u)-d blocks, as second
-    # derivatives are symmetric
-    grad = lambda tt: np.concatenate([np.reshape(M, (n_x, -1)).T @ lam for M in orc.dynamics_jac(i, *split(tt))])
-    Jg = diff.hessian_via_gradient(grad, np.arange(n_z), t)
-    return _from_gradient(Jg[:n_z], Jg[n_z:].T, n_x)
-
-
-# per-stage sourcing of each oracle name, called as (oracles, i, x, u, d[, lam])
-_COST_ORACLES = ("stage_cost", "stage_cost_grad", "stage_cost_hess")
-_PER_STAGE = {
-    "dynamics": lambda orc, i, *z: orc.dynamics(i, *z),
-    "dynamics_jac": lambda orc, i, *z: _dynamics_jacobians(*_at_stage(orc, i, "dynamics", "dynamics_jac"), *z),
-    "dynamics_hess_vec": _dynamics_curvature,
-    "stage_cost_grad": lambda orc, i, *z: _cost_gradients(*_at_stage(orc, i, *_COST_ORACLES[:2]), *z),
-    "stage_cost_hess": lambda orc, i, *z: _cost_hessians(*_at_stage(orc, i, *_COST_ORACLES), *z),
-}
 _HESSIAN = ("xx", "xu", "uu", "xd", "ud")
 
 
@@ -752,7 +646,7 @@ class _Start:
         self.n_rows, I, D = N + len(own), [i for _, i, _ in own.values()], [d for *_, d in own.values()]
         I, D = (I * 2, D * 2) if len(I) == 1 else (I, D)  # a batched oracle rounds a lone row differently
         D = np.reshape(D, (len(I), dims.n_d))
-        st = _Stages(*np.split(dims.w_rows(w0.vector)[I], [dims.n_x, dims.n_z], axis=1), D, I)
+        st = _Stages(*np.split(dims.w_rows(w0.vector)[I], [dims.n_x, dims.n_z], axis=1), D)
         last = np.flatnonzero(differs[:, N])  # the points with terminal data of their own
         terminal = _terminal(p, np.repeat(self.W0, len(last) + 1, axis=0), [data[0], *(data[k] for k in last)])
         r0 = kkt_residual(p, self.W0, data[:1], jacobians=jac)[0]

@@ -1,17 +1,13 @@
-"""Model zoo: quadrotor motion planning, LQ test chains, and steady-state
-tooling for the time-invariant setting.
+"""Model zoo: quadrotor motion planning and LQ test chains.
 
 Every preset is a quadratic tracking problem built by `_tracking_problem`,
-which holds the stage and terminal costs, their derivatives and the oracle
-registration once; a preset supplies only its stage dynamics
+which holds the stage and terminal costs, their analytic derivatives and
+the oracle registration once; a preset supplies only its stage dynamics
 x_{i+1} = f(x_i, u_i), their Jacobians and, when nonlinear, the Hessian of
-lam @ f, all stage-batched, and its per-stage oracles are one-row calls of
-the batched forms.  The quadrotor's dynamics Jacobians come from the forward
-chain rule through its RK4 step, and its multiplier-contracted dynamics
-Hessians from a second-order adjoint through the same stages; both run over
-a stack of stages with batched matrix products.  Finite differences serve
-only oracles that register neither, such as the time-invariant problems
-built here from plain cost and dynamics callables.
+lam @ f, all stage-batched.  The quadrotor's dynamics Jacobians come from
+the forward chain rule through its RK4 step, and its multiplier-contracted
+dynamics Hessians from a second-order adjoint through the same stages; both
+run over a stack of stages with batched matrix products.
 
 One table, `PRESETS`, declares each preset once: its description, which
 `list_models` prints, and its builder, which `build_model` calls with the
@@ -28,9 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import diff
-from .errors import ConfigurationError, EvaluationError, NonconvergenceError, RangeConditionError
-from .kkt import _cost_gradients, _dynamics_jacobians
+from .errors import ConfigurationError, EvaluationError
 from .problem import (
     Array,
     DataTrajectory,
@@ -325,17 +319,6 @@ def quadrotor_cost_weights(params: QuadrotorParams):
     return Q, R, Qf
 
 
-def _one_row(batched: Callable) -> Callable:
-    """The per-stage form `f(i, x, u, d[, lam])` of a stage-batched oracle:
-    one call on one-row stacks."""
-
-    def per_stage(i, *rows):
-        out = batched(*(np.asarray(r, dtype=float)[None] for r in rows))
-        return out[0] if isinstance(out, np.ndarray) else tuple(t[0] for t in out)
-
-    return per_stage
-
-
 def _tracking_problem(
     dims: Dimensions, T: Array, Q: Array, R: Array, Qf: Array, track: bool,
     f: Callable, f_jac: Callable, f_hess_vec: Callable | None,
@@ -355,10 +338,6 @@ def _tracking_problem(
     dev = (lambda x, d: x - d) if track else (lambda x, d: x)
     cross = lambda M: -2.0 * M if track else np.zeros((n_x, 0))  # the (x, d) block of a cost Hessian
 
-    def stage_cost(i, x, u, d):
-        e = dev(x, d)
-        return float(e @ Q @ e + u @ R @ u)
-
     def terminal_cost(x, d):
         e = dev(x, d)
         return float(e @ Qf @ e)
@@ -369,8 +348,11 @@ def _tracking_problem(
     def terminal_cost_hess(x, d):
         return 2.0 * Qf, cross(Qf)
 
-    # stage-batched forms, whose one-row calls are the per-stage forms: rows
-    # of X, U, D and Lam are stages
+    # the stage oracles, stage-batched: rows of X, U, D and Lam are stages
+    def stage_cost_batch(X, U, D):
+        E = dev(X, D)
+        return ((E @ Q) * E).sum(axis=1) + ((U @ R) * U).sum(axis=1)
+
     def dynamics_batch(X, U, D):
         return f(X, U)
 
@@ -397,20 +379,15 @@ def _tracking_problem(
         return H[:, :n_x, :n_x], H[:, :n_x, n_x:], H[:, n_x:, n_x:], zero[:, :n_x], zero[:, n_x:]
 
     oracles = StageOracles(
-        stage_cost=stage_cost,
-        dynamics=_one_row(dynamics_batch),
-        terminal_cost=terminal_cost,
-        stage_cost_grad=_one_row(stage_cost_grad_batch),
-        stage_cost_hess=_one_row(stage_cost_hess_batch),
-        terminal_cost_grad=terminal_cost_grad,
-        terminal_cost_hess=terminal_cost_hess,
-        dynamics_jac=_one_row(dynamics_jac_batch),
-        dynamics_hess_vec=_one_row(dynamics_hess_vec_batch),
+        stage_cost_batch=stage_cost_batch,
         dynamics_batch=dynamics_batch,
         dynamics_jac_batch=dynamics_jac_batch,
         stage_cost_grad_batch=stage_cost_grad_batch,
         stage_cost_hess_batch=stage_cost_hess_batch,
         dynamics_hess_vec_batch=dynamics_hess_vec_batch,
+        terminal_cost=terminal_cost,
+        terminal_cost_grad=terminal_cost_grad,
+        terminal_cost_hess=terminal_cost_hess,
     )
     return DOProblem(dims=dims, oracles=oracles, T=T)
 
@@ -512,178 +489,6 @@ def scalar_oracle() -> DOProblem:
     is (x_0, u_0, x_1) = (1, -0.5, 0.5) with multipliers (3, 1) under this
     package's sign convention."""
     return make_lq_problem(1.0, 1.0, 1.0, 1.0, 1.0, None, 1, track_reference=False)
-
-
-# ---------------------------------------------------------------------------
-# steady state and time-invariant cost construction
-
-
-@dataclass
-class SteadyState:
-    """Primal-dual solution of `min cost(x, u; d) s.t. x = f(x, u; d)`.
-    `lam_init` is filled by `build_ti_costs` once an initial-state map is
-    chosen."""
-
-    x: Array
-    u: Array
-    lam: Array
-    residual: float
-    lam_init: Array | None = None
-
-
-def solve_steady_state(
-    stage_cost: Callable,
-    dynamics: Callable,
-    d_s: Array,
-    x0: Array,
-    u0: Array,
-    *,
-    cost_grad: Callable | None = None,
-    dyn_jac: Callable | None = None,
-) -> SteadyState:
-    """Newton on the steady-state first-order conditions from (x0, u0) and
-    zero multipliers, to a residual inf-norm of 1e-10 in at most 50
-    iterations.  `stage_cost` and `dynamics` take (x, u, d); optional
-    analytic derivatives follow the conventions of StageOracles without the
-    stage index.  The result is horizon independent by construction."""
-    d_s = np.atleast_1d(np.asarray(d_s, dtype=float))
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
-    u = np.atleast_1d(np.asarray(u0, dtype=float)).copy()
-    n_x, n_u = x.size, u.size
-    lam = np.zeros(n_x)
-
-    # kkt's analytic-or-differences ladder; its d columns go unused
-    def jacs(xx, uu):
-        return tuple(np.asarray(M, dtype=float) for M in _dynamics_jacobians(dynamics, dyn_jac, xx, uu, d_s)[:2])
-
-    def stationarity(xx, uu, ll):
-        gx, gu = (np.asarray(g, dtype=float) for g in _cost_gradients(stage_cost, cost_grad, xx, uu, d_s))
-        A, B = jacs(xx, uu)
-        return np.concatenate([gx - ll + A.T @ ll, gu + B.T @ ll])
-
-    def residual(xx, uu, ll):
-        # Lagrangian cost - lam @ (x - f): stationarity and feasibility
-        return np.concatenate([stationarity(xx, uu, ll), -(xx - np.asarray(dynamics(xx, uu, d_s), dtype=float))])
-
-    grad_z = lambda t: stationarity(t[:n_x], t[n_x:], lam)  # at the current lam
-
-    for _ in range(50):
-        r = residual(x, u, lam)
-        rnorm = float(np.abs(r).max())
-        if rnorm <= 1e-10:
-            return SteadyState(x=x, u=u, lam=lam, residual=rnorm)
-        W = diff.hessian_via_gradient(grad_z, np.arange(n_x + n_u), np.concatenate([x, u]))
-        W = 0.5 * (W + W.T)
-        A, B = jacs(x, u)
-        Jss = np.hstack([np.eye(n_x) - A, -B])
-        n = n_x + n_u + n_x
-        K = np.zeros((n, n))
-        K[: n_x + n_u, : n_x + n_u] = W
-        K[: n_x + n_u, n_x + n_u :] = -Jss.T
-        K[n_x + n_u :, : n_x + n_u] = -Jss
-        try:
-            step = np.linalg.solve(K, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NonconvergenceError(f"singular steady-state KKT system: {exc}") from exc
-        x = x + step[:n_x]
-        u = u + step[n_x : n_x + n_u]
-        lam = lam + step[n_x + n_u :]
-    r = residual(x, u, lam)
-    raise NonconvergenceError(
-        f"steady-state Newton did not reach tol 1e-10 (residual {float(np.abs(r).max()):.3e})"
-    )
-
-
-@dataclass(frozen=True)
-class TICosts:
-    """Initial and terminal cost oracles built around a steady state, plus
-    the initial-constraint multiplier that makes the constant steady-state
-    trajectory stationary for every horizon length."""
-
-    ell_b: Callable  # (x, d) -> float
-    ell_f: Callable  # (x, d) -> float
-    lam_b: Array  # gradient of ell_b
-    Q_f: Array  # Hessian of ell_f (2 Q)
-    lam_init: Array
-
-
-def build_ti_costs(ss: SteadyState, Q: Array, T: Array) -> TICosts:
-    """Construct the initial regularization `-((I - T^+ T) lam) @ x` and the
-    terminal cost `(x - x_s) @ Q @ (x - x_s) + lam @ x`, then solve
-    T^T lam_init = lam_b + lam (via the pseudoinverse, with a consistency
-    check).  With T = I the initial term vanishes identically."""
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    n_x = ss.x.size
-    T = np.asarray(T, dtype=float).reshape(-1, n_x)
-    if T.shape[0] > 0:
-        proj = np.linalg.pinv(T) @ T
-    else:
-        proj = np.zeros((n_x, n_x))
-    lam_b = -(np.eye(n_x) - proj) @ ss.lam
-    rhs = lam_b + ss.lam
-    lam_init = np.linalg.pinv(T.T) @ rhs if T.shape[0] > 0 else np.zeros(0)
-    gap = float(np.abs(T.T @ lam_init - rhs).max()) if n_x else 0.0
-    if gap > 1e-8 * max(1.0, float(np.abs(rhs).max())):
-        raise RangeConditionError(
-            f"lam_b + lam is not in the range of T^T (residual {gap:.3e})"
-        )
-    x_s = ss.x.copy()
-    lam_s = ss.lam.copy()
-    lam_b_c = lam_b.copy()
-
-    def ell_b(x, d):
-        return float(lam_b_c @ x)
-
-    def ell_f(x, d):
-        e = x - x_s
-        return float(e @ Q @ e + lam_s @ x)
-
-    return TICosts(ell_b=ell_b, ell_f=ell_f, lam_b=lam_b, Q_f=2.0 * Q, lam_init=lam_init)
-
-
-def time_invariant_problem(
-    stage_cost: Callable,
-    dynamics: Callable,
-    ti: TICosts,
-    T: Array,
-    N: int,
-    n_u: int,
-    n_d: int,
-) -> DOProblem:
-    """Assemble the horizon problem for a time-invariant system: the stage
-    cost picks up `ell_b` at stage 0 and the terminal cost is `ell_f`."""
-    T = np.atleast_2d(np.asarray(T, dtype=float))
-    n_x = T.shape[1]
-
-    def cost(i, x, u, d):
-        value = float(stage_cost(x, u, d))
-        if i == 0:
-            value += ti.ell_b(x, d)
-        return value
-
-    def dyn(i, x, u, d):
-        return dynamics(x, u, d)
-
-    def terminal(x, d):
-        return ti.ell_f(x, d)
-
-    dims = Dimensions(N, n_x, n_u, n_d, T.shape[0])
-    oracles = StageOracles(stage_cost=cost, dynamics=dyn, terminal_cost=terminal)
-    return DOProblem(dims=dims, oracles=oracles, T=T)
-
-
-def constant_trajectory(dims: Dimensions, ss: SteadyState) -> PrimalDualTrajectory:
-    """Replicate the steady state along the horizon: states and multipliers
-    constant, `lam_init` on the initial constraint."""
-    if ss.lam_init is None and dims.n_0 > 0:
-        raise ConfigurationError("steady state has no initial-constraint multiplier")
-    lam_init = np.zeros(dims.n_0) if dims.n_0 == 0 else np.asarray(ss.lam_init, dtype=float)
-    return PrimalDualTrajectory(
-        dims,
-        [ss.x.copy() for _ in range(dims.N + 1)],
-        [ss.u.copy() for _ in range(dims.N)],
-        [lam_init] + [ss.lam.copy() for _ in range(dims.N)],
-    )
 
 
 # ---------------------------------------------------------------------------

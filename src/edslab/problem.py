@@ -3,8 +3,9 @@
 A problem couples states x_i (i = 0..N) and controls u_i (i = 0..N-1)
 through stage costs, a terminal cost, dynamics equality constraints
 x_{i+1} = f_i(x_i, u_i; d_i), and an optional initial-state constraint
-T x_0 = d_{-1}.  Stages 0..N carry data vectors d_i of one size n_d; the
-stage -1 data is the right-hand side of the initial constraint.
+T x_0 = d_{-1}.  Stages 0..N carry data vectors d_i of one size n_d, and a
+stage's maps depend on i only through d_i; the stage -1 data is the
+right-hand side of the initial constraint.
 Receding-horizon control problems use T = I, estimation-style problems
 drop the initial constraint entirely (n_0 = 0, empty T).
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -135,63 +136,47 @@ class Dimensions:
 
 @dataclass(frozen=True)
 class StageOracles:
-    """Callables defining the problem.
+    """Callables defining the problem, each with its analytic derivatives;
+    every field is required.
 
-    Required:
-      stage_cost(i, x, u, d) -> float          i in [0, N-1]
-      dynamics(i, x, u, d)   -> array(n_x)     i in [0, N-1]
-      terminal_cost(x, d)    -> float
-
-    Optional analytic derivatives; finite differences fill any gap:
-      stage_cost_grad(i, x, u, d)  -> (g_x, g_u)
-      stage_cost_hess(i, x, u, d)  -> (Q_xx, S_xu, R_uu, E_xd, F_ud)
-      terminal_cost_grad(x, d)     -> g_x
-      terminal_cost_hess(x, d)     -> (Q_xx, E_xd)
-      dynamics_jac(i, x, u, d)     -> (A, B, G)   derivatives in x, u, d
-      dynamics_hess_vec(i, x, u, d, lam) -> (H_xx, H_xu, H_uu, H_xd, H_ud)
-          second-derivative blocks of lam @ dynamics
-
-    Optional stage-batched forms of the stage oracles.  Each evaluates m
-    stage rows in one call, from the stacked X (m, n_x), U (m, n_u), D (m,
-    n_d) and Lam (m, n_x), whose row r holds the x, u, d and lam of one
-    stage; each returned array has a leading row axis, row r being what the
-    per-stage form returns at row r's stage:
+    The stage oracles are stage-batched.  Each evaluates m stage rows in one
+    call, from the stacked X (m, n_x), U (m, n_u), D (m, n_d) and Lam (m,
+    n_x), whose row r holds the x, u, d and lam of one stage, and returns
+    arrays with a leading row axis:
+      stage_cost_batch(X, U, D)      -> costs (m,)
       dynamics_batch(X, U, D)        -> F (m, n_x)
-      dynamics_jac_batch(X, U, D)    -> (A, B, G)
+      dynamics_jac_batch(X, U, D)    -> (A, B, G)   derivatives in x, u, d
       stage_cost_grad_batch(X, U, D) -> (G_x, G_u)
       stage_cost_hess_batch(X, U, D) -> (Q_xx, S_xu, R_uu, E_xd, F_ud)
       dynamics_hess_vec_batch(X, U, D, Lam) -> (H_xx, H_xu, H_uu, H_xd, H_ud)
+          second-derivative blocks of Lam[r] @ dynamics at each row
     The rows are arbitrary stage rows, not stages 0..N-1 in order (the N
     stages of each of several points, or any subset of distinct stage
-    rows), so a batched form must not depend on a row's position.  The KKT
-    residual and the linearization call a batched form instead of its
-    per-stage form whenever it is registered.  The per-stage forms stay
-    required (stage_cost, dynamics) or in use (the objective, the
-    constraints and any oracle without a batched form), and a batched form
-    must agree with its per-stage form.  A batched dynamics_hess_vec is
-    also called at stages whose multiplier is zero, where the per-stage
-    path skips the call.  A term whose size does not match its stage's
-    shape raises ConfigurationError.  Every preset of `models` registers
-    all five, and its per-stage forms are one-row calls of them.
+    rows), so an oracle must not depend on a row's position: it sees no
+    stage number, and time variation enters through the stage data d_i.
+    dynamics_hess_vec_batch is also called at rows whose multiplier is
+    zero.  A term whose size does not match its stage's shape raises
+    ConfigurationError.
+
+    The terminal oracles take one state and its data:
+      terminal_cost(x, d)      -> float
+      terminal_cost_grad(x, d) -> g_x
+      terminal_cost_hess(x, d) -> (Q_xx, E_xd)
 
     All maps must be twice continuously differentiable on the evaluation
-    domain.
+    domain.  Value-only oracles need their derivatives from elsewhere, for
+    instance an automatic-differentiation tool.
     """
 
-    stage_cost: Callable
-    dynamics: Callable
+    stage_cost_batch: Callable
+    dynamics_batch: Callable
+    dynamics_jac_batch: Callable
+    stage_cost_grad_batch: Callable
+    stage_cost_hess_batch: Callable
+    dynamics_hess_vec_batch: Callable
     terminal_cost: Callable
-    stage_cost_grad: Callable | None = None
-    stage_cost_hess: Callable | None = None
-    terminal_cost_grad: Callable | None = None
-    terminal_cost_hess: Callable | None = None
-    dynamics_jac: Callable | None = None
-    dynamics_hess_vec: Callable | None = None
-    dynamics_batch: Callable | None = None
-    dynamics_jac_batch: Callable | None = None
-    stage_cost_grad_batch: Callable | None = None
-    stage_cost_hess_batch: Callable | None = None
-    dynamics_hess_vec_batch: Callable | None = None
+    terminal_cost_grad: Callable
+    terminal_cost_hess: Callable
 
 
 @dataclass(frozen=True)
@@ -208,6 +193,9 @@ class DOProblem:
     T: Array
 
     def __post_init__(self):
+        bad = [f.name for f in fields(StageOracles) if not callable(getattr(self.oracles, f.name, None))]
+        if bad:
+            raise ConfigurationError(f"oracles not callable: {', '.join(bad)}")
         T = np.asarray(self.T, dtype=float)
         if self.dims.n_0 == 0:
             T = T.reshape(0, self.dims.n_x)
@@ -356,14 +344,17 @@ def check_dimensions(p: DOProblem, traj=None, data=None):
         raise ConfigurationError("data dimensions do not match the problem")
 
 
+def _stage_rows(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> tuple:
+    """X, U and D of stages 0..N-1, as the rows of three arrays."""
+    check_dimensions(p, traj, data)
+    X, U, _ = np.split(p.dims.w_rows(traj.vector), [p.dims.n_x, p.dims.n_z], axis=1)
+    return X, U, data.stages[: p.dims.N]
+
+
 def evaluate_objective(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> float:
     """Sum of stage costs plus the terminal cost (multipliers ignored)."""
-    check_dimensions(p, traj, data)
-    total = 0.0
-    for i in range(p.dims.N):
-        total += float(p.oracles.stage_cost(i, traj.x(i), traj.u(i), data[i]))
-    total += float(p.oracles.terminal_cost(traj.x(p.dims.N), data[p.dims.N]))
-    return total
+    costs = _as_vector(p.oracles.stage_cost_batch(*_stage_rows(p, traj, data)), p.dims.N, "stage_cost_batch")
+    return float(costs.sum()) + float(p.oracles.terminal_cost(traj.x(p.dims.N), data[p.dims.N]))
 
 
 def evaluate_constraints(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> Array:
@@ -372,12 +363,12 @@ def evaluate_constraints(p: DOProblem, traj: PrimalDualTrajectory, data: DataTra
     Block i occupies the rows of the constraint multiplied by lam(i); the
     leading block is absent when n_0 = 0.
     """
-    check_dimensions(p, traj, data)
-    blocks = [p.T @ traj.x(0) - data[-1]]
-    for i in range(p.dims.N):
-        fi = _as_vector(p.oracles.dynamics(i, traj.x(i), traj.u(i), data[i]), p.dims.n_x, f"f[{i}]")
-        blocks.append(traj.x(i + 1) - fi)
-    return np.concatenate(blocks)
+    X, U, D = _stage_rows(p, traj, data)
+    N, n_x = p.dims.N, p.dims.n_x
+    F = np.asarray(p.oracles.dynamics_batch(X, U, D), dtype=float)
+    if F.shape != (N, n_x):
+        raise ConfigurationError(f"dynamics_batch: expected shape {(N, n_x)}, got {F.shape}")
+    return np.concatenate([p.T @ traj.x(0) - data[-1], (np.vstack([X[1:], traj.x(N)]) - F).ravel()])
 
 
 def evaluate_lagrangian(p: DOProblem, traj: PrimalDualTrajectory, data: DataTrajectory) -> float:

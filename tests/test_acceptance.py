@@ -25,6 +25,7 @@ from edslab import (
 )
 from edslab.cli import run as cli_run
 from edslab.models import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, lq_chain
+from conftest import lq_matrices, steady_state_horizon
 from test_kkt import dense_lq_oracle
 
 
@@ -56,7 +57,7 @@ def test_dense_equivalence():
         n_u = int(rng.integers(1, 3))
         N = int(rng.integers(2, 21))
         p = lq_chain(n_x, n_u, N, stability=0.9, seed=trial)
-        A, B, _ = p.oracles.dynamics_jac(0, np.zeros(n_x), np.zeros(n_u), np.zeros(n_x))
+        A, B = lq_matrices(p)
         x0 = rng.standard_normal(n_x)
         refs = [rng.standard_normal(n_x) for _ in range(N + 1)]
         data = DataTrajectory(p.dims, [x0] + refs)
@@ -247,34 +248,14 @@ def test_quadrotor_contrast():
 
 
 def test_time_invariant_corollary():
+    # the constant steady-state trajectory of a time-invariant problem is
+    # stationary at every horizon once the terminal cost carries lam_s @ x
     from edslab import kkt_residual
-    from edslab.models import (
-        build_ti_costs,
-        constant_trajectory,
-        solve_steady_state,
-        time_invariant_problem,
-    )
 
-    d_s = np.array([1.0, 0.5])
-    ss = solve_steady_state(
-        lambda x, u, d: float((x - d) @ (x - d) + u @ u),
-        lambda x, u, d: DOUBLE_INTEGRATOR_A @ x + DOUBLE_INTEGRATOR_B @ u,
-        d_s=d_s,
-        x0=np.zeros(2),
-        u0=np.zeros(1),
-    )
-    ti = build_ti_costs(ss, np.eye(2), np.eye(2))
-    ss.lam_init = ti.lam_init
     residuals = {}
     for N in (5, 20, 60):
-        prob = time_invariant_problem(
-            lambda x, u, d: float((x - d) @ (x - d) + u @ u),
-            lambda x, u, d: DOUBLE_INTEGRATOR_A @ x + DOUBLE_INTEGRATOR_B @ u,
-            ti, np.eye(2), N, n_u=1, n_d=2,
-        )
-        traj = constant_trajectory(prob.dims, ss)
-        data = DataTrajectory(prob.dims, [np.eye(2) @ ss.x] + [d_s] * (N + 1))
-        residuals[N] = float(np.abs(kkt_residual(prob, traj, data)).max())
+        p, data, traj, _ = steady_state_horizon(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, [1.0, 0.5], np.eye(2), N)
+        residuals[N] = float(np.abs(kkt_residual(p, traj, data)).max())
         assert residuals[N] <= 1e-8
     _report(
         "time-invariant steady-state trajectory stationarity",

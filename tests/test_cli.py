@@ -123,6 +123,23 @@ class TestRun:
         assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stage", [0, 1])
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_stage_without_data_exits_3_before_solving(self, tmp_path, capsys, monkeypatch, command, stage):
+        # the scalar oracle's stages 0 and 1 carry no data: nothing to
+        # perturb, so both commands stop before the base solve
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the perturbed stages were checked")
+
+        monkeypatch.setattr("edslab.cli.solve_equality_nlp", solve)
+        cfg = write_config(
+            tmp_path / "cfg.json", model="scalar_oracle", params={}, stages=[stage], window_ctrl=0, window_obs=0,
+            out_dir=str(tmp_path / "out"),
+        )
+        assert main([command, "--config", str(cfg)]) == 3
+        assert f"config error: stage {stage} has empty data; nothing to perturb" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("out", ["afile", "afile/x"])
     @pytest.mark.parametrize("command", ["run", "certify"])
     def test_unwritable_out_exits_3(self, tmp_path, capsys, command, out):

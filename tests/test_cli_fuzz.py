@@ -2,8 +2,8 @@
 `edslab certify` end in time with exit 0, 2 or 3, print no traceback or
 warning, and write nothing outside `--out`.
 
-Each draw starts from a small valid config of one preset and applies a few
-mutations: wrong types, NaN and inf (inside array-valued parameters too),
+Each draw starts from a small config of one preset, valid or perturbing a
+stage without data, and applies a few mutations: wrong types, NaN and inf (inside array-valued parameters too),
 unknown keys, hostile case names, retired solver options, relocated
 `out_dir`s, repeated stages, windows as long as the horizon or longer, and
 deleted keys; `--out` may name an existing regular file.  It runs in a
@@ -27,6 +27,8 @@ BASES = (
     {"model": "lq_chain", "params": {"n_x": 2, "n_u": 1, "N": 6, "seed": 1}, "stages": [3]},
     {"model": "double_integrator", "params": {"N": 6}, "stages": [2, 4]},
     {"model": "scalar_oracle", "stages": [-1], "window_ctrl": 0, "window_obs": 0},
+    # invalid: the scalar oracle's stage 0 carries no data to perturb
+    {"model": "scalar_oracle", "stages": [0], "window_ctrl": 0, "window_obs": 0},
     {
         "model": "quadrotor",
         "params": {"N": 6, "dt": 0.5},

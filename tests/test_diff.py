@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
 
-from edslab import EvaluationError, build_model
+from edslab import Dimensions, EvaluationError, build_model
 from edslab.diff import gradient, hessian_block, hessian_via_gradient, jacobian
+from conftest import (
+    data_coupled_jac_problem,
+    data_in_B_problem,
+    smooth_problem,
+    strongly_indefinite_problem,
+    time_varying_problem,
+    toy_nonlinear_problem,
+)
 
 
 class TestJacobian:
@@ -64,58 +72,129 @@ class TestHessianBlock:
         assert np.abs(H_grad - H_nested).max() <= 1e-4
 
 
+PRESETS = [
+    ("scalar_oracle", {}),
+    ("double_integrator", {"N": 4}),
+    ("lq_chain", {"n_x": 3, "n_u": 2, "N": 4, "seed": 2}),
+    ("quadrotor", {"N": 3, "dt": 0.2}),
+]
+HAND_WRITTEN = {
+    "toy": toy_nonlinear_problem,
+    "strongly_indefinite": strongly_indefinite_problem,
+    "data_coupled": data_coupled_jac_problem,
+    "time_varying": time_varying_problem,
+    "data_in_B": data_in_B_problem,
+    "smooth": lambda: smooth_problem(Dimensions(3, 3, 2, 2, 1)),
+}
+PROBLEMS = PRESETS + [(name, {}) for name in HAND_WRITTEN]
+
+
+def make_problem(name, params):
+    return HAND_WRITTEN[name](**params) if name in HAND_WRITTEN else build_model(name, params).problem
+
+
+def random_rows(p, seed, m=3):
+    """Random stacked X, U, D and Lam of m stage rows."""
+    rng = np.random.default_rng(seed)
+    dims = p.dims
+    return tuple(0.3 * rng.standard_normal((m, n)) for n in (dims.n_x, dims.n_u, dims.n_d, dims.n_x))
+
+
+def stack_jacobian(fun, X, U, D):
+    """Central differences of the stacked map fun(X, U, D) in every entry
+    of the rows [x, u, d]: an (m, k, m, n_x + n_u + n_d) array, entry (r,
+    :, s, :) the derivative of row r's k outputs in row s's inputs."""
+    m, n_x, n_z = len(X), X.shape[1], X.shape[1] + U.shape[1]
+    rows = np.hstack([X, U, D])
+    split = lambda t: np.split(t.reshape(m, -1), [n_x, n_z], axis=1)
+    J = jacobian(lambda t: np.ravel(fun(*split(t))), rows.ravel())
+    return J.reshape(m, -1, m, rows.shape[1])
+
+
+def block_diagonal(rows):
+    """The (m, k, m, n) array with rows[r] at (r, :, r, :) and zeros
+    elsewhere: no row's outputs depend on another row's inputs."""
+    m = len(rows)
+    out = np.zeros((m, rows.shape[1], m, rows.shape[2]))
+    out[np.arange(m), :, np.arange(m), :] = rows
+    return out
+
+
+def assert_close(analytic, fd):
+    assert np.abs(analytic - fd).max() <= 1e-5 * max(1.0, np.abs(analytic).max())
+
+
 class TestAnalyticAgreement:
-    """FD vs registered analytic derivatives on the model zoo, the harness
-    behind every analytic registration."""
+    """The one derivative gate: every analytic derivative form of each
+    preset and each hand-written test problem against central differences
+    of the map it differentiates, on random stacks of 3 stage rows.  Each
+    stacked Jacobian is block diagonal in the rows: no row's outputs depend
+    on another row's inputs."""
 
-    @pytest.mark.parametrize(
-        "name,params",
-        [
-            ("scalar_oracle", {}),
-            ("double_integrator", {"N": 4}),
-            ("lq_chain", {"n_x": 3, "n_u": 2, "N": 4, "seed": 2}),
-            ("quadrotor", {"N": 3, "dt": 0.2}),
-        ],
-    )
+    @pytest.mark.parametrize("name,params", PROBLEMS)
     def test_dynamics_jacobians(self, name, params):
-        b = build_model(name, params)
-        p = b.problem
-        rng = np.random.default_rng(11)
-        dims = p.dims
-        x = 0.3 * rng.standard_normal(dims.n_x)
-        u = 0.3 * rng.standard_normal(dims.n_u)
-        d = 0.3 * rng.standard_normal(dims.nd(0))
-        A, B, G = p.oracles.dynamics_jac(0, x, u, d)
-        A_fd = jacobian(lambda t: p.oracles.dynamics(0, t, u, d), x)
-        scale = max(1.0, np.abs(A).max())
-        assert np.abs(A - A_fd).max() <= 1e-5 * scale
-        if dims.n_u:
-            B_fd = jacobian(lambda t: p.oracles.dynamics(0, x, t, d), u)
-            assert np.abs(B - B_fd).max() <= 1e-5 * max(1.0, np.abs(B).max())
-        if dims.nd(0):
-            G_fd = jacobian(lambda t: p.oracles.dynamics(0, x, u, t), d)
-            assert np.abs(G - G_fd).max() <= 1e-5 * max(1.0, np.abs(G).max())
+        p = make_problem(name, params)
+        X, U, D, _ = random_rows(p, 11)
+        A, B, G = p.oracles.dynamics_jac_batch(X, U, D)
+        J = stack_jacobian(p.oracles.dynamics_batch, X, U, D)
+        assert_close(block_diagonal(np.concatenate([A, B, G], axis=2)), J)
 
-    @pytest.mark.parametrize(
-        "name,params",
-        [
-            ("double_integrator", {"N": 4}),
-            ("quadrotor", {"N": 3, "dt": 0.2}),
-        ],
-    )
+    @pytest.mark.parametrize("name,params", [PRESETS[1], PRESETS[3], PRESETS[0], PRESETS[2], *PROBLEMS[4:]])
     def test_cost_gradients(self, name, params):
-        b = build_model(name, params)
-        p = b.problem
-        rng = np.random.default_rng(13)
-        dims = p.dims
-        x = rng.standard_normal(dims.n_x)
-        u = rng.standard_normal(dims.n_u)
-        d = rng.standard_normal(dims.nd(0))
-        gx, gu = p.oracles.stage_cost_grad(0, x, u, d)
-        g_fd = gradient(lambda t: p.oracles.stage_cost(0, t[: dims.n_x], t[dims.n_x :], d),
-                        np.concatenate([x, u]))
-        scale = max(1.0, np.abs(g_fd).max())
-        assert np.abs(np.concatenate([gx, gu]) - g_fd).max() <= 1e-5 * scale
-        gN = p.oracles.terminal_cost_grad(x, d)
-        gN_fd = gradient(lambda t: p.oracles.terminal_cost(t, d), x)
-        assert np.abs(gN - gN_fd).max() <= 1e-5 * max(1.0, np.abs(gN_fd).max())
+        p = make_problem(name, params)
+        X, U, D, _ = random_rows(p, 13)
+        n_z = p.dims.n_z
+        g = np.hstack(p.oracles.stage_cost_grad_batch(X, U, D))[:, None]
+        J = stack_jacobian(lambda *rows: p.oracles.stage_cost_batch(*rows), X, U, D)
+        assert_close(block_diagonal(g), J[..., :n_z])
+        for x, d in zip(X, D):
+            gN = p.oracles.terminal_cost_grad(x, d)
+            assert_close(gN, gradient(lambda t: p.oracles.terminal_cost(t, d), x))
+
+    @pytest.mark.parametrize("name,params", PROBLEMS)
+    def test_cost_hessians(self, name, params):
+        p = make_problem(name, params)
+        X, U, D, _ = random_rows(p, 17)
+        Q, S, R, E, F = p.oracles.stage_cost_hess_batch(X, U, D)
+        H = np.block([[Q, S, E], [S.swapaxes(1, 2), R, F]])
+        J = stack_jacobian(lambda *rows: np.hstack(p.oracles.stage_cost_grad_batch(*rows)), X, U, D)
+        assert_close(block_diagonal(H), J)
+        n_x = p.dims.n_x
+        for x, d in zip(X, D):
+            QN, EN = p.oracles.terminal_cost_hess(x, d)
+            JN = jacobian(lambda t: p.oracles.terminal_cost_grad(t[:n_x], t[n_x:]), np.concatenate([x, d]))
+            assert_close(np.hstack([QN, EN]), JN)
+
+    @pytest.mark.parametrize("name,params", PROBLEMS)
+    def test_dynamics_hess_vec(self, name, params):
+        # the Hessian of Lam @ f against the differences of its gradient in
+        # (x, u), Lam contracted with the analytic dynamics Jacobians
+        p = make_problem(name, params)
+        X, U, D, Lam = random_rows(p, 19)
+        H_xx, H_xu, H_uu, H_xd, H_ud = p.oracles.dynamics_hess_vec_batch(X, U, D, Lam)
+        H = np.block([[H_xx, H_xu, H_xd], [H_xu.swapaxes(1, 2), H_uu, H_ud]])
+
+        def lam_gradient(X, U, D):
+            A, B, _ = p.oracles.dynamics_jac_batch(X, U, D)
+            return np.hstack([np.matvec(A.swapaxes(1, 2), Lam), np.matvec(B.swapaxes(1, 2), Lam)])
+
+        assert_close(block_diagonal(H), stack_jacobian(lam_gradient, X, U, D))
+
+    @pytest.mark.parametrize("name,params", PROBLEMS)
+    def test_permuted_rows_permute_the_outputs(self, name, params):
+        # an oracle must not depend on a row's position in the stack
+        p = make_problem(name, params)
+        X, U, D, Lam = random_rows(p, 23, m=4)
+        perm = np.array([2, 0, 3, 1])
+        orc = p.oracles
+        for oracle, args in (
+            (orc.stage_cost_batch, (X, U, D)),
+            (orc.dynamics_batch, (X, U, D)),
+            (orc.dynamics_jac_batch, (X, U, D)),
+            (orc.stage_cost_grad_batch, (X, U, D)),
+            (orc.stage_cost_hess_batch, (X, U, D)),
+            (orc.dynamics_hess_vec_batch, (X, U, D, Lam)),
+        ):
+            out, permuted = oracle(*args), oracle(*(a[perm] for a in args))
+            for t, t_perm in zip(*(([o] if isinstance(o, np.ndarray) else o) for o in (out, permuted)), strict=True):
+                assert np.array_equal(np.asarray(t)[perm], t_perm)

@@ -34,18 +34,22 @@ from edslab import (
     sosc_modulus,
 )
 import edslab
-from edslab import diff, kkt
+from edslab import kkt
 from edslab.errors import ConfigurationError, NonconvergenceError, RegularityError
 from edslab.models import DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, lq_chain, make_lq_problem
 from conftest import (
     data_coupled_jac_problem,
+    data_in_B_problem,
     dense_factor_and_solve,
     dense_kkt,
+    lq_matrices,
     mixed_hessian_by_blocks,
     newton_step,
     random_point,
+    stacked,
     stage_blocks,
     strongly_indefinite_problem,
+    time_varying_problem,
     to_stacked_order,
     to_stage_order,
     toy_nonlinear_problem,
@@ -81,10 +85,28 @@ def dense_lq_oracle(A, B, Q, R, Qf, T, N, x0, refs):
     return sol[:n_primal], -sol[n_primal:]  # multipliers per the package's pairing
 
 
+def zero_cost_scalar_problem(dynamics_batch, dynamics_jac_batch, dynamics_hess_vec_batch):
+    """A one-stage problem with one state, one control, no stage data, T =
+    I, zero costs and the given stage dynamics oracles."""
+    zero = lambda X, *shape: stacked(len(X), shape) if shape else np.zeros(len(X))
+    oracles = StageOracles(
+        stage_cost_batch=lambda X, U, D: zero(X),
+        dynamics_batch=dynamics_batch,
+        dynamics_jac_batch=dynamics_jac_batch,
+        stage_cost_grad_batch=lambda X, U, D: (np.zeros_like(X), np.zeros_like(U)),
+        stage_cost_hess_batch=lambda X, U, D: (zero(X, 1, 1), zero(X, 1, 1), zero(X, 1, 1), zero(X, 1, 0), zero(X, 1, 0)),
+        dynamics_hess_vec_batch=dynamics_hess_vec_batch,
+        terminal_cost=lambda x, d: 0.0,
+        terminal_cost_grad=lambda x, d: np.zeros(1),
+        terminal_cost_hess=lambda x, d: (np.zeros((1, 1)), np.zeros((1, 0))),
+    )
+    return DOProblem(dims=Dimensions(1, 1, 1, 0, 1), oracles=oracles, T=np.eye(1))
+
+
 class TestLinearize:
     def test_lq_blocks_constant_and_exact(self):
         p = lq_chain(2, 1, 3, stability=0.8, seed=0)
-        A_true, B_true, _ = p.oracles.dynamics_jac(0, np.zeros(2), np.zeros(1), np.zeros(2))
+        A_true, B_true = lq_matrices(p)
         for seed in (0, 1):
             traj, data = random_point(p, seed=seed)
             blocks = linearize(p, traj, data)
@@ -101,13 +123,12 @@ class TestLinearize:
     def test_bilinear_dynamics_curvature_lands_in_S(self):
         # f_0 = x * u with multiplier 2: cross block of lam @ f is the
         # multiplier itself
-        dims = Dimensions(1, 1, 1, 0, 1)
-        oracles = StageOracles(
-            stage_cost=lambda i, x, u, d: 0.0,
-            dynamics=lambda i, x, u, d: np.atleast_1d(x[0] * u[0]),
-            terminal_cost=lambda x, d: 0.0,
+        p = zero_cost_scalar_problem(
+            lambda X, U, D: X * U,
+            lambda X, U, D: (U[:, :, None], X[:, :, None], stacked(len(X), (1, 0))),
+            lambda X, U, D, Lam: (stacked(len(X), (1, 1)), Lam[:, :, None], *(stacked(len(X), s) for s in ((1, 1), (1, 0), (1, 0)))),
         )
-        p = DOProblem(dims=dims, oracles=oracles, T=np.eye(1))
+        dims = p.dims
         traj = PrimalDualTrajectory(dims, [[0.3], [0.1]], [[0.2]], [[0.0], [2.0]])
         blocks = linearize(p, traj, DataTrajectory.zeros(dims))
         assert blocks.S[0][0, 0] == pytest.approx(2.0, abs=1e-6)
@@ -237,6 +258,7 @@ class TestResidual:
 
 
 BATCHED_FIELDS = (
+    "stage_cost_batch",
     "dynamics_batch",
     "dynamics_jac_batch",
     "stage_cost_grad_batch",
@@ -246,13 +268,20 @@ BATCHED_FIELDS = (
 
 
 def per_stage_only(p):
-    """The same problem with its stage-batched oracles removed, so the
-    residual and the linearization loop over the stages."""
-    return dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, **dict.fromkeys(BATCHED_FIELDS)))
+    """The same problem with each stage-batched oracle called on one row at
+    a time and its results stacked, so no row shares a call with another."""
 
+    def one_row_at_a_time(f):
+        def call(*rows):
+            outs = [f(*(r[k : k + 1] for r in rows)) for k in range(len(rows[0]))]
+            if isinstance(outs[0], np.ndarray):
+                return np.concatenate(outs)
+            return tuple(np.concatenate(t) for t in zip(*outs))
 
-def refuse(*args, **kwargs):
-    raise AssertionError("this oracle must not be called")
+        return call
+
+    looped = {name: one_row_at_a_time(getattr(p.oracles, name)) for name in BATCHED_FIELDS}
+    return dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, **looped))
 
 
 def relative_diff(a, b):
@@ -273,8 +302,9 @@ def blocks_relative_diff(a, b):
 
 def assert_batched_matches_loop(p, traj, data, solve_data, w0=None):
     """The residual and the fresh and reused linearizations at (traj, data),
-    and a whole solve of `solve_data`, agree between `p` and its per-stage
-    loop to 1e-13 relative, with the same Newton iterations."""
+    and a whole solve of `solve_data`, agree between `p` and its oracles
+    called one stage row at a time to 1e-13 relative, with the same Newton
+    iterations."""
     loop = per_stage_only(p)
     assert relative_diff(kkt_residual(p, traj, data), kkt_residual(loop, traj, data)) <= 1e-13
     assert blocks_relative_diff(linearize(p, traj, data), linearize(loop, traj, data)) <= 1e-13
@@ -289,9 +319,9 @@ def assert_batched_matches_loop(p, traj, data, solve_data, w0=None):
 
 
 class TestStageBatchedOracles:
-    """Every preset registers stage-batched oracles; dropping them sends
-    the residual, the linearization and a whole solve through the
-    per-stage loop, which must agree."""
+    """The residual and the linearization call each stage-batched oracle
+    once on all stage rows; calling it one row at a time instead must give
+    the same residual, linearization and whole solve."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -315,8 +345,7 @@ class TestStageBatchedOracles:
         st.integers(0, 2**32 - 1),
     )
     def test_quadrotor_batched_path_matches_per_stage_loop(self, b, q, N, dt, seed):
-        # the batched RK4 chain runs every stage as one row of a stack; the
-        # per-stage oracles are one-row calls of it
+        # the batched RK4 chain runs every stage as one row of a stack
         bundle = build_model("quadrotor", {"b": b, "q": q, "N": N, "dt": dt})
         traj, data = random_point(bundle.problem, seed=seed)
         # the solve starts at hover after a kick of the initial state, as in
@@ -327,78 +356,27 @@ class TestStageBatchedOracles:
 
     @pytest.mark.parametrize("name", ["scalar_oracle", "double_integrator", "lq_chain", "quadrotor"])
     def test_presets_use_only_batched_oracles(self, name):
+        # every stage oracle call of the residual and the linearization
+        # takes all N stage rows at once
         bundle = build_model(name)
-        p = bundle.problem
-        batched_only = dataclasses.replace(
-            p,
-            oracles=dataclasses.replace(
-                p.oracles,
-                dynamics=refuse,
-                dynamics_jac=refuse,
-                stage_cost_grad=refuse,
-                stage_cost_hess=refuse,
-                dynamics_hess_vec=refuse,
-            ),
-        )
+        p, rows = bundle.problem, []
         traj, data = random_point(p, seed=1)
-        assert np.array_equal(kkt_residual(batched_only, traj, data), kkt_residual(p, traj, data))
-        res = solve_equality_nlp(batched_only, bundle.base_data, w0=bundle.warm_start)
+        counted = counting_batched_rows(p, rows)
+        assert np.array_equal(kkt_residual(counted, traj, data), kkt_residual(p, traj, data))
+        linearize(counted, traj, data)
+        assert rows == [p.dims.N] * 6
+        res = solve_equality_nlp(p, bundle.base_data, w0=bundle.warm_start)
         ref = solve_equality_nlp(per_stage_only(p), bundle.base_data, w0=bundle.warm_start)
         assert res.converged and res.iterations == ref.iterations
         assert relative_diff(res.trajectory.vector, ref.trajectory.vector) <= 1e-13
 
-    def test_oracles_without_batched_forms_loop_over_stages(self):
-        # no batched form registered: every term comes from the per-stage
-        # oracles, or from finite differences, stage by stage
-        dims = Dimensions(3, 2, 1, 2, 2)
-
-        def stage_cost(i, x, u, d):
-            return float(x @ x + 0.5 * u @ u + np.sin(x[0]) * d.sum() + 0.1 * x[1] * u[0])
-
-        def dynamics(i, x, u, d):
-            return 0.9 * x + 0.2 * np.sin(x[::-1]) + 0.3 * u[0] + 0.1 * x[0] * d.sum()
-
-        # analytic derivatives, G, E and F given flat or as nested lists so
-        # that each stage's term is reshaped to (., n_d)
-        def dynamics_jac(i, x, u, d):
-            A = np.array([[0.9 + 0.1 * d.sum(), 0.2 * np.cos(x[1])], [0.2 * np.cos(x[0]) + 0.1 * d.sum(), 0.9]])
-            return A, [0.3, 0.3], np.full(2 * d.size, 0.1 * x[0])
-
-        def stage_cost_hess(i, x, u, d):
-            Q = np.diag([2.0 - np.sin(x[0]) * d.sum(), 2.0])
-            E = [[np.cos(x[0])] * d.size, [0.0] * d.size]
-            return Q, [[0.0], [0.1]], [[1.0]], E, [0.0] * d.size
-
-        fd = DOProblem(
-            dims=dims,
-            oracles=StageOracles(
-                stage_cost=stage_cost,
-                dynamics=dynamics,
-                terminal_cost=lambda x, d: float(x @ x + 0.3 * np.cos(x[0]) * d.sum()),
-            ),
-            T=np.eye(2),
-        )
-        analytic = dataclasses.replace(
-            fd, oracles=dataclasses.replace(fd.oracles, dynamics_jac=dynamics_jac, stage_cost_hess=stage_cost_hess)
-        )
-        traj, data = random_point(fd, seed=3)
-        for p in (fd, analytic):
-            blocks = linearize(p, traj, data)
-            assert (blocks.G.shape, blocks.F.shape, blocks.E.shape) == ((3, 2, 2), (3, 1, 2), (4, 2, 2))
-            assert solve_equality_nlp(p, data).converged
-        assert relative_diff(kkt_residual(analytic, traj, data), kkt_residual(fd, traj, data)) <= 1e-8
-        exact, approx = linearize(analytic, traj, data), linearize(fd, traj, data)
-        for name in "QRSEFABG":
-            for a, b in zip(getattr(exact, name), getattr(approx, name), strict=True):
-                assert np.allclose(a, b, rtol=1e-6, atol=1e-6), name
-
     def test_malformed_oracle_output_names_the_oracle(self):
-        # a wrong-sized term raises ConfigurationError on both paths, naming
-        # the oracle and its per-stage shape
+        # a wrong-sized term raises ConfigurationError, naming the oracle
+        # and its per-stage shape
         p = toy_nonlinear_problem()
-        bad = dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, dynamics=lambda i, x, u, d: np.ones(3)))
+        bad = dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, dynamics_batch=lambda X, U, D: np.ones((len(X), 3))))
         traj, data = random_point(p)
-        with pytest.raises(ConfigurationError, match=r"dynamics: expected shape \(2,\) per stage, got \(3,\)"):
+        with pytest.raises(ConfigurationError, match=r"dynamics_batch: expected shape \(2,\) per stage, got \(3, 3\)"):
             kkt_residual(bad, traj, data)
         q = lq_chain(3, 2, 4, seed=1)
         wrong_A = lambda X, U, D: (np.zeros((len(X), 3, 2)), *q.oracles.dynamics_jac_batch(X, U, D)[1:])
@@ -408,71 +386,27 @@ class TestStageBatchedOracles:
             kkt_residual(bad, traj, data)
         with pytest.raises(ConfigurationError, match="dynamics_jac_batch"):
             linearize(bad, traj, data)
+        # a term of the right size in another shape is read in its per-stage shape
+        flat_G = lambda X, U, D: (*q.oracles.dynamics_jac_batch(X, U, D)[:2], np.ones((len(X), 9)))
+        flat = dataclasses.replace(q, oracles=dataclasses.replace(q.oracles, dynamics_jac_batch=flat_G))
+        assert np.array_equal(linearize(flat, traj, data).G, np.ones((4, 3, 3)))
 
 
 class TestTerminalSourcing:
-    """The terminal cost is sourced as a stage with an empty control: its
-    gradient and its Q_N, E_N blocks are those of the analytic oracles or of
-    the finite differences `diff` takes of the terminal cost, bit for bit."""
+    """The terminal cost's gradient and its Q_N, E_N blocks are those of its
+    analytic oracles, bit for bit (Q_N symmetrized)."""
 
-    @staticmethod
-    def terminal_grad(x, d):
-        return np.array([2.0 * x[0] - 0.3 * np.sin(x[0]) * d[0], 2.0 * x[1]])
-
-    @staticmethod
-    def terminal_hess(x, d):
-        Q = np.array([[2.0 - 0.3 * np.cos(x[0]) * d[0], 0.0], [0.0, 2.0]])
-        return Q, np.array([[-0.3 * np.sin(x[0]), 0.0], [0.0, 0.0]])
-
-    @pytest.mark.parametrize("given_", ["none", "grad", "both"])
-    def test_terminal_terms_bit_for_bit(self, given_):
+    def test_terminal_terms_bit_for_bit(self):
         p = toy_nonlinear_problem()
-        grad = None if given_ == "none" else self.terminal_grad
-        hess = self.terminal_hess if given_ == "both" else None
-        p = dataclasses.replace(
-            p, oracles=dataclasses.replace(p.oracles, terminal_cost_grad=grad, terminal_cost_hess=hess)
-        )
         traj, data = random_point(p, seed=5)
-        N, n_x = p.dims.N, p.dims.n_x
+        N = p.dims.N
         x, d = traj.x(N), data[N]
-        t = np.concatenate([x, d])
-        fun = lambda tt: p.oracles.terminal_cost(tt[:n_x], tt[n_x:])
-        ix, idd = np.arange(n_x), np.arange(n_x, t.size)
-        if grad is None:
-            g = diff.gradient(fun, t)[:n_x]
-            Q, E = diff.hessian_block(fun, ix, ix, t), diff.hessian_block(fun, ix, idd, t)
-        else:
-            g = grad(x, d)
-            if hess is None:
-                Jg = diff.hessian_via_gradient(lambda tt: grad(tt[:n_x], tt[n_x:]), np.arange(t.size), t)
-                Q, E = 0.5 * (Jg[:, :n_x] + Jg[:, :n_x].T), Jg[:, n_x:]
-            else:
-                Q, E = hess(x, d)
-                Q = 0.5 * (Q + Q.T)
+        Q, E = p.oracles.terminal_cost_hess(x, d)
         r = kkt_residual(p, traj, data)
-        assert np.array_equal(r[p.dims.w_offsets[-2] :], g - traj.lam(N - 1))
+        assert np.array_equal(r[p.dims.w_offsets[-2] :], p.oracles.terminal_cost_grad(x, d) - traj.lam(N - 1))
         blocks = linearize(p, traj, data)
-        assert np.array_equal(blocks.Q[N], Q)
+        assert np.array_equal(blocks.Q[N], 0.5 * (Q + Q.T))
         assert np.array_equal(blocks.E[N], E)
-
-
-    def test_cost_gradient_differences_x_and_u_only(self):
-        # the d coordinates of a cost without an analytic gradient are not
-        # differenced: 2 (n_x + n_u) cost calls, not 2 (n_x + n_u + n_d), and
-        # the same bits as the full central-difference gradient
-        rng = np.random.default_rng(3)
-        x, u, d = rng.standard_normal(6), rng.standard_normal(3), rng.standard_normal(6)
-        calls = [0]
-
-        def cost(x, u, d):
-            calls[0] += 1
-            return float(x @ x + np.sin(u).sum() * d[0] + x[:3] @ u * d[1] + np.cos(d).sum())
-
-        g_x, g_u = kkt._cost_gradients(cost, None, x, u, d)
-        assert calls[0] == 18
-        full = diff.gradient(lambda t: cost(t[:6], t[6:9], t[9:]), np.concatenate([x, u, d]))
-        assert calls[0] == 18 + 30
-        assert np.array_equal(g_x, full[:6]) and np.array_equal(g_u, full[6:9])
 
 
 class TestSolve:
@@ -520,7 +454,7 @@ class TestSolve:
             residual_calls[0] += 1
             return kkt_residual(*args, **kwargs)
 
-        oracles = dataclasses.replace(orc, dynamics_jac=refuse, dynamics_jac_batch=counted_jac)
+        oracles = dataclasses.replace(orc, dynamics_jac_batch=counted_jac)
         p = dataclasses.replace(bundle.problem, oracles=oracles)
         monkeypatch.setattr(kkt, "kkt_residual", counted_residual)
         data = bundle.base_data.perturbed(-1, 0.2 * np.ones(9))
@@ -551,7 +485,7 @@ class TestSolve:
             n_u = int(rng.integers(1, 3))
             N = int(rng.integers(2, 21))
             p = lq_chain(n_x, n_u, N, stability=0.9, seed=trial)
-            A, B, _ = p.oracles.dynamics_jac(0, np.zeros(n_x), np.zeros(n_u), np.zeros(n_x))
+            A, B = lq_matrices(p)
             x0 = rng.standard_normal(n_x)
             refs = [rng.standard_normal(n_x) for _ in range(N + 1)]
             data = DataTrajectory(p.dims, [x0] + refs)
@@ -583,14 +517,13 @@ class TestSolve:
         # zero cost: the KKT matrix is singular along the free direction and
         # the inertia gate must push the ladder off zero; any feasible point
         # is stationary and Newton still converges
-        dims = Dimensions(1, 1, 1, 0, 1)
-        oracles = StageOracles(
-            stage_cost=lambda i, x, u, d: 0.0,
-            dynamics=lambda i, x, u, d: np.atleast_1d(x[0] + u[0]),
-            terminal_cost=lambda x, d: 0.0,
+        ones = lambda X: np.ones((len(X), 1, 1))
+        p = zero_cost_scalar_problem(
+            lambda X, U, D: X + U,
+            lambda X, U, D: (ones(X), ones(X), stacked(len(X), (1, 0))),
+            lambda X, U, D, Lam: tuple(stacked(len(X), s) for s in ((1, 1), (1, 1), (1, 1), (1, 0), (1, 0))),
         )
-        p = DOProblem(dims=dims, oracles=oracles, T=np.eye(1))
-        data = DataTrajectory(dims, [[0.3], [], []])
+        data = DataTrajectory(p.dims, [[0.3], [], []])
         res = solve_equality_nlp(p, data)
         assert res.converged
         assert res.regularization > 0.0
@@ -612,31 +545,36 @@ class TestSolve:
         # S_0 = 0): its stage block is singular, but K is regular and its
         # Riccati pivot Rhat_0 = B^T P_1 B is positive, so the first Newton
         # step is exact at regularization 0 (forward block elimination
-        # needed 1e-7 and two iterations)
+        # needed 1e-7 and two iterations).  The control weight r is stage
+        # data: stage cost x.x + r u.u
         A, B = DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B
-        r = lambda i: 0.0 if i == 0 else 1.0
+        r = lambda D: D[:, 0, None]
         oracles = StageOracles(
-            stage_cost=lambda i, x, u, d: float(x @ x + r(i) * u @ u),
-            dynamics=lambda i, x, u, d: A @ x + B @ u,
-            terminal_cost=lambda x, d: float(x @ x),
-            stage_cost_grad=lambda i, x, u, d: (2.0 * x, 2.0 * r(i) * u),
-            stage_cost_hess=lambda i, x, u, d: (
-                2.0 * np.eye(2), np.zeros((2, 1)), 2.0 * r(i) * np.eye(1), np.zeros((2, 0)), np.zeros((1, 0))
+            stage_cost_batch=lambda X, U, D: (X * X).sum(1) + D[:, 0] * (U * U).sum(1),
+            dynamics_batch=lambda X, U, D: X @ A.T + U @ B.T,
+            dynamics_jac_batch=lambda X, U, D: (np.broadcast_to(A, (len(X), 2, 2)), np.broadcast_to(B, (len(X), 2, 1)), stacked(len(X), (2, 1))),
+            stage_cost_grad_batch=lambda X, U, D: (2.0 * X, 2.0 * r(D) * U),
+            stage_cost_hess_batch=lambda X, U, D: (
+                stacked(len(X), (2, 2), {(0, 0): 2.0, (1, 1): 2.0}), stacked(len(X), (2, 1)),
+                2.0 * r(D)[:, :, None], stacked(len(X), (2, 1)), 2.0 * U[:, :, None],
             ),
-            dynamics_jac=lambda i, x, u, d: (A, B, np.zeros((2, 0))),
+            dynamics_hess_vec_batch=lambda X, U, D, Lam: tuple(
+                stacked(len(X), s) for s in ((2, 2), (2, 1), (1, 1), (2, 1), (1, 1))
+            ),
+            terminal_cost=lambda x, d: float(x @ x),
             terminal_cost_grad=lambda x, d: 2.0 * x,
-            terminal_cost_hess=lambda x, d: (2.0 * np.eye(2), np.zeros((2, 0))),
+            terminal_cost_hess=lambda x, d: (2.0 * np.eye(2), np.zeros((2, 1))),
         )
-        dims = Dimensions(3, 2, 1, 0, 2)
+        dims = Dimensions(3, 2, 1, 1, 2)
         p = DOProblem(dims=dims, oracles=oracles, T=np.eye(2))
-        res = solve_equality_nlp(p, DataTrajectory(dims, [[1.0, 0.5], [], [], [], []]))
+        res = solve_equality_nlp(p, DataTrajectory(dims, [[1.0, 0.5], [0.0], [1.0], [1.0], [1.0]]))
         assert res.converged and res.iterations == 1 and res.regularization == 0.0
         assert res.trajectory.u(0) == pytest.approx([-1.25], abs=1e-12)
 
     def test_no_control_problem_solvable(self):
         # n_u = 0: the trajectory is pinned by the constraints alone
         p = lq_chain(2, 0, 5, seed=2)
-        A, _, _ = p.oracles.dynamics_jac(0, np.zeros(2), np.zeros(0), np.zeros(2))
+        A, _ = lq_matrices(p)
         x0 = np.array([1.0, -0.5])
         data = DataTrajectory(p.dims, [x0] + [np.zeros(2)] * 6)
         res = solve_equality_nlp(p, data)
@@ -885,49 +823,13 @@ class TestBlockFactor:
             assert x.tobytes() == pair[:, 0].tobytes()
 
 
-def time_varying_fd_problem(N):
-    """A nonlinear problem without derivatives or batched forms whose stage
-    cost depends on the stage number, so every term comes from finite
-    differences stage by stage."""
-    dims = Dimensions(N, 2, 1, 3, 2)
-    oracles = StageOracles(
-        stage_cost=lambda i, x, u, d: float(x @ x + 0.5 * u @ u + np.sin(x[0]) * d.sum() + 0.1 * i * x[1] * d[-1]),
-        dynamics=lambda i, x, u, d: 0.9 * x + 0.2 * np.sin(x[::-1]) + 0.3 * u[0] + 0.1 * x[0] * d.sum(),
-        terminal_cost=lambda x, d: float(x @ x + 0.3 * np.cos(x[0]) * d.sum()),
-    )
-    return DOProblem(dims=dims, oracles=oracles, T=np.eye(2))
-
-
-def data_in_B_problem(N):
-    """Analytic per-stage oracles in which d[1] enters B and d[0] only the
-    linear cost terms, so Q, R and S never depend on the data."""
-    dims = Dimensions(N, 2, 1, 2, 2)
-    A = np.array([[0.9, 0.2], [0.0, 0.8]])
-    B = lambda d: np.array([[0.3], [0.2 * d[1]]])
-    zeros = lambda *shapes: tuple(np.zeros(s) for s in shapes)
-    oracles = StageOracles(
-        stage_cost=lambda i, x, u, d: float(x @ x + 0.5 * u @ u - 2 * d[0] * x[0]),
-        dynamics=lambda i, x, u, d: A @ x + B(d) @ u,
-        terminal_cost=lambda x, d: float(x @ x),
-        stage_cost_grad=lambda i, x, u, d: (2 * x - np.array([2 * d[0], 0.0]), u.copy()),
-        stage_cost_hess=lambda i, x, u, d: (
-            2 * np.eye(2), np.zeros((2, 1)), np.eye(1), np.array([[-2.0, 0.0], [0.0, 0.0]]), np.zeros((1, 2))
-        ),
-        terminal_cost_grad=lambda x, d: 2 * x,
-        terminal_cost_hess=lambda x, d: (2 * np.eye(2), np.zeros((2, 2))),
-        dynamics_jac=lambda i, x, u, d: (A, B(d), np.array([[0.0, 0.0], [0.0, 0.2 * u[0]]])),
-        dynamics_hess_vec=lambda i, x, u, d, lam: (*zeros((2, 2), (2, 1), (1, 1), (2, 2)), np.array([[0.0, 0.2 * lam[1]]])),
-    )
-    return DOProblem(dims=dims, oracles=oracles, T=np.eye(2))
-
-
 def counting_batched_rows(p, rows):
     """p with each stage-batched oracle appending its row count to `rows`."""
 
     def counted(f):
         return lambda X, *rest: rows.append(len(X)) or f(X, *rest)
 
-    batched = {name: counted(getattr(p.oracles, name)) for name in BATCHED_FIELDS if getattr(p.oracles, name)}
+    batched = {name: counted(getattr(p.oracles, name)) for name in BATCHED_FIELDS}
     return dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, **batched))
 
 
@@ -946,7 +848,7 @@ class TestSharedStart:
         elif name == "quadrotor":
             p = build_model("quadrotor", {"N": N, "dt": 0.1}).problem
         else:
-            p = dict(toy=toy_nonlinear_problem, time_varying=time_varying_fd_problem, data_in_B=data_in_B_problem)[name](N)
+            p = dict(toy=toy_nonlinear_problem, time_varying=time_varying_problem, data_in_B=data_in_B_problem)[name](N)
         w0, base = random_point(p, seed=seed)
         # a random set of perturbed stages, the ends -1 and N included or not
         stages = draw.draw(st.sets(st.integers(-1, N), min_size=1, max_size=4))
@@ -1088,6 +990,6 @@ def test_public_annotations_resolve():
         v for name, v in vars(edslab).items()
         if not name.startswith("_") and (inspect.isfunction(v) or inspect.isclass(v))
     ]
-    assert len(public) >= 70
+    assert len(public) >= 61
     for v in public:
         typing.get_type_hints(v)

@@ -1,4 +1,9 @@
-import dataclasses
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edslab import (
-    DataTrajectory,
     EvaluationError,
     build_model,
     build_report,
@@ -15,17 +19,14 @@ from edslab import (
     list_models,
     solve_equality_nlp,
 )
-from edslab import diff, kkt
+import edslab
+from edslab import diff
 from edslab.certify import scan_uniform_controllability, smallest_eigenvalue
-from edslab.eds import run_experiments
 from edslab.kkt import linearize
 from edslab.models import (
     DOUBLE_INTEGRATOR_A,
     DOUBLE_INTEGRATOR_B,
     QuadrotorParams,
-    SteadyState,
-    build_ti_costs,
-    constant_trajectory,
     lq_chain,
     quadrotor_continuous_rhs,
     quadrotor_hover_state,
@@ -34,9 +35,8 @@ from edslab.models import (
     quadrotor_trim,
     rk4_step_hess_vec,
     rk4_step_jacobians,
-    solve_steady_state,
-    time_invariant_problem,
 )
+from conftest import lq_matrices, steady_state_horizon
 
 
 class TestQuadrotorRHS:
@@ -190,23 +190,20 @@ class TestQuadrotorDerivatives:
     @settings(max_examples=30, deadline=None)
     @quad_draws
     def test_dynamics_hess_vec_matches_fd_path(self, b, beta, seed):
-        # the finite-difference curvature that serves oracles without a
-        # dynamics_hess_vec agrees to its own error; a short step keeps the
-        # RK4 stage points of these rough draws off the pitch singularity,
-        # near which the FD error grows without bound
-        qp, (x,), (u,), (lam,) = quad_point(b, beta, seed)
-        bundle = build_model("quadrotor", {"b": b, "N": 2, "dt": 0.05})
-        p = bundle.problem
-        p_fd = dataclasses.replace(p, oracles=dataclasses.replace(p.oracles, dynamics_hess_vec=None))
-        u = u - quadrotor_trim(qp)
-        d = np.zeros(9)
-        exact = kkt._dynamics_curvature(p.oracles, 0, x, u, d, lam)
-        approx = kkt._dynamics_curvature(p_fd.oracles, 0, x, u, d, lam)
+        # the analytic curvature agrees, to the differences' own error, with
+        # central differences of lam @ [A, B] from the analytic Jacobians; a
+        # short step keeps the RK4 stage points of these rough draws off the
+        # pitch singularity, near which the FD error grows without bound
+        qp, x, u, lam = quad_point(b, beta, seed)
+        orc = build_model("quadrotor", {"b": b, "N": 2, "dt": 0.05}).problem.oracles
+        u, d = u - quadrotor_trim(qp), np.zeros((1, 9))
+        exact = orc.dynamics_hess_vec_batch(x, u, d, lam)
         for blk in exact[3:]:
-            assert blk.shape[1] == 9 and not blk.any()
-        H = np.block([[exact[0], exact[1]], [exact[1].T, exact[2]]])
-        H_fd = np.block([[approx[0], approx[1]], [approx[1].T, approx[2]]])
-        assert relative_error(H_fd, H) <= 1e-5
+            assert blk.shape[2] == 9 and not blk.any()
+        H = np.block([[exact[0][0], exact[1][0]], [exact[1][0].T, exact[2][0]]])
+        grad = lambda z: np.concatenate([lam[0] @ M[0] for M in orc.dynamics_jac_batch(z[None, :9], z[None, 9:], d)[:2]])
+        H_fd = diff.hessian_via_gradient(grad, np.arange(13), np.concatenate([x[0], u[0]]))
+        assert relative_error(0.5 * (H_fd + H_fd.T), H) <= 1e-5
 
     def test_hess_vec_singularity_guarded(self):
         qp = QuadrotorParams()
@@ -216,28 +213,39 @@ class TestQuadrotorDerivatives:
             quadrotor_rhs_hess_vec(x, quadrotor_trim(qp), np.ones(9), qp)
         p = build_model("quadrotor", {"N": 2}).problem
         with pytest.raises(EvaluationError):
-            p.oracles.dynamics_hess_vec(0, x, np.zeros(4), np.zeros(9), np.ones(9))
+            p.oracles.dynamics_hess_vec_batch(x[None], np.zeros((1, 4)), np.zeros((1, 9)), np.ones((1, 9)))
 
-    def test_no_finite_differences_anywhere(self, monkeypatch):
-        # every finite difference in the package goes through these two
-        def refuse(*args, **kwargs):
-            raise AssertionError("quadrotor derivative fell back to finite differences")
-
-        monkeypatch.setattr(diff, "partial_jacobian", refuse)
-        monkeypatch.setattr(diff, "hessian_block", refuse)
-        with pytest.raises(AssertionError):
-            diff.gradient(lambda t: float(t @ t), np.ones(2))
-        bundle = build_model("quadrotor", {"N": 8, "dt": 0.5})
-        p = bundle.problem
-        # start away from hover, so Newton iterates with nonzero multipliers
-        data = bundle.base_data.perturbed(-1, 0.1 * np.ones(9))
-        base = solve_equality_nlp(p, data, w0=bundle.warm_start)
-        assert base.converged and base.iterations > 0
-        assert np.abs(base.trajectory.lam(0)).max() > 0.0
-        profiles = run_experiments(p, data, base.trajectory, [4], 1, 0.1, seed=0)
-        assert profiles[0].converged and profiles[0].iterations > 0
-        report = build_report(p, base.trajectory, data, 3, 3)
-        assert report.beta > 0.0
+    def test_no_finite_differences_anywhere(self):
+        # no module of the package imports `diff`, and in a fresh process a
+        # quadrotor solve, its experiments and its report run without it ever
+        # being loaded: every derivative comes from an analytic oracle
+        src = Path(edslab.__file__).parent
+        for path in src.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+                module = node.module or "" if isinstance(node, ast.ImportFrom) else ""
+                assert "diff" not in module.split(".") and not any("diff" in n.split(".") for n in names), path.name
+        script = """
+import json, sys
+import numpy as np
+import edslab
+loaded = ["edslab.diff" in sys.modules]
+from edslab import build_model, build_report, run_experiments, solve_equality_nlp
+bundle = build_model("quadrotor", {"N": 8, "dt": 0.5})
+p = bundle.problem
+# start away from hover, so Newton iterates with nonzero multipliers
+data = bundle.base_data.perturbed(-1, 0.1 * np.ones(9))
+base = solve_equality_nlp(p, data, w0=bundle.warm_start)
+profiles = run_experiments(p, data, base.trajectory, [4], 1, 0.1, seed=0)
+report = build_report(p, base.trajectory, data, 3, 3)
+loaded.append("edslab.diff" in sys.modules)
+print(json.dumps({"loaded": loaded, "iterations": [base.iterations, profiles[0].iterations],
+                  "lam0": float(np.abs(base.trajectory.lam(0)).max()), "beta": report.beta}))
+"""
+        env = {**os.environ, "PYTHONPATH": str(src.parent)}
+        out = json.loads(subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True).stdout)
+        assert out["loaded"] == [False, False]
+        assert min(out["iterations"]) > 0 and out["lam0"] > 0.0 and out["beta"] > 0.0
 
 
 class TestQuadrotorProblem:
@@ -313,8 +321,7 @@ class TestLQFactories:
     def test_seed_determinism_byte_identical(self):
         a = lq_chain(3, 2, 5, seed=123)
         b = lq_chain(3, 2, 5, seed=123)
-        Aa, Ba, _ = a.oracles.dynamics_jac(0, np.zeros(3), np.zeros(2), np.zeros(3))
-        Ab, Bb, _ = b.oracles.dynamics_jac(0, np.zeros(3), np.zeros(2), np.zeros(3))
+        (Aa, Ba), (Ab, Bb) = lq_matrices(a), lq_matrices(b)
         assert Aa.tobytes() == Ab.tobytes()
         assert Ba.tobytes() == Bb.tobytes()
 
@@ -335,147 +342,24 @@ class TestLQFactories:
         assert smallest_eigenvalue(C @ C.T) == pytest.approx((3 - np.sqrt(5)) / 2, rel=1e-12)
 
 
-class TestSteadyState:
-    def test_scalar_origin(self):
-        ss = solve_steady_state(
-            lambda x, u, d: float(x @ x + u @ u),
-            lambda x, u, d: 0.5 * x + u,
-            d_s=np.zeros(0),
-            x0=np.array([0.3]),
-            u0=np.array([-0.2]),
-        )
-        assert ss.x == pytest.approx([0.0], abs=1e-10)
-        assert ss.u == pytest.approx([0.0], abs=1e-10)
-        assert ss.lam == pytest.approx([0.0], abs=1e-10)
-
-    def test_quadrotor_hover_steady_state(self):
-        qp = QuadrotorParams(N=4)
-        b = build_model("quadrotor", {"N": 4})
-        p = b.problem
-        hover = quadrotor_hover_state(qp)
-        ss = solve_steady_state(
-            lambda x, u, d: p.oracles.stage_cost(0, x, u, d),
-            lambda x, u, d: p.oracles.dynamics(0, x, u, d),
-            d_s=hover,
-            x0=hover,
-            u0=np.zeros(4),
-            cost_grad=lambda x, u, d: p.oracles.stage_cost_grad(0, x, u, d),
-            dyn_jac=lambda x, u, d: p.oracles.dynamics_jac(0, x, u, d),
-        )
-        # deviation controls: raw input is the gravity trim, multipliers vanish
-        assert ss.x == pytest.approx(hover, abs=1e-9)
-        assert ss.u + quadrotor_trim(qp) == pytest.approx([qp.g, 0, 0, 0], abs=1e-9)
-        assert np.abs(ss.lam).max() <= 1e-9
-
-    def test_linear_system_matches_dense_solve(self):
-        A = np.array([[0.5, 0.1], [0.0, 0.8]])
-        B = np.array([[0.0], [1.0]])
-        d = np.array([1.0, 1.0])
-        ss = solve_steady_state(
-            lambda x, u, dd: float((x - dd) @ (x - dd) + u @ u),
-            lambda x, u, dd: A @ x + B @ u,
-            d_s=d,
-            x0=np.zeros(2),
-            u0=np.zeros(1),
-        )
-        # stationarity of [2(x-d) - lam + A^T lam; 2u + B^T lam; -(x - Ax - Bu)]
-        n = 2 + 1 + 2
-        K = np.zeros((n, n))
-        K[:2, :2] = 2 * np.eye(2)
-        K[2, 2] = 2.0
-        K[:2, 3:] = (A - np.eye(2)).T
-        K[2, 3:] = B.T
-        K[3:, :2] = A - np.eye(2)
-        K[3:, 2] = B[:, 0]
-        rhs = np.concatenate([2 * d, [0.0], np.zeros(2)])
-        sol = np.linalg.solve(K, rhs)
-        assert np.concatenate([ss.x, ss.u, ss.lam]) == pytest.approx(sol, abs=1e-9)
-
-
 class TestTICosts:
-    def _double_integrator_ss(self, d=np.array([1.0, 0.5])):
-        return solve_steady_state(
-            lambda x, u, dd: float((x - dd) @ (x - dd) + u @ u),
-            lambda x, u, dd: DOUBLE_INTEGRATOR_A @ x + DOUBLE_INTEGRATOR_B @ u,
-            d_s=d,
-            x0=np.zeros(2),
-            u0=np.zeros(1),
-        ), d
-
-    def test_identity_T_kills_initial_term(self):
-        ss, _ = self._double_integrator_ss()
-        ti = build_ti_costs(ss, np.eye(2), np.eye(2))
-        assert np.abs(ti.lam_b).max() == 0.0
-        assert ti.lam_init == pytest.approx(ss.lam)
-
-    def test_zero_multiplier_degenerate_case(self):
-        ss = SteadyState(x=np.array([1.0, 0.0]), u=np.zeros(1), lam=np.zeros(2), residual=0.0)
-        ti = build_ti_costs(ss, np.eye(2), np.eye(2))
-        assert np.abs(ti.lam_b).max() == 0.0
-        assert np.abs(ti.lam_init).max() == 0.0
-        assert ti.ell_b(np.array([2.0, 3.0]), None) == 0.0
-        assert ti.ell_f(ss.x, None) == pytest.approx(0.0)
-
-    def test_coordinate_projector_hand_values(self):
-        ss = SteadyState(x=np.zeros(2), u=np.zeros(1), lam=np.array([0.7, -1.2]), residual=0.0)
-        ti = build_ti_costs(ss, np.eye(2), np.array([[1.0, 0.0]]))
-        assert ti.lam_b == pytest.approx([0.0, 1.2])
-        assert ti.lam_init == pytest.approx([0.7])
-
-    def test_range_condition_holds_by_construction(self):
-        # the initial-cost slope is built so lam_b + lam always lands in the
-        # row space of T; the solve must report a tiny residual for random T
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            n_x = int(rng.integers(2, 5))
-            n_0 = int(rng.integers(0, n_x + 1))
-            ss = SteadyState(
-                x=rng.standard_normal(n_x),
-                u=rng.standard_normal(1),
-                lam=rng.standard_normal(n_x),
-                residual=0.0,
-            )
-            T = rng.standard_normal((n_0, n_x))
-            ti = build_ti_costs(ss, np.eye(n_x), T)
-            gap = np.abs(T.T @ ti.lam_init - (ti.lam_b + ss.lam)).max() if n_0 else 0.0
-            assert gap <= 1e-9
+    """The time-invariant corollary's construction (`steady_state_horizon`):
+    with the initial and terminal linear cost terms folded into the stage
+    data, the constant steady-state trajectory is stationary at every
+    horizon."""
 
     def test_steady_trajectory_stationary_all_horizons(self):
-        ss, d = self._double_integrator_ss()
-        ti = build_ti_costs(ss, np.eye(2), np.eye(2))
-        ss.lam_init = ti.lam_init
         for N in (5, 20, 60):
-            prob = time_invariant_problem(
-                lambda x, u, dd: float((x - dd) @ (x - dd) + u @ u),
-                lambda x, u, dd: DOUBLE_INTEGRATOR_A @ x + DOUBLE_INTEGRATOR_B @ u,
-                ti, np.eye(2), N, n_u=1, n_d=2,
-            )
-            traj = constant_trajectory(prob.dims, ss)
-            data = DataTrajectory(prob.dims, [np.eye(2) @ ss.x] + [d] * (N + 1))
-            assert np.abs(kkt_residual(prob, traj, data)).max() <= 1e-8
+            p, data, traj, _ = steady_state_horizon(DOUBLE_INTEGRATOR_A, DOUBLE_INTEGRATOR_B, [1.0, 0.5], np.eye(2), N)
+            assert np.abs(kkt_residual(p, traj, data)).max() <= 1e-8
 
     def test_partial_T_trajectory_stationary(self):
         A = np.array([[0.5, 0.1], [0.0, 0.8]])
         B = np.array([[0.0], [1.0]])
-        d = np.array([1.0, 1.0])
-        ss = solve_steady_state(
-            lambda x, u, dd: float((x - dd) @ (x - dd) + u @ u),
-            lambda x, u, dd: A @ x + B @ u,
-            d_s=d, x0=np.zeros(2), u0=np.zeros(1),
-        )
-        T = np.array([[1.0, 0.0]])
-        ti = build_ti_costs(ss, np.eye(2), T)
-        assert np.abs(ti.lam_b).max() > 0  # genuinely exercises the projector
-        ss.lam_init = ti.lam_init
         for N in (5, 20):
-            prob = time_invariant_problem(
-                lambda x, u, dd: float((x - dd) @ (x - dd) + u @ u),
-                lambda x, u, dd: A @ x + B @ u,
-                ti, T, N, n_u=1, n_d=2,
-            )
-            traj = constant_trajectory(prob.dims, ss)
-            data = DataTrajectory(prob.dims, [T @ ss.x] + [d] * (N + 1))
-            assert np.abs(kkt_residual(prob, traj, data)).max() <= 1e-8
+            p, data, traj, lam_b = steady_state_horizon(A, B, [1.0, 1.0], np.array([[1.0, 0.0]]), N)
+            assert np.abs(lam_b).max() > 0  # genuinely exercises the projector
+            assert np.abs(kkt_residual(p, traj, data)).max() <= 1e-8
 
 
 class TestRegistry:

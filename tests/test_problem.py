@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,17 +20,13 @@ from edslab import (
     kkt_residual,
     solve_equality_nlp,
 )
-from conftest import random_point
+from edslab.models import make_lq_problem
+from conftest import random_point, smooth_problem, stacked
 
 
 def quadratic_problem(N=2, n_x=2, n_u=1):
-    dims = Dimensions(N, n_x, n_u, 0, n_x)
-    oracles = StageOracles(
-        stage_cost=lambda i, x, u, d: float(x @ x + u @ u),
-        dynamics=lambda i, x, u, d: np.zeros(n_x),
-        terminal_cost=lambda x, d: float(x @ x),
-    )
-    return DOProblem(dims=dims, oracles=oracles, T=np.eye(n_x))
+    """Stage cost x.x + u.u, zero dynamics, terminal cost x.x, T = I."""
+    return make_lq_problem(np.zeros((n_x, n_x)), np.zeros((n_x, n_u)), np.eye(n_x), np.eye(n_u), np.eye(n_x), None, N, False)
 
 
 def lagrangian_gradient_by_fd(p, traj, data, h=1e-6):
@@ -45,15 +42,10 @@ def lagrangian_gradient_by_fd(p, traj, data, h=1e-6):
     return fd
 
 
-def scalar_n1(f0, l0, l1, n0_data=1):
-    dims = Dimensions(1, 1, 1, 0, n0_data)
-    oracles = StageOracles(
-        stage_cost=lambda i, x, u, d: l0(x, u),
-        dynamics=lambda i, x, u, d: np.atleast_1d(f0(x, u)),
-        terminal_cost=lambda x, d: l1(x),
-    )
-    T = np.array([[1.0]]) if n0_data else np.zeros((0, 1))
-    return DOProblem(dims=dims, oracles=oracles, T=T)
+def scalar_n1(weight):
+    """One stage with x_1 = x_0 + u_0, stage cost weight (x^2 + u^2),
+    terminal cost weight x^2 and x_0 = d_{-1}."""
+    return make_lq_problem(1.0, 1.0, weight, weight, weight, None, 1, track_reference=False)
 
 
 class TestObjective:
@@ -64,7 +56,7 @@ class TestObjective:
         assert evaluate_objective(p, traj, data) == 0.0
 
     def test_hand_evaluation_scalar_n1(self):
-        p = scalar_n1(lambda x, u: x + u, lambda x, u: float(x @ x + u @ u), lambda x: float(x @ x))
+        p = scalar_n1(1.0)
         traj = PrimalDualTrajectory(p.dims, [[1.0], [0.5]], [[-0.5]], [[0.0], [0.0]])
         data = DataTrajectory(p.dims, [[1.0], [], []])
         assert evaluate_objective(p, traj, data) == pytest.approx(1.5, abs=1e-14)
@@ -72,10 +64,17 @@ class TestObjective:
     def test_linear_cost_in_data(self):
         N = 3
         dims = Dimensions(N, 1, 1, 1, 1)
+        zero = lambda X, *shapes: tuple(stacked(len(X), s) for s in shapes)
         oracles = StageOracles(
-            stage_cost=lambda i, x, u, d: float(d[0]),
-            dynamics=lambda i, x, u, d: np.zeros(1),
+            stage_cost_batch=lambda X, U, D: D[:, 0],
+            dynamics_batch=lambda X, U, D: np.zeros_like(X),
+            dynamics_jac_batch=lambda X, U, D: zero(X, (1, 1), (1, 1), (1, 1)),
+            stage_cost_grad_batch=lambda X, U, D: (np.zeros_like(X), np.zeros_like(U)),
+            stage_cost_hess_batch=lambda X, U, D: zero(X, *[(1, 1)] * 5),
+            dynamics_hess_vec_batch=lambda X, U, D, Lam: zero(X, *[(1, 1)] * 5),
             terminal_cost=lambda x, d: float(d[0]),
+            terminal_cost_grad=lambda x, d: np.zeros(1),
+            terminal_cost_hess=lambda x, d: (np.zeros((1, 1)), np.zeros((1, 1))),
         )
         p = DOProblem(dims=dims, oracles=oracles, T=np.eye(1))
         traj = PrimalDualTrajectory.zeros(dims)
@@ -91,25 +90,20 @@ class TestObjective:
 
 class TestConstraints:
     def test_all_zero(self):
-        dims = Dimensions(2, 2, 1, 0, 2)
-        oracles = StageOracles(
-            stage_cost=lambda i, x, u, d: 0.0,
-            dynamics=lambda i, x, u, d: np.zeros(2),
-            terminal_cost=lambda x, d: 0.0,
-        )
-        p = DOProblem(dims=dims, oracles=oracles, T=np.eye(2))
+        p = make_lq_problem(np.zeros((2, 2)), np.zeros((2, 1)), 0.0 * np.eye(2), 0.0, 0.0 * np.eye(2), None, 2, False)
+        dims = p.dims
         c = evaluate_constraints(p, PrimalDualTrajectory.zeros(dims), DataTrajectory.zeros(dims))
         assert c.shape == (dims.n_dual,)
         assert np.all(c == 0.0)
 
     def test_feasible_point(self):
-        p = scalar_n1(lambda x, u: x + u, lambda x, u: 0.0, lambda x: 0.0)
+        p = scalar_n1(0.0)
         traj = PrimalDualTrajectory(p.dims, [[1.0], [0.5]], [[-0.5]], [[0.0], [0.0]])
         data = DataTrajectory(p.dims, [[1.0], [], []])
         assert evaluate_constraints(p, traj, data) == pytest.approx([0.0, 0.0])
 
     def test_dynamics_defect(self):
-        p = scalar_n1(lambda x, u: x + u, lambda x, u: 0.0, lambda x: 0.0)
+        p = scalar_n1(0.0)
         traj = PrimalDualTrajectory(p.dims, [[1.0], [0.7]], [[-0.5]], [[0.0], [0.0]])
         data = DataTrajectory(p.dims, [[1.0], [], []])
         assert evaluate_constraints(p, traj, data) == pytest.approx([0.0, 0.2])
@@ -133,13 +127,8 @@ class TestLagrangian:
     def test_initial_constraint_pairing_sign(self):
         # f == 0, costs == 0, T = I: only the initial pairing remains and the
         # chosen convention makes it -lam @ (x0 - d)
-        dims = Dimensions(1, 1, 0, 0, 1)
-        oracles = StageOracles(
-            stage_cost=lambda i, x, u, d: 0.0,
-            dynamics=lambda i, x, u, d: np.zeros(1),
-            terminal_cost=lambda x, d: 0.0,
-        )
-        p = DOProblem(dims=dims, oracles=oracles, T=np.eye(1))
+        p = make_lq_problem(0.0, np.zeros((1, 0)), 0.0, np.zeros((0, 0)), 0.0, None, 1, False)
+        dims = p.dims
         traj = PrimalDualTrajectory(dims, [[2.0], [0.0]], [[]], [[1.0], [0.0]])
         data = DataTrajectory(dims, [[0.0], [], []])
         value = evaluate_lagrangian(p, traj, data)
@@ -173,19 +162,45 @@ class TestInvariants:
 
     def test_empty_initial_map_conventions(self):
         # estimation-style problem: n_0 = 0, no initial constraint block
-        dims = Dimensions(2, 2, 1, 1, 0)
-        oracles = StageOracles(
-            stage_cost=lambda i, x, u, d: float(x @ x + u @ u),
-            dynamics=lambda i, x, u, d: 0.5 * x,
-            terminal_cost=lambda x, d: float(x @ x),
-        )
-        p = DOProblem(dims=dims, oracles=oracles, T=np.zeros((0, 2)))
+        p = make_lq_problem(0.5 * np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(1), np.eye(2), np.zeros((0, 2)), 2, False)
+        dims = p.dims
         traj = PrimalDualTrajectory.zeros(dims)
         assert traj.lam(-1).shape == (0,)
         c = evaluate_constraints(p, traj, DataTrajectory.zeros(dims))
         assert c.shape == (2 * 2,)
         res = solve_equality_nlp(p, DataTrajectory.zeros(dims))
         assert res.converged
+
+
+class TestOracleContract:
+    """A problem supplies exactly nine oracles, the stage ones stage-batched,
+    each with no default; a missing or non-callable one fails at
+    construction, named."""
+
+    FIELDS = [
+        "stage_cost_batch", "dynamics_batch", "dynamics_jac_batch", "stage_cost_grad_batch",
+        "stage_cost_hess_batch", "dynamics_hess_vec_batch", "terminal_cost", "terminal_cost_grad",
+        "terminal_cost_hess",
+    ]
+
+    def test_nine_required_fields(self):
+        fields = dataclasses.fields(StageOracles)
+        assert [f.name for f in fields] == self.FIELDS
+        assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING for f in fields)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_missing_field_named(self, name):
+        given = {f: getattr(quadratic_problem().oracles, f) for f in self.FIELDS if f != name}
+        with pytest.raises(TypeError, match=name):
+            StageOracles(**given)
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_non_callable_field_named(self, name):
+        p = quadratic_problem()
+        for bad in (None, np.zeros(2)):
+            oracles = dataclasses.replace(p.oracles, **{name: bad})
+            with pytest.raises(ConfigurationError, match=f"oracles not callable: {name}$"):
+                DOProblem(dims=p.dims, oracles=oracles, T=p.T)
 
 
 class TestDimensions:
@@ -218,14 +233,9 @@ class TestDimensions:
         assert all(type(getattr(dims, key)) is int for key in ("N", "n_x", "n_u", "n_d", "n_0"))
 
     def test_rank_deficient_T_rejected(self):
-        dims = Dimensions(1, 2, 1, 0, 2)
-        oracles = StageOracles(
-            stage_cost=lambda i, x, u, d: 0.0,
-            dynamics=lambda i, x, u, d: np.zeros(2),
-            terminal_cost=lambda x, d: 0.0,
-        )
+        p = quadratic_problem(N=1)
         with pytest.raises(ConfigurationError):
-            DOProblem(dims=dims, oracles=oracles, T=np.array([[1.0, 0.0], [2.0, 0.0]]))
+            DOProblem(dims=p.dims, oracles=p.oracles, T=np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
 @st.composite
@@ -236,22 +246,6 @@ def dimensions(draw):
     n_0 = draw(st.integers(0, n_x))
     n_d = draw(st.integers(0, 2))
     return Dimensions(N, n_x, draw(st.integers(0, 2)), n_d, n_0)
-
-
-def smooth_problem(dims):
-    """Nonlinear problem of the given sizes with no analytic derivatives."""
-    def stage_cost(i, x, u, d):
-        return float(x @ x + 0.5 * u @ u + np.sin(x[0]) * d.sum() + 0.1 * (i + 1) * x.sum() * u.sum())
-
-    def dynamics(i, x, u, d):
-        return 0.9 * x + 0.2 * np.sin(x[::-1]) + 0.3 * u.sum() + 0.1 * x[0] * d.sum()
-
-    oracles = StageOracles(
-        stage_cost=stage_cost,
-        dynamics=dynamics,
-        terminal_cost=lambda x, d: float(x @ x + 0.3 * np.cos(x[0]) * d.sum()),
-    )
-    return DOProblem(dims=dims, oracles=oracles, T=np.eye(dims.n_x)[: dims.n_0])
 
 
 class TestDataTrajectory:
